@@ -207,11 +207,10 @@ class SimulationConfig:
         per-arrival dispatch tier that additionally vectorizes hook
         policies declaring an arrival kernel (BP, AdapBP) — still
         bit-identical.
-        ``None`` (the default) leaves the choice to the consuming layer:
-        :mod:`repro.api` and the CLI resolve it to ``"batched"``, while the
-        legacy :func:`repro.simulation.create_simulator` path keeps the
-        reference engine for one deprecation release (with a
-        :class:`DeprecationWarning`).
+        ``None`` (the default) leaves the choice to the consuming layer,
+        and every layer — :mod:`repro.api`, the CLI and
+        :func:`repro.simulation.create_simulator` — resolves it to
+        :data:`repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``).
     """
 
     pending_time: float = 13.0

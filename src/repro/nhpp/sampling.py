@@ -20,6 +20,7 @@ from __future__ import annotations
 import numpy as np
 
 from .._validation import check_integer, check_non_negative, check_positive
+from ..exceptions import ValidationError
 from ..rng import RandomState, ensure_rng
 from .intensity import PiecewiseConstantIntensity
 
@@ -117,6 +118,8 @@ def sample_next_arrivals(
     n_arrivals: int,
     n_samples: int,
     random_state: RandomState = None,
+    *,
+    first: int = 0,
 ) -> np.ndarray:
     """Monte Carlo samples of the arrival times of the next ``n_arrivals`` queries.
 
@@ -130,12 +133,18 @@ def sample_next_arrivals(
         Number of Monte Carlo replications ``R``.
     random_state:
         Seed or generator.
+    first:
+        Index of the first upcoming query whose samples are returned.  The
+        random stream is consumed exactly as for ``first=0`` and the result
+        equals that draw's ``[:, first:]``; only the returned columns pay for
+        the inversion of the cumulative intensity.
 
     Returns
     -------
     numpy.ndarray
-        Array of shape ``(n_samples, n_arrivals)`` where column ``i`` holds
-        samples of the arrival time of the ``(i+1)``-th upcoming query.
+        Array of shape ``(n_samples, n_arrivals - first)`` where column ``i``
+        holds samples of the arrival time of the ``(first+i+1)``-th upcoming
+        query.
 
     Notes
     -----
@@ -147,12 +156,15 @@ def sample_next_arrivals(
     """
     check_integer(n_arrivals, "n_arrivals", minimum=1)
     check_integer(n_samples, "n_samples", minimum=1)
+    check_integer(first, "first", minimum=0)
+    if first >= n_arrivals:
+        raise ValidationError(f"first must be below n_arrivals={n_arrivals}, got {first}")
     rng = ensure_rng(random_state)
     exponentials = rng.exponential(1.0, size=(n_samples, n_arrivals))
-    gammas = np.cumsum(exponentials, axis=1)
+    gammas = np.cumsum(exponentials, axis=1)[:, first:]
     flat = gammas.reshape(-1)
     times = np.asarray(intensity.inverse_cumulative(flat), dtype=float)
-    return times.reshape(n_samples, n_arrivals)
+    return times.reshape(gammas.shape)
 
 
 def sample_homogeneous_arrivals(

@@ -12,7 +12,6 @@ diagnostic for users and as a regression test for the fitter.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
 
 from .._validation import as_1d_float_array, check_sorted
 from ..exceptions import ValidationError
@@ -51,6 +50,9 @@ def ks_statistic_time_rescaling(
     tuple
         ``(statistic, p_value)`` from :func:`scipy.stats.kstest`.
     """
+    # Imported here: scipy.stats is slow to import and only this diagnostic uses it.
+    from scipy import stats
+
     rescaled = rescaled_interarrival_times(arrival_times, intensity)
     result = stats.kstest(rescaled, "expon")
     return float(result.statistic), float(result.pvalue)

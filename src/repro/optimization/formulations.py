@@ -16,12 +16,19 @@ Every solver returns a :class:`ScalingDecision` carrying the raw (possibly
 negative) optimum, the clamped creation time actually used, and feasibility
 information.  Negative optima mean the instance "should" already exist — the
 sequential scheme avoids this by planning ``kappa`` queries ahead.
+
+A planning round needs the decisions of many queries at once, so
+:func:`solve_columns` solves every column of an ``(R, K)`` sample matrix in a
+handful of array operations.  It returns exactly the raw optima the per-query
+solvers return (bit for bit), which remain the public per-query API and the
+reference it is tested against.
 """
 
 from __future__ import annotations
 
 import enum
 from dataclasses import dataclass
+from functools import partial
 
 import numpy as np
 
@@ -46,6 +53,7 @@ __all__ = [
     "solve_hp_constrained",
     "solve_rt_constrained",
     "solve_cost_constrained",
+    "solve_columns",
     "solve_batch",
 ]
 
@@ -177,12 +185,171 @@ def solve_cost_constrained(
     return _finalize(raw_x, xi, tau, DecisionObjective.COST)
 
 
+#: Samples (queries x R) that :func:`solve_columns` solves per block.
+_BLOCK_SAMPLES = 1 << 16
+
+
+def solve_columns(
+    arrival_samples: np.ndarray,
+    pending_samples: np.ndarray,
+    objective: DecisionObjective,
+    target: float,
+) -> np.ndarray:
+    """Raw optimal creation time of every query column of ``(R, K)`` samples.
+
+    Column ``i`` of the result equals the ``raw_creation_time`` that
+    :func:`solve_hp_constrained`, :func:`solve_rt_constrained` or
+    :func:`solve_cost_constrained` returns for ``(arrival_samples[:, i],
+    pending_samples[:, i])`` — the same floating-point operations in the same
+    order, so the values match bit for bit.  Reductions run over the rows of
+    the transposed, C-contiguous ``(K, R)`` arrays, which keeps numpy's
+    pairwise summation order identical to the 1-D per-query calls.
+
+    Parameters
+    ----------
+    arrival_samples, pending_samples:
+        Arrays of shape ``(R, K)``: ``R`` Monte Carlo samples of ``xi_i`` and
+        ``tau_i`` for each of ``K`` queries.
+    objective:
+        Which formulation to apply.
+    target:
+        The formulation's constraint level: the target hitting probability,
+        the waiting-time budget, or the idle-cost budget respectively.
+    """
+    xi, tau = _columns(arrival_samples, pending_samples)
+    if objective is DecisionObjective.HIT_PROBABILITY:
+        alpha = 1.0 - check_probability(target, "target_hit_probability")
+        solve = partial(_quantile_columns, alpha=alpha)
+    elif objective is DecisionObjective.RESPONSE_TIME:
+        budget = check_non_negative(target, "waiting_budget")
+        solve = partial(_waiting_time_budget_columns, waiting_budget=budget)
+    elif objective is DecisionObjective.COST:
+        budget = check_non_negative(target, "idle_budget")
+        solve = partial(_idle_time_budget_columns, idle_budget=budget)
+    else:  # pragma: no cover - exhaustive enum
+        raise ValidationError(f"unknown objective {objective!r}")
+    # Blocks bound the temporaries (the RT walk sorts ``2R`` breakpoints per
+    # query) on Fig. 8-sized batches of hundreds of thousands of queries.
+    step = max(1, _BLOCK_SAMPLES // xi.shape[1])
+    blocks = [solve(xi[i : i + step], tau[i : i + step]) for i in range(0, xi.shape[0], step)]
+    return np.concatenate(blocks) if blocks else np.empty(0)
+
+
+def _columns(
+    arrival_samples: np.ndarray, pending_samples: np.ndarray
+) -> tuple[np.ndarray, np.ndarray]:
+    """Validate ``(R, K)`` samples and return them as C-contiguous ``(K, R)`` rows."""
+    xi = np.asarray(arrival_samples, dtype=float)
+    tau = np.asarray(pending_samples, dtype=float)
+    if xi.ndim != 2 or xi.shape != tau.shape:
+        raise ValidationError(
+            "arrival_samples and pending_samples must be 2-D arrays of the same "
+            f"shape, got {xi.shape} and {tau.shape}"
+        )
+    if xi.shape[0] == 0:
+        raise ValidationError("at least one Monte Carlo sample is required")
+    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(tau))):
+        raise ValidationError("samples must contain only finite values")
+    return np.ascontiguousarray(xi.T), np.ascontiguousarray(tau.T)
+
+
+def _quantile_columns(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
+    """Eq. (3) per row: "lower" picks an order statistic, as in solve_hp_constrained."""
+    return np.quantile(xi - tau, alpha, axis=1, method="lower")
+
+
+def _waiting_time_budget_columns(
+    xi: np.ndarray, tau: np.ndarray, waiting_budget: float
+) -> np.ndarray:
+    """Algorithm 3 on every row of ``(K, R)`` samples at once.
+
+    The scalar :func:`~repro.optimization.sort_and_search.solve_waiting_time_budget`
+    merges the sorted arrivals (slope ``-1/R``) and slacks (slope ``+1/R``),
+    arrivals first on ties, and walks the pieces of ``E_hat`` left to right.
+    A stable sort of ``[sorted xi | sorted xi - tau]`` yields that merge
+    order; running sums (``np.cumsum`` adds strictly left to right, like the
+    walk) give the slope and ``E_hat`` on every piece, and ``argmax`` finds
+    the first piece bracketing the budget.
+    """
+    n = xi.shape[1]
+    slack = xi - tau
+    out = xi.max(axis=1)
+    solve = waiting_budget < tau.mean(axis=1)
+    if not np.any(solve):
+        return out
+    breakpoints = np.concatenate(
+        [np.sort(xi[solve], axis=1), np.sort(slack[solve], axis=1)], axis=1
+    )
+    # Two presorted runs: the stable sort (timsort) only merges them.
+    order = np.argsort(breakpoints, axis=1, kind="stable")
+    x_right = np.take_along_axis(breakpoints, order, axis=1)
+    step = np.where(order < n, -1.0 / n, 1.0 / n)
+    slope = np.zeros_like(x_right)
+    slope[:, 1:] = np.cumsum(step[:, :-1], axis=1)
+    x_left = np.empty_like(x_right)
+    x_left[:, 0] = breakpoints[:, n]  # min(xi - tau)
+    x_left[:, 1:] = x_right[:, :-1]
+    e_right = np.cumsum(slope * (x_right - x_left), axis=1)
+    e_left = np.zeros_like(e_right)
+    e_left[:, 1:] = e_right[:, :-1]
+    bracket = (e_left <= waiting_budget) & (waiting_budget <= e_right) & (slope > 0)
+    found = bracket.any(axis=1)
+    piece = bracket.argmax(axis=1)[:, None]
+    x_left = np.take_along_axis(x_left, piece, axis=1)[:, 0]
+    e_left = np.take_along_axis(e_left, piece, axis=1)[:, 0]
+    slope = np.take_along_axis(slope, piece, axis=1)[:, 0]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        root = x_left + (waiting_budget - e_left) / slope
+    # An unbracketed budget (floating error only) falls back to max(xi).
+    out[solve] = np.where(found, root, out[solve])
+    return out
+
+
+def _idle_time_budget_columns(
+    xi: np.ndarray, tau: np.ndarray, idle_budget: float
+) -> np.ndarray:
+    """The cost root search of ``solve_idle_time_budget`` on every row of ``(K, R)``."""
+    n = xi.shape[1]
+    slack = xi - tau
+    out = np.zeros(xi.shape[0])
+    solve = np.maximum(slack, 0.0).mean(axis=1) > idle_budget
+    if not np.any(solve):
+        return out
+    slack_sorted = np.sort(slack[solve], axis=1)
+    # C_hat(v_k) = sum_{j > k} (v_j - v_k) / n via suffix sums, as in the scalar form.
+    suffix_sums = np.zeros_like(slack_sorted)
+    suffix_sums[:, :-1] = np.cumsum(slack_sorted[:, ::-1], axis=1)[:, ::-1][:, 1:]
+    counts_after = np.arange(n - 1, -1, -1, dtype=float)
+    c_at_breaks = (suffix_sums - counts_after * slack_sorted) / n
+    # One searchsorted per row keeps the root search bit-equal to the scalar
+    # form even where round-off makes C_hat locally non-monotone.
+    idx = np.array(
+        [np.searchsorted(-row, -idle_budget, side="left") for row in c_at_breaks]
+    )
+    rows = np.arange(idx.size)
+    previous = np.maximum(idx - 1, 0)
+    x_left = slack_sorted[rows, previous]
+    c_left = c_at_breaks[rows, previous]
+    slope = -counts_after[previous] / n
+    with np.errstate(divide="ignore", invalid="ignore"):
+        interior = np.where(slope == 0, x_left, x_left + (idle_budget - c_left) / slope)
+    # Left of the first breakpoint every sample is active (slope -1).
+    first = slack_sorted[:, 0] + (idle_budget - c_at_breaks[:, 0]) / (-1.0)
+    root = np.where(idx >= n, slack_sorted[:, -1], np.where(idx == 0, first, interior))
+    out[solve] = np.maximum(root, 0.0)
+    return out
+
+
 def solve_batch(
     scenarios: ArrivalScenarios,
     objective: DecisionObjective,
     target: float,
 ) -> list[ScalingDecision]:
     """Solve the per-query problem for every upcoming query in ``scenarios``.
+
+    The decisions equal those of the per-query solvers; the creation times
+    come from :func:`solve_columns` and the two expectations are evaluated
+    column-wise too.
 
     Parameters
     ----------
@@ -194,15 +361,22 @@ def solve_batch(
         The formulation's constraint level: the target hitting probability,
         the waiting-time budget, or the idle-cost budget respectively.
     """
-    decisions: list[ScalingDecision] = []
-    for i in range(scenarios.n_queries):
-        xi, tau = scenarios.for_query(i)
-        if objective is DecisionObjective.HIT_PROBABILITY:
-            decisions.append(solve_hp_constrained(xi, tau, target))
-        elif objective is DecisionObjective.RESPONSE_TIME:
-            decisions.append(solve_rt_constrained(xi, tau, target))
-        elif objective is DecisionObjective.COST:
-            decisions.append(solve_cost_constrained(xi, tau, target))
-        else:  # pragma: no cover - exhaustive enum
-            raise ValidationError(f"unknown objective {objective!r}")
-    return decisions
+    raw = solve_columns(scenarios.arrival_times, scenarios.pending_times, objective, target)
+    creation = np.maximum(raw, 0.0)
+    xi, tau = _columns(scenarios.arrival_times, scenarios.pending_times)
+    at = creation[:, None]
+    waiting = np.maximum(tau - np.maximum(xi - at, 0.0), 0.0).mean(axis=1)
+    idle = np.maximum(xi - tau - at, 0.0).mean(axis=1)
+    return [
+        ScalingDecision(
+            raw_creation_time=raw_x,
+            creation_time=created,
+            feasible=raw_x >= 0.0,
+            expected_waiting_time=wait,
+            expected_idle_time=idle_x,
+            objective=objective,
+        )
+        for raw_x, created, wait, idle_x in zip(
+            raw.tolist(), creation.tolist(), waiting.tolist(), idle.tolist()
+        )
+    ]

@@ -85,6 +85,8 @@ def generate_scenarios(
     n_queries: int,
     n_samples: int,
     random_state: RandomState = None,
+    *,
+    first: int = 0,
 ) -> ArrivalScenarios:
     """Draw joint scenarios for the next ``n_queries`` arrivals.
 
@@ -101,10 +103,17 @@ def generate_scenarios(
     random_state:
         Seed or generator; arrival and pending samples are drawn from the
         same stream so a single seed reproduces the full scenario set.
+    first:
+        Index of the first upcoming query to return.  Samples of all
+        ``n_queries`` queries are still drawn, so the random stream advances
+        exactly as for ``first=0`` and the result equals that draw sliced
+        to ``[:, first:]``; query ``first + i`` is column ``i``.  Planners
+        pass the number of queries already covered, whose samples they
+        would discard.
     """
     check_integer(n_queries, "n_queries", minimum=1)
     check_integer(n_samples, "n_samples", minimum=1)
     rng = ensure_rng(random_state)
-    arrivals = sample_next_arrivals(intensity, n_queries, n_samples, rng)
+    arrivals = sample_next_arrivals(intensity, n_queries, n_samples, rng, first=first)
     pending = pending_model.sample(n_samples * n_queries, rng).reshape(n_samples, n_queries)
-    return ArrivalScenarios(arrival_times=arrivals, pending_times=pending)
+    return ArrivalScenarios(arrival_times=arrivals, pending_times=pending[:, first:])

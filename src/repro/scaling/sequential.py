@@ -15,11 +15,12 @@ true intensity is known).
 
 from __future__ import annotations
 
+import numpy as np
 
 from .._validation import check_integer, check_probability
 from ..config import PlannerConfig
 from ..nhpp.intensity import PiecewiseConstantIntensity
-from ..optimization.formulations import solve_hp_constrained
+from ..optimization.formulations import DecisionObjective, solve_columns
 from ..optimization.montecarlo import generate_scenarios
 from ..optimization.threshold import compute_kappa
 from ..pending import PendingTimeModel
@@ -123,16 +124,24 @@ class SequentialHPScaler(Autoscaler):
             n_queries=first_index + count,
             n_samples=self.planner.monte_carlo_samples,
             random_state=self._rng,
+            first=first_index,
         )
-        actions: list[ScalingAction] = []
-        for index in range(first_index, first_index + count):
-            xi, tau = scenarios.for_query(index)
-            decision = solve_hp_constrained(xi, tau, self.target)
-            actions.append(
+        raw_creation = solve_columns(
+            scenarios.arrival_times,
+            scenarios.pending_times,
+            DecisionObjective.HIT_PROBABILITY,
+            self.target,
+        )
+        creation = context.time + np.maximum(raw_creation, 0.0)
+        return ScalingResponse(
+            actions=[
                 ScalingAction(
-                    creation_time=context.time + decision.creation_time,
+                    creation_time=created,
                     planned_at=context.time,
-                    target_query_index=context.n_arrivals + index,
+                    target_query_index=index,
                 )
-            )
-        return ScalingResponse(actions=actions)
+                for index, created in enumerate(
+                    creation.tolist(), start=context.n_arrivals + first_index
+                )
+            ]
+        )

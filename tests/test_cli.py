@@ -79,3 +79,23 @@ class TestMain:
         )
         assert code == 0
         assert "hit_rate" in capsys.readouterr().out
+
+
+def test_cli_import_skips_scipy_stats():
+    """``scipy.stats`` is slow to import; start-up must not pull it in."""
+    import os
+    import subprocess
+    import sys
+    from pathlib import Path
+
+    src = Path(__file__).resolve().parent.parent / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
+    out = subprocess.run(
+        [sys.executable, "-c", "import sys, repro.cli; print('scipy.stats' in sys.modules)"],
+        env=env,
+        capture_output=True,
+        text=True,
+        check=True,
+    )
+    assert out.stdout.strip() == "False"

@@ -70,6 +70,15 @@ class TestComputeKappa:
         assert stats.gamma.ppf(alpha, a=kappa) / lam - tau < 0
         assert stats.gamma.ppf(alpha, a=kappa + 1) / lam - tau >= 0
 
+    @pytest.mark.parametrize("target", [0.5, 0.8, 0.9, 0.95, 0.99])
+    @pytest.mark.parametrize("lam", [0.05, 0.5, 6.0])
+    def test_equals_gamma_ppf_scan(self, lam, target):
+        tau, alpha = 13.0, 1.0 - target
+        expected = 0
+        while expected < 10_000 and stats.gamma.ppf(alpha, a=expected + 1) < lam * tau:
+            expected += 1
+        assert compute_kappa(lam, DeterministicPendingTime(tau), target) == expected
+
     def test_kappa_grows_with_intensity(self):
         pending = DeterministicPendingTime(13.0)
         low = compute_kappa(0.1, pending, 0.9)

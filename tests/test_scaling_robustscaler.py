@@ -10,11 +10,17 @@ from repro.exceptions import PlanningError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.model import NHPPModel
 from repro.nhpp.sampling import sample_homogeneous_arrivals
-from repro.pending import DeterministicPendingTime
-from repro.scaling.base import PlanningContext
+from repro.optimization.formulations import (
+    solve_cost_constrained,
+    solve_hp_constrained,
+    solve_rt_constrained,
+)
+from repro.optimization.montecarlo import generate_scenarios
+from repro.pending import DeterministicPendingTime, UniformPendingTime
+from repro.scaling.base import PlanningContext, ScalingResponse
 from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
 from repro.simulation.engine import ScalingPerQuerySimulator
-from repro.types import ArrivalTrace
+from repro.types import ArrivalTrace, ScalingAction
 
 
 def _constant_forecast(rate: float) -> PiecewiseConstantIntensity:
@@ -201,3 +207,98 @@ class TestEndToEndQoS:
         )
         assert robust.mean_response_time < reactive.mean_response_time
         assert robust.hit_rate > 0.5
+
+
+class _PerQueryRobustScaler(RobustScaler):
+    """Reference planning round: draw every column, one scalar solve per query."""
+
+    _SOLVERS = {
+        RobustScalerObjective.HIT_PROBABILITY: solve_hp_constrained,
+        RobustScalerObjective.RESPONSE_TIME: solve_rt_constrained,
+        RobustScalerObjective.COST: solve_cost_constrained,
+    }
+
+    def _plan(self, context: PlanningContext) -> ScalingResponse:
+        now = context.time
+        window = self.planner.planning_interval + self.planner.lookahead_margin
+        local_intensity = self.forecast.shift(now)
+        expected_in_window = float(local_intensity.cumulative(window))
+        min_commitments = max(
+            1, int(np.ceil(expected_in_window + 2.0 * np.sqrt(expected_in_window)))
+        )
+        n_to_plan = self._queries_to_consider(
+            local_intensity, window, context, min_commitments
+        )
+        outstanding = context.outstanding_instances
+        if n_to_plan <= outstanding:
+            return ScalingResponse.empty()
+        scenarios = generate_scenarios(
+            local_intensity,
+            self.pending_model,
+            n_queries=n_to_plan,
+            n_samples=self.planner.monte_carlo_samples,
+            random_state=self._rng,
+        )
+        solve = self._SOLVERS[self.objective]
+        actions = []
+        committed_beyond_window = 0
+        for index in range(outstanding, n_to_plan):
+            relative_creation = solve(*scenarios.for_query(index), self.target).creation_time
+            if relative_creation > window:
+                if committed_beyond_window >= min_commitments:
+                    break
+                committed_beyond_window += 1
+            if relative_creation > self.planner.max_plan_horizon:
+                break
+            actions.append(
+                ScalingAction(
+                    creation_time=now + relative_creation,
+                    planned_at=now,
+                    target_query_index=context.n_arrivals + index,
+                )
+            )
+        return ScalingResponse(actions=actions)
+
+
+def _planned_actions(scaler: RobustScaler, trace: ArrivalTrace) -> list[ScalingAction]:
+    actions: list[ScalingAction] = []
+    plan = scaler._plan
+
+    def recorded(context):
+        response = plan(context)
+        actions.extend(response.actions)
+        return response
+
+    scaler._plan = recorded
+    ScalingPerQuerySimulator(SimulationConfig(pending_time=13.0)).replay(trace, scaler)
+    return actions
+
+
+class TestColumnWisePlanning:
+    """Planning with one column-wise solve per round reproduces the per-query loop."""
+
+    @pytest.mark.parametrize(
+        "objective, target",
+        [
+            (RobustScalerObjective.HIT_PROBABILITY, 0.9),
+            (RobustScalerObjective.RESPONSE_TIME, 2.0),
+            (RobustScalerObjective.COST, 3.0),
+        ],
+    )
+    def test_actions_match_per_query_reference(
+        self, periodic_intensity, periodic_trace, fast_planner, objective, target
+    ):
+        def run(cls):
+            scaler = cls(
+                periodic_intensity,
+                UniformPendingTime(8.0, 18.0),
+                objective=objective,
+                target=target,
+                planner=fast_planner,
+                random_state=7,
+            )
+            return _planned_actions(scaler, periodic_trace)
+
+        actions = run(RobustScaler)
+        assert len(actions) > 100
+        assert actions == run(_PerQueryRobustScaler)

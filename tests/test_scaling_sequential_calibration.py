@@ -9,11 +9,14 @@ from repro.config import PlannerConfig, SimulationConfig
 from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_homogeneous_arrivals
-from repro.pending import DeterministicPendingTime
+from repro.optimization.formulations import solve_hp_constrained
+from repro.optimization.montecarlo import generate_scenarios
+from repro.pending import DeterministicPendingTime, UniformPendingTime
+from repro.scaling.base import ScalingResponse
 from repro.scaling.calibration import CalibrationResult, calibrate_hit_probability
 from repro.scaling.sequential import SequentialHPScaler
 from repro.simulation.engine import ScalingPerQuerySimulator
-from repro.types import ArrivalTrace
+from repro.types import ArrivalTrace, ScalingAction
 
 
 def _constant_forecast(rate: float) -> PiecewiseConstantIntensity:
@@ -26,7 +29,62 @@ def hpp_trace() -> ArrivalTrace:
     return ArrivalTrace(arrivals, 20.0, name="hpp", horizon=2 * 3600.0)
 
 
+class _PerQuerySequentialHPScaler(SequentialHPScaler):
+    """Reference Algorithm 4 block: draw every column, one scalar HP solve per query."""
+
+    def _plan_block(self, context, first_index, count):
+        if count <= 0:
+            return ScalingResponse.empty()
+        scenarios = generate_scenarios(
+            self.forecast.shift(context.time),
+            self.pending_model,
+            n_queries=first_index + count,
+            n_samples=self.planner.monte_carlo_samples,
+            random_state=self._rng,
+        )
+        actions = []
+        for index in range(first_index, first_index + count):
+            decision = solve_hp_constrained(*scenarios.for_query(index), self.target)
+            actions.append(
+                ScalingAction(
+                    creation_time=context.time + decision.creation_time,
+                    planned_at=context.time,
+                    target_query_index=context.n_arrivals + index,
+                )
+            )
+        return ScalingResponse(actions=actions)
+
+
 class TestSequentialHPScaler:
+    @pytest.mark.parametrize("planning_every", [1, 4])
+    def test_actions_match_per_query_reference(self, hpp_trace, planning_every):
+        def run(cls):
+            scaler = cls(
+                _constant_forecast(0.2),
+                UniformPendingTime(8.0, 18.0),
+                target_hit_probability=0.9,
+                planning_every=planning_every,
+                planner=PlannerConfig(monte_carlo_samples=200),
+                random_state=3,
+            )
+            actions = []
+            plan_block = scaler._plan_block
+
+            def recorded(context, first_index, count):
+                response = plan_block(context, first_index, count)
+                actions.extend(response.actions)
+                return response
+
+            scaler._plan_block = recorded
+            ScalingPerQuerySimulator(SimulationConfig(pending_time=13.0)).replay(
+                hpp_trace, scaler
+            )
+            return actions
+
+        actions = run(SequentialHPScaler)
+        assert len(actions) > 100
+        assert actions == run(_PerQuerySequentialHPScaler)
+
     def test_kappa_computed_from_upper_bound(self):
         scaler = SequentialHPScaler(
             _constant_forecast(0.2),
