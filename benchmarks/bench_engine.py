@@ -1,20 +1,19 @@
-"""Benchmark: reference vs batched vs kernel replay engine on large traces.
+"""Benchmark: reference vs batched replay engine on large traces.
 
 For each trace size (10^4 / 10^5 / 10^6 queries) and each policy family the
-same trace is replayed under the reference per-query engine, the batched
-event-kernel engine, and the kernelized engine (``engine="kernel"``),
-recording
+same trace is replayed under the reference per-query engine and the batched
+event-kernel engine, recording
 
-* wall-clock seconds per engine and the resulting speedups, and
-* the number of **divergent rows** across the engines — every per-query
+* wall-clock seconds per engine and the resulting speedup, and
+* the number of **divergent rows** between the engines — every per-query
   outcome column is compared bit-for-bit, so the reported speedups are only
   meaningful when the divergence column reads 0.
 
 The policy grid covers both dispatch regimes: passive-arrival policies
-(Reactive, TickFleet) where the batched engine already wins, and hook
-policies (BP, AdapBP) that the kernel tier vectorizes.  Results are also
-written to ``BENCH_engine.json`` at the repo root so the perf trajectory is
-recorded alongside the code.
+(Reactive, TickFleet) served as whole numpy chunks, and hook policies
+(BP, AdapBP) served through the batched engine's arrival-kernel tier.
+Results are also written to ``BENCH_engine.json`` at the repo root so the
+perf trajectory is recorded alongside the code.
 
 Runs standalone for CI smoke jobs (10^4 queries only)::
 
@@ -64,7 +63,7 @@ _COLUMNS = (
 _RATE = 100.0
 
 #: Engines timed per cell, in reporting order.
-_ENGINE_NAMES = ("reference", "batched", "kernel")
+_ENGINE_NAMES = ("reference", "batched")
 
 #: Where the machine-readable results land (repo root).
 _DEFAULT_OUTPUT = Path(__file__).resolve().parent.parent / "BENCH_engine.json"
@@ -156,24 +155,18 @@ def run_engine_comparison(sizes: tuple[int, ...], seed: int = 7) -> list[dict]:
                     trace, factory()
                 )
                 seconds[name] = time.perf_counter() - started
-            reference = results["reference"]
-            divergent = max(
-                count_divergent_rows(reference, results[name])
-                for name in _ENGINE_NAMES[1:]
-            )
             rows.append(
                 {
                     "n_queries": trace.n_queries,
                     "scaler": label,
                     "reference_seconds": seconds["reference"],
                     "batched_seconds": seconds["batched"],
-                    "kernel_seconds": seconds["kernel"],
                     "batched_speedup": seconds["reference"]
                     / max(seconds["batched"], 1e-12),
-                    "kernel_speedup": seconds["reference"]
-                    / max(seconds["kernel"], 1e-12),
-                    "divergent_rows": divergent,
-                    "hit_rate": results["kernel"].hit_rate,
+                    "divergent_rows": count_divergent_rows(
+                        results["reference"], results["batched"]
+                    ),
+                    "hit_rate": results["batched"].hit_rate,
                 }
             )
     return rows
@@ -224,16 +217,14 @@ def main(argv=None) -> int:
     sizes = (10_000,) if args.smoke else (10_000, 100_000, 1_000_000)
     rows = run_engine_comparison(sizes, seed=args.seed)
     print_artifact(
-        "Reference vs batched vs kernel engine",
+        "Reference vs batched engine",
         rows,
         columns=[
             "n_queries",
             "scaler",
             "reference_seconds",
             "batched_seconds",
-            "kernel_seconds",
             "batched_speedup",
-            "kernel_speedup",
             "divergent_rows",
             "hit_rate",
         ],
@@ -260,12 +251,12 @@ def main(argv=None) -> int:
             if row["n_queries"] < 500_000 or row["scaler"] not in _HOOK_FAMILIES:
                 continue
             print(
-                f"Kernel speedup at 10^6 queries [{row['scaler']}]: "
-                f"{row['kernel_speedup']:.1f}x"
+                f"Batched speedup at 10^6 queries [{row['scaler']}]: "
+                f"{row['batched_speedup']:.1f}x"
             )
-            if row["kernel_speedup"] < 20.0:
+            if row["batched_speedup"] < 20.0:
                 print(
-                    f"FAIL: expected >=20x kernel speedup for {row['scaler']} "
+                    f"FAIL: expected >=20x batched speedup for {row['scaler']} "
                     "on the 10^6-query trace"
                 )
                 failures += 1

@@ -87,13 +87,12 @@ def add_session_arguments(
     if spec.engine_aware:
         parser.add_argument(
             "--engine",
-            choices=["reference", "batched", "kernel"],
+            choices=["reference", "batched"],
             default=None,
             help=(
-                "replay engine (default: batched; all engines produce "
+                "replay engine (default: batched; both engines produce "
                 "bit-identical rows, 'reference' is the per-query event "
-                "loop, 'kernel' adds the vectorized per-arrival tier for "
-                "BP/AdapBP)"
+                "loop)"
             ),
         )
     if spec.runtime:

@@ -409,9 +409,7 @@ class Session:
     engine:
         Replay engine for every simulation: ``None`` resolves to the
         default, ``"batched"``; pass ``"reference"`` as the escape hatch to
-        the per-query event loop, or ``"kernel"`` for the batched engine
-        with the kernelized per-arrival tier (vectorizes BP/AdapBP too).
-        All produce bit-identical rows.
+        the per-query event loop.  Both produce bit-identical rows.
     seed:
         When set, overrides each experiment's own ``seed`` default.
     run_id:

@@ -157,12 +157,11 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--seed", type=int, default=7)
     simulate.add_argument(
         "--engine",
-        choices=["reference", "batched", "kernel"],
+        choices=["reference", "batched"],
         default=None,
         help=(
             "replay engine (default: batched; identical results, 'reference' "
-            "is the per-query event loop, 'kernel' adds the vectorized "
-            "per-arrival tier for BP/AdapBP)"
+            "is the per-query event loop)"
         ),
     )
     _add_store_dir_flag(simulate)

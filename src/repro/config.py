@@ -203,10 +203,7 @@ class SimulationConfig:
         ``"batched"`` is the vectorized engine of
         :mod:`repro.simulation.fastengine` that produces identical results
         (same RNG draw order, same tiebreaks) at a fraction of the cost,
-        and ``"kernel"`` is the batched engine with the kernelized
-        per-arrival dispatch tier that additionally vectorizes hook
-        policies declaring an arrival kernel (BP, AdapBP) — still
-        bit-identical.
+        hook policies declaring an arrival kernel (BP, AdapBP) included.
         ``None`` (the default) leaves the choice to the consuming layer,
         and every layer — :mod:`repro.api`, the CLI and
         :func:`repro.simulation.create_simulator` — resolves it to
@@ -222,7 +219,7 @@ class SimulationConfig:
     engine: Optional[str] = None
 
     #: Recognized values of :attr:`engine` (besides ``None`` = unspecified).
-    ENGINES = ("reference", "batched", "kernel")
+    ENGINES = ("reference", "batched")
 
     def __post_init__(self) -> None:
         if self.engine is not None and self.engine not in self.ENGINES:

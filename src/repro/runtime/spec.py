@@ -75,10 +75,9 @@ class PrepSpec:
     period_bins: int | None = None
     nhpp: NHPPConfig | None = None
     simulation: SimulationConfig | None = None
-    #: Replay engine override (``"reference"`` / ``"batched"`` /
-    #: ``"kernel"``); tasks carry
+    #: Replay engine override (``"reference"`` / ``"batched"``); tasks carry
     #: it as plain data so pool workers build the right simulator.  ``None``
-    #: defers to the ``simulation`` config (default: reference).
+    #: defers to the ``simulation`` config (default: batched).
     engine: str | None = None
 
     def resolve(self, scenario=None) -> dict:

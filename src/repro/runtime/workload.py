@@ -136,11 +136,10 @@ def prepare_workload(
     period_bins:
         Explicit period (in bins) to use instead of running detection.
     engine:
-        Replay engine override (``"reference"`` / ``"batched"`` /
-        ``"kernel"``); ``None`` keeps whatever ``simulation`` selects,
-        falling back to the legacy ``"reference"`` engine when the
-        simulation config is silent too (:class:`repro.api.Session` and the
-        CLI always pass an explicit engine, defaulting to ``"batched"``).
+        Replay engine override (``"reference"`` / ``"batched"``); ``None``
+        keeps whatever ``simulation`` selects, falling back to
+        :data:`~repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``) when
+        the simulation config is silent too.
         All engines produce identical results, so this only changes replay
         speed.
     """

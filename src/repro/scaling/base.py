@@ -157,8 +157,8 @@ class Autoscaler(abc.ABC):
 
         Policies whose per-arrival decision can be expressed over flat
         numpy arrays may return a
-        :class:`repro.simulation.kernels.ArrivalKernel`; kernel-enabled
-        engines then serve whole chunks of arrivals (everything between two
+        :class:`repro.simulation.kernels.ArrivalKernel`; the batched
+        engine then serves whole chunks of arrivals (everything between two
         planning ticks) through it instead of dispatching the hook per
         query, with bit-identical results.  Returning a kernel is a
         *promise of equivalence*: the kernel must reproduce the hook's

@@ -1,7 +1,7 @@
 """Discrete-event simulation of the scaling-per-query dynamics (Algorithm 1)."""
 
 from .engine import ScalingPerQuerySimulator
-from .fastengine import BatchedEventSimulator, KernelEventSimulator
+from .fastengine import BatchedEventSimulator
 from .runner import (
     DEFAULT_ENGINE,
     create_simulator,
@@ -15,7 +15,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "ScalingPerQuerySimulator",
     "BatchedEventSimulator",
-    "KernelEventSimulator",
     "create_simulator",
     "replay",
     "evaluate_scaler",

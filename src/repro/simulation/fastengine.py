@@ -11,6 +11,14 @@ restructuring the work so million-query traces are feasible:
   all arrivals between two planning ticks are served as one numpy batch:
   hit/miss classification, waiting times and instance lifecycles come from
   vectorized array expressions instead of a Python loop;
+* **kernel chunks** — otherwise, policies that declare an
+  :meth:`~repro.scaling.base.Autoscaler.arrival_kernel` (BP, AdapBP) have
+  whole chunks of arrivals served through their array kernel (see
+  :mod:`repro.simulation.kernels`); pending-time draws are bulk-sampled
+  with the exact count the reference engine would consume, so rows stay
+  bit-identical.  Arrivals the kernel cannot take (scheduled creations in
+  flight, charged decision latency, a policy without a kernel, a chunk of
+  a single arrival) fall back to the per-query hook path;
 * **flat sorted pools** — the unassigned-instance pool and the scheduled
   creations are flat lists kept sorted by ``(ready_time, tiebreak)`` /
   ``(creation_time, tiebreak)``, so pop-min is a head slice, scale-in is a
@@ -25,16 +33,6 @@ restructuring the work so million-query traces are feasible:
 * **columnar results** — per-query outcomes are accumulated in flat arrays
   and returned via :meth:`~repro.types.SimulationResult.from_columns`;
   ``QueryOutcome`` objects are only materialized if somebody asks.
-
-:class:`KernelEventSimulator` (``engine="kernel"``) adds a third dispatch
-tier between the passive chunk and the per-query fallback: policies that
-declare an :meth:`~repro.scaling.base.Autoscaler.arrival_kernel` (BP,
-AdapBP) have whole chunks of arrivals served through their array kernel
-(see :mod:`repro.simulation.kernels`) — pending-time draws are bulk-sampled
-with the exact count the reference engine would consume, so rows stay
-bit-identical.  Arrivals the kernel cannot take (scheduled creations in
-flight, charged decision latency, a policy without a kernel) silently fall
-back to the per-query hook path.
 
 Parity notes.  The tiebreak counter is advanced in exactly the reference
 order (scheduled pushes consume ids too, materialization assigns fresh ids
@@ -61,7 +59,7 @@ from ..telemetry import get_recorder
 from ..types import ArrivalTrace, SimulationResult
 from .kernels import KernelState
 
-__all__ = ["BatchedEventSimulator", "KernelEventSimulator"]
+__all__ = ["BatchedEventSimulator"]
 
 _INF = math.inf
 
@@ -70,6 +68,10 @@ _CHUNK_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
 
 #: Shared zero-length draw array for kernel chunks that sample nothing.
 _EMPTY_DRAWS = np.empty(0, dtype=float)
+
+#: Smallest chunk served by an arrival kernel: copying the pool into the
+#: kernel's arrays and back costs more than one hook call.
+_MIN_KERNEL_CHUNK = 2
 
 
 class BatchedEventSimulator:
@@ -86,10 +88,6 @@ class BatchedEventSimulator:
         the same values as ``k`` successive ``sample(1)`` calls (true for all
         built-in models, which draw through numpy generators).
     """
-
-    #: Enable the kernel-chunk dispatch tier for policies that declare an
-    #: arrival kernel; :class:`KernelEventSimulator` flips this to True.
-    use_kernels: bool = False
 
     def __init__(
         self,
@@ -381,19 +379,14 @@ class BatchedEventSimulator:
         # Kernel tier: only for active arrival hooks, and only when decision
         # latency is not charged (charged latency turns "create now" into a
         # scheduled creation, which kernels do not model).
-        kernel = None
-        fifo_pool = False
-        if self.use_kernels and not passive and not charge:
-            kernel = scaler.arrival_kernel()
-            fifo_pool = isinstance(self.pending_model, DeterministicPendingTime)
-        n_kernel_chunks = 0
-        kernel_arrivals = 0
+        kernel = None if passive or charge else scaler.arrival_kernel()
+        fifo_pool = isinstance(self.pending_model, DeterministicPendingTime)
         n_hook = 0
-        kernel_chunk_sizes: list[int] | None = (
-            [] if (recorder.enabled and kernel is not None) else None
-        )
 
         index = 0
+        # First arrival at or after ``next_tick``: the end of the current
+        # tick interval, computed once per interval and shared by the tiers.
+        chunk_end = 0
         while index < n:
             arrival = float(arrivals[index])
 
@@ -407,51 +400,41 @@ class BatchedEventSimulator:
                     next_tick += interval
                     n_ticks += 1
 
-            if passive:
+            if index >= chunk_end:
                 if next_tick is None:
                     chunk_end = n
                 else:
                     chunk_end = index + int(
                         np.searchsorted(arrivals[index:], next_tick, side="left")
                     )
+
+            if passive:
                 serve_chunk(index, chunk_end)
-                # The reference engine still times the (no-op) arrival hook;
-                # keep the planning-time counts aligned.
-                planning_times.extend([0.0] * (chunk_end - index))
-                if chunk_sizes is not None:
-                    chunk_sizes.append(chunk_end - index)
-                index = chunk_end
+            elif (
+                kernel is not None
+                and chunk_end - index >= _MIN_KERNEL_CHUNK
+                and not sched
+                and (params := kernel.begin_chunk()) is not None
+            ):
+                serve_kernel_chunk(index, chunk_end, params)
+            else:
+                # Per-query hook fallback; the kernel (if any) is offered the
+                # remaining arrivals again at the next one.
+                materialize(arrival)
+                serve_one(index, arrival)
+                response, latency = call_policy(
+                    scaler.on_query_arrival, update_context(arrival, index + 1)
+                )
+                apply_response(response, arrival, latency)
+                n_hook += 1
+                index += 1
                 continue
-
-            if kernel is not None and not sched:
-                params = kernel.begin_chunk()
-                if params is not None:
-                    if next_tick is None:
-                        chunk_end = n
-                    else:
-                        chunk_end = index + int(
-                            np.searchsorted(arrivals[index:], next_tick, side="left")
-                        )
-                    serve_kernel_chunk(index, chunk_end, params)
-                    # Hook timing parity with the reference (see above).
-                    planning_times.extend([0.0] * (chunk_end - index))
-                    n_kernel_chunks += 1
-                    kernel_arrivals += chunk_end - index
-                    if kernel_chunk_sizes is not None:
-                        kernel_chunk_sizes.append(chunk_end - index)
-                    index = chunk_end
-                    continue
-
-            # Per-query hook fallback; the kernel (if any) is offered the
-            # remaining arrivals again once the scheduled queue drains.
-            materialize(arrival)
-            serve_one(index, arrival)
-            response, latency = call_policy(
-                scaler.on_query_arrival, update_context(arrival, index + 1)
-            )
-            apply_response(response, arrival, latency)
-            n_hook += 1
-            index += 1
+            # The reference engine still times the (no-op or kernel-served)
+            # arrival hook; keep the planning-time counts aligned.
+            planning_times.extend([0.0] * (chunk_end - index))
+            if chunk_sizes is not None:
+                chunk_sizes.append(chunk_end - index)
+            index = chunk_end
 
         # Instances created but never consumed cost until the end of the
         # trace; the pool is already sorted, so the accumulation order equals
@@ -467,29 +450,20 @@ class BatchedEventSimulator:
             if passive:
                 recorder.inc("engine.batched.passive_arrivals", n)
                 recorder.inc("engine.batched.chunks", len(chunk_sizes))
-                chunk_hist = recorder.histogram(
-                    "engine.batched.chunk_queries", _CHUNK_BUCKETS
-                )
-                for size in chunk_sizes:
-                    # repro: allow[RPR004] post-replay fold of collected chunk
-                    # sizes — runs once per replay, not per query
-                    chunk_hist.observe(size)
+                chunk_hist_name = "engine.batched.chunk_queries"
             else:
+                # Kernel-tier attribution: how many arrivals the kernel
+                # served chunk-at-a-time vs. fell back to hook dispatch.
                 recorder.inc("engine.batched.hook_arrivals", n_hook)
-                if self.use_kernels:
-                    # Kernel-tier attribution: how many arrivals the kernel
-                    # served chunk-at-a-time vs. fell back to hook dispatch.
-                    recorder.inc("engine.kernel.chunks", n_kernel_chunks)
-                    recorder.inc("engine.kernel.arrivals", kernel_arrivals)
-                    recorder.inc("engine.kernel.fallback_arrivals", n_hook)
-                    if kernel_chunk_sizes is not None:
-                        kernel_hist = recorder.histogram(
-                            "engine.kernel.chunk_size", _CHUNK_BUCKETS
-                        )
-                        for size in kernel_chunk_sizes:
-                            # repro: allow[RPR004] post-replay fold of collected
-                            # chunk sizes — once per replay, not per query
-                            kernel_hist.observe(size)
+                recorder.inc("engine.kernel.chunks", len(chunk_sizes))
+                recorder.inc("engine.kernel.arrivals", n - n_hook)
+                recorder.inc("engine.kernel.fallback_arrivals", n_hook)
+                chunk_hist_name = "engine.kernel.chunk_size"
+            chunk_hist = recorder.histogram(chunk_hist_name, _CHUNK_BUCKETS)
+            for size in chunk_sizes:
+                # repro: allow[RPR004] post-replay fold of collected chunk
+                # sizes — runs once per replay, not per query
+                chunk_hist.observe(size)
             recorder.observe(
                 "engine.batched.replay_seconds",
                 # repro: allow[RPR002] telemetry replay timer only, not simulated time
@@ -513,16 +487,3 @@ class BatchedEventSimulator:
             n_unused_instances=len(pool),
         )
 
-
-class KernelEventSimulator(BatchedEventSimulator):
-    """Batched engine with the kernelized per-arrival dispatch tier enabled.
-
-    Identical to :class:`BatchedEventSimulator` except that policies
-    declaring an :meth:`~repro.scaling.base.Autoscaler.arrival_kernel`
-    (BP, AdapBP) are served chunk-at-a-time through their array kernel —
-    the dispatch order is passive-chunk → kernel-chunk → per-query hook
-    fallback.  Results are bit-identical on every tier; only the speed
-    changes.  Select with ``engine="kernel"``.
-    """
-
-    use_kernels = True

@@ -1,10 +1,11 @@
 """Kernelized per-arrival policy path: vectorized hook kernels over flat arrays.
 
-The batched engine (:mod:`repro.simulation.fastengine`) wins its 100-400x
-only on *passive*-arrival policies; BP/AdapBP-style scalers that make a
-decision on every arrival historically fell back to per-query
+The batched engine (:mod:`repro.simulation.fastengine`) serves
+*passive*-arrival policies as whole numpy chunks; BP/AdapBP-style scalers
+make a decision on every arrival and would otherwise need per-query
 :class:`~repro.scaling.base.PlanningContext` construction and Python hook
-dispatch.  This module closes that gap with a third dispatch tier:
+dispatch.  This module provides the batched engine's kernel tier, between
+the passive chunk and the per-query hook:
 
 * :class:`KernelState` — a flat, array-based snapshot of the simulator
   state a kernel operates on: the instance-pool columns (ready / creation /
@@ -178,8 +179,9 @@ class ArrivalKernel(abc.ABC):
       re-reads :meth:`begin_chunk` at every chunk boundary).
 
     The engine verifies the environmental preconditions itself (empty
-    scheduled-creation queue, decision latency not charged) and silently
-    falls back to per-query hook dispatch when they do not hold, so a
+    scheduled-creation queue, decision latency not charged, more than one
+    arrival left before the next tick) and silently falls back to
+    per-query hook dispatch when they do not hold, so a
     kernel never changes results — only the speed of obtaining them.
     """
 

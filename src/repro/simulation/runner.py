@@ -21,7 +21,7 @@ from ..pending import PendingTimeModel
 from ..scaling.base import Autoscaler
 from ..types import ArrivalTrace, SimulationResult
 from .engine import ScalingPerQuerySimulator
-from .fastengine import BatchedEventSimulator, KernelEventSimulator
+from .fastengine import BatchedEventSimulator
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -38,7 +38,6 @@ DEFAULT_ENGINE = "batched"
 _ENGINES = {
     "reference": ScalingPerQuerySimulator,
     "batched": BatchedEventSimulator,
-    "kernel": KernelEventSimulator,
 }
 
 
@@ -70,11 +69,8 @@ def create_simulator(
     semantics define Algorithm 1; ``"batched"`` is the vectorized
     :class:`~repro.simulation.fastengine.BatchedEventSimulator`, which
     produces bit-identical results at a fraction of the cost on large
-    traces; ``"kernel"`` is the batched engine with the kernelized
-    per-arrival dispatch tier enabled
-    (:class:`~repro.simulation.fastengine.KernelEventSimulator`), which
-    additionally vectorizes hook policies that declare an arrival kernel
-    (BP, AdapBP) — still bit-identical.
+    traces, hook policies that declare an arrival kernel (BP, AdapBP)
+    included.
 
     A config that never chose an engine (``engine=None``) gets
     :data:`DEFAULT_ENGINE` — the same resolution the API layer

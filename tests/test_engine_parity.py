@@ -5,10 +5,10 @@ rows — hit flags, waiting times, instance lifecycles, pending draws, unused
 cost and planning-call counts — between
 :class:`~repro.simulation.engine.ScalingPerQuerySimulator` (the semantics)
 and each fast engine:
-:class:`~repro.simulation.fastengine.BatchedEventSimulator` and
-:class:`~repro.simulation.fastengine.KernelEventSimulator` (the kernelized
-per-arrival tier).  Any future engine (async backend, compiled whole-trace
-kernel) is expected to pass this suite unchanged.
+:class:`~repro.simulation.fastengine.BatchedEventSimulator`, with its
+passive-chunk, kernel-chunk and per-query hook tiers.  Any future engine
+(async backend, compiled whole-trace kernel) is expected to pass this suite
+unchanged.
 """
 
 from __future__ import annotations
@@ -37,7 +37,6 @@ from repro.scaling.base import Autoscaler, ScalingResponse
 from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
 from repro.simulation import (
     BatchedEventSimulator,
-    KernelEventSimulator,
     ScalingPerQuerySimulator,
     create_simulator,
 )
@@ -62,7 +61,7 @@ _COLUMNS = (
 
 #: The fast engines differentially tested against the reference; every
 #: scenario/config cell in this suite runs through all of them.
-_FAST_ENGINES = (BatchedEventSimulator, KernelEventSimulator)
+_FAST_ENGINES = (BatchedEventSimulator,)
 
 
 def assert_engine_parity(trace, scaler_factory, config, *, pending_model=None):
@@ -290,7 +289,7 @@ class TestRobustScalerParity:
 class BurstyHookScaler(Autoscaler):
     """Active arrival hook with no kernel: every 5th arrival adds an instance.
 
-    Forces :class:`KernelEventSimulator` onto the per-query fallback path
+    Forces :class:`BatchedEventSimulator` onto the per-query fallback path
     for the whole replay (``arrival_kernel()`` returns the base ``None``).
     """
 
@@ -342,7 +341,7 @@ class TestKernelDispatch:
         trace = _poisson_trace(rate=0.5, horizon=900.0, seed=8)
         config = SimulationConfig(pending_time=7.0, seed=8)
         with use(Recorder()) as recorder:
-            KernelEventSimulator(config).replay(trace, BurstyHookScaler())
+            BatchedEventSimulator(config).replay(trace, BurstyHookScaler())
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] == 0
         assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
@@ -363,7 +362,7 @@ class TestKernelDispatch:
         trace = _poisson_trace(rate=0.5, horizon=2400.0, seed=12)
         config = SimulationConfig(pending_time=6.0, seed=12)
         with use(Recorder()) as recorder:
-            KernelEventSimulator(config).replay(trace, ScheduledTopUpScaler(2))
+            BatchedEventSimulator(config).replay(trace, ScheduledTopUpScaler(2))
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] >= 1
         assert counters["engine.kernel.fallback_arrivals"] >= 1
@@ -383,7 +382,7 @@ class TestKernelDispatch:
             pending_time=6.0, charge_decision_latency=True, seed=3
         )
         with use(Recorder()) as recorder:
-            KernelEventSimulator(config).replay(trace, BackupPoolScaler(2))
+            BatchedEventSimulator(config).replay(trace, BackupPoolScaler(2))
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] == 0
         assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
@@ -395,10 +394,77 @@ class TestKernelDispatch:
         trace = _poisson_trace(rate=0.4, horizon=600.0, seed=3)
         config = SimulationConfig(pending_time=6.0, seed=3)
         with use(Recorder()) as recorder:
-            KernelEventSimulator(config).replay(trace, ReactiveScaler())
+            BatchedEventSimulator(config).replay(trace, ReactiveScaler())
         counters = recorder.snapshot()["counters"]
         assert "engine.kernel.chunks" not in counters
         assert counters["engine.batched.passive_arrivals"] == trace.n_queries
+
+    @pytest.mark.parametrize(
+        "jitter, pending_model",
+        [(0.0, None), (4.0, None), (0.0, ExponentialPendingTime(6.0))],
+        ids=["deterministic", "jitter", "exponential"],
+    )
+    def test_one_arrival_chunks_take_the_hook_path(self, jitter, pending_model):
+        """AdapBP ticking about once per arrival gap: tick intervals holding
+        a single arrival go to the hook, longer ones to the kernel."""
+        from repro.telemetry import Recorder, use
+
+        trace = _poisson_trace(rate=0.5, horizon=1500.0, seed=21)
+        config = SimulationConfig(pending_time=6.0, pending_time_jitter=jitter, seed=21)
+        interval = 2.0
+
+        def factory():
+            return AdaptiveBackupPoolScaler(
+                2.0, rate_window=20.0, update_interval=interval
+            )
+
+        assert_engine_parity(trace, factory, config, pending_model=pending_model)
+        with use(Recorder()) as recorder:
+            BatchedEventSimulator(config, pending_model=pending_model).replay(
+                trace, factory()
+            )
+        counters = recorder.snapshot()["counters"]
+        assert counters["engine.kernel.chunks"] >= 1
+        assert counters["engine.kernel.fallback_arrivals"] > 0
+        assert (
+            counters["engine.kernel.arrivals"]
+            + counters["engine.kernel.fallback_arrivals"]
+            == trace.n_queries
+        )
+        # Exactly one kernel chunk per tick interval holding two or more
+        # arrivals, and one hook call per interval holding a single one.
+        per_interval = np.bincount(
+            np.floor(trace.arrival_times / interval).astype(int)
+        )
+        assert counters["engine.kernel.chunks"] == int(np.sum(per_interval >= 2))
+        assert counters["engine.kernel.fallback_arrivals"] == int(
+            np.sum(per_interval == 1)
+        )
+
+    def test_single_arrival_trace_takes_the_hook_path(self):
+        from repro.telemetry import Recorder, use
+
+        trace = ArrivalTrace(np.array([3.0]), 9.0, name="one", horizon=10.0)
+        config = SimulationConfig(pending_time=6.0, seed=4)
+        assert_engine_parity(trace, lambda: BackupPoolScaler(2), config)
+        with use(Recorder()) as recorder:
+            BatchedEventSimulator(config).replay(trace, BackupPoolScaler(2))
+        counters = recorder.snapshot()["counters"]
+        assert counters["engine.kernel.chunks"] == 0
+        assert counters["engine.kernel.fallback_arrivals"] == 1
+
+    def test_default_engine_serves_bp_through_the_kernel(self):
+        """BP on the default engine never dispatches its arrival hook."""
+        from repro.telemetry import Recorder, use
+
+        trace = _poisson_trace(rate=0.5, horizon=1500.0, seed=9)
+        config = SimulationConfig(pending_time=6.0, pending_time_jitter=2.0, seed=9)
+        with use(Recorder()) as recorder:
+            create_simulator(config).replay(trace, BackupPoolScaler(3))
+        counters = recorder.snapshot()["counters"]
+        assert counters["engine.kernel.fallback_arrivals"] == 0
+        assert counters["engine.batched.hook_arrivals"] == 0
+        assert counters["engine.kernel.arrivals"] == trace.n_queries
 
 
 class TestEngineSelection:
@@ -418,16 +484,17 @@ class TestEngineSelection:
         assert isinstance(
             create_simulator(SimulationConfig(engine="batched")), BatchedEventSimulator
         )
-        kernel = create_simulator(SimulationConfig(engine="kernel"))
-        assert isinstance(kernel, KernelEventSimulator)
-        assert kernel.use_kernels
         # No engine specified -> the batched default, everywhere.
         assert isinstance(create_simulator(), BatchedEventSimulator)
 
-    def test_resolve_engine_accepts_kernel(self):
+    def test_kernel_engine_name_is_rejected(self):
+        from repro.exceptions import ConfigurationError
         from repro.simulation import resolve_engine
 
-        assert resolve_engine("kernel") == "kernel"
+        with pytest.raises(ConfigurationError):
+            resolve_engine("kernel")
+        with pytest.raises(ConfigurationError):
+            SimulationConfig(engine="kernel")
 
     def test_prepare_workload_engine_override(self):
         trace = _poisson_trace(rate=0.2, horizon=1200.0)
@@ -464,4 +531,4 @@ class TestEngineSelection:
             ]
             return strip_timing(run_task_rows(tasks, base_seed=3))
 
-        assert rows_for("reference") == rows_for("batched") == rows_for("kernel")
+        assert rows_for("reference") == rows_for("batched")

@@ -1,10 +1,10 @@
-"""Property-based invariants of the replay engines (reference/batched/kernel).
+"""Property-based invariants of the replay engines (reference/batched).
 
 Each property is checked on every engine: the reference engine because it
-defines the semantics, the batched and kernel engines because they must
-uphold them under every input hypothesis can dream up — not just the seeded
+defines the semantics, the batched engine because it must uphold them
+under every input hypothesis can dream up — not just the seeded
 configurations of the differential suite.  The BP/AdapBP properties run the
-kernel engine's chunk dispatch through both kernel backends' paths (the
+batched engine's kernel-chunk dispatch through both kernel paths (the
 jittered configs exercise the scalar sorted-pool core, the deterministic
 ones the vectorized FIFO branch).
 """
@@ -20,16 +20,12 @@ from repro.config import SimulationConfig
 from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.scaling.base import Autoscaler, ScalingResponse
-from repro.simulation import (
-    BatchedEventSimulator,
-    KernelEventSimulator,
-    ScalingPerQuerySimulator,
-)
+from repro.simulation import BatchedEventSimulator, ScalingPerQuerySimulator
 from repro.types import ArrivalTrace, ScalingAction
 
 
-ENGINES = [ScalingPerQuerySimulator, BatchedEventSimulator, KernelEventSimulator]
-ENGINE_IDS = ["reference", "batched", "kernel"]
+ENGINES = [ScalingPerQuerySimulator, BatchedEventSimulator]
+ENGINE_IDS = ["reference", "batched"]
 
 
 class InitialFleetScaler(Autoscaler):

@@ -260,12 +260,11 @@ class TestTelemetryCLI:
         assert "engine.batched.queries" in out
 
     def test_show_surfaces_kernel_counters(self):
-        """A kernel-engine run records the kernel-tier counters and the
-        chunk-size histogram, and ``telemetry show`` renders them so
+        """A default-engine run with BP records the kernel-tier counters and
+        the chunk-size histogram, and ``telemetry show`` renders them so
         ``telemetry diff`` can attribute engine speedups."""
         code, _, _ = _invoke(
-            _SWEEP_ARGS
-            + ["--engine", "kernel", "--telemetry", "--run-id", "cli-kernel", "--quiet"]
+            _SWEEP_ARGS + ["--telemetry", "--run-id", "cli-kernel", "--quiet"]
         )
         assert code == 0
         code, out, _ = _invoke(["telemetry", "show", "cli-kernel"])
