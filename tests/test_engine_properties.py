@@ -173,3 +173,59 @@ class TestEngineInvariants:
         assert result.n_queries == trace.n_queries
         assert not result.hits.any()
         np.testing.assert_array_equal(result.creation_times, result.arrival_times)
+
+
+def _assert_bit_identical(reference, batched):
+    for column in (
+        "hits",
+        "waiting_times",
+        "creation_times",
+        "ready_times",
+        "start_times",
+        "deletion_times",
+        "pending_times",
+        "proactive_flags",
+    ):
+        np.testing.assert_array_equal(
+            getattr(reference, column), getattr(batched, column), err_msg=column
+        )
+    assert reference.unused_instance_cost == batched.unused_instance_cost
+    assert reference.n_unused_instances == batched.n_unused_instances
+
+
+@pytest.mark.parametrize("jitter", [0.0, 2.5], ids=["fifo", "sorted-pool"])
+class TestKernelTierParity:
+    """The batched engine serves BP/AdapBP through the arrival kernel (with
+    one-arrival tick intervals on the hook); on arbitrary traces the result
+    must match the reference engine bit for bit.  Zero jitter drives the
+    kernel's vectorized FIFO branch, positive jitter its sorted-pool core."""
+
+    @given(raw=arrival_lists, pool=st.integers(min_value=0, max_value=5))
+    @settings(max_examples=25, deadline=None)
+    def test_backup_pool_matches_reference(self, jitter, raw, pool):
+        config = SimulationConfig(pending_time=6.0, pending_time_jitter=jitter, seed=8)
+        trace = _trace(raw)
+        reference = ScalingPerQuerySimulator(config).replay(
+            trace, BackupPoolScaler(pool)
+        )
+        batched = BatchedEventSimulator(config).replay(trace, BackupPoolScaler(pool))
+        _assert_bit_identical(reference, batched)
+
+    @given(
+        raw=arrival_lists,
+        factor=st.floats(min_value=0.0, max_value=40.0),
+        interval=st.sampled_from([5.0, 60.0, 300.0]),
+    )
+    @settings(max_examples=25, deadline=None)
+    def test_adaptive_backup_pool_matches_reference(
+        self, jitter, raw, factor, interval
+    ):
+        config = SimulationConfig(pending_time=4.0, pending_time_jitter=jitter, seed=9)
+        trace = _trace(raw, processing=7.0)
+
+        def scaler():
+            return AdaptiveBackupPoolScaler(factor, update_interval=interval)
+
+        reference = ScalingPerQuerySimulator(config).replay(trace, scaler())
+        batched = BatchedEventSimulator(config).replay(trace, scaler())
+        _assert_bit_identical(reference, batched)
