@@ -67,6 +67,34 @@ class ADMMResult:
     objective_history: list[float] = field(default_factory=list)
 
 
+class _SystemMatrix:
+    """``A_k = static_quadratic + diag(d_k)`` for successive ``d_k``, assembled once.
+
+    ``A_k`` differs from the static quadratic only on its diagonal, so its
+    CSC structure is built once and :meth:`with_diagonal` overwrites the
+    diagonal entries in place.  The static quadratic is put in canonical
+    form first (sorted indices, which ``splu`` would otherwise impose on
+    every ``A_k`` in place).  Its diagonal is a sum of squares, so adding a
+    positive ``d_k`` drops no entry: structure and values equal those of a
+    fresh ``static_quadratic + sparse.diags(d_k)`` bit for bit.  ``splu``
+    keeps its default COLAMD ordering: another solver or ordering changes
+    the fitted bits.
+    """
+
+    def __init__(self, static_quadratic: sparse.csc_matrix) -> None:
+        static_quadratic.sum_duplicates()
+        n = static_quadratic.shape[0]
+        self.matrix = static_quadratic + sparse.identity(n, format="csc")
+        columns = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
+        self._diagonal_entries = np.flatnonzero(self.matrix.indices == columns)
+        self._static_diagonal = static_quadratic.diagonal()
+
+    def with_diagonal(self, diagonal: np.ndarray) -> sparse.csc_matrix:
+        """The matrix with ``diagonal`` added to the static diagonal."""
+        self.matrix.data[self._diagonal_entries] = self._static_diagonal + diagonal
+        return self.matrix
+
+
 def fit_log_intensity(
     objective: RegularizedNHPPObjective,
     config: ADMMConfig | None = None,
@@ -111,10 +139,13 @@ def fit_log_intensity(
         z = None
         nu_z = None
 
-    d2t_d2 = (d2.T @ d2).tocsc()
-    static_quadratic = rho * d2t_d2
+    # Transposed views, built once rather than on every product below.
+    d2_t = d2.T
+    dl_t = None if dl is None else dl.T
+    static_quadratic = rho * (d2_t @ d2).tocsc()
     if dl is not None:
-        static_quadratic = static_quadratic + rho * (dl.T @ dl).tocsc()
+        static_quadratic = static_quadratic + rho * (dl_t @ dl).tocsc()
+    system = _SystemMatrix(static_quadratic)
 
     primal_residuals: list[float] = []
     dual_residuals: list[float] = []
@@ -128,16 +159,15 @@ def fit_log_intensity(
         exp_r = np.exp(r_clipped)
 
         # --- r update: solve the sparse banded normal equations A_k r = B_k.
-        a_matrix = static_quadratic + sparse.diags(delta_t * exp_r, format="csc")
         b_vector = (
             counts
             - delta_t * exp_r
             + delta_t * exp_r * r
-            + d2.T @ (nu_y + rho * y)
+            + d2_t @ (nu_y + rho * y)
         )
         if dl is not None:
-            b_vector = b_vector + dl.T @ (nu_z + rho * z)
-        solver = splu(a_matrix)
+            b_vector = b_vector + dl_t @ (nu_z + rho * z)
+        solver = splu(system.with_diagonal(delta_t * exp_r))
         r_new = solver.solve(b_vector)
         r_new = np.clip(r_new, -_LOG_INTENSITY_CLIP, _LOG_INTENSITY_CLIP)
 
@@ -160,16 +190,16 @@ def fit_log_intensity(
 
         # --- residuals (Boyd et al. 2011, section 3.3).
         primal = float(np.linalg.norm(y_new - d2_r))
-        dual = float(rho * np.linalg.norm(d2.T @ (y_new - y)))
+        dual = float(rho * np.linalg.norm(d2_t @ (y_new - y)))
         split_norm = max(float(np.linalg.norm(d2_r)), float(np.linalg.norm(y_new)))
-        dual_scale_vec = d2.T @ nu_y
+        dual_scale_vec = d2_t @ nu_y
         if dl is not None:
             primal = float(np.hypot(primal, np.linalg.norm(z_new - dl_r)))
-            dual = float(np.hypot(dual, rho * np.linalg.norm(dl.T @ (z_new - z))))
+            dual = float(np.hypot(dual, rho * np.linalg.norm(dl_t @ (z_new - z))))
             split_norm = max(
                 split_norm, float(np.linalg.norm(dl_r)), float(np.linalg.norm(z_new))
             )
-            dual_scale_vec = dual_scale_vec + dl.T @ nu_z
+            dual_scale_vec = dual_scale_vec + dl_t @ nu_z
         step = float(np.linalg.norm(r_new - r) / (np.linalg.norm(r) + 1e-12))
 
         r, y = r_new, y_new

@@ -15,7 +15,7 @@ import numpy as np
 from .._validation import as_1d_float_array, check_non_negative, check_positive
 from ..exceptions import ValidationError
 
-__all__ = ["PiecewiseConstantIntensity"]
+__all__ = ["PiecewiseConstantIntensity", "PlanningWindow"]
 
 
 class PiecewiseConstantIntensity:
@@ -140,10 +140,15 @@ class PiecewiseConstantIntensity:
             extrapolation and ``mass > total_mass``).
         """
         m_arr = np.atleast_1d(np.asarray(mass, dtype=float))
+        total = self.total_mass
+        if m_arr.size and m_arr.min() > 0 and m_arr.max() <= total:
+            # Fast path: every mass inverts inside the window, with the
+            # general path's arithmetic and none of its masks or copies.
+            out = self._invert_positive(m_arr)
+            return out if np.ndim(mass) else float(out[0])
         if np.any(m_arr < 0):
             raise ValidationError("mass must be non-negative")
         out = np.empty_like(m_arr)
-        total = self.total_mass
 
         inside = m_arr <= total
         if np.any(inside):
@@ -198,9 +203,12 @@ class PiecewiseConstantIntensity:
         """
         out = np.zeros_like(masses)
         positive = masses > 0
-        if not np.any(positive):
-            return out
-        m = masses[positive]
+        if np.any(positive):
+            out[positive] = self._invert_positive(masses[positive])
+        return out
+
+    def _invert_positive(self, m: np.ndarray) -> np.ndarray:
+        """:meth:`_invert_within_window` for masses that are all positive."""
         edge_index = np.searchsorted(self._cum_edges, m, side="left")
         edge_index = np.clip(edge_index, 1, self.n_bins)
         bin_index = edge_index - 1
@@ -208,8 +216,7 @@ class PiecewiseConstantIntensity:
         # cum_edges[bin_index] < m <= cum_edges[bin_index + 1] guarantees a
         # strictly positive rate; the maximum guards against float round-off.
         within = (m - self._cum_edges[bin_index]) / np.maximum(rates, 1e-300)
-        out[positive] = bin_index * self.bin_seconds + np.minimum(within, self.bin_seconds)
-        return out
+        return bin_index * self.bin_seconds + np.minimum(within, self.bin_seconds)
 
     def upper_bound(self, window_seconds: float | None = None) -> float:
         """Maximum intensity over ``[0, window_seconds]`` (or the whole profile)."""
@@ -232,23 +239,45 @@ class PiecewiseConstantIntensity:
         planner, which always reasons in "seconds from now".
         """
         check_non_negative(offset_seconds, "offset_seconds")
+        return self._shifted(self._shift_bins(offset_seconds))
+
+    def _shift_bins(self, offset_seconds: float) -> np.ndarray | None:
+        """The bins :meth:`shift` samples, one per bin of the shifted window.
+
+        The shifted profile holds this intensity's value at the midpoint of
+        each of its bins.  Index ``n_bins`` stands for the zero a
+        zero-extrapolated intensity takes past its window; ``None`` stands
+        for the one-bin tail a hold or zero intensity becomes once the
+        offset passes its window.
+        """
         horizon = self.duration
         if offset_seconds >= horizon:
-            if self.extrapolation == "hold":
-                return PiecewiseConstantIntensity(
-                    np.array([self._values[-1]]), self.bin_seconds, extrapolation="hold"
-                )
-            if self.extrapolation == "zero":
-                return PiecewiseConstantIntensity(
-                    np.array([0.0]), self.bin_seconds, extrapolation="zero"
-                )
+            if self.extrapolation != "periodic":
+                return None
             offset_seconds = float(np.mod(offset_seconds, horizon))
         # Sample the shifted profile on the same grid width.
         n_bins = self.n_bins
         times = offset_seconds + np.arange(n_bins) * self.bin_seconds + 0.5 * self.bin_seconds
-        values = np.asarray(self.value(times), dtype=float)
+        if self.extrapolation == "periodic":
+            # np.mod returns times inside the window unchanged, bit for bit.
+            times = np.mod(times, horizon)
+        bins = np.minimum((times / self.bin_seconds).astype(int), n_bins - 1)
+        if self.extrapolation == "zero":
+            bins[times >= horizon] = n_bins
+        return bins
+
+    def _shifted(self, bins: np.ndarray | None) -> "PiecewiseConstantIntensity":
+        """The shifted window holding the values of ``bins`` (see :meth:`_shift_bins`)."""
+        if bins is None:
+            tail = self._values[-1] if self.extrapolation == "hold" else 0.0
+            return PiecewiseConstantIntensity(
+                np.array([tail]), self.bin_seconds, extrapolation=self.extrapolation
+            )
+        values = self._values
+        if self.extrapolation == "zero":
+            values = np.append(values, 0.0)
         return PiecewiseConstantIntensity(
-            values, self.bin_seconds, extrapolation=self.extrapolation
+            values[bins], self.bin_seconds, extrapolation=self.extrapolation
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
@@ -256,3 +285,43 @@ class PiecewiseConstantIntensity:
             f"PiecewiseConstantIntensity(n_bins={self.n_bins}, "
             f"bin_seconds={self.bin_seconds}, extrapolation={self.extrapolation!r})"
         )
+
+
+class PlanningWindow:
+    """``forecast.shift(now)`` across planning rounds, rebuilt only when its bins change.
+
+    A shifted window, and every cumulative mass taken from it, is a pure
+    function of the forecast bins that :meth:`PiecewiseConstantIntensity.shift`
+    samples.  Consecutive rounds inside one bin (six of them at 10 s rounds
+    on 60 s bins) sample the same bins, so the window is built once and
+    reused, bit for bit, until the bins change.  Only the latest window is
+    kept, so memory stays at one window however many rounds run.
+
+    Parameters
+    ----------
+    forecast:
+        Intensity whose time origin is the start of the replay.
+    horizons:
+        Times (seconds from "now") at which :meth:`at` also reports the
+        window's cumulative mass.
+    """
+
+    def __init__(
+        self, forecast: PiecewiseConstantIntensity, horizons: tuple[float, ...] = ()
+    ) -> None:
+        self.forecast = forecast
+        self.horizons = tuple(float(horizon) for horizon in horizons)
+        self._key: bytes | None = None
+        self._window: PiecewiseConstantIntensity | None = None
+        self._masses: tuple[float, ...] = ()
+
+    def at(self, now: float) -> tuple[PiecewiseConstantIntensity, tuple[float, ...]]:
+        """``forecast.shift(now)`` and its cumulative mass at each of ``horizons``."""
+        check_non_negative(now, "offset_seconds")
+        bins = self.forecast._shift_bins(now)
+        key = None if bins is None else bins.tobytes()
+        if self._window is None or key != self._key:
+            window = self.forecast._shifted(bins)
+            self._masses = tuple(float(window.cumulative(h)) for h in self.horizons)
+            self._window, self._key = window, key
+        return self._window, self._masses

@@ -29,6 +29,9 @@ from .objective import RegularizedNHPPObjective
 
 __all__ = ["NHPPModel", "NHPPFitResult"]
 
+#: Bucket bounds of the ``fit.admm_iterations`` histogram (iterations).
+_ITERATION_BUCKETS = (10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0)
+
 
 @dataclass(frozen=True)
 class NHPPFitResult:
@@ -141,8 +144,15 @@ class NHPPModel:
             beta_period=self.config.beta_period,
             period_bins=period_bins or None,
         )
-        with get_recorder().span("fit.admm"):
+        recorder = get_recorder()
+        with recorder.span("fit.admm"):
             admm_result = fit_log_intensity(objective, self.config.admm)
+        # A fit that stops at its iteration cap still returns its last
+        # iterate; the counter makes that visible in ``repro telemetry show``.
+        recorder.inc("fit.unconverged", int(not admm_result.converged))
+        recorder.histogram("fit.admm_iterations", _ITERATION_BUCKETS).observe(
+            admm_result.n_iterations
+        )
         intensity = np.maximum(np.exp(admm_result.log_intensity), self.config.min_intensity)
 
         self._fit_result = NHPPFitResult(

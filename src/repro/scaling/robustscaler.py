@@ -28,7 +28,7 @@ import numpy as np
 from .._validation import check_non_negative
 from ..config import PlannerConfig
 from ..exceptions import PlanningError
-from ..nhpp.intensity import PiecewiseConstantIntensity
+from ..nhpp.intensity import PiecewiseConstantIntensity, PlanningWindow
 from ..nhpp.model import NHPPModel
 from ..optimization.formulations import (
     DecisionObjective,
@@ -93,6 +93,12 @@ class RobustScaler(Autoscaler):
         self._seed = random_state
         self._rng = ensure_rng(random_state)
         self.name = f"RobustScaler-{objective.value.upper()}(target={target:g})"
+        # The expected arrivals before the next round and over the candidate
+        # horizon, both read off the shifted forecast (see ``_plan``).
+        window = self.planner.planning_interval + self.planner.lookahead_margin
+        self._planning_window = PlanningWindow(
+            forecast, horizons=(window, window + self._lookahead_slack())
+        )
 
     @classmethod
     def from_model(
@@ -160,15 +166,13 @@ class RobustScaler(Autoscaler):
         """
         now = context.time
         window = self.planner.planning_interval + self.planner.lookahead_margin
-        local_intensity = self.forecast.shift(now)
+        local_intensity, expectations = self._planning_window.at(now)
+        expected_in_window, expected_candidates = expectations
 
-        expected_in_window = float(local_intensity.cumulative(window))
         min_commitments = max(
             1, int(np.ceil(expected_in_window + 2.0 * np.sqrt(expected_in_window)))
         )
-        n_to_plan = self._queries_to_consider(
-            local_intensity, window, context, min_commitments
-        )
+        n_to_plan = self._queries_to_consider(expected_candidates, context, min_commitments)
         outstanding = context.outstanding_instances
         if n_to_plan <= outstanding:
             return ScalingResponse.empty()
@@ -212,23 +216,17 @@ class RobustScaler(Autoscaler):
         return ScalingResponse(actions=actions)
 
     def _queries_to_consider(
-        self,
-        local_intensity: PiecewiseConstantIntensity,
-        window: float,
-        context: PlanningContext,
-        min_commitments: int,
+        self, expected: float, context: PlanningContext, min_commitments: int
     ) -> int:
         """Upper bound on how many upcoming queries could need creation in this round.
 
         A query's creation time can precede its arrival by at most (roughly)
         the pending-time upper bound plus the waiting/cost budget, so queries
         arriving within ``window + slack`` are the only window candidates.
-        The Poisson count over that horizon is bounded by its mean plus a few
-        standard deviations; on top of that we always consider the mandatory
-        look-ahead commitments.
+        The Poisson count over that horizon, whose mean is ``expected``, is
+        bounded by its mean plus a few standard deviations; on top of that we
+        always consider the mandatory look-ahead commitments.
         """
-        slack = window + self._lookahead_slack()
-        expected = float(local_intensity.cumulative(slack))
         bound = int(np.ceil(expected + 4.0 * np.sqrt(expected) + 5.0)) + min_commitments
         cap = context.outstanding_instances + 20_000
         return min(bound, cap)

@@ -19,7 +19,7 @@ import numpy as np
 
 from .._validation import check_integer, check_probability
 from ..config import PlannerConfig
-from ..nhpp.intensity import PiecewiseConstantIntensity
+from ..nhpp.intensity import PiecewiseConstantIntensity, PlanningWindow
 from ..optimization.formulations import DecisionObjective, solve_columns
 from ..optimization.montecarlo import generate_scenarios
 from ..optimization.threshold import compute_kappa
@@ -78,6 +78,7 @@ class SequentialHPScaler(Autoscaler):
         self.intensity_upper_bound = float(intensity_upper_bound)
         self._seed = random_state
         self._rng = ensure_rng(random_state)
+        self._planning_window = PlanningWindow(forecast)
         self.kappa = compute_kappa(
             self.intensity_upper_bound,
             pending_model,
@@ -117,7 +118,7 @@ class SequentialHPScaler(Autoscaler):
         """
         if count <= 0:
             return ScalingResponse.empty()
-        local_intensity = self.forecast.shift(context.time)
+        local_intensity, _ = self._planning_window.at(context.time)
         scenarios = generate_scenarios(
             local_intensity,
             self.pending_model,

@@ -1,7 +1,8 @@
-"""Regenerate the golden scenario-trace fixtures.
+"""Regenerate the golden fixtures: scenario traces and RobustScaler planning.
 
 Run from the repository root whenever the RNG draw order of scenario
-generation intentionally changes (e.g. a new sampler construction)::
+generation intentionally changes (e.g. a new sampler construction), or
+when the fitted model or the planner's decisions are meant to change::
 
     PYTHONPATH=src python tests/golden/regen_golden.py
 
@@ -12,6 +13,11 @@ fails loudly if a code change silently alters any seeded trace, which is the
 re-baselining policy for the vectorized NHPP sampler adopted in scenario
 generation: intentional changes re-run this script and commit the diff
 alongside an explanation.
+
+The planning fixture (``planning_google.json``) pins the fitted
+log-intensity and the per-query outcome columns of RobustScaler-HP, -RT and
+-cost on small seeded google traces; ``tests/test_golden_planning.py``
+fails if a change to the fit or to the planning round moves a single bit.
 """
 
 from __future__ import annotations
@@ -26,6 +32,43 @@ import numpy as np
 CASES = ((0.05, 7), (0.05, 3))
 
 GOLDEN_PATH = Path(__file__).parent / "scenario_traces.json"
+
+#: Seeded google traces of the planning fixture: at scale 0.1 no period is
+#: detected (a one-bin hold forecast), at scale 0.3 the forecast is periodic
+#: and the fit stops at its iteration cap, as on the full trace.
+PLANNING_CASES = (("google", 0.1, 7), ("google", 0.3, 7))
+
+#: Planner settings shared by every planning case: 10 s rounds, R = 100.
+PLANNING_INTERVAL = 10.0
+PLANNING_MC_SAMPLES = 100
+
+#: RobustScaler variants pinned by the planning fixture: objective value and target.
+PLANNING_VARIANTS = {"hp": 0.9, "rt": 5.0, "cost": 5.0}
+
+#: Outcome columns digested per variant, by ``SimulationResult`` attribute.
+OUTCOME_COLUMNS = (
+    "hits",
+    "waiting_times",
+    "creation_times",
+    "ready_times",
+    "deletion_times",
+    "lifecycle_costs",
+)
+
+PLANNING_PATH = Path(__file__).parent / "planning_google.json"
+
+
+def array_digest(array) -> str:
+    """Content digest of an array's dtype, shape and bytes."""
+    array = np.ascontiguousarray(array)
+    digest = hashlib.blake2b(digest_size=16)
+    digest.update(f"{array.dtype.str}{array.shape}".encode())
+    digest.update(array.tobytes())
+    return digest.hexdigest()
+
+
+def fixture_key(name: str, scale: float, seed: int) -> str:
+    return f"{name}|scale={scale:g}|seed={seed}"
 
 
 def trace_fingerprint(trace) -> dict:
@@ -56,15 +99,59 @@ def build_fixtures() -> dict:
             continue  # generator-backed paper traces keep the loop sampler
         for scale, seed in CASES:
             trace = scenario.build_trace(scale=scale, seed=seed)
-            key = f"{scenario.name}|scale={scale:g}|seed={seed}"
-            fixtures[key] = trace_fingerprint(trace)
+            fixtures[fixture_key(scenario.name, scale, seed)] = trace_fingerprint(trace)
     return fixtures
+
+
+def planning_fingerprint(name: str, scale: float, seed: int) -> dict:
+    """Digests of the fit and of every RobustScaler variant's replay on one trace."""
+    from repro.config import PlannerConfig
+    from repro.runtime.workload import prepare_workload
+    from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
+    from repro.workloads import get_scenario
+
+    scenario = get_scenario(name)
+    trace = scenario.build_trace(scale=scale, seed=seed)
+    prepared = prepare_workload(trace, **scenario.simulator_defaults)
+    fit = prepared.model.fit_result
+    record: dict = {
+        "fit": {
+            "log_intensity": array_digest(fit.log_intensity),
+            "n_bins": int(fit.log_intensity.size),
+            "period_bins": int(fit.period_bins),
+        },
+        "variants": {},
+    }
+    planner = PlannerConfig(
+        planning_interval=PLANNING_INTERVAL, monte_carlo_samples=PLANNING_MC_SAMPLES
+    )
+    for label, target in PLANNING_VARIANTS.items():
+        scaler = RobustScaler(
+            prepared.forecast,
+            prepared.pending_model,
+            objective=RobustScalerObjective(label),
+            target=target,
+            planner=planner,
+            random_state=seed,
+        )
+        result = prepared.replay(scaler)
+        columns = {column: array_digest(getattr(result, column)) for column in OUTCOME_COLUMNS}
+        record["variants"][label] = {
+            "n_queries": int(result.n_queries),
+            "hits": int(result.hits.sum()),
+            "unused_instance_cost": float(result.unused_instance_cost),
+            "columns": columns,
+        }
+    return record
 
 
 def main() -> None:
     fixtures = build_fixtures()
     GOLDEN_PATH.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(fixtures)} fixtures to {GOLDEN_PATH}")
+    planning = {fixture_key(*case): planning_fingerprint(*case) for case in PLANNING_CASES}
+    PLANNING_PATH.write_text(json.dumps(planning, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(planning)} planning fixtures to {PLANNING_PATH}")
 
 
 if __name__ == "__main__":

@@ -4,10 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
-from scipy import optimize
+from scipy import optimize, sparse
 
 from repro.config import ADMMConfig
 from repro.exceptions import ConvergenceError
+from repro.nhpp import admm
 from repro.nhpp.admm import fit_log_intensity
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.objective import RegularizedNHPPObjective
@@ -124,3 +125,52 @@ class TestFitLogIntensity:
         a = fit_log_intensity(obj, ADMMConfig(max_iterations=50))
         b = fit_log_intensity(obj, ADMMConfig(max_iterations=50))
         np.testing.assert_array_equal(a.log_intensity, b.log_intensity)
+
+
+class TestSystemMatrixAssembly:
+    """The ``A_k`` assembled once and updated in place equals a fresh sum every iteration."""
+
+    @pytest.mark.parametrize(
+        "beta_period,period_bins",
+        [(2.0, 24), (2.0, None), (0.0, 24)],
+        ids=["periodic", "aperiodic", "beta-period-0"],
+    )
+    def test_in_place_matrix_matches_fresh_sum(self, monkeypatch, beta_period, period_bins):
+        rates = 5.0 + 4.0 * np.sin(2.0 * np.pi * np.arange(120) / 24.0)
+        obj = RegularizedNHPPObjective(
+            _poisson_counts(rates, seed=3),
+            60.0,
+            beta_smooth=5.0,
+            beta_period=beta_period,
+            period_bins=period_bins,
+        )
+        cfg = ADMMConfig(max_iterations=40)
+        diagonals: list[np.ndarray] = []
+        factored: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        with_diagonal = admm._SystemMatrix.with_diagonal
+        splu = admm.splu
+
+        def recording_with_diagonal(system, diagonal):
+            diagonals.append(diagonal.copy())
+            return with_diagonal(system, diagonal)
+
+        def recording_splu(matrix):
+            factored.append((matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
+            return splu(matrix)
+
+        monkeypatch.setattr(admm._SystemMatrix, "with_diagonal", recording_with_diagonal)
+        monkeypatch.setattr(admm, "splu", recording_splu)
+        result = fit_log_intensity(obj, cfg)
+
+        assert len(diagonals) == len(factored) == result.n_iterations
+        static_quadratic = cfg.rho * (obj.d2.T @ obj.d2).tocsc()
+        if obj.dl is not None:
+            static_quadratic = static_quadratic + cfg.rho * (obj.dl.T @ obj.dl).tocsc()
+        for diagonal, (indptr, indices, data) in zip(diagonals, factored):
+            fresh = static_quadratic + sparse.diags(diagonal, format="csc")
+            # splu sorts a non-canonical input in place before factoring it,
+            # so the canonical form is what it would have factored.
+            fresh.sum_duplicates()
+            np.testing.assert_array_equal(indptr, fresh.indptr)
+            np.testing.assert_array_equal(indices, fresh.indices)
+            assert data.tobytes() == fresh.data.tobytes()

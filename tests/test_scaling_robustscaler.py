@@ -226,9 +226,8 @@ class _PerQueryRobustScaler(RobustScaler):
         min_commitments = max(
             1, int(np.ceil(expected_in_window + 2.0 * np.sqrt(expected_in_window)))
         )
-        n_to_plan = self._queries_to_consider(
-            local_intensity, window, context, min_commitments
-        )
+        expected = float(local_intensity.cumulative(window + self._lookahead_slack()))
+        n_to_plan = self._queries_to_consider(expected, context, min_commitments)
         outstanding = context.outstanding_instances
         if n_to_plan <= outstanding:
             return ScalingResponse.empty()

@@ -76,6 +76,58 @@ class TestParityGuard:
         assert off.total_cost == on.total_cost
 
 
+class TestFitTelemetry:
+    """The fit reports its convergence, and reporting it perturbs nothing."""
+
+    @staticmethod
+    def _fit_and_plan():
+        from repro.config import PlannerConfig
+        from repro.runtime.workload import prepare_workload
+        from repro.scaling.robustscaler import RobustScaler
+        from repro.workloads import get_scenario
+
+        scenario = get_scenario("google")
+        trace = scenario.build_trace(scale=0.1, seed=7)
+        prepared = prepare_workload(trace, **scenario.simulator_defaults)
+        scaler = RobustScaler(
+            prepared.forecast,
+            prepared.pending_model,
+            planner=PlannerConfig(planning_interval=10.0, monte_carlo_samples=50),
+            random_state=7,
+        )
+        return prepared.model.fit_result, prepared.replay(scaler)
+
+    def test_rows_identical_with_telemetry_on_and_off(self):
+        fit_off, off = self._fit_and_plan()
+        recorder = Recorder()
+        with use(recorder):
+            fit_on, on = self._fit_and_plan()
+        assert fit_off.log_intensity.tobytes() == fit_on.log_intensity.tobytes()
+        for column in _COLUMNS:
+            np.testing.assert_array_equal(getattr(off, column), getattr(on, column))
+        assert off.total_cost == on.total_cost
+
+        state = recorder.snapshot()
+        # The google probe fit stops at its iteration cap without converging.
+        assert state["counters"]["fit.unconverged"] == int(not fit_on.admm.converged) == 1
+        iterations = state["histograms"]["fit.admm_iterations"]
+        assert iterations["count"] == 1
+        assert iterations["max"] == fit_on.admm.n_iterations
+
+    def test_converged_fit_counts_zero(self):
+        from repro.nhpp.model import NHPPModel
+        from repro.types import QPSSeries
+
+        series = QPSSeries(np.full(40, 120.0), 60.0)
+        recorder = Recorder()
+        with use(recorder):
+            model = NHPPModel().fit(series, period_bins=0)
+        assert model.fit_result.admm.converged
+        state = recorder.snapshot()
+        assert state["counters"]["fit.unconverged"] == 0
+        assert state["histograms"]["fit.admm_iterations"]["count"] == 1
+
+
 class _CountingNull(NullRecorder):
     """A disabled recorder that counts every method call it receives."""
 
@@ -272,6 +324,14 @@ class TestTelemetryCLI:
         assert "engine.kernel.chunks" in out
         assert "engine.kernel.arrivals" in out
         assert "engine.kernel.chunk_size" in out
+
+    def test_show_lists_fit_convergence(self):
+        code, _, _ = _invoke(_SWEEP_ARGS + ["--telemetry", "--run-id", "cli-fit", "--quiet"])
+        assert code == 0
+        code, out, _ = _invoke(["telemetry", "show", "cli-fit"])
+        assert code == 0
+        assert "fit.unconverged" in out
+        assert "fit.admm_iterations" in out
 
     def test_show_missing_run_errors(self):
         code, _, err = _invoke(["telemetry", "show", "no-such-run"])
