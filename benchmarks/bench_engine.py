@@ -2,7 +2,7 @@
 
 For each trace size (10^4 / 10^5 / 10^6 queries) and each policy family the
 same trace is replayed under the reference per-query engine and the batched
-event-kernel engine, recording
+engine, recording
 
 * wall-clock seconds per engine and the resulting speedup, and
 * the number of **divergent rows** between the engines — every per-query

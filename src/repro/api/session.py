@@ -495,10 +495,8 @@ def run_experiment(
 ) -> list[dict]:
     """Functional one-shot runner returning plain rows.
 
-    This is what the deprecated ``run_*_experiment`` wrappers delegate to;
-    unlike :class:`Session` (whose store defaults to ``"auto"``) the store
-    is disabled unless passed explicitly, matching the historical driver
-    behavior.  With ``telemetry=True`` plus a store and ``run_id``, the
+    Unlike :class:`Session` (whose store defaults to ``"auto"``) the store
+    is disabled unless passed explicitly.  With ``telemetry=True`` plus a store and ``run_id``, the
     run's snapshot is persisted for ``repro telemetry show`` even though
     only the rows are returned here.
     """

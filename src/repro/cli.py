@@ -88,7 +88,6 @@ from .scaling import (
 from .config import PlannerConfig
 from .simulation.runner import resolve_engine
 from .store import STORE_DIR_ENV_VAR, list_runs, resolve_store
-from .traces import list_traces
 from .workloads import get_scenario, list_scenarios
 
 __all__ = ["main", "build_parser"]
@@ -316,12 +315,13 @@ def build_parser() -> argparse.ArgumentParser:
 def _command_traces() -> int:
     rows = [
         {
-            "name": spec.name,
-            "train_fraction": spec.train_fraction,
-            "pending_time": spec.pending_time,
-            "description": spec.description,
+            "name": scenario.name,
+            "train_fraction": scenario.train_fraction,
+            "pending_time": scenario.pending_time,
+            "description": scenario.description,
         }
-        for spec in list_traces()
+        for scenario in list_scenarios()
+        if "paper" in scenario.tags
     ]
     print(format_table(rows, title="Synthetic trace catalog"))
     return 0

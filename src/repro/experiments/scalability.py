@@ -211,7 +211,7 @@ def _run_mc_accuracy(params: dict, ctx: RunContext) -> list[dict]:
         elif objective is RobustScalerObjective.RESPONSE_TIME:
             achieved = float(result.waiting_times.mean())
         else:
-            idle = np.array([o.instance.idle_time for o in result.outcomes])
+            idle = result.idle_times
             achieved = float(idle.mean()) if idle.size else float("nan")
         rows.append(
             {

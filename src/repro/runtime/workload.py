@@ -42,12 +42,8 @@ def _waiting_avg(result: SimulationResult) -> float:
 
 
 def _idle_avg(result: SimulationResult) -> float:
-    # Idle time of the serving instance: ready-to-start gap, floored at 0 —
-    # identical to QueryOutcome.instance.idle_time, computed columnar.
-    starts = result.start_times
-    if not starts.size:
-        return float("nan")
-    return float(np.maximum(0.0, starts - result.ready_times).mean())
+    idle = result.idle_times
+    return float(idle.mean()) if idle.size else float("nan")
 
 
 #: Named extra metric columns tasks can request (``EvalTask.metrics``).

@@ -85,16 +85,7 @@ def calibrate_hit_probability(
     """
     # Imported lazily to avoid a circular import: the simulator package
     # depends on the autoscaler interface defined in this package.
-    from ..config import SimulationConfig
-    from ..simulation.runner import DEFAULT_ENGINE, create_simulator
-    from dataclasses import replace
-
-    if simulation_config is None:
-        simulation_config = SimulationConfig(engine=DEFAULT_ENGINE)
-    elif simulation_config.engine is None:
-        # Choose the engine here so the caller's engine-less config does not
-        # route through the deprecated implicit create_simulator path.
-        simulation_config = replace(simulation_config, engine=DEFAULT_ENGINE)
+    from ..simulation.runner import create_simulator
 
     levels = as_1d_float_array(nominal_levels, "nominal_levels")
     if levels.size == 0:

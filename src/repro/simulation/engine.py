@@ -34,14 +34,7 @@ from ..pending import PendingTimeModel, default_pending_model
 from ..rng import ensure_rng
 from ..scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from ..telemetry import get_recorder
-from ..types import (
-    ArrivalTrace,
-    InstanceRecord,
-    Query,
-    QueryOutcome,
-    ScalingAction,
-    SimulationResult,
-)
+from ..types import ArrivalTrace, ScalingAction, SimulationResult
 
 __all__ = ["ScalingPerQuerySimulator"]
 
@@ -121,7 +114,14 @@ class ScalingPerQuerySimulator:
         # scan (the pool mutations below all map to O(log n) / tail edits).
         ready_sorted: list[float] = []
         tiebreak = itertools.count()
-        outcomes: list[QueryOutcome] = []
+        n = arrivals.size
+        hit_col = np.zeros(n, dtype=bool)
+        waiting_col = np.zeros(n, dtype=float)
+        creation_col = np.zeros(n, dtype=float)
+        ready_col = np.zeros(n, dtype=float)
+        start_col = np.zeros(n, dtype=float)
+        pending_col = np.zeros(n, dtype=float)
+        proactive_col = np.zeros(n, dtype=bool)
         planning_times: list[float] = []
         unused_cost = 0.0
 
@@ -218,7 +218,7 @@ class ScalingPerQuerySimulator:
         interval = scaler.planning_interval
         next_tick = interval if interval else None
 
-        for index in range(arrivals.size):
+        for index in range(n):
             arrival_time = float(arrivals[index])
 
             # Planning ticks strictly before this arrival.
@@ -234,13 +234,16 @@ class ScalingPerQuerySimulator:
 
             materialize_scheduled(arrival_time)
 
-            query = Query(
-                index=index,
-                arrival_time=arrival_time,
-                processing_time=float(processing_times[index]),
-            )
-            outcomes.append(
-                self._serve_query(query, available, scheduled, draw_pending, ready_sorted)
+            (
+                hit_col[index],
+                waiting_col[index],
+                creation_col[index],
+                ready_col[index],
+                start_col[index],
+                pending_col[index],
+                proactive_col[index],
+            ) = self._serve_query(
+                index, arrival_time, available, scheduled, draw_pending, ready_sorted
             )
 
             response, latency = call_policy(
@@ -252,17 +255,17 @@ class ScalingPerQuerySimulator:
         # The sweep iterates the pool in (ready_time, tiebreak) order so the
         # floating-point accumulation order is well-defined and matches the
         # batched engine's flat sorted pool exactly.
-        horizon = max(trace.horizon, arrivals[-1] if arrivals.size else 0.0)
+        horizon = max(trace.horizon, arrivals[-1] if n else 0.0)
         for _, _, instance in sorted(available):
             unused_cost += max(0.0, horizon - instance.creation_time)
 
         if recorder.enabled:
             recorder.inc("engine.reference.replays")
-            recorder.inc("engine.reference.queries", int(arrivals.size))
+            recorder.inc("engine.reference.queries", n)
             recorder.inc("engine.reference.planning_ticks", n_ticks)
             # The reference engine dispatches the arrival hook per query,
             # passive or not — that is exactly what makes it slow.
-            recorder.inc("engine.reference.hook_arrivals", int(arrivals.size))
+            recorder.inc("engine.reference.hook_arrivals", n)
             recorder.observe(
                 "engine.reference.replay_seconds",
                 # repro: allow[RPR002] telemetry replay timer only, not simulated time
@@ -270,9 +273,17 @@ class ScalingPerQuerySimulator:
             )
 
         return SimulationResult(
-            scaler_name=scaler.name,
-            trace_name=trace.name,
-            outcomes=outcomes,
+            scaler.name,
+            trace.name,
+            arrival_times=arrivals,
+            processing_times=processing_times,
+            hits=hit_col,
+            waiting_times=waiting_col,
+            creation_times=creation_col,
+            ready_times=ready_col,
+            start_times=start_col,
+            pending_times=pending_col,
+            proactive=proactive_col,
             unused_instance_cost=unused_cost,
             planning_times=planning_times,
             n_unused_instances=len(available),
@@ -282,14 +293,18 @@ class ScalingPerQuerySimulator:
 
     def _serve_query(
         self,
-        query: Query,
+        index: int,
+        arrival: float,
         available: list[tuple[float, int, _PendingInstance]],
         scheduled: list[tuple[float, int, ScalingAction]],
         draw_pending: Callable[[], float],
         ready_sorted: list[float],
-    ) -> QueryOutcome:
-        """Match a freshly arrived query to an instance per Algorithm 1."""
-        arrival = query.arrival_time
+    ) -> tuple[bool, float, float, float, float, float, bool]:
+        """Match a freshly arrived query to an instance per Algorithm 1.
+
+        Returns the query's ``(hit, waiting, creation, ready, start, pending,
+        proactive)`` values, in the order of the result columns.
+        """
         if available:
             ready_time, _, instance = heapq.heappop(available)
             # The popped instance minimizes (ready_time, tiebreak), so its
@@ -297,15 +312,9 @@ class ScalingPerQuerySimulator:
             ready_sorted.pop(0)
             hit = ready_time <= arrival
             start = max(ready_time, arrival)
-            record = InstanceRecord(
-                query_index=query.index,
-                creation_time=instance.creation_time,
-                ready_time=ready_time,
-                start_processing_time=start,
-                deletion_time=start + query.processing_time,
-                pending_time=instance.pending_time,
-                proactive=instance.proactive,
-            )
+            creation = instance.creation_time
+            pending = instance.pending_time
+            proactive = instance.proactive
         else:
             # Reactive cold start; the originally scheduled creation for this
             # query (the earliest outstanding one) is cancelled.
@@ -315,24 +324,9 @@ class ScalingPerQuerySimulator:
             ready_time = arrival + self.config.scheduling_latency + pending
             start = ready_time
             hit = False
-            record = InstanceRecord(
-                query_index=query.index,
-                creation_time=arrival,
-                ready_time=ready_time,
-                start_processing_time=start,
-                deletion_time=start + query.processing_time,
-                pending_time=pending,
-                proactive=False,
-            )
+            creation = arrival
+            proactive = False
         waiting = start - arrival
         if waiting < -1e-9:
-            raise SimulationError(
-                f"negative waiting time {waiting} for query {query.index}"
-            )
-        return QueryOutcome(
-            query=query,
-            hit=hit,
-            waiting_time=max(waiting, 0.0),
-            response_time=max(waiting, 0.0) + query.processing_time,
-            instance=record,
-        )
+            raise SimulationError(f"negative waiting time {waiting} for query {index}")
+        return hit, max(waiting, 0.0), creation, ready_time, start, pending, proactive

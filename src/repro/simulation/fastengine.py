@@ -31,8 +31,8 @@ restructuring the work so million-query traces are feasible:
   ``sample(1)`` element-wise and the draw order matches the reference
   engine exactly;
 * **columnar results** — per-query outcomes are accumulated in flat arrays
-  and returned via :meth:`~repro.types.SimulationResult.from_columns`;
-  ``QueryOutcome`` objects are only materialized if somebody asks.
+  and handed to :class:`~repro.types.SimulationResult` as its columns, the
+  one result shape both engines share.
 
 Parity notes.  The tiebreak counter is advanced in exactly the reference
 order (scheduled pushes consume ids too, materialization assigns fresh ids
@@ -470,7 +470,7 @@ class BatchedEventSimulator:
                 _time.perf_counter() - replay_started,
             )
 
-        return SimulationResult.from_columns(
+        return SimulationResult(
             scaler.name,
             trace.name,
             arrival_times=arrivals,

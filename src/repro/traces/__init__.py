@@ -1,4 +1,4 @@
-"""Workload traces: synthetic generators, IO, perturbation, and a catalog.
+"""Workload traces: synthetic generators, IO and perturbation.
 
 The paper evaluates on a proprietary container-registry trace (CRS), the
 Google cluster trace 2019 and the Alibaba cluster trace 2018.  None of those
@@ -25,7 +25,6 @@ from .perturbation import (
     perturb_trace,
     remove_anomalous_bursts,
 )
-from .catalog import TraceSpec, get_trace, list_traces
 
 __all__ = [
     "IntensityProfile",
@@ -43,7 +42,4 @@ __all__ = [
     "perturb_trace",
     "inject_missing_window",
     "remove_anomalous_bursts",
-    "TraceSpec",
-    "get_trace",
-    "list_traces",
 ]

@@ -26,12 +26,10 @@ from .exceptions import TraceError, ValidationError
 
 __all__ = [
     "Query",
-    "InstanceRecord",
     "ArrivalTrace",
     "QPSSeries",
     "ScalingAction",
     "ScalingPlan",
-    "QueryOutcome",
     "SimulationResult",
 ]
 
@@ -66,51 +64,6 @@ class Query:
             raise ValidationError(
                 f"processing_time must be finite and >= 0, got {self.processing_time!r}"
             )
-
-
-@dataclass(frozen=True)
-class InstanceRecord:
-    """The full lifecycle of one instance as observed by the simulator.
-
-    Attributes
-    ----------
-    query_index:
-        Index of the query the instance ended up serving (instances serve
-        exactly one query in the scaling-per-query model).
-    creation_time:
-        Wall-clock time the instance was created (either proactively by the
-        scaling plan or reactively at query arrival).
-    ready_time:
-        ``creation_time + pending_time`` — when the instance finished startup.
-    start_processing_time:
-        When the instance actually began serving its query.
-    deletion_time:
-        When the instance was deleted (= ``start_processing_time`` plus the
-        query's processing time).
-    pending_time:
-        Startup latency ``tau_i`` drawn for this instance.
-    proactive:
-        ``True`` if the instance was created by the scaling plan ahead of the
-        query, ``False`` for reactive cold-start creation.
-    """
-
-    query_index: int
-    creation_time: float
-    ready_time: float
-    start_processing_time: float
-    deletion_time: float
-    pending_time: float
-    proactive: bool
-
-    @property
-    def lifecycle_length(self) -> float:
-        """Total billed lifetime: deletion_time - creation_time (seconds)."""
-        return self.deletion_time - self.creation_time
-
-    @property
-    def idle_time(self) -> float:
-        """Time between becoming ready and starting to process (>= 0)."""
-        return max(0.0, self.start_processing_time - self.ready_time)
 
 
 class ArrivalTrace:
@@ -436,77 +389,53 @@ class ScalingPlan:
         return ScalingPlan(actions=list(self.actions) + list(other.actions))
 
 
-@dataclass(frozen=True)
-class QueryOutcome:
-    """Per-query QoS outcome recorded by the simulator.
-
-    Attributes
-    ----------
-    query:
-        The query this outcome belongs to.
-    hit:
-        ``True`` when an instance was ready at or before the arrival time
-        (the paper's hitting event ``xi_i >= x_i + tau_i``).
-    waiting_time:
-        Time the query waited for an instance to become ready (0 on a hit).
-    response_time:
-        waiting_time + processing_time.
-    instance:
-        The lifecycle record of the instance that served this query.
-    """
-
-    query: Query
-    hit: bool
-    waiting_time: float
-    response_time: float
-    instance: InstanceRecord
+#: The per-query columns every result carries, compared by ``__eq__``.
+_COLUMNS = (
+    "arrival_times",
+    "processing_times",
+    "hits",
+    "waiting_times",
+    "creation_times",
+    "ready_times",
+    "start_times",
+    "pending_times",
+    "proactive_flags",
+)
 
 
 class SimulationResult:
     """Aggregate output of replaying a trace with an autoscaler.
 
-    Two interchangeable representations back the per-query data:
+    Per-query values are flat numpy columns, one entry per replayed query in
+    arrival order: ``float64`` times and ``bool`` hit/proactive flags.  Both
+    engines build their result through this one constructor, and the
+    differential-testing harness in ``tests/test_engine_parity.py`` holds
+    them to bit-identical columns.
 
-    * **row-wise** — an eager list of :class:`QueryOutcome` records, as
-      produced by the reference engine (pass ``outcomes=``);
-    * **columnar** — flat numpy arrays, one per outcome field, as produced
-      by the batched engine (:meth:`from_columns`).  The ``outcomes`` list
-      is then materialized lazily on first access, so metric pipelines that
-      only touch the array properties never pay for building a Python
-      object per query.
-
-    Both representations expose identical values through every accessor;
-    the differential-testing harness in ``tests/test_engine_parity.py``
-    holds the engines to that.
+    Parameters
+    ----------
+    arrival_times, processing_times:
+        The replayed queries.
+    hits:
+        Whether an instance was ready at or before the arrival (the paper's
+        hitting event ``xi_i >= x_i + tau_i``).
+    waiting_times:
+        Time each query waited for its instance to become ready (0 on a hit).
+    creation_times, ready_times, start_times, pending_times:
+        Lifecycle of the instance that served each query; the instance is
+        deleted at ``start + processing``.
+    proactive:
+        ``True`` when the serving instance was created by the scaling plan,
+        ``False`` for a reactive cold start.
+    unused_instance_cost, n_unused_instances:
+        Cost and count of instances created but never assigned a query.
+    planning_times:
+        Wall-clock seconds of each policy call, one entry per call (the
+        batched engine records 0.0 for each arrival it serves without one).
     """
 
     def __init__(
         self,
-        scaler_name: str,
-        trace_name: str,
-        outcomes: Optional[list[QueryOutcome]] = None,
-        unused_instance_cost: float = 0.0,
-        planning_times: Optional[list[float]] = None,
-        *,
-        n_unused_instances: int = 0,
-    ) -> None:
-        self.scaler_name = scaler_name
-        self.trace_name = trace_name
-        self._outcomes: Optional[list[QueryOutcome]] = (
-            list(outcomes) if outcomes is not None else None
-        )
-        self._columns: Optional[dict[str, np.ndarray]] = None
-        self.unused_instance_cost = unused_instance_cost
-        self.planning_times: list[float] = (
-            list(planning_times) if planning_times is not None else []
-        )
-        self.n_unused_instances = int(n_unused_instances)
-        if self._outcomes is None:
-            self._outcomes = []
-
-    @classmethod
-    def from_columns(
-        cls,
         scaler_name: str,
         trace_name: str,
         *,
@@ -522,157 +451,51 @@ class SimulationResult:
         unused_instance_cost: float = 0.0,
         planning_times: Optional[list[float]] = None,
         n_unused_instances: int = 0,
-    ) -> "SimulationResult":
-        """Build a result from flat per-query arrays (the batched engine's path)."""
-        columns = {
-            "arrival": np.asarray(arrival_times, dtype=float),
-            "processing": np.asarray(processing_times, dtype=float),
-            "hit": np.asarray(hits, dtype=bool),
-            "waiting": np.asarray(waiting_times, dtype=float),
-            "creation": np.asarray(creation_times, dtype=float),
-            "ready": np.asarray(ready_times, dtype=float),
-            "start": np.asarray(start_times, dtype=float),
-            "pending": np.asarray(pending_times, dtype=float),
-            "proactive": np.asarray(proactive, dtype=bool),
-        }
-        sizes = {key: value.shape[0] for key, value in columns.items()}
+    ) -> None:
+        self.scaler_name = scaler_name
+        self.trace_name = trace_name
+        self.arrival_times = np.asarray(arrival_times, dtype=float)
+        self.processing_times = np.asarray(processing_times, dtype=float)
+        self.hits = np.asarray(hits, dtype=bool)
+        self.waiting_times = np.asarray(waiting_times, dtype=float)
+        self.creation_times = np.asarray(creation_times, dtype=float)
+        self.ready_times = np.asarray(ready_times, dtype=float)
+        self.start_times = np.asarray(start_times, dtype=float)
+        self.pending_times = np.asarray(pending_times, dtype=float)
+        self.proactive_flags = np.asarray(proactive, dtype=bool)
+        sizes = {column: getattr(self, column).shape[0] for column in _COLUMNS}
         if len(set(sizes.values())) > 1:
             raise ValidationError(f"column lengths disagree: {sizes}")
-        result = cls(
-            scaler_name,
-            trace_name,
-            unused_instance_cost=unused_instance_cost,
-            planning_times=planning_times,
-            n_unused_instances=n_unused_instances,
+        self.unused_instance_cost = unused_instance_cost
+        self.planning_times: list[float] = (
+            list(planning_times) if planning_times is not None else []
         )
-        result._outcomes = None
-        result._columns = columns
-        return result
-
-    # ------------------------------------------------------ representations
-
-    @property
-    def outcomes(self) -> list[QueryOutcome]:
-        """Per-query outcome records (materialized lazily for columnar results)."""
-        if self._outcomes is None:
-            self._outcomes = self._materialize_outcomes()
-        return self._outcomes
-
-    def _materialize_outcomes(self) -> list[QueryOutcome]:
-        cols = self._columns
-        assert cols is not None
-        outcomes: list[QueryOutcome] = []
-        for i in range(cols["arrival"].shape[0]):
-            query = Query(
-                index=i,
-                arrival_time=float(cols["arrival"][i]),
-                processing_time=float(cols["processing"][i]),
-            )
-            start = float(cols["start"][i])
-            waiting = float(cols["waiting"][i])
-            record = InstanceRecord(
-                query_index=i,
-                creation_time=float(cols["creation"][i]),
-                ready_time=float(cols["ready"][i]),
-                start_processing_time=start,
-                deletion_time=start + query.processing_time,
-                pending_time=float(cols["pending"][i]),
-                proactive=bool(cols["proactive"][i]),
-            )
-            outcomes.append(
-                QueryOutcome(
-                    query=query,
-                    hit=bool(cols["hit"][i]),
-                    waiting_time=waiting,
-                    response_time=waiting + query.processing_time,
-                    instance=record,
-                )
-            )
-        return outcomes
-
-    def _column(self, key: str, getter, dtype) -> np.ndarray:
-        if self._columns is not None:
-            return self._columns[key]
-        return np.array([getter(o) for o in self._outcomes], dtype=dtype)
-
-    # ----------------------------------------------------------- accessors
+        self.n_unused_instances = int(n_unused_instances)
 
     @property
     def n_queries(self) -> int:
         """Number of queries that were replayed."""
-        if self._columns is not None:
-            return int(self._columns["arrival"].shape[0])
-        return len(self._outcomes)
-
-    @property
-    def hits(self) -> np.ndarray:
-        """Boolean array of per-query hit indicators."""
-        return self._column("hit", lambda o: o.hit, bool)
+        return int(self.arrival_times.shape[0])
 
     @property
     def response_times(self) -> np.ndarray:
-        """Array of per-query response times (seconds)."""
-        if self._columns is not None:
-            return self._columns["waiting"] + self._columns["processing"]
-        return np.array([o.response_time for o in self._outcomes], dtype=float)
-
-    @property
-    def waiting_times(self) -> np.ndarray:
-        """Array of per-query waiting times (seconds)."""
-        return self._column("waiting", lambda o: o.waiting_time, float)
-
-    @property
-    def arrival_times(self) -> np.ndarray:
-        """Array of per-query arrival times (seconds)."""
-        return self._column("arrival", lambda o: o.query.arrival_time, float)
-
-    @property
-    def processing_times(self) -> np.ndarray:
-        """Array of per-query processing times (seconds)."""
-        return self._column("processing", lambda o: o.query.processing_time, float)
-
-    @property
-    def creation_times(self) -> np.ndarray:
-        """Creation time of the instance that served each query."""
-        return self._column("creation", lambda o: o.instance.creation_time, float)
-
-    @property
-    def ready_times(self) -> np.ndarray:
-        """Ready time of the instance that served each query."""
-        return self._column("ready", lambda o: o.instance.ready_time, float)
-
-    @property
-    def start_times(self) -> np.ndarray:
-        """Start-of-processing time of the instance that served each query."""
-        return self._column(
-            "start", lambda o: o.instance.start_processing_time, float
-        )
+        """Per-query response times: waiting plus processing (seconds)."""
+        return self.waiting_times + self.processing_times
 
     @property
     def deletion_times(self) -> np.ndarray:
         """Deletion time of the instance that served each query."""
-        if self._columns is not None:
-            return self._columns["start"] + self._columns["processing"]
-        return np.array([o.instance.deletion_time for o in self._outcomes], dtype=float)
-
-    @property
-    def pending_times(self) -> np.ndarray:
-        """Pending (startup) time drawn for the instance serving each query."""
-        return self._column("pending", lambda o: o.instance.pending_time, float)
-
-    @property
-    def proactive_flags(self) -> np.ndarray:
-        """Whether each query was served by a proactively created instance."""
-        return self._column("proactive", lambda o: o.instance.proactive, bool)
+        return self.start_times + self.processing_times
 
     @property
     def lifecycle_costs(self) -> np.ndarray:
-        """Array of per-instance lifecycle lengths for instances that served queries."""
-        if self._columns is not None:
-            return self.deletion_times - self._columns["creation"]
-        return np.array(
-            [o.instance.lifecycle_length for o in self._outcomes], dtype=float
-        )
+        """Billed lifetime (deletion - creation) of each serving instance."""
+        return self.deletion_times - self.creation_times
+
+    @property
+    def idle_times(self) -> np.ndarray:
+        """Ready-to-start gap of each serving instance, floored at 0."""
+        return np.maximum(0.0, self.start_times - self.ready_times)
 
     @property
     def total_cost(self) -> float:
@@ -694,13 +517,7 @@ class SimulationResult:
         return float(self.response_times.mean())
 
     def __eq__(self, other: object) -> bool:
-        """Structural equality over the recorded values.
-
-        Representation-agnostic: a row-wise result equals a columnar one
-        when every per-query value, the unused-instance cost and the
-        planning times agree (the former dataclass compared outcome lists;
-        this preserves value semantics across both representations).
-        """
+        """Value equality over names, per-query columns, unused cost and planning times."""
         if not isinstance(other, SimulationResult):
             return NotImplemented
         if (
@@ -714,23 +531,14 @@ class SimulationResult:
             return False
         return all(
             np.array_equal(getattr(self, column), getattr(other, column))
-            for column in (
-                "arrival_times",
-                "processing_times",
-                "hits",
-                "waiting_times",
-                "creation_times",
-                "ready_times",
-                "start_times",
-                "pending_times",
-                "proactive_flags",
-            )
+            for column in _COLUMNS
         )
 
-    __hash__ = None  # mutable container semantics, like the former dataclass
+    __hash__ = None  # mutable container semantics
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
             f"SimulationResult(scaler={self.scaler_name!r}, "
             f"trace={self.trace_name!r}, n_queries={self.n_queries})"
         )
+

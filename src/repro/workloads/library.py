@@ -19,7 +19,6 @@ window of the train/test split.
 
 from __future__ import annotations
 
-from ..traces.catalog import list_traces
 from ..traces.synthetic import (
     generate_alibaba_like_trace,
     generate_crs_like_trace,
@@ -323,19 +322,23 @@ def register_builtin_scenarios(registry=DEFAULT_REGISTRY, *, overwrite: bool = F
             tags=("seasonal", "weekly"),
         ),
     ]
-    # Paper-trace aliases derive their shared defaults (description, split,
-    # pending time, seed) from the TraceSpec catalog so the two lookup paths
-    # cannot drift apart; only the generation-side metadata the catalog does
-    # not carry (horizon, fitting bin width, processing model) lives here.
+    # Registry aliases for the paper's three traces: the paper's train/test
+    # split, the simulator defaults that go with each trace, and how to
+    # generate it.
     paper_extras = {
         "crs": {
+            "description": "CRS-like container registry trace: 4 weeks, low QPS, weekly pattern",
             "generator": _paper_crs,
             "horizon_seconds": 4 * _WEEK,
             "bin_seconds": 300.0,
             "processing_time_mean": 178.0,
             "processing_time_distribution": "lognormal",
+            "train_fraction": 0.75,  # first three of four weeks
+            "pending_time": 13.0,
+            "default_seed": 7,
         },
         "google": {
+            "description": "Google-cluster-like trace: 24 hours with recurrent spikes",
             "generator": _paper_google,
             # make_trace's historical scale rule is 24 * scale * 2 hours, so
             # the trace actually generated at scale 1.0 spans two days (the
@@ -343,26 +346,23 @@ def register_builtin_scenarios(registry=DEFAULT_REGISTRY, *, overwrite: bool = F
             "horizon_seconds": 2 * _DAY,
             "bin_seconds": 60.0,
             "processing_time_mean": 30.0,
+            "train_fraction": 0.75,  # first 18 of 24 hours
+            "pending_time": 13.0,
+            "default_seed": 11,
         },
         "alibaba": {
+            "description": "Alibaba-cluster-like trace: 5 days, daily spikes plus one burst",
             "generator": _paper_alibaba,
             "horizon_seconds": 5 * _DAY,
             "bin_seconds": 60.0,
             "processing_time_mean": 25.0,
+            "train_fraction": 0.8,  # first four of five days
+            "pending_time": 13.0,
+            "default_seed": 13,
         },
     }
-    for spec in list_traces():
-        scenarios.append(
-            Scenario(
-                name=spec.name,
-                description=spec.description,
-                train_fraction=spec.train_fraction,
-                pending_time=spec.pending_time,
-                default_seed=spec.default_seed,
-                tags=("paper",),
-                **paper_extras[spec.name],
-            )
-        )
+    for name, extras in paper_extras.items():
+        scenarios.append(Scenario(name=name, tags=("paper",), **extras))
     for scenario in scenarios:
         register_scenario(scenario, registry=registry, overwrite=overwrite)
 

@@ -4,9 +4,8 @@ A :class:`Scenario` is the unit the registry, the CLI, the sweep experiment
 and the benchmark all operate on.  It bundles *how to generate* the workload
 (either an intensity built from :mod:`repro.workloads.primitives` and
 sampled as an exact NHPP, or a seeded trace generator for the paper traces)
-with the per-workload evaluation defaults that
-:class:`~repro.traces.catalog.TraceSpec` carries today: the train/test
-split, the fitting bin width, and the instance pending time.
+with its per-workload evaluation defaults: the train/test split, the
+fitting bin width, and the instance pending time.
 """
 
 from __future__ import annotations
@@ -37,7 +36,7 @@ class IntensityBuilder(Protocol):
 
 
 class TraceGenerator(Protocol):
-    """Seeded trace generator used by catalog-backed scenarios."""
+    """Seeded trace generator used by the paper-trace scenarios."""
 
     def __call__(self, *, seed: int, scale: float) -> ArrivalTrace: ...
 

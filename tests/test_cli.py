@@ -36,6 +36,23 @@ class TestMain:
         for name in ("crs", "google", "alibaba"):
             assert name in output
 
+    def test_traces_table_is_pinned(self, capsys):
+        # The listing's title, columns, rows and widths, exactly.
+        assert main(["traces"]) == 0
+        lines = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
+        assert lines == [
+            "Synthetic trace catalog",
+            "name     train_fraction  pending_time  description",
+            "-------  --------------  ------------  "
+            "-------------------------------------------------------------------",
+            "alibaba  0.8             13            "
+            "Alibaba-cluster-like trace: 5 days, daily spikes plus one burst",
+            "crs      0.75            13            "
+            "CRS-like container registry trace: 4 weeks, low QPS, weekly pattern",
+            "google   0.75            13            "
+            "Google-cluster-like trace: 24 hours with recurrent spikes",
+        ]
+
     def test_experiment_table3(self, capsys):
         assert main(["experiment", "table3"]) == 0
         output = capsys.readouterr().out

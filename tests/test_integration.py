@@ -91,9 +91,7 @@ class TestFullPipeline:
             random_state=1,
         )
         result = replay(trace, scaler, SimulationConfig(pending_time=10.0))
-        creations = np.array(
-            [o.instance.creation_time for o in result.outcomes if o.instance.proactive]
-        )
+        creations = result.creation_times[result.proactive_flags]
         if creations.size >= 10:
             phase = np.mod(creations, 1800.0)
             near_peak = np.count_nonzero(np.abs(phase - 900.0) < 450.0)

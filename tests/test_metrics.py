@@ -14,32 +14,26 @@ from repro.metrics.pareto import ParetoPoint, dominates, pareto_frontier
 from repro.metrics.qos import hit_rate, mean_response_time, response_time_quantiles
 from repro.metrics.report import format_table, summarize_result
 from repro.metrics.variance import windowed_mean_variance
-from repro.types import InstanceRecord, Query, QueryOutcome, SimulationResult
+from repro.types import SimulationResult
 
 
 def _result(hits, response_times, processing: float = 1.0) -> SimulationResult:
-    outcomes = []
-    for i, (hit, rt) in enumerate(zip(hits, response_times)):
-        query = Query(index=i, arrival_time=float(i), processing_time=processing)
-        record = InstanceRecord(
-            query_index=i,
-            creation_time=float(i),
-            ready_time=float(i) + 1.0,
-            start_processing_time=float(i) + rt - processing,
-            deletion_time=float(i) + rt,
-            pending_time=1.0,
-            proactive=hit,
-        )
-        outcomes.append(
-            QueryOutcome(
-                query=query,
-                hit=bool(hit),
-                waiting_time=rt - processing,
-                response_time=rt,
-                instance=record,
-            )
-        )
-    return SimulationResult(scaler_name="test", trace_name="trace", outcomes=outcomes)
+    arrivals = np.arange(len(hits), dtype=float)
+    response = np.asarray(response_times, dtype=float)
+    starts = arrivals + response - processing
+    return SimulationResult(
+        "test",
+        "trace",
+        arrival_times=arrivals,
+        processing_times=np.full(len(hits), processing),
+        hits=np.asarray(hits, dtype=bool),
+        waiting_times=response - processing,
+        creation_times=arrivals,
+        ready_times=arrivals + 1.0,
+        start_times=starts,
+        pending_times=np.ones(len(hits)),
+        proactive=np.asarray(hits, dtype=bool),
+    )
 
 
 class TestQoSMetrics:

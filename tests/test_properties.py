@@ -62,9 +62,19 @@ class TestSimulatorInvariants:
         config = SimulationConfig(pending_time=pending)
         result = ScalingPerQuerySimulator(config).replay(trace, _PlannedScaler(creations))
 
+        # One row per query, in arrival order, in every column.
         assert result.n_queries == trace.n_queries
-        served = sorted(o.query.index for o in result.outcomes)
-        assert served == list(range(trace.n_queries))
+        for column in (
+            result.hits,
+            result.waiting_times,
+            result.creation_times,
+            result.ready_times,
+            result.start_times,
+            result.pending_times,
+            result.proactive_flags,
+        ):
+            assert column.shape == (trace.n_queries,)
+        np.testing.assert_array_equal(result.arrival_times, trace.arrival_times)
         assert np.all(result.waiting_times >= 0.0)
         assert np.all(result.response_times >= processing - 1e-9)
         assert result.unused_instance_cost >= 0.0

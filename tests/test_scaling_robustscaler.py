@@ -185,8 +185,7 @@ class TestEndToEndQoS:
         )
         simulator = ScalingPerQuerySimulator(SimulationConfig(pending_time=13.0))
         result = simulator.replay(hpp_trace, scaler)
-        idle = np.array([o.instance.idle_time for o in result.outcomes])
-        assert float(idle.mean()) <= budget + 1.0
+        assert float(result.idle_times.mean()) <= budget + 1.0
 
     def test_beats_reactive_on_response_time(self, hpp_trace):
         from repro.scaling.backup_pool import ReactiveScaler

@@ -12,8 +12,22 @@ from repro.scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.simulation.engine import ScalingPerQuerySimulator
 from repro.simulation.realenv import real_environment_config
+from repro.simulation import create_simulator
 from repro.simulation.runner import evaluate_scaler, replay
 from repro.types import ArrivalTrace, ScalingAction
+
+#: Per-query columns of a SimulationResult.
+_COLUMNS = (
+    "arrival_times",
+    "processing_times",
+    "hits",
+    "waiting_times",
+    "creation_times",
+    "ready_times",
+    "start_times",
+    "pending_times",
+    "proactive_flags",
+)
 
 
 class FixedPlanScaler(Autoscaler):
@@ -42,34 +56,31 @@ class TestAlgorithmOneDynamics:
         config = SimulationConfig(pending_time=10.0)
         trace = ArrivalTrace([20.0], [7.0], horizon=30.0)
         result = ScalingPerQuerySimulator(config).replay(trace, FixedPlanScaler([0.0]))
-        outcome = result.outcomes[0]
-        assert outcome.hit
-        assert outcome.waiting_time == 0.0
-        assert outcome.response_time == pytest.approx(7.0)
+        assert result.hits[0]
+        assert result.waiting_times[0] == 0.0
+        assert result.response_times[0] == pytest.approx(7.0)
         # Lifecycle: creation at 0, deletion at 20 + 7.
-        assert outcome.instance.lifecycle_length == pytest.approx(27.0)
-        assert outcome.instance.idle_time == pytest.approx(10.0)
+        assert result.lifecycle_costs[0] == pytest.approx(27.0)
+        assert result.idle_times[0] == pytest.approx(10.0)
 
     def test_instance_pending_at_arrival_waits(self):
         # x=15, tau=10 -> ready at 25; query arrives at 20: waits 5 seconds.
         config = SimulationConfig(pending_time=10.0)
         trace = ArrivalTrace([20.0], [7.0], horizon=40.0)
         result = ScalingPerQuerySimulator(config).replay(trace, FixedPlanScaler([15.0]))
-        outcome = result.outcomes[0]
-        assert not outcome.hit
-        assert outcome.waiting_time == pytest.approx(5.0)
-        assert outcome.response_time == pytest.approx(12.0)
-        assert outcome.instance.lifecycle_length == pytest.approx(17.0)
+        assert not result.hits[0]
+        assert result.waiting_times[0] == pytest.approx(5.0)
+        assert result.response_times[0] == pytest.approx(12.0)
+        assert result.lifecycle_costs[0] == pytest.approx(17.0)
 
     def test_no_instance_triggers_cold_start(self):
         config = SimulationConfig(pending_time=10.0)
         trace = ArrivalTrace([20.0], [7.0], horizon=40.0)
         result = ScalingPerQuerySimulator(config).replay(trace, ReactiveScaler())
-        outcome = result.outcomes[0]
-        assert not outcome.hit
-        assert outcome.waiting_time == pytest.approx(10.0)
-        assert not outcome.instance.proactive
-        assert outcome.instance.creation_time == pytest.approx(20.0)
+        assert not result.hits[0]
+        assert result.waiting_times[0] == pytest.approx(10.0)
+        assert not result.proactive_flags[0]
+        assert result.creation_times[0] == pytest.approx(20.0)
 
     def test_scheduled_creation_cancelled_on_cold_start(self):
         # The scheduled creation at t=100 is intended for the first query, but
@@ -92,10 +103,9 @@ class TestAlgorithmOneDynamics:
         config = SimulationConfig(pending_time=10.0)
         trace = ArrivalTrace([30.0, 31.0], [1.0, 1.0], horizon=60.0)
         result = ScalingPerQuerySimulator(config).replay(trace, FixedPlanScaler([0.0, 15.0]))
-        first, second = result.outcomes
-        assert first.instance.creation_time == pytest.approx(0.0)
-        assert second.instance.creation_time == pytest.approx(15.0)
-        assert first.hit and second.hit
+        assert result.n_queries == 2
+        assert result.creation_times == pytest.approx([0.0, 15.0])
+        assert result.hits.all()
 
 
 class TestSimulatorProperties:
@@ -103,46 +113,45 @@ class TestSimulatorProperties:
         result = ScalingPerQuerySimulator(sim_config).replay(
             small_poisson_trace, BackupPoolScaler(2)
         )
-        assert result.n_queries == small_poisson_trace.n_queries
-        served = sorted(o.query.index for o in result.outcomes)
-        assert served == list(range(small_poisson_trace.n_queries))
+        # One row per query, in arrival order, in every column.
+        n = small_poisson_trace.n_queries
+        assert result.n_queries == n
+        for column in _COLUMNS:
+            assert getattr(result, column).shape == (n,), column
+        np.testing.assert_array_equal(result.arrival_times, small_poisson_trace.arrival_times)
 
     def test_cost_identity_per_instance(self, small_poisson_trace, sim_config):
         """lifecycle = idle + waiting-covered pending + processing, per Algorithm 1."""
         result = ScalingPerQuerySimulator(sim_config).replay(
             small_poisson_trace, BackupPoolScaler(3)
         )
-        for outcome in result.outcomes:
-            record = outcome.instance
-            reconstructed = (
-                record.idle_time
-                + (record.ready_time - record.creation_time)
-                + outcome.query.processing_time
-            )
-            assert record.lifecycle_length == pytest.approx(reconstructed, abs=1e-6)
+        reconstructed = (
+            result.idle_times
+            + (result.ready_times - result.creation_times)
+            + result.processing_times
+        )
+        assert result.lifecycle_costs == pytest.approx(reconstructed, abs=1e-6)
 
     def test_response_time_decomposition(self, small_poisson_trace, sim_config):
         result = ScalingPerQuerySimulator(sim_config).replay(
             small_poisson_trace, BackupPoolScaler(1)
         )
-        for outcome in result.outcomes:
-            assert outcome.response_time == pytest.approx(
-                outcome.waiting_time + outcome.query.processing_time
-            )
-            assert outcome.waiting_time >= 0.0
+        assert result.response_times == pytest.approx(
+            result.waiting_times + result.processing_times
+        )
+        assert np.all(result.waiting_times >= 0.0)
 
     def test_hit_iff_zero_waiting(self, small_poisson_trace, sim_config):
         result = ScalingPerQuerySimulator(sim_config).replay(
             small_poisson_trace, BackupPoolScaler(2)
         )
-        for outcome in result.outcomes:
-            if outcome.hit:
-                assert outcome.waiting_time == pytest.approx(0.0)
-            else:
-                assert (
-                    outcome.waiting_time > 0.0
-                    or outcome.instance.ready_time > outcome.query.arrival_time
-                )
+        hits = result.hits
+        assert result.waiting_times[hits] == pytest.approx(0.0)
+        misses = ~hits
+        assert np.all(
+            (result.waiting_times[misses] > 0.0)
+            | (result.ready_times[misses] > result.arrival_times[misses])
+        )
 
     def test_deterministic_replay(self, small_poisson_trace, sim_config):
         simulator = ScalingPerQuerySimulator(sim_config)
@@ -167,18 +176,40 @@ class TestSimulatorProperties:
         assert result.total_cost >= 0.0
 
 
+class TestResultColumns:
+    """Both engines hand back the same typed columns."""
+
+    @pytest.fixture(params=["reference", "batched"])
+    def jittered_result(self, request, small_poisson_trace):
+        config = SimulationConfig(
+            pending_time=10.0, pending_time_jitter=4.0, seed=3, engine=request.param
+        )
+        return create_simulator(config).replay(small_poisson_trace, BackupPoolScaler(3))
+
+    def test_columns_are_float64_and_bool(self, jittered_result):
+        for column in _COLUMNS:
+            expected = bool if column in ("hits", "proactive_flags") else np.float64
+            assert getattr(jittered_result, column).dtype == expected, column
+
+    def test_idle_times_match_per_query_floor(self, jittered_result):
+        starts = jittered_result.start_times.tolist()
+        readies = jittered_result.ready_times.tolist()
+        expected = np.array([max(0.0, s - r) for s, r in zip(starts, readies)])
+        assert (jittered_result.idle_times > 0.0).any()
+        assert jittered_result.idle_times.tobytes() == expected.tobytes()
+
+
 class TestRealEnvironment:
     def test_decision_latency_delays_actions(self):
         trace = ArrivalTrace([1.0], [1.0], horizon=30.0)
         slow = FixedPlanScaler([0.0], slow_seconds=0.2)
         charged = SimulationConfig(pending_time=0.5, charge_decision_latency=True)
         uncharged = SimulationConfig(pending_time=0.5)
-        hit_uncharged = ScalingPerQuerySimulator(uncharged).replay(trace, slow).outcomes[0].hit
+        hit_uncharged = ScalingPerQuerySimulator(uncharged).replay(trace, slow).hits[0]
         hit_charged = (
             ScalingPerQuerySimulator(charged)
             .replay(trace, FixedPlanScaler([0.0], slow_seconds=2.0))
-            .outcomes[0]
-            .hit
+            .hits[0]
         )
         assert hit_uncharged
         assert not hit_charged
@@ -187,7 +218,7 @@ class TestRealEnvironment:
         trace = ArrivalTrace([5.0], [1.0], horizon=30.0)
         config = SimulationConfig(pending_time=1.0, scheduling_latency=2.0)
         result = ScalingPerQuerySimulator(config).replay(trace, FixedPlanScaler([0.0]))
-        assert result.outcomes[0].instance.ready_time == pytest.approx(3.0)
+        assert result.ready_times[0] == pytest.approx(3.0)
 
     def test_real_environment_config_factory(self):
         base = SimulationConfig(pending_time=13.0)

@@ -1,14 +1,14 @@
-"""Tests for trace CSV IO and the trace catalog."""
+"""Tests for trace CSV IO and the registry aliases of the paper traces."""
 
 from __future__ import annotations
 
 import numpy as np
 import pytest
 
-from repro.exceptions import TraceError, TraceFormatError
-from repro.traces.catalog import get_trace, list_traces
+from repro.exceptions import TraceFormatError, WorkloadError
 from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
 from repro.types import ArrivalTrace, QPSSeries
+from repro.workloads import get_scenario, list_scenarios
 
 
 class TestTraceCsv:
@@ -57,47 +57,51 @@ class TestQpsCsv:
             load_qps_csv(path)
 
 
-class TestCatalog:
+class TestPaperTraceAliases:
     def test_lists_three_traces(self):
-        names = [spec.name for spec in list_traces()]
+        names = [scenario.name for scenario in list_scenarios() if "paper" in scenario.tags]
         assert names == ["alibaba", "crs", "google"]
 
-    def test_get_trace_case_insensitive(self):
-        assert get_trace("CRS").name == "crs"
+    def test_get_scenario_case_insensitive(self):
+        assert get_scenario("CRS").name == "crs"
 
     def test_unknown_trace_raises(self):
-        with pytest.raises(TraceError):
-            get_trace("azure")
+        with pytest.raises(WorkloadError):
+            get_scenario("azure")
 
     def test_spec_metadata(self):
-        spec = get_trace("google")
-        assert 0.0 < spec.train_fraction < 1.0
-        assert spec.pending_time > 0
-        assert spec.description
+        scenario = get_scenario("google")
+        assert 0.0 < scenario.train_fraction < 1.0
+        assert scenario.pending_time > 0
+        assert scenario.description
+
+    def test_default_seeds(self):
+        seeds = {name: get_scenario(name).default_seed for name in ("alibaba", "crs", "google")}
+        assert seeds == {"alibaba": 13, "crs": 7, "google": 11}
 
     def test_build_seed_deterministic(self):
-        spec = get_trace("google")
-        first = spec.build(seed=3)
-        second = spec.build(seed=3)
+        scenario = get_scenario("google")
+        first = scenario.build_trace(scale=0.5, seed=3)
+        second = scenario.build_trace(scale=0.5, seed=3)
         np.testing.assert_array_equal(first.arrival_times, second.arrival_times)
         np.testing.assert_array_equal(first.processing_times, second.processing_times)
 
     def test_build_different_seeds_differ(self):
-        spec = get_trace("google")
-        a = spec.build(seed=3)
-        b = spec.build(seed=4)
+        scenario = get_scenario("google")
+        a = scenario.build_trace(scale=0.5, seed=3)
+        b = scenario.build_trace(scale=0.5, seed=4)
         assert a.n_queries != b.n_queries or not np.array_equal(
             a.arrival_times, b.arrival_times
         )
 
     def test_build_default_seed_matches_explicit(self):
-        spec = get_trace("alibaba")
-        default = spec.build()
-        explicit = spec.build(seed=spec.default_seed)
+        scenario = get_scenario("alibaba")
+        default = scenario.build_trace()
+        explicit = scenario.build_trace(seed=scenario.default_seed)
         np.testing.assert_array_equal(default.arrival_times, explicit.arrival_times)
 
     def test_build_split_accepts_seed(self):
-        spec = get_trace("google")
-        train, test = spec.build_split(seed=3)
-        full = spec.build(seed=3)
+        scenario = get_scenario("google")
+        train, test = scenario.build_split(scale=0.5, seed=3)
+        full = scenario.build_trace(scale=0.5, seed=3)
         assert train.n_queries + test.n_queries == full.n_queries

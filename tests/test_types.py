@@ -10,10 +10,8 @@ from hypothesis import strategies as st
 from repro.exceptions import TraceError, ValidationError
 from repro.types import (
     ArrivalTrace,
-    InstanceRecord,
     QPSSeries,
     Query,
-    QueryOutcome,
     ScalingAction,
     ScalingPlan,
     SimulationResult,
@@ -38,31 +36,35 @@ class TestQuery:
             Query(index=0, arrival_time=0.0, processing_time=float("nan"))
 
 
-class TestInstanceRecord:
+def _lifecycle_result(creation, ready, start, processing) -> SimulationResult:
+    """A result whose queries arrive when their instance is created."""
+    creation = np.asarray(creation, dtype=float)
+    return SimulationResult(
+        "x",
+        "t",
+        arrival_times=creation,
+        processing_times=np.asarray(processing, dtype=float),
+        hits=np.zeros(creation.size, dtype=bool),
+        waiting_times=np.asarray(start, dtype=float) - creation,
+        creation_times=creation,
+        ready_times=np.asarray(ready, dtype=float),
+        start_times=np.asarray(start, dtype=float),
+        pending_times=np.asarray(ready, dtype=float) - creation,
+        proactive=np.zeros(creation.size, dtype=bool),
+    )
+
+
+class TestInstanceLifecycle:
     def test_lifecycle_and_idle(self):
-        record = InstanceRecord(
-            query_index=0,
-            creation_time=10.0,
-            ready_time=23.0,
-            start_processing_time=30.0,
-            deletion_time=50.0,
-            pending_time=13.0,
-            proactive=True,
-        )
-        assert record.lifecycle_length == pytest.approx(40.0)
-        assert record.idle_time == pytest.approx(7.0)
+        result = _lifecycle_result([10.0], [23.0], [30.0], [20.0])
+        assert result.deletion_times[0] == pytest.approx(50.0)
+        assert result.lifecycle_costs[0] == pytest.approx(40.0)
+        assert result.idle_times[0] == pytest.approx(7.0)
 
     def test_idle_time_never_negative(self):
-        record = InstanceRecord(
-            query_index=0,
-            creation_time=0.0,
-            ready_time=13.0,
-            start_processing_time=13.0,
-            deletion_time=20.0,
-            pending_time=13.0,
-            proactive=False,
-        )
-        assert record.idle_time == 0.0
+        # Start before ready cannot happen in a replay, but the floor holds.
+        result = _lifecycle_result([0.0, 0.0], [13.0, 13.0], [13.0, 12.0], [7.0, 7.0])
+        assert result.idle_times.tolist() == [0.0, 0.0]
 
 
 class TestArrivalTrace:
@@ -201,42 +203,57 @@ class TestScalingPlan:
             ScalingAction(creation_time=float("nan"))
 
 
-def _make_outcome(index: int, hit: bool, waiting: float, processing: float) -> QueryOutcome:
-    query = Query(index=index, arrival_time=float(index), processing_time=processing)
-    record = InstanceRecord(
-        query_index=index,
-        creation_time=0.0,
-        ready_time=1.0,
-        start_processing_time=float(index) + waiting,
-        deletion_time=float(index) + waiting + processing,
-        pending_time=1.0,
-        proactive=hit,
-    )
-    return QueryOutcome(
-        query=query,
-        hit=hit,
-        waiting_time=waiting,
-        response_time=waiting + processing,
-        instance=record,
+def _result(hits, waiting, processing: float, **kwargs) -> SimulationResult:
+    arrivals = np.arange(len(hits), dtype=float)
+    waiting = np.asarray(waiting, dtype=float)
+    return SimulationResult(
+        "x",
+        "t",
+        arrival_times=arrivals,
+        processing_times=np.full(len(hits), processing),
+        hits=hits,
+        waiting_times=waiting,
+        creation_times=np.zeros(len(hits)),
+        ready_times=np.ones(len(hits)),
+        start_times=arrivals + waiting,
+        pending_times=np.ones(len(hits)),
+        proactive=hits,
+        **kwargs,
     )
 
 
 class TestSimulationResult:
     def test_aggregates(self):
-        outcomes = [
-            _make_outcome(0, True, 0.0, 10.0),
-            _make_outcome(1, False, 5.0, 10.0),
-        ]
-        result = SimulationResult(
-            scaler_name="x", trace_name="t", outcomes=outcomes, unused_instance_cost=3.0
-        )
+        result = _result([True, False], [0.0, 5.0], 10.0, unused_instance_cost=3.0)
         assert result.n_queries == 2
         assert result.hit_rate == pytest.approx(0.5)
         assert result.mean_response_time == pytest.approx(12.5)
         assert result.total_cost == pytest.approx(sum(result.lifecycle_costs) + 3.0)
 
     def test_empty_result(self):
-        result = SimulationResult(scaler_name="x", trace_name="t", outcomes=[])
+        result = _result([], [], 1.0)
         assert np.isnan(result.hit_rate)
         assert np.isnan(result.mean_response_time)
         assert result.total_cost == 0.0
+
+    def test_columns_are_coerced_to_float_and_bool(self):
+        result = _result([1, 0], [0, 5], 10.0)
+        assert result.hits.dtype == bool and result.proactive_flags.dtype == bool
+        assert result.hits.tolist() == [True, False]
+        assert result.waiting_times.dtype == np.float64
+
+    def test_column_lengths_must_agree(self):
+        with pytest.raises(ValidationError, match="column lengths disagree"):
+            SimulationResult(
+                "x",
+                "t",
+                arrival_times=[0.0, 1.0],
+                processing_times=[1.0, 1.0],
+                hits=[True],
+                waiting_times=[0.0, 0.0],
+                creation_times=[0.0, 0.0],
+                ready_times=[0.0, 0.0],
+                start_times=[0.0, 1.0],
+                pending_times=[0.0, 0.0],
+                proactive=[True, True],
+            )

@@ -8,7 +8,7 @@ import pytest
 from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.scenario_sweep import summarize_scenario_sweep
-from repro.traces.catalog import get_trace
+from repro.traces import generate_alibaba_like_trace, generate_google_like_trace
 from repro.workloads import (
     DEFAULT_REGISTRY,
     Constant,
@@ -371,15 +371,22 @@ class TestRegistry:
             a.arrival_times, b.arrival_times
         )
 
-    def test_paper_aliases_match_catalog(self):
-        # At the scale where the alias horizon equals the catalog default,
-        # the registry alias reproduces the catalog trace bit-for-bit.
-        alias = get_scenario("google").build_trace(scale=0.5, seed=11)
-        catalog = get_trace("google").build(seed=11)
-        np.testing.assert_array_equal(alias.arrival_times, catalog.arrival_times)
-        alias = get_scenario("alibaba").build_trace(scale=1.0, seed=13)
-        catalog = get_trace("alibaba").build(seed=13)
-        np.testing.assert_array_equal(alias.arrival_times, catalog.arrival_times)
+    def test_paper_aliases_match_generators(self):
+        # At the scale where the alias horizon equals the generator's
+        # default, the registry alias reproduces its trace bit-for-bit.
+        for alias, direct in (
+            (
+                get_scenario("google").build_trace(scale=0.5, seed=11),
+                generate_google_like_trace(seed=11),
+            ),
+            (
+                get_scenario("alibaba").build_trace(scale=1.0, seed=13),
+                generate_alibaba_like_trace(seed=13),
+            ),
+        ):
+            np.testing.assert_array_equal(alias.arrival_times, direct.arrival_times)
+            np.testing.assert_array_equal(alias.processing_times, direct.processing_times)
+            assert alias.horizon == direct.horizon
 
 
 class TestScenarioSweep:
