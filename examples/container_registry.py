@@ -16,35 +16,32 @@ Run with::
 
 from __future__ import annotations
 
-from repro.experiments.base import prepare_workload, trace_defaults
-from repro.experiments.pareto import run_single_trace_pareto
+from repro import get_scenario
+from repro.api import run_experiment
 from repro.metrics import ParetoPoint, format_table, pareto_frontier
-from repro.traces import generate_crs_like_trace
 
 
 def main() -> None:
-    # A two-week CRS-like trace keeps the run short while preserving the
-    # weekly/daily structure of the real four-week trace.
-    trace = generate_crs_like_trace(n_weeks=2, seed=7)
+    # The registry's CRS scenario at scale 0.5 is a two-week trace: it keeps
+    # the run short while preserving the weekly/daily structure of the real
+    # four-week trace.
+    trace = get_scenario("crs").build_trace(scale=0.5, seed=7)
     print(f"CRS-like workload: {trace.n_queries} queries, mean QPS {trace.mean_qps:.4f}")
 
-    defaults = trace_defaults("crs")
-    workload = prepare_workload(
-        trace,
-        train_fraction=defaults["train_fraction"],
-        bin_seconds=defaults["bin_seconds"],
-    )
-    rows = run_single_trace_pareto(
-        trace,
-        trace_key="crs",
-        workload=workload,
-        planning_interval=5.0,
-        monte_carlo_samples=300,
-        hp_targets=(0.3, 0.6, 0.9),
-        pool_sizes=(0, 1, 2, 4),
-        adaptive_factors=(25.0, 50.0, 100.0),
-        include_rt_variant=True,
-        include_cost_variant=False,
+    rows = run_experiment(
+        "pareto",
+        {
+            "trace_names": ("crs",),
+            "scale": 0.5,
+            "seed": 7,
+            "planning_interval": 5.0,
+            "monte_carlo_samples": 300,
+            "hp_targets": (0.3, 0.6, 0.9),
+            "pool_sizes": (0, 1, 2, 4),
+            "adaptive_factors": (25.0, 50.0, 100.0),
+            "include_rt_variant": True,
+            "include_cost_variant": False,
+        },
     )
 
     print()

@@ -88,7 +88,7 @@ from .scaling import (
     RobustScalerObjective,
     SequentialHPScaler,
 )
-from .simulation import ScalingPerQuerySimulator, evaluate_scaler, replay
+from .simulation import ScalingPerQuerySimulator, replay
 from .traces import (
     generate_alibaba_like_trace,
     generate_crs_like_trace,
@@ -104,7 +104,7 @@ from .runtime import (
     run_task_rows,
     run_tasks,
 )
-from .types import ArrivalTrace, QPSSeries, ScalingAction, ScalingPlan, SimulationResult
+from .types import ArrivalTrace, QPSSeries, ScalingAction, SimulationResult
 from .workloads import (
     Scenario,
     ScenarioRegistry,
@@ -143,7 +143,6 @@ __all__ = [
     "ArrivalTrace",
     "QPSSeries",
     "ScalingAction",
-    "ScalingPlan",
     "SimulationResult",
     # workload modeling
     "NHPPModel",
@@ -166,7 +165,6 @@ __all__ = [
     # simulation
     "ScalingPerQuerySimulator",
     "replay",
-    "evaluate_scaler",
     # traces
     "generate_crs_like_trace",
     "generate_google_like_trace",

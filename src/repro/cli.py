@@ -72,20 +72,13 @@ from .telemetry import (
 from .exceptions import (
     ConfigurationError,
     ExperimentError,
+    PlanningError,
     ValidationError,
     WorkloadError,
 )
 from .experiments import summarize_scenario_sweep
 from .metrics.report import format_table, summarize_result
-from .runtime import PrepSpec, WorkloadCache, WorkloadSpec
-from .scaling import (
-    AdaptiveBackupPoolScaler,
-    BackupPoolScaler,
-    ReactiveScaler,
-    RobustScaler,
-    RobustScalerObjective,
-)
-from .config import PlannerConfig
+from .runtime import SCALER_KINDS, PrepSpec, ScalerSpec, WorkloadCache, WorkloadSpec
 from .simulation.runner import resolve_engine
 from .store import STORE_DIR_ENV_VAR, list_runs, resolve_store
 from .workloads import get_scenario, list_scenarios
@@ -143,7 +136,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument(
         "--scaler",
         default="rs-hp",
-        choices=["reactive", "bp", "adapbp", "rs-hp", "rs-rt", "rs-cost"],
+        choices=list(SCALER_KINDS),
     )
     simulate.add_argument(
         "--target",
@@ -327,54 +320,29 @@ def _command_traces() -> int:
     return 0
 
 
-def _build_scaler(args: argparse.Namespace, workload) -> object:
-    planner = PlannerConfig(
-        planning_interval=args.planning_interval, monte_carlo_samples=args.mc_samples
-    )
-    if args.scaler == "reactive":
-        return ReactiveScaler()
-    if args.scaler == "bp":
-        return BackupPoolScaler(int(args.target))
-    if args.scaler == "adapbp":
-        return AdaptiveBackupPoolScaler(float(args.target))
-    objective = {
-        "rs-hp": RobustScalerObjective.HIT_PROBABILITY,
-        "rs-rt": RobustScalerObjective.RESPONSE_TIME,
-        "rs-cost": RobustScalerObjective.COST,
-    }[args.scaler]
-    return RobustScaler(
-        workload.forecast,
-        workload.pending_model,
-        objective=objective,
-        target=float(args.target),
-        planner=planner,
-        random_state=args.seed,
-    )
-
-
 def _command_simulate(args: argparse.Namespace) -> int:
     store = resolve_store(args.store_dir, enabled=not args.no_store)
     cache = WorkloadCache(store=store)
     try:
-        scenario = get_scenario(args.trace)
+        scaler_spec = ScalerSpec(
+            args.scaler,
+            args.target,
+            planning_interval=args.planning_interval,
+            monte_carlo_samples=args.mc_samples,
+        )
         spec = WorkloadSpec(
-            scenario=scenario.name,
+            scenario=get_scenario(args.trace).name,
             scale=args.scale,
             seed=args.seed,
-            prep=PrepSpec(
-                train_fraction=scenario.train_fraction,
-                bin_seconds=scenario.bin_seconds,
-                pending_time=scenario.pending_time,
-                engine=resolve_engine(args.engine),
-            ),
+            prep=PrepSpec(engine=resolve_engine(args.engine)),
         )
-        # Preparation validates the seed/scale and may raise too, so it
-        # belongs inside the clean-error envelope.
+        # Preparation validates the seed/scale and building validates the
+        # target, so both belong inside the clean-error envelope.
         workload, _ = cache.get_or_prepare(spec)
-    except (WorkloadError, ValidationError) as exc:
+        scaler = scaler_spec.build(workload, random_state=args.seed)
+    except (WorkloadError, ValidationError, PlanningError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
-    scaler = _build_scaler(args, workload)
     result = workload.replay(scaler)
     summary = summarize_result(result, reference_cost=workload.reference_cost)
     rows = [{"metric": key, "value": value} for key, value in summary.items()]

@@ -34,7 +34,6 @@ shared capacity pools (:mod:`repro.fleet`); and the three ablations
 ``regularization-sensitivity``) probe the design choices of DESIGN.md.
 """
 
-from .base import PreparedWorkload, prepare_workload, sweep_targets
 from .traces_overview import run_traces_overview
 from . import pareto as _pareto  # registers "pareto"
 from . import variance as _variance  # registers "variance"
@@ -45,7 +44,6 @@ from . import control_accuracy as _control  # registers "control", "planning-fre
 from . import regularization as _regularization  # registers "table3"
 from . import realenv as _realenv  # registers "table4"
 from . import ablation as _ablation  # registers the three ablations
-from .pareto import run_single_trace_pareto
 from .scenario_sweep import (
     build_scenario_sweep_tasks,
     summarize_scenario_sweep,
@@ -54,11 +52,7 @@ from .adversarial import summarize_adversarial, violation_per_dollar
 from .fleet import summarize_fleet
 
 __all__ = [
-    "PreparedWorkload",
-    "prepare_workload",
-    "sweep_targets",
     "run_traces_overview",
-    "run_single_trace_pareto",
     "build_scenario_sweep_tasks",
     "summarize_scenario_sweep",
     "summarize_adversarial",

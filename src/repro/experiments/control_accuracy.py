@@ -24,7 +24,7 @@ from ..api import (
 )
 from ..api.session import RunContext
 from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
-from .base import robustscaler_spec, trace_defaults
+from .base import robustscaler_spec
 
 __all__: list[str] = []
 
@@ -37,16 +37,11 @@ _PANEL_ACTUALS = {
 
 
 def _workload_spec(params: dict, ctx: RunContext) -> WorkloadSpec:
-    defaults = trace_defaults(params["trace_name"])
     return WorkloadSpec(
         scenario=params["trace_name"],
         scale=params["scale"],
         seed=params["seed"],
-        prep=PrepSpec(
-            train_fraction=defaults["train_fraction"],
-            bin_seconds=defaults["bin_seconds"],
-            engine=ctx.engine,
-        ),
+        prep=PrepSpec(engine=ctx.engine),
     )
 
 

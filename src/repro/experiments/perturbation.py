@@ -26,23 +26,22 @@ from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
 from ..store.traces import get_or_build_trace
 from ..traces.perturbation import perturb_trace
 from ..workloads import get_scenario
-from .base import trace_defaults
 
 __all__: list[str] = []
 
 
 def _run_perturbation(params: dict, ctx: RunContext) -> list[dict]:
     """Compare AdapBP and RobustScaler-HP on increasingly perturbed traces."""
-    defaults = trace_defaults(params["trace_name"])
+    scenario = get_scenario(params["trace_name"])
     base_trace = get_or_build_trace(
-        get_scenario(params["trace_name"]),
-        scale=params["scale"],
-        seed=params["seed"],
-        store=ctx.store,
+        scenario, scale=params["scale"], seed=params["seed"], store=ctx.store
     )
+    # Perturbed copies are direct traces, so the scenario's split and bin
+    # width are passed on explicitly; the pending time stays the library
+    # default.
     prep = PrepSpec(
-        train_fraction=defaults["train_fraction"],
-        bin_seconds=defaults["bin_seconds"],
+        train_fraction=scenario.train_fraction,
+        bin_seconds=scenario.bin_seconds,
         engine=ctx.engine,
     )
 

@@ -25,28 +25,21 @@ from ..api import (
 )
 from ..api.session import RunContext
 from ..config import SimulationConfig
-from ..scaling.robustscaler import RobustScalerObjective
+from ..runtime import prepare_workload
 from ..simulation.realenv import real_environment_config
-from .base import (
-    build_robustscaler,
-    default_planner,
-    make_trace,
-    prepare_workload,
-    trace_defaults,
-)
+from ..workloads import get_scenario
+from .base import make_trace, robustscaler_spec
 
 __all__: list[str] = []
 
 
 def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
     """Replay RobustScaler-HP in the simulated and the real environment."""
-    defaults = trace_defaults(params["trace_name"])
+    scenario = get_scenario(params["trace_name"])
     trace = make_trace(
         params["trace_name"], scale=params["scale"], seed=params["seed"]
     )
-    planner = default_planner(
-        params["planning_interval"], params["monte_carlo_samples"]
-    )
+    scaler_spec = robustscaler_spec(params, "rs-hp", params["target_hp"])
 
     rows: list[dict] = []
     simulated_config = SimulationConfig(pending_time=13.0, engine=ctx.engine)
@@ -58,16 +51,11 @@ def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
     for label, sim_config in (("simulated", simulated_config), ("real", real_config)):
         workload = prepare_workload(
             trace,
-            train_fraction=defaults["train_fraction"],
-            bin_seconds=defaults["bin_seconds"],
+            train_fraction=scenario.train_fraction,
+            bin_seconds=scenario.bin_seconds,
             simulation=sim_config,
         )
-        scaler = build_robustscaler(
-            workload,
-            RobustScalerObjective.HIT_PROBABILITY,
-            params["target_hp"],
-            planner=planner,
-        )
+        scaler = scaler_spec.build(workload, random_state=0)
         result = workload.replay(scaler)
         rows.append(
             {

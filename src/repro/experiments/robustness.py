@@ -32,7 +32,9 @@ from ..api.session import RunContext
 from ..runtime import EvalTask, PrepSpec, WorkloadSpec
 from ..traces.perturbation import inject_missing_window, remove_anomalous_bursts
 from ..types import ArrivalTrace
-from .base import make_trace, robustscaler_spec, trace_defaults
+from ..workloads import get_scenario
+from ..workloads.scenarios import Scenario
+from .base import make_trace, robustscaler_spec
 
 __all__: list[str] = []
 
@@ -51,49 +53,49 @@ def _run_robustness(params: dict, ctx: RunContext) -> list[dict]:
 
 def _missing_data_tasks(params: dict, ctx: RunContext) -> list[EvalTask]:
     """CRS trace with one full training day of queries removed."""
+    scenario = get_scenario("crs")
     trace = make_trace("crs", scale=params["scale"], seed=params["seed"])
-    defaults = trace_defaults("crs")
     # Remove the last full day of the training window; the training window is
     # the first `train_fraction` of the horizon.
-    train_end = trace.horizon * defaults["train_fraction"]
+    train_end = trace.horizon * scenario.train_fraction
     missing_start = max(0.0, train_end - _DAY)
     modified = inject_missing_window(trace, missing_start, _DAY)
-    return _comparison_tasks(
-        "crs", trace, modified, "missing_data", params, ctx, defaults
-    )
+    return _comparison_tasks(scenario, trace, modified, "missing_data", params, ctx)
 
 
 def _anomaly_removal_tasks(params: dict, ctx: RunContext) -> list[EvalTask]:
     """Alibaba trace with the unexpected burst thinned away."""
+    scenario = get_scenario("alibaba")
     trace = make_trace("alibaba", scale=params["scale"], seed=params["seed"])
-    defaults = trace_defaults("alibaba")
     modified = remove_anomalous_bursts(trace, random_state=params["seed"])
     return _comparison_tasks(
-        "alibaba", trace, modified, "anomaly_removed", params, ctx, defaults
+        scenario, trace, modified, "anomaly_removed", params, ctx
     )
 
 
 def _comparison_tasks(
-    trace_key: str,
+    scenario: Scenario,
     original: ArrivalTrace,
     modified: ArrivalTrace,
     modification: str,
     params: dict,
     ctx: RunContext,
-    defaults: dict,
 ) -> list[EvalTask]:
     """The RobustScaler-HP / RobustScaler-cost candidates on both conditions."""
+    # Both conditions are direct traces, so the scenario's split and bin
+    # width are passed on explicitly; the pending time stays the library
+    # default.
     prep = PrepSpec(
-        train_fraction=defaults["train_fraction"],
-        bin_seconds=defaults["bin_seconds"],
+        train_fraction=scenario.train_fraction,
+        bin_seconds=scenario.bin_seconds,
         engine=ctx.engine,
     )
     tasks: list[EvalTask] = []
     for label, trace in (("original", original), (modification, modified)):
         workload = WorkloadSpec(trace=trace, prep=prep)
-        _, test = trace.split(defaults["train_fraction"])
+        _, test = trace.split(scenario.train_fraction)
         mean_gap = 1.0 / max(test.mean_qps, 1e-9)
-        extra = (("trace", trace_key), ("condition", label))
+        extra = (("trace", scenario.name), ("condition", label))
         specs = [robustscaler_spec(params, "rs-hp", t) for t in params["hp_targets"]]
         specs += [
             robustscaler_spec(params, "rs-cost", mean_gap * fraction)

@@ -20,7 +20,8 @@ from ..api import ExperimentSpec, ParamSpec, register_experiment, run_experiment
 from ..api.session import RunContext
 from ..periodicity.detector import PeriodicityDetector
 from ..timeseries.robust import robust_zscore
-from .base import make_trace, trace_defaults
+from ..workloads import get_scenario
+from .base import make_trace
 
 __all__ = ["run_traces_overview"]
 
@@ -34,9 +35,8 @@ def _run_traces_overview(params: dict, ctx: RunContext) -> list[dict]:
     """
     rows: list[dict] = []
     for name in params["trace_names"]:
-        defaults = trace_defaults(name)
         trace = make_trace(name, scale=params["scale"], seed=params["seed"])
-        series = trace.to_qps_series(defaults["bin_seconds"])
+        series = trace.to_qps_series(get_scenario(name).bin_seconds)
         detector = PeriodicityDetector()
         detection = detector.detect(series)
         z_scores = robust_zscore(np.asarray(series.counts, dtype=float))

@@ -24,32 +24,25 @@ from ..api.session import RunContext
 from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
 from ..store.traces import get_or_build_trace
 from ..workloads import get_scenario
-from .base import robustscaler_spec, trace_defaults
+from .base import robustscaler_spec
 
 __all__: list[str] = []
 
 
 def _run_variance(params: dict, ctx: RunContext) -> list[dict]:
     """Measure windowed QoS variance for each autoscaler sweep (Fig. 5)."""
-    defaults = trace_defaults(params["trace_name"])
+    scenario = get_scenario(params["trace_name"])
     trace = get_or_build_trace(
-        get_scenario(params["trace_name"]),
-        scale=params["scale"],
-        seed=params["seed"],
-        store=ctx.store,
+        scenario, scale=params["scale"], seed=params["seed"], store=ctx.store
     )
-    _, test = trace.split(defaults["train_fraction"])
+    _, test = trace.split(scenario.train_fraction)
     mean_gap = 1.0 / max(test.mean_qps, 1e-9)
 
     workload = WorkloadSpec(
         scenario=params["trace_name"],
         scale=params["scale"],
         seed=params["seed"],
-        prep=PrepSpec(
-            train_fraction=defaults["train_fraction"],
-            bin_seconds=defaults["bin_seconds"],
-            engine=ctx.engine,
-        ),
+        prep=PrepSpec(engine=ctx.engine),
     )
 
     def rs_spec(kind: str, target: float) -> ScalerSpec:

@@ -128,14 +128,6 @@ def _service_bundle(
     return bundle
 
 
-def _build_scaler(
-    service: ServiceSpec, workload: Any, base_seed: int, index: int
-) -> Any:
-    """The inner autoscaler, seeded deterministically by fleet position."""
-    random_state = np.random.default_rng([int(base_seed), int(index)])
-    return service.scaler.build(workload, random_state=random_state)
-
-
 def evaluate_partition(
     *,
     services: tuple[ServiceSpec, ...],
@@ -171,7 +163,10 @@ def evaluate_partition(
         test, simulation, reference_cost, workload = _service_bundle(
             service, engine, store_dir
         )
-        inner = _build_scaler(service, workload, base_seed, index)
+        # The inner autoscaler, seeded deterministically by fleet position.
+        inner = service.scaler.build(
+            workload, random_state=np.random.default_rng([int(base_seed), int(index)])
+        )
         budgets = None if grants is None else tuple(grants[position])
         scaler = PooledScaler(inner, tick_seconds, budgets=budgets)
         with recorder.span("fleet.replay"):

@@ -31,6 +31,7 @@ from .executor import (
     strip_timing,
 )
 from .spec import (
+    SCALER_KINDS,
     EvalResult,
     EvalTask,
     FunctionTask,
@@ -42,6 +43,7 @@ from .spec import (
 from .workload import PreparedWorkload, evaluate_prepared, prepare_workload
 
 __all__ = [
+    "SCALER_KINDS",
     "CacheStats",
     "EvalResult",
     "EvalTask",

@@ -40,10 +40,12 @@ __all__ = [
     "FunctionTask",
     "EvalResult",
     "derive_task_seeds",
+    "SCALER_KINDS",
 ]
 
-#: Default report-row column per scaler kind (override via ``parameter_name``).
-_PARAMETER_NAMES = {
+#: Every scaler kind :class:`ScalerSpec` builds, mapped to the report-row
+#: column its sweep parameter lands in (override via ``parameter_name``).
+SCALER_KINDS = {
     "reactive": None,
     "bp": "pool_size",
     "adapbp": "rate_factor",
@@ -227,10 +229,10 @@ class ScalerSpec:
     monte_carlo_samples: int = 400
 
     def __post_init__(self) -> None:
-        if self.kind not in _PARAMETER_NAMES:
+        if self.kind not in SCALER_KINDS:
             raise ValidationError(
                 f"unknown scaler kind {self.kind!r}; expected one of "
-                f"{sorted(_PARAMETER_NAMES)}"
+                f"{sorted(SCALER_KINDS)}"
             )
         if self.kind != "reactive" and self.parameter is None:
             raise ValidationError(f"scaler kind {self.kind!r} requires a parameter")
@@ -248,7 +250,7 @@ class ScalerSpec:
         """Report-row column the sweep parameter lands in (None for reactive)."""
         if self.parameter_name is not None:
             return self.parameter_name
-        return _PARAMETER_NAMES[self.kind]
+        return SCALER_KINDS[self.kind]
 
     def build(
         self, workload: PreparedWorkload, random_state: RandomState = None

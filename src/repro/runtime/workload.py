@@ -4,15 +4,12 @@ This module hosts :class:`PreparedWorkload` and :func:`prepare_workload`,
 the single place where a raw :class:`~repro.types.ArrivalTrace` becomes the
 bundle every evaluation consumes — train/test split, fitted NHPP model,
 forecast intensity, pending-time model, simulator configuration and the
-reactive reference cost.  (They are re-exported from
-:mod:`repro.experiments.base` for backwards compatibility.)
+reactive reference cost.
 
-:func:`evaluate_prepared` is the one evaluation code path: both the
-declarative task executor (:mod:`repro.runtime.executor`) and the legacy
-in-process sweep helpers (:func:`repro.experiments.base.run_scaler_sweep`)
-produce their report rows through it.
+:func:`evaluate_prepared` is the one evaluation code path: the declarative
+task executor (:mod:`repro.runtime.executor`) turns every
+:class:`~repro.runtime.EvalTask` into its report row through it.
 """
-
 from __future__ import annotations
 
 from dataclasses import dataclass, replace
@@ -95,10 +92,6 @@ class PreparedWorkload:
     def replay(self, scaler: Autoscaler) -> SimulationResult:
         """Replay the test trace under ``scaler``."""
         return replay(self.test, scaler, self.simulation)
-
-    def evaluate(self, scaler: Autoscaler, **extra: float | str) -> dict:
-        """Replay ``scaler`` and return a summary row for report tables."""
-        return evaluate_prepared(self, scaler, extra=extra)
 
 
 def prepare_workload(

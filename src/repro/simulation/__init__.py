@@ -5,7 +5,6 @@ from .fastengine import BatchedEventSimulator
 from .runner import (
     DEFAULT_ENGINE,
     create_simulator,
-    evaluate_scaler,
     replay,
     resolve_engine,
 )
@@ -17,7 +16,6 @@ __all__ = [
     "BatchedEventSimulator",
     "create_simulator",
     "replay",
-    "evaluate_scaler",
     "real_environment_config",
     "resolve_engine",
 ]

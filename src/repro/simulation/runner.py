@@ -16,7 +16,6 @@ from __future__ import annotations
 
 from ..config import SimulationConfig
 from ..exceptions import ConfigurationError
-from ..metrics.report import summarize_result
 from ..pending import PendingTimeModel
 from ..scaling.base import Autoscaler
 from ..types import ArrivalTrace, SimulationResult
@@ -27,7 +26,6 @@ __all__ = [
     "DEFAULT_ENGINE",
     "create_simulator",
     "replay",
-    "evaluate_scaler",
     "resolve_engine",
 ]
 
@@ -96,28 +94,3 @@ def replay(
     """Replay ``trace`` under ``scaler`` with the given simulator configuration."""
     simulator = create_simulator(config)
     return simulator.replay(trace, scaler)
-
-
-def evaluate_scaler(
-    trace: ArrivalTrace,
-    scaler: Autoscaler,
-    config: SimulationConfig | None = None,
-    *,
-    reference_cost: float | None = None,
-) -> dict[str, float]:
-    """Replay and return the summary metric dictionary used by the experiments.
-
-    Parameters
-    ----------
-    trace:
-        The (test) trace to replay.
-    scaler:
-        The policy to evaluate.
-    config:
-        Simulator configuration.
-    reference_cost:
-        Cost of the purely reactive baseline on the same trace; when given,
-        the summary includes ``relative_cost``.
-    """
-    result = replay(trace, scaler, config)
-    return summarize_result(result, reference_cost=reference_cost)

@@ -2,8 +2,7 @@
 
 This subpackage contains the low-level numerical building blocks used by the
 periodicity detector and the NHPP model: sparse difference operators, robust
-statistics, autocorrelation, periodograms, and a robust seasonal-trend
-decomposition used for exploratory workload analysis.
+statistics, autocorrelation and periodograms.
 """
 
 from .aggregation import aggregate_counts, moving_average, rolling_sum
@@ -21,7 +20,6 @@ from .robust import (
     robust_zscore,
     winsorize,
 )
-from .decomposition import RobustDecomposition, robust_stl
 
 __all__ = [
     "aggregate_counts",
@@ -39,6 +37,4 @@ __all__ = [
     "median_filter",
     "robust_zscore",
     "winsorize",
-    "RobustDecomposition",
-    "robust_stl",
 ]

@@ -1,10 +1,9 @@
 """Robust statistics: MAD, robust z-scores, Huber weights, median filtering.
 
 Real-world QPS traces carry outliers, bursts and missing intervals.  The
-periodicity detector and the exploratory decomposition clip or down-weight
-such points using the estimators in this module, which is what makes the
-pipeline "robust" in the sense of the paper (robust decomposition and robust
-periodicity detection, refs. [18], [19]).
+periodicity detector clips or down-weights such points using the estimators
+in this module, which is what makes the pipeline "robust" in the sense of
+the paper (robust periodicity detection, refs. [18], [19]).
 """
 
 from __future__ import annotations

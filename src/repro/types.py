@@ -16,8 +16,8 @@ whose origin is the start of the trace.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field
-from typing import Iterator, Optional, Sequence
+from dataclasses import dataclass
+from typing import Optional, Sequence
 
 import numpy as np
 
@@ -25,45 +25,11 @@ from ._validation import as_1d_float_array, check_positive
 from .exceptions import TraceError, ValidationError
 
 __all__ = [
-    "Query",
     "ArrivalTrace",
     "QPSSeries",
     "ScalingAction",
-    "ScalingPlan",
     "SimulationResult",
 ]
-
-
-@dataclass(frozen=True)
-class Query:
-    """A single query in a scaling-per-query workload.
-
-    Attributes
-    ----------
-    index:
-        Zero-based position of the query in arrival order.
-    arrival_time:
-        Arrival time ``xi_i`` in seconds from the trace origin.
-    processing_time:
-        Processing time ``s_i`` in seconds (time the instance spends serving
-        the query once it starts).
-    """
-
-    index: int
-    arrival_time: float
-    processing_time: float
-
-    def __post_init__(self) -> None:
-        if self.index < 0:
-            raise ValidationError(f"query index must be >= 0, got {self.index}")
-        if not math.isfinite(self.arrival_time) or self.arrival_time < 0:
-            raise ValidationError(
-                f"arrival_time must be finite and >= 0, got {self.arrival_time!r}"
-            )
-        if not math.isfinite(self.processing_time) or self.processing_time < 0:
-            raise ValidationError(
-                f"processing_time must be finite and >= 0, got {self.processing_time!r}"
-            )
 
 
 class ArrivalTrace:
@@ -156,26 +122,6 @@ class ArrivalTrace:
 
     def __len__(self) -> int:
         return self.n_queries
-
-    def __iter__(self) -> Iterator[Query]:
-        for i in range(self.n_queries):
-            yield Query(
-                index=i,
-                arrival_time=float(self._arrivals[i]),
-                processing_time=float(self._processing[i]),
-            )
-
-    def __getitem__(self, index: int) -> Query:
-        i = int(index)
-        if i < 0:
-            i += self.n_queries
-        if not 0 <= i < self.n_queries:
-            raise IndexError(f"query index {index} out of range for {self.n_queries} queries")
-        return Query(
-            index=i,
-            arrival_time=float(self._arrivals[i]),
-            processing_time=float(self._processing[i]),
-        )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper
         return (
@@ -362,31 +308,6 @@ class ScalingAction:
             raise ValidationError("creation_time must be finite")
         if not math.isfinite(self.planned_at):
             raise ValidationError("planned_at must be finite")
-
-
-@dataclass
-class ScalingPlan:
-    """A batch of scaling actions emitted by an autoscaler at one planning step."""
-
-    actions: list[ScalingAction] = field(default_factory=list)
-
-    def __post_init__(self) -> None:
-        self.actions = sorted(self.actions, key=lambda a: a.creation_time)
-
-    def __len__(self) -> int:
-        return len(self.actions)
-
-    def __iter__(self) -> Iterator[ScalingAction]:
-        return iter(self.actions)
-
-    @property
-    def creation_times(self) -> np.ndarray:
-        """Planned creation times as an array (sorted ascending)."""
-        return np.array([a.creation_time for a in self.actions], dtype=float)
-
-    def merge(self, other: "ScalingPlan") -> "ScalingPlan":
-        """Return a plan containing the actions of both plans."""
-        return ScalingPlan(actions=list(self.actions) + list(other.actions))
 
 
 #: The per-query columns every result carries, compared by ``__eq__``.

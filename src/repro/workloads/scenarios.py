@@ -122,7 +122,7 @@ class Scenario:
 
     @property
     def simulator_defaults(self) -> dict:
-        """Defaults consumed by :func:`repro.experiments.base.prepare_workload`."""
+        """Defaults consumed by :func:`repro.runtime.prepare_workload`."""
         return {
             "train_fraction": self.train_fraction,
             "bin_seconds": self.bin_seconds,

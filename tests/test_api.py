@@ -29,7 +29,7 @@ from repro.api.cligen import (
     audit_parser,
 )
 from repro.cli import SWEEP_EXTRA_FLAGS, build_parser, main
-from repro.exceptions import ValidationError
+from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import trace_defaults
 
 #: A deliberately tiny parameterization used wherever a real run is needed.
@@ -157,9 +157,9 @@ class TestSessionFluent:
 
     def test_generic_scenario_defaults_make_registry_reachable(self):
         defaults = trace_defaults("cold-start-services")
-        assert 0 < defaults["train_fraction"] < 1
+        assert set(defaults) == {"pool_sizes", "adaptive_factors", "hp_targets"}
         assert defaults["hp_targets"]
-        with pytest.raises(KeyError, match="unknown trace name"):
+        with pytest.raises(WorkloadError, match="unknown scenario"):
             trace_defaults("azure")
 
     def test_run_returns_typed_resultset(self):

@@ -5,6 +5,7 @@ from __future__ import annotations
 import pytest
 
 from repro.cli import build_parser, main
+from repro.runtime import SCALER_KINDS
 
 
 class TestParser:
@@ -21,6 +22,15 @@ class TestParser:
         args = build_parser().parse_args(["simulate"])
         assert args.trace == "crs"
         assert args.scaler == "rs-hp"
+
+    @pytest.mark.parametrize("kind", sorted(SCALER_KINDS))
+    def test_simulate_accepts_every_scaler_kind(self, kind):
+        args = build_parser().parse_args(["simulate", "--scaler", kind])
+        assert args.scaler == kind
+
+    def test_simulate_rejects_unknown_scaler_kind(self):
+        with pytest.raises(SystemExit):
+            build_parser().parse_args(["simulate", "--scaler", "warp-drive"])
 
     def test_experiment_choices(self):
         args = build_parser().parse_args(["experiment", "table3"])
@@ -57,6 +67,13 @@ class TestMain:
         assert main(["experiment", "table3"]) == 0
         output = capsys.readouterr().out
         assert "improvement" in output
+
+    @pytest.mark.parametrize("name", ["pareto", "traces", "table4", "variance"])
+    def test_experiment_unknown_scenario_fails_cleanly(self, capsys, name):
+        assert main(["experiment", name, "--trace", "azure"]) == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and "unknown scenario" in err
+        assert len(err.strip().splitlines()) == 1
 
     def test_simulate_small_run(self, capsys):
         code = main(

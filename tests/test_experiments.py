@@ -13,7 +13,10 @@ from __future__ import annotations
 import pytest
 
 from repro.api import run_experiment
-from repro.experiments.base import make_trace, prepare_workload, trace_defaults
+from repro.exceptions import ValidationError, WorkloadError
+from repro.experiments.base import make_trace, trace_defaults
+from repro.runtime import PrepSpec, prepare_workload
+from repro.workloads import get_scenario
 from repro.experiments.traces_overview import run_traces_overview
 
 
@@ -24,12 +27,37 @@ class TestBaseHelpers:
             assert trace.n_queries > 0
 
     def test_make_trace_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(WorkloadError, match="unknown scenario"):
             make_trace("azure")
 
+    def test_make_trace_rejects_non_positive_scale(self):
+        with pytest.raises(ValidationError, match="scale must be positive"):
+            make_trace("crs", scale=0.0)
+
     def test_trace_defaults_unknown_name(self):
-        with pytest.raises(KeyError):
+        with pytest.raises(WorkloadError, match="unknown scenario"):
             trace_defaults("azure")
+
+    @pytest.mark.parametrize("name", ["crs", "google", "alibaba"])
+    def test_trace_defaults_hold_only_sweep_grids(self, name):
+        defaults = trace_defaults(name)
+        assert set(defaults) == {"pool_sizes", "adaptive_factors", "hp_targets"}
+        assert all(defaults[key] for key in defaults)
+
+    @pytest.mark.parametrize(
+        "name, train_fraction, bin_seconds",
+        [("crs", 0.75, 300.0), ("google", 0.75, 60.0), ("alibaba", 0.8, 60.0)],
+    )
+    def test_paper_split_and_bin_width_come_from_scenario(
+        self, name, train_fraction, bin_seconds
+    ):
+        scenario = get_scenario(name)
+        assert scenario.train_fraction == train_fraction
+        assert scenario.bin_seconds == bin_seconds
+        resolved = PrepSpec().resolve(scenario)
+        assert resolved["train_fraction"] == train_fraction
+        assert resolved["bin_seconds"] == bin_seconds
+        assert resolved["pending_time"] == scenario.pending_time
 
     def test_prepare_workload(self):
         trace = make_trace("google", scale=0.15, seed=2)

@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.exceptions import ValidationError
+from repro.exceptions import PlanningError, ValidationError
 from repro.nhpp.model import NHPPModel
 from repro.runtime import (
     EvalTask,
@@ -27,7 +27,16 @@ from repro.runtime import (
     run_tasks,
     strip_timing,
 )
+from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
+from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
+from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
 from repro.workloads import get_scenario
+
+
+@pytest.fixture(scope="module")
+def tiny_workload():
+    """One small prepared workload shared by the scaler-build tests."""
+    return WorkloadSpec(scenario="steady-state", scale=0.05, seed=7).prepare()
 
 
 def small_tasks() -> list[EvalTask]:
@@ -70,6 +79,58 @@ class TestSpecs:
             ScalerSpec("bp", 2, parameter_name="parameter").resolved_parameter_name
             == "parameter"
         )
+
+    @pytest.mark.parametrize(
+        "kind, parameter, scaler_type, attribute",
+        [
+            ("reactive", None, ReactiveScaler, None),
+            ("bp", 3, BackupPoolScaler, "pool_size"),
+            ("adapbp", 25.0, AdaptiveBackupPoolScaler, "rate_factor"),
+            ("rs-hp", 0.8, RobustScaler, "target"),
+            ("rs-rt", 2.0, RobustScaler, "target"),
+            ("rs-cost", 5.0, RobustScaler, "target"),
+        ],
+    )
+    def test_build_maps_each_kind_to_its_scaler(
+        self, tiny_workload, kind, parameter, scaler_type, attribute
+    ):
+        spec = ScalerSpec(kind, parameter, planning_interval=20.0, monte_carlo_samples=60)
+        scaler = spec.build(tiny_workload, random_state=3)
+        assert type(scaler) is scaler_type
+        if attribute is not None:
+            assert getattr(scaler, attribute) == parameter
+
+    @pytest.mark.parametrize(
+        "kind, objective",
+        [
+            ("rs-hp", RobustScalerObjective.HIT_PROBABILITY),
+            ("rs-rt", RobustScalerObjective.RESPONSE_TIME),
+            ("rs-cost", RobustScalerObjective.COST),
+        ],
+    )
+    def test_build_carries_objective_and_planner(self, tiny_workload, kind, objective):
+        spec = ScalerSpec(kind, 0.5, planning_interval=20.0, monte_carlo_samples=60)
+        scaler = spec.build(tiny_workload, random_state=3)
+        assert scaler.objective is objective
+        assert scaler.planner.planning_interval == 20.0
+        assert scaler.planner.monte_carlo_samples == 60
+        assert scaler.forecast is tiny_workload.forecast
+        assert scaler.pending_model is tiny_workload.pending_model
+
+    @pytest.mark.parametrize(
+        "kind, parameter, error",
+        [
+            ("rs-hp", 1.5, PlanningError),
+            ("rs-rt", -1.0, ValidationError),
+            ("bp", -2, ValidationError),
+            ("adapbp", -5.0, ValidationError),
+        ],
+    )
+    def test_build_rejects_out_of_range_parameter(
+        self, tiny_workload, kind, parameter, error
+    ):
+        with pytest.raises(error):
+            ScalerSpec(kind, parameter).build(tiny_workload)
 
     def test_cache_key_distinguishes_prep_configs(self):
         base = WorkloadSpec(scenario="steady-state", scale=0.05, seed=7)

@@ -13,7 +13,7 @@ from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.simulation.engine import ScalingPerQuerySimulator
 from repro.simulation.realenv import real_environment_config
 from repro.simulation import create_simulator
-from repro.simulation.runner import evaluate_scaler, replay
+from repro.simulation.runner import replay
 from repro.types import ArrivalTrace, ScalingAction
 
 #: Per-query columns of a SimulationResult.
@@ -312,14 +312,3 @@ class TestRunnerHelpers:
     def test_replay_helper(self, small_poisson_trace, sim_config):
         result = replay(small_poisson_trace, ReactiveScaler(), sim_config)
         assert result.n_queries == small_poisson_trace.n_queries
-
-    def test_evaluate_scaler_summary(self, small_poisson_trace, sim_config):
-        summary = evaluate_scaler(
-            small_poisson_trace,
-            BackupPoolScaler(1),
-            sim_config,
-            reference_cost=1000.0,
-        )
-        assert "hit_rate" in summary
-        assert "relative_cost" in summary
-        assert summary["n_queries"] == small_poisson_trace.n_queries

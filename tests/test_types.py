@@ -1,4 +1,4 @@
-"""Tests for the core data types (queries, traces, QPS series, plans, results)."""
+"""Tests for the core data types (traces, QPS series, actions, results)."""
 
 from __future__ import annotations
 
@@ -11,29 +11,9 @@ from repro.exceptions import TraceError, ValidationError
 from repro.types import (
     ArrivalTrace,
     QPSSeries,
-    Query,
     ScalingAction,
-    ScalingPlan,
     SimulationResult,
 )
-
-
-class TestQuery:
-    def test_valid(self):
-        q = Query(index=0, arrival_time=1.5, processing_time=2.0)
-        assert q.arrival_time == 1.5
-
-    def test_negative_index_rejected(self):
-        with pytest.raises(ValidationError):
-            Query(index=-1, arrival_time=0.0, processing_time=0.0)
-
-    def test_negative_arrival_rejected(self):
-        with pytest.raises(ValidationError):
-            Query(index=0, arrival_time=-1.0, processing_time=0.0)
-
-    def test_nan_processing_rejected(self):
-        with pytest.raises(ValidationError):
-            Query(index=0, arrival_time=0.0, processing_time=float("nan"))
 
 
 def _lifecycle_result(creation, ready, start, processing) -> SimulationResult:
@@ -94,15 +74,6 @@ class TestArrivalTrace:
     def test_rejects_horizon_before_last_arrival(self):
         with pytest.raises(TraceError):
             ArrivalTrace([1.0, 5.0], 1.0, horizon=4.0)
-
-    def test_iteration_and_indexing(self):
-        trace = ArrivalTrace([1.0, 2.0], [3.0, 4.0])
-        queries = list(trace)
-        assert [q.index for q in queries] == [0, 1]
-        assert trace[1].processing_time == 4.0
-        assert trace[-1].arrival_time == 2.0
-        with pytest.raises(IndexError):
-            trace[2]
 
     def test_views_are_read_only(self):
         trace = ArrivalTrace([1.0, 2.0], 1.0)
@@ -183,21 +154,7 @@ class TestQPSSeries:
             series.aggregate(3)
 
 
-class TestScalingPlan:
-    def test_actions_sorted_by_time(self):
-        plan = ScalingPlan(
-            actions=[ScalingAction(creation_time=5.0), ScalingAction(creation_time=1.0)]
-        )
-        np.testing.assert_allclose(plan.creation_times, [1.0, 5.0])
-        assert len(plan) == 2
-
-    def test_merge(self):
-        a = ScalingPlan(actions=[ScalingAction(creation_time=1.0)])
-        b = ScalingPlan(actions=[ScalingAction(creation_time=0.5)])
-        merged = a.merge(b)
-        assert len(merged) == 2
-        assert merged.creation_times[0] == 0.5
-
+class TestScalingAction:
     def test_action_rejects_nan(self):
         with pytest.raises(ValidationError):
             ScalingAction(creation_time=float("nan"))

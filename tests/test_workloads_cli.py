@@ -166,3 +166,28 @@ class TestSimulateRegistryIntegration:
         code = main(["simulate", "--trace", "nope", "--scaler", "bp", "--target", "1"])
         assert code == 2
         assert "unknown scenario" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "scaler, target, message",
+        [("rs-hp", "1.5", "HP target"), ("bp", "-2", "pool_size")],
+    )
+    def test_simulate_out_of_range_target_fails_cleanly(
+        self, capsys, scaler, target, message
+    ):
+        code = main(
+            [
+                "simulate",
+                "--trace",
+                "steady-state",
+                "--scale",
+                "0.05",
+                "--scaler",
+                scaler,
+                "--target",
+                target,
+            ]
+        )
+        assert code == 2
+        err = capsys.readouterr().err
+        assert err.startswith("error: ") and message in err
+        assert len(err.strip().splitlines()) == 1
