@@ -49,15 +49,7 @@ Quickstart
 >>> result.hit_rate                                            # doctest: +SKIP
 """
 
-from .config import (
-    ADMMConfig,
-    NHPPConfig,
-    PeriodicityConfig,
-    PlannerConfig,
-    RobustScalerConfig,
-    SimulationConfig,
-    WorkloadModelConfig,
-)
+from .config import ADMMConfig, NHPPConfig, PlannerConfig, SimulationConfig
 from .exceptions import (
     ConfigurationError,
     ConvergenceError,
@@ -78,7 +70,7 @@ from .pending import (
     PendingTimeModel,
     UniformPendingTime,
 )
-from .periodicity import PeriodicityDetector, detect_period
+from .periodicity import PeriodicityDetector
 from .scaling import (
     AdaptiveBackupPoolScaler,
     Autoscaler,
@@ -122,11 +114,8 @@ __all__ = [
     # configuration
     "ADMMConfig",
     "NHPPConfig",
-    "PeriodicityConfig",
     "PlannerConfig",
-    "RobustScalerConfig",
     "SimulationConfig",
-    "WorkloadModelConfig",
     # exceptions
     "RobustScalerError",
     "ConfigurationError",
@@ -148,7 +137,6 @@ __all__ = [
     "NHPPModel",
     "PiecewiseConstantIntensity",
     "PeriodicityDetector",
-    "detect_period",
     # pending-time models
     "PendingTimeModel",
     "DeterministicPendingTime",

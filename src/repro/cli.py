@@ -2,7 +2,7 @@
 
 Usage examples::
 
-    repro traces                             # list the synthetic trace catalog
+    repro traces                             # list the paper-tagged scenarios
     repro simulate --trace google --scaler rs-hp --target 0.9
     repro experiment pareto                  # regenerate the Fig. 4 data
     repro experiment table3                  # periodicity-regularization study
@@ -122,7 +122,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     subparsers = parser.add_subparsers(dest="command", required=True)
 
-    subparsers.add_parser("traces", help="list the synthetic trace catalog")
+    subparsers.add_parser("traces", help="list the registry's paper-tagged scenarios")
 
     simulate = subparsers.add_parser(
         "simulate", help="replay one trace with one autoscaler and print metrics"
@@ -316,7 +316,7 @@ def _command_traces() -> int:
         for scenario in list_scenarios()
         if "paper" in scenario.tags
     ]
-    print(format_table(rows, title="Synthetic trace catalog"))
+    print(format_table(rows, title="Paper-tagged scenarios (registry)"))
     return 0
 
 

@@ -65,4 +65,4 @@ class ExperimentError(RobustScalerError):
 
 
 class WorkloadError(RobustScalerError):
-    """Raised by the workload-scenario subsystem (unknown scenario, bad spec)."""
+    """Raised by the workload subsystem (unknown scenario, bad spec, empty split)."""

@@ -18,7 +18,7 @@ The matrices are banded with bandwidth ``O(L)``, so the solve costs
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 from scipy import sparse
@@ -29,6 +29,9 @@ from ..exceptions import ConvergenceError
 from .objective import RegularizedNHPPObjective, soft_threshold
 
 __all__ = ["ADMMResult", "fit_log_intensity"]
+
+#: Augmented-Lagrangian penalty parameter ``rho > 0``.
+RHO = 10.0
 
 #: Log-intensities are clipped to this symmetric range before exponentiation
 #: to keep the Taylor-expanded subproblem numerically stable.
@@ -53,18 +56,12 @@ class ADMMResult:
         Number of iterations performed.
     objective_value:
         Final value of the objective (1).
-    primal_residuals, dual_residuals, objective_history:
-        Per-iteration diagnostics (recorded only when ``verbose`` is set in
-        the configuration; otherwise only the final values are stored).
     """
 
     log_intensity: np.ndarray
     converged: bool
     n_iterations: int
     objective_value: float
-    primal_residuals: list[float] = field(default_factory=list)
-    dual_residuals: list[float] = field(default_factory=list)
-    objective_history: list[float] = field(default_factory=list)
 
 
 class _SystemMatrix:
@@ -119,7 +116,7 @@ def fit_log_intensity(
         returned with ``converged=False``.
     """
     cfg = config or ADMMConfig()
-    rho = cfg.rho
+    rho = RHO
     d2 = objective.d2
     dl = objective.dl
     counts = objective.counts
@@ -147,9 +144,6 @@ def fit_log_intensity(
         static_quadratic = static_quadratic + rho * (dl_t @ dl).tocsc()
     system = _SystemMatrix(static_quadratic)
 
-    primal_residuals: list[float] = []
-    dual_residuals: list[float] = []
-    objective_history: list[float] = []
     recent_objectives: list[float] = []
 
     converged = False
@@ -208,10 +202,6 @@ def fit_log_intensity(
 
         current_objective = objective.value(r)
         recent_objectives.append(current_objective)
-        if cfg.verbose:
-            primal_residuals.append(primal)
-            dual_residuals.append(dual)
-            objective_history.append(current_objective)
 
         eps_abs = cfg.tolerance * 1e-2
         sqrt_m = np.sqrt(max(d2.shape[0] + (dl.shape[0] if dl is not None else 0), 1))
@@ -245,7 +235,4 @@ def fit_log_intensity(
         converged=converged,
         n_iterations=iteration,
         objective_value=objective.value(r),
-        primal_residuals=primal_residuals,
-        dual_residuals=dual_residuals,
-        objective_history=objective_history,
     )

@@ -17,7 +17,7 @@ from typing import Optional
 
 import numpy as np
 
-from ..config import NHPPConfig, PeriodicityConfig, WorkloadModelConfig
+from ..config import NHPPConfig
 from ..exceptions import ModelNotFittedError, PeriodicityDetectionError, ValidationError
 from ..periodicity.detector import PeriodicityDetector, PeriodicityResult
 from ..telemetry import get_recorder
@@ -28,6 +28,9 @@ from .intensity import PiecewiseConstantIntensity
 from .objective import RegularizedNHPPObjective
 
 __all__ = ["NHPPModel", "NHPPFitResult"]
+
+#: Numerical floor (queries per second) applied to fitted intensities.
+MIN_INTENSITY = 1e-8
 
 #: Bucket bounds of the ``fit.admm_iterations`` histogram (iterations).
 _ITERATION_BUCKETS = (10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0)
@@ -69,8 +72,6 @@ class NHPPModel:
     ----------
     config:
         NHPP hyper-parameters (regularization weights, ADMM settings).
-    periodicity_config:
-        Configuration of the embedded periodicity detector.
     bin_seconds:
         Default bin width used when fitting directly from an
         :class:`~repro.types.ArrivalTrace`.
@@ -80,22 +81,11 @@ class NHPPModel:
         self,
         config: NHPPConfig | None = None,
         *,
-        periodicity_config: PeriodicityConfig | None = None,
         bin_seconds: float = 60.0,
     ) -> None:
         self.config = config or NHPPConfig()
-        self.periodicity_config = periodicity_config or PeriodicityConfig()
         self.bin_seconds = float(bin_seconds)
         self._fit_result: NHPPFitResult | None = None
-
-    @classmethod
-    def from_workload_config(cls, config: WorkloadModelConfig) -> "NHPPModel":
-        """Build a model from a :class:`~repro.config.WorkloadModelConfig`."""
-        return cls(
-            config.nhpp,
-            periodicity_config=config.periodicity,
-            bin_seconds=config.bin_seconds,
-        )
 
     # ------------------------------------------------------------------ fit
 
@@ -104,7 +94,6 @@ class NHPPModel:
         data: QPSSeries | ArrivalTrace,
         *,
         period_bins: int | None = None,
-        detect_periodicity: bool = True,
     ) -> "NHPPModel":
         """Fit the regularized NHPP to ``data``.
 
@@ -116,26 +105,21 @@ class NHPPModel:
             ``bin_seconds``).
         period_bins:
             Explicit period to use for the seasonal penalty, bypassing
-            detection.  ``0`` disables the penalty.
-        detect_periodicity:
-            When ``True`` (default) and no explicit period is given, the
-            robust periodicity detector chooses the period.
+            detection.  ``0`` disables the penalty; ``None`` (default) lets
+            the robust periodicity detector choose the period.
         """
         series = self._as_series(data)
         periodicity_result: PeriodicityResult | None = None
 
-        if period_bins is None and detect_periodicity:
-            detector = PeriodicityDetector(self.periodicity_config)
+        if period_bins is None:
             try:
-                periodicity_result = detector.detect(series)
+                periodicity_result = PeriodicityDetector().detect(series)
             except PeriodicityDetectionError:
                 periodicity_result = None
             if periodicity_result is not None and periodicity_result.detected:
                 period_bins = periodicity_result.period_bins
             else:
                 period_bins = 0
-        elif period_bins is None:
-            period_bins = 0
 
         objective = RegularizedNHPPObjective(
             counts=series.counts,
@@ -153,7 +137,7 @@ class NHPPModel:
         recorder.histogram("fit.admm_iterations", _ITERATION_BUCKETS).observe(
             admm_result.n_iterations
         )
-        intensity = np.maximum(np.exp(admm_result.log_intensity), self.config.min_intensity)
+        intensity = np.maximum(np.exp(admm_result.log_intensity), MIN_INTENSITY)
 
         self._fit_result = NHPPFitResult(
             log_intensity=admm_result.log_intensity,

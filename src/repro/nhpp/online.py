@@ -16,7 +16,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .._validation import check_non_negative, check_positive
-from ..config import NHPPConfig, PeriodicityConfig
+from ..config import NHPPConfig
 from ..exceptions import ModelNotFittedError, ValidationError
 from ..types import QPSSeries
 from .intensity import PiecewiseConstantIntensity
@@ -49,8 +49,6 @@ class RollingNHPPForecaster:
         half an hour).
     config:
         NHPP hyper-parameters.
-    periodicity_config:
-        Configuration of the embedded periodicity detector.
     min_observations:
         Refits are skipped while fewer arrivals than this are in the window.
     """
@@ -62,7 +60,6 @@ class RollingNHPPForecaster:
         window_seconds: float = 7 * 86_400.0,
         refresh_seconds: float = 1800.0,
         config: NHPPConfig | None = None,
-        periodicity_config: PeriodicityConfig | None = None,
         min_observations: int = 30,
     ) -> None:
         self.bin_seconds = check_positive(bin_seconds, "bin_seconds")
@@ -70,7 +67,6 @@ class RollingNHPPForecaster:
         self.refresh_seconds = check_positive(refresh_seconds, "refresh_seconds")
         self.min_observations = int(min_observations)
         self.config = config or NHPPConfig()
-        self.periodicity_config = periodicity_config or PeriodicityConfig()
         self._arrivals: list[float] = []
         self._last_refit_time: float | None = None
         self._forecast: PiecewiseConstantIntensity | None = None
@@ -148,11 +144,7 @@ class RollingNHPPForecaster:
         counts, _ = np.histogram(relative, bins=edges)
         series = QPSSeries(counts, self.bin_seconds, name="rolling-window")
 
-        model = NHPPModel(
-            self.config,
-            periodicity_config=self.periodicity_config,
-            bin_seconds=self.bin_seconds,
-        ).fit(series)
+        model = NHPPModel(self.config, bin_seconds=self.bin_seconds).fit(series)
         self._forecast = model.forecast()
         self._forecast_origin = window_start + series.duration
         self._last_refit_time = now

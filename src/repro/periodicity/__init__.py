@@ -1,5 +1,5 @@
 """Robust periodicity detection (module 1 of the RobustScaler framework)."""
 
-from .detector import PeriodicityDetector, PeriodicityResult, detect_period
+from .detector import PeriodicityDetector, PeriodicityResult
 
-__all__ = ["PeriodicityDetector", "PeriodicityResult", "detect_period"]
+__all__ = ["PeriodicityDetector", "PeriodicityResult"]

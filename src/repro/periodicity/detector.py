@@ -24,7 +24,6 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from ..config import PeriodicityConfig
 from ..exceptions import PeriodicityDetectionError
 from ..timeseries.acf import autocorrelation
 from ..timeseries.aggregation import aggregate_counts
@@ -32,7 +31,25 @@ from ..timeseries.periodogram import FrequencyCandidate, dominant_frequencies
 from ..timeseries.robust import median_filter, winsorize
 from ..types import QPSSeries
 
-__all__ = ["PeriodicityDetector", "PeriodicityResult", "detect_period"]
+__all__ = ["PeriodicityDetector", "PeriodicityResult"]
+
+#: Base bins merged before detection, reducing the stochastic component of
+#: low-traffic series (Section IV); shrunk for short series.
+AGGREGATION_FACTOR = 5
+
+#: A period candidate longer than this fraction of the aggregated series is
+#: rejected as unverifiable.
+MAX_PERIOD_FRACTION = 0.5
+
+#: Minimum autocorrelation at the candidate lag for it to be accepted.
+ACF_THRESHOLD = 0.2
+
+#: Minimum periodogram power, as a multiple of the median power, for a
+#: frequency to be a candidate.
+POWER_THRESHOLD = 4.0
+
+#: Maximum number of periodogram candidates examined.
+MAX_CANDIDATES = 10
 
 
 @dataclass(frozen=True)
@@ -66,20 +83,10 @@ class PeriodicityResult:
 
 
 class PeriodicityDetector:
-    """Detect dominant cyclic patterns in a QPS series.
-
-    Parameters
-    ----------
-    config:
-        Detector configuration; see :class:`~repro.config.PeriodicityConfig`.
-    """
-
-    def __init__(self, config: PeriodicityConfig | None = None) -> None:
-        self.config = config or PeriodicityConfig()
+    """Detect dominant cyclic patterns in a QPS series."""
 
     def detect(self, series: QPSSeries) -> PeriodicityResult:
         """Run detection on ``series`` and return a :class:`PeriodicityResult`."""
-        cfg = self.config
         factor = self._effective_aggregation(series)
         if factor > 1:
             aggregated = aggregate_counts(series.counts, factor, how="mean")
@@ -91,11 +98,11 @@ class PeriodicityDetector:
             )
 
         prepared = self._preprocess(aggregated)
-        max_period = int(aggregated.size * cfg.max_period_fraction)
+        max_period = int(aggregated.size * MAX_PERIOD_FRACTION)
         candidates = dominant_frequencies(
             prepared,
-            power_threshold=cfg.power_threshold,
-            max_candidates=cfg.max_candidates,
+            power_threshold=POWER_THRESHOLD,
+            max_candidates=MAX_CANDIDATES,
             min_period=2,
             max_period=max(2, max_period),
         )
@@ -124,19 +131,16 @@ class PeriodicityDetector:
         )
 
     def _effective_aggregation(self, series: QPSSeries) -> int:
-        """Shrink the configured aggregation factor for short series."""
-        factor = self.config.aggregation_factor
+        """Shrink :data:`AGGREGATION_FACTOR` for short series."""
+        factor = AGGREGATION_FACTOR
         # Keep at least 64 aggregated bins so the periodogram has resolution.
         while factor > 1 and series.n_bins // factor < 64:
             factor -= 1
         return max(1, factor)
 
     def _preprocess(self, aggregated: np.ndarray) -> np.ndarray:
-        """Winsorize and (optionally) detrend the aggregated series."""
-        cfg = self.config
+        """Winsorize and detrend the aggregated series."""
         clipped = winsorize(aggregated, z_limit=5.0)
-        if not cfg.detrend:
-            return clipped
         trend_window = max(3, clipped.size // 4)
         if trend_window % 2 == 0:
             trend_window += 1
@@ -150,7 +154,7 @@ class PeriodicityDetector:
         the ACF peak can sit a few lags away from the periodogram candidate.
         We search a small neighborhood around the candidate, take the lag with
         the highest autocorrelation, and accept it when that autocorrelation
-        clears the configured threshold.
+        clears :data:`ACF_THRESHOLD`.
         """
         if candidate_lag >= acf.size or candidate_lag < 2:
             return None
@@ -161,7 +165,7 @@ class PeriodicityDetector:
             return None
         window = acf[low: high + 1]
         best = int(low + np.argmax(window))
-        if acf[best] < self.config.acf_threshold:
+        if acf[best] < ACF_THRESHOLD:
             return None
         return best
 
@@ -186,8 +190,3 @@ class PeriodicityDetector:
             return coarse_period_bins
         window = acf[low: high + 1]
         return int(low + np.argmax(window))
-
-
-def detect_period(series: QPSSeries, config: PeriodicityConfig | None = None) -> PeriodicityResult:
-    """Functional shortcut for ``PeriodicityDetector(config).detect(series)``."""
-    return PeriodicityDetector(config).detect(series)

@@ -22,7 +22,7 @@ from typing import Any
 
 import numpy as np
 
-from ..config import NHPPConfig, PlannerConfig, SimulationConfig
+from ..config import PlannerConfig, SimulationConfig
 from ..exceptions import ValidationError
 from ..rng import RandomState
 from ..scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
@@ -74,8 +74,6 @@ class PrepSpec:
     train_fraction: float | None = None
     bin_seconds: float | None = None
     pending_time: float | None = None
-    period_bins: int | None = None
-    nhpp: NHPPConfig | None = None
     simulation: SimulationConfig | None = None
     #: Replay engine override (``"reference"`` / ``"batched"``); tasks carry
     #: it as plain data so pool workers build the right simulator.  ``None``
@@ -96,8 +94,6 @@ class PrepSpec:
             "train_fraction": float(pick(self.train_fraction, "train_fraction", 0.75)),
             "bin_seconds": float(pick(self.bin_seconds, "bin_seconds", 60.0)),
             "pending_time": float(pick(self.pending_time, "pending_time", 13.0)),
-            "period_bins": self.period_bins,
-            "nhpp_config": self.nhpp,
             "simulation": self.simulation,
             "engine": self.engine,
         }
@@ -118,8 +114,6 @@ class PrepSpec:
             resolved["train_fraction"],
             resolved["bin_seconds"],
             resolved["pending_time"],
-            resolved["period_bins"],
-            resolved["nhpp_config"],
             resolved["simulation"],
             engine,
         )

@@ -17,8 +17,8 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
-from ..config import NHPPConfig, SimulationConfig
-from ..exceptions import ValidationError
+from ..config import SimulationConfig
+from ..exceptions import ValidationError, WorkloadError
 from ..metrics.report import summarize_result
 from ..metrics.variance import windowed_mean_variance
 from ..nhpp.intensity import PiecewiseConstantIntensity
@@ -100,9 +100,7 @@ def prepare_workload(
     train_fraction: float = 0.75,
     bin_seconds: float = 60.0,
     pending_time: float = 13.0,
-    nhpp_config: NHPPConfig | None = None,
     simulation: SimulationConfig | None = None,
-    period_bins: int | None = None,
     engine: str | None = None,
 ) -> PreparedWorkload:
     """Split, fit, and package a trace for evaluation.
@@ -112,18 +110,15 @@ def prepare_workload(
     trace:
         The full trace (training + test).
     train_fraction:
-        Fraction of the horizon used for training.
+        Fraction of the horizon used for training; both splits must hold
+        at least one query, else :class:`~repro.exceptions.WorkloadError`.
     bin_seconds:
         Bin width for the QPS series the NHPP is fitted on.
     pending_time:
         Instance startup latency (seconds) used in both planning and replay.
-    nhpp_config:
-        NHPP hyper-parameters; defaults to the library defaults.
     simulation:
         Simulator configuration; defaults to a deterministic pending time of
         ``pending_time`` seconds.
-    period_bins:
-        Explicit period (in bins) to use instead of running detection.
     engine:
         Replay engine override (``"reference"`` / ``"batched"``); ``None``
         keeps whatever ``simulation`` selects, falling back to
@@ -134,9 +129,15 @@ def prepare_workload(
     """
     recorder = get_recorder()
     train, test = trace.split(train_fraction)
-    model = NHPPModel(nhpp_config, bin_seconds=bin_seconds)
+    for split in (train, test):
+        if split.n_queries == 0:
+            raise WorkloadError(
+                f"trace {trace.name!r} leaves no queries in {split.name!r} "
+                f"at train_fraction={train_fraction:g}"
+            )
+    model = NHPPModel(bin_seconds=bin_seconds)
     with recorder.span("prepare.fit"):
-        model.fit(train, period_bins=period_bins)
+        model.fit(train)
     forecast = model.forecast()
     pending_model = DeterministicPendingTime(pending_time)
     sim_config = simulation or SimulationConfig(pending_time=pending_time)

@@ -47,6 +47,9 @@ from .base import Autoscaler, PlanningContext, ScalingResponse
 
 __all__ = ["RobustScaler", "RobustScalerObjective"]
 
+#: Hard cap (seconds) on how far into the future instances are planned.
+MAX_PLAN_HORIZON = 3600.0
+
 #: Public alias matching the paper's naming of the three variants.
 RobustScalerObjective = DecisionObjective
 
@@ -95,7 +98,7 @@ class RobustScaler(Autoscaler):
         self.name = f"RobustScaler-{objective.value.upper()}(target={target:g})"
         # The expected arrivals before the next round and over the candidate
         # horizon, both read off the shifted forecast (see ``_plan``).
-        window = self.planner.planning_interval + self.planner.lookahead_margin
+        window = self.planner.planning_interval
         self._planning_window = PlanningWindow(
             forecast, horizons=(window, window + self._lookahead_slack())
         )
@@ -165,7 +168,7 @@ class RobustScaler(Autoscaler):
           decisions perpetually postponed and degenerate to reactive scaling.
         """
         now = context.time
-        window = self.planner.planning_interval + self.planner.lookahead_margin
+        window = self.planner.planning_interval
         local_intensity, expectations = self._planning_window.at(now)
         expected_in_window, expected_candidates = expectations
 
@@ -204,7 +207,7 @@ class RobustScaler(Autoscaler):
                 if committed_beyond_window >= min_commitments:
                     break
                 committed_beyond_window += 1
-            if relative_creation > self.planner.max_plan_horizon:
+            if relative_creation > MAX_PLAN_HORIZON:
                 break
             actions.append(
                 ScalingAction(

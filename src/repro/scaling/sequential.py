@@ -83,7 +83,6 @@ class SequentialHPScaler(Autoscaler):
             self.intensity_upper_bound,
             pending_model,
             self.target,
-            max_kappa=self.planner.kappa_cap,
             n_samples=self.planner.monte_carlo_samples,
             random_state=self._rng,
         )

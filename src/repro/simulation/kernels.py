@@ -41,17 +41,14 @@ and pool tiebreaks).  Two facts make this tractable for the top-up family:
    a scalar flat-array core (:func:`_serve_topup_chunk`) maintains the
    sorted pool explicitly — the same source is compiled with ``numba.njit``
    when the optional ``jit`` extra is installed (``pip install
-   robustscaler-repro[jit]``) and runs as plain Python otherwise.
-
-Backend selection is transparent: ``REPRO_JIT=0`` forces the pure-numpy
-backend even when numba is importable, and both backends produce identical
-results (the JIT compiles the very same function).
+   robustscaler-repro[jit]``) and runs as plain Python otherwise; both
+   backends produce identical results (the JIT compiles the very same
+   function).
 """
 
 from __future__ import annotations
 
 import abc
-import os
 from typing import Callable
 
 import numpy as np
@@ -68,27 +65,15 @@ __all__ = [
     "scalar_backend",
 ]
 
-#: True when the optional numba JIT backend is importable and not disabled.
-NUMBA_AVAILABLE = False
-
-_JIT_DISABLED = os.environ.get("REPRO_JIT", "").strip().lower() in {
-    "0",
-    "false",
-    "no",
-    "off",
-}
-
-if not _JIT_DISABLED:  # pragma: no branch
-    try:
-        import numba as _numba
-    # repro: allow[RPR005] numba is an optional extra — any import/ABI
-    # failure means "no JIT backend", not an error
-    except Exception:  # pragma: no cover - exercised only without the extra
-        _numba = None
-    else:
-        NUMBA_AVAILABLE = True
-else:
+try:
+    import numba as _numba
+# repro: allow[RPR005] numba is an optional extra — any import/ABI
+# failure means "no JIT backend", not an error
+except Exception:  # pragma: no cover - exercised only without the extra
     _numba = None
+
+#: True when the optional numba JIT backend is importable.
+NUMBA_AVAILABLE = _numba is not None
 
 #: Human-readable name of the scalar-kernel backend in use.
 JIT_BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"

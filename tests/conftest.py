@@ -70,7 +70,7 @@ def small_qps_series(periodic_trace: ArrivalTrace) -> QPSSeries:
 @pytest.fixture
 def fast_admm() -> ADMMConfig:
     """An ADMM configuration sized for unit tests."""
-    return ADMMConfig(rho=10.0, max_iterations=150, tolerance=1e-3)
+    return ADMMConfig(max_iterations=150, tolerance=1e-3)
 
 
 @pytest.fixture

@@ -51,7 +51,7 @@ class TestMain:
         assert main(["traces"]) == 0
         lines = [line.rstrip() for line in capsys.readouterr().out.splitlines()]
         assert lines == [
-            "Synthetic trace catalog",
+            "Paper-tagged scenarios (registry)",
             "name     train_fraction  pending_time  description",
             "-------  --------------  ------------  "
             "-------------------------------------------------------------------",

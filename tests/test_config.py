@@ -2,29 +2,44 @@
 
 from __future__ import annotations
 
+from dataclasses import fields
+
 import pytest
 
-from repro.config import (
-    ADMMConfig,
-    NHPPConfig,
-    PeriodicityConfig,
-    PlannerConfig,
-    RobustScalerConfig,
-    SimulationConfig,
-    WorkloadModelConfig,
-)
+from repro import config
+from repro.config import ADMMConfig, NHPPConfig, PlannerConfig, SimulationConfig
 from repro.exceptions import ConfigurationError, ValidationError
+
+
+def test_settable_fields_are_pinned():
+    """Adding or removing a setting is a deliberate change to this table."""
+    pinned = {
+        "ADMMConfig": ("max_iterations", "tolerance"),
+        "NHPPConfig": ("beta_smooth", "beta_period", "admm"),
+        "PlannerConfig": ("planning_interval", "monte_carlo_samples"),
+        "SimulationConfig": (
+            "pending_time",
+            "pending_time_jitter",
+            "charge_decision_latency",
+            "scheduling_latency",
+            "seed",
+            "engine",
+        ),
+    }
+    assert sorted(config.__all__) == sorted(pinned)
+    for name, names in pinned.items():
+        assert tuple(f.name for f in fields(getattr(config, name))) == names, name
 
 
 class TestADMMConfig:
     def test_defaults_valid(self):
         cfg = ADMMConfig()
-        assert cfg.rho > 0
+        assert cfg.tolerance > 0
         assert cfg.max_iterations >= 1
 
     @pytest.mark.parametrize(
         "kwargs",
-        [{"rho": 0.0}, {"rho": -1.0}, {"max_iterations": 0}, {"tolerance": 0.0}],
+        [{"max_iterations": 0}, {"max_iterations": 1.5}, {"tolerance": 0.0}, {"tolerance": -1.0}],
     )
     def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
@@ -48,19 +63,6 @@ class TestNHPPConfig:
         assert cfg.beta_smooth == 0.0
 
 
-class TestPeriodicityConfig:
-    def test_defaults_valid(self):
-        PeriodicityConfig()
-
-    def test_invalid_fraction_rejected(self):
-        with pytest.raises(ValidationError):
-            PeriodicityConfig(max_period_fraction=1.5)
-
-    def test_invalid_aggregation_rejected(self):
-        with pytest.raises(ValidationError):
-            PeriodicityConfig(aggregation_factor=0)
-
-
 class TestPlannerConfig:
     def test_defaults_valid(self):
         cfg = PlannerConfig()
@@ -71,8 +73,8 @@ class TestPlannerConfig:
         [
             {"planning_interval": 0.0},
             {"monte_carlo_samples": 0},
-            {"lookahead_margin": -1.0},
-            {"max_plan_horizon": 0.0},
+            {"planning_interval": -1.0},
+            {"monte_carlo_samples": 1.5},
         ],
     )
     def test_invalid_values_rejected(self, kwargs):
@@ -93,26 +95,14 @@ class TestSimulationConfig:
         with pytest.raises(ValidationError):
             SimulationConfig(scheduling_latency=-1.0)
 
-
-class TestRobustScalerConfig:
-    def test_defaults_valid(self):
-        cfg = RobustScalerConfig()
-        assert 0 <= cfg.target_hit_probability <= 1
-
-    def test_invalid_hp_rejected(self):
+    @pytest.mark.parametrize(
+        "kwargs",
+        [{"pending_time": -1.0}, {"pending_time_jitter": -0.5}, {"seed": -1}],
+    )
+    def test_invalid_values_rejected(self, kwargs):
         with pytest.raises(ValidationError):
-            RobustScalerConfig(target_hit_probability=1.5)
+            SimulationConfig(**kwargs)
 
-    def test_with_helpers_return_copies(self):
-        cfg = RobustScalerConfig()
-        other = cfg.with_target_hit_probability(0.5)
-        assert other.target_hit_probability == 0.5
-        assert cfg.target_hit_probability == 0.9
-        assert cfg.with_target_response_time(3.0).target_response_time == 3.0
-        assert cfg.with_cost_budget(7.0).cost_budget == 7.0
-
-    def test_workload_config_nested(self):
-        cfg = WorkloadModelConfig(bin_seconds=30.0)
-        assert cfg.nhpp.beta_smooth >= 0
-        with pytest.raises(ValidationError):
-            WorkloadModelConfig(bin_seconds=0.0)
+    def test_unknown_engine_rejected(self):
+        with pytest.raises(ConfigurationError, match="engine"):
+            SimulationConfig(engine="turbo")

@@ -10,12 +10,14 @@ Session invoke.
 
 from __future__ import annotations
 
+import numpy as np
 import pytest
 
 from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import make_trace, trace_defaults
 from repro.runtime import PrepSpec, prepare_workload
+from repro.types import ArrivalTrace
 from repro.workloads import get_scenario
 from repro.experiments.traces_overview import run_traces_overview
 
@@ -65,6 +67,16 @@ class TestBaseHelpers:
         assert workload.reference_cost > 0
         assert workload.test.n_queries > 0
         assert workload.model.is_fitted
+
+    @pytest.mark.parametrize(
+        "arrivals, empty_split",
+        [((10.0, 20.0), "test"), ((3000.0, 3500.0), "train")],
+    )
+    def test_prepare_workload_rejects_empty_split(self, arrivals, empty_split):
+        # Either empty split used to yield NaN hit rates and no relative cost.
+        trace = ArrivalTrace(np.array(arrivals), np.full(2, 5.0), name="tiny", horizon=3600.0)
+        with pytest.raises(WorkloadError, match=f"tiny-{empty_split}"):
+            prepare_workload(trace)
 
 
 class TestTracesOverview:

@@ -145,30 +145,14 @@ class TestBackendGating:
         assert scalar_backend() == JIT_BACKEND
         assert (JIT_BACKEND == "numba") == NUMBA_AVAILABLE
 
-    def test_repro_jit_zero_forces_numpy(self):
-        """REPRO_JIT=0 must disable the numba backend even when installed."""
-        import os
-        import subprocess
-        import sys
-        from pathlib import Path
-
-        src = Path(__file__).resolve().parent.parent / "src"
-        env = dict(os.environ)
-        env["REPRO_JIT"] = "0"
-        env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-        out = subprocess.run(
-            [
-                sys.executable,
-                "-c",
-                "from repro.simulation.kernels import scalar_backend;"
-                "print(scalar_backend())",
-            ],
-            env=env,
-            capture_output=True,
-            text=True,
-            check=True,
-        )
-        assert out.stdout.strip() == "numpy"
+    def test_numba_used_whenever_importable(self):
+        try:
+            import numba  # noqa: F401
+        except Exception:
+            importable = False
+        else:
+            importable = True
+        assert NUMBA_AVAILABLE == importable
 
 
 class TestPolicyDeclarations:

@@ -5,11 +5,10 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.config import NHPPConfig
 from repro.exceptions import ModelNotFittedError, ValidationError
 from repro.nhpp.extrapolation import extrapolate_intensity
 from repro.nhpp.intensity import PiecewiseConstantIntensity
-from repro.nhpp.model import NHPPModel
+from repro.nhpp.model import MIN_INTENSITY, NHPPModel
 from repro.nhpp.sampling import sample_arrival_times, sample_counts
 from repro.nhpp.validation import ks_statistic_time_rescaling, rescaled_interarrival_times
 from repro.traces.synthetic import beta_bump_intensity
@@ -53,7 +52,7 @@ class TestNHPPModelFit:
 
     def test_fit_on_trace_aggregates_internally(self, fast_nhpp, small_poisson_trace):
         model = NHPPModel(fast_nhpp, bin_seconds=120.0).fit(
-            small_poisson_trace, detect_periodicity=False
+            small_poisson_trace, period_bins=0
         )
         assert model.fit_result.bin_seconds == 120.0
         # The homogeneous rate should be recovered approximately.
@@ -63,6 +62,8 @@ class TestNHPPModelFit:
         series, _ = _periodic_series(40, 4, seed=2)
         model = NHPPModel(fast_nhpp).fit(series, period_bins=0)
         assert model.period_bins == 0
+        # An explicit period, 0 included, skips detection altogether.
+        assert model.fit_result.periodicity is None
 
     def test_invalid_data_type_rejected(self, fast_nhpp):
         with pytest.raises(ValidationError):
@@ -85,9 +86,8 @@ class TestNHPPModelFit:
 
     def test_min_intensity_floor_applied(self):
         series = QPSSeries(np.zeros(50) + 0.0, 60.0)
-        config = NHPPConfig(min_intensity=1e-6)
-        model = NHPPModel(config).fit(series, period_bins=0, detect_periodicity=False)
-        assert np.all(model.fit_result.intensity >= 1e-6)
+        model = NHPPModel().fit(series, period_bins=0)
+        assert np.all(model.fit_result.intensity >= MIN_INTENSITY)
 
 
 class TestForecast:

@@ -145,6 +145,21 @@ class TestSpecs:
         assert base.cache_key() != other_prep.cache_key()
         assert base.cache_key() != other_seed.cache_key()
 
+    def test_prep_spec_resolves_to_prepare_workload_keywords(self):
+        """Every PrepSpec field is a prepare_workload keyword, and no more."""
+        import inspect
+        from dataclasses import fields
+
+        from repro.runtime import prepare_workload
+
+        keywords = [
+            name
+            for name, param in inspect.signature(prepare_workload).parameters.items()
+            if param.kind is inspect.Parameter.KEYWORD_ONLY
+        ]
+        assert [f.name for f in fields(PrepSpec)] == keywords
+        assert list(PrepSpec().resolve()) == keywords
+
     def test_trace_backed_key_uses_content_fingerprint(self):
         scenario = get_scenario("steady-state")
         trace_a = scenario.build_trace(scale=0.03, seed=1)

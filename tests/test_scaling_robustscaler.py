@@ -18,7 +18,11 @@ from repro.optimization.formulations import (
 from repro.optimization.montecarlo import generate_scenarios
 from repro.pending import DeterministicPendingTime, UniformPendingTime
 from repro.scaling.base import PlanningContext, ScalingResponse
-from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
+from repro.scaling.robustscaler import (
+    MAX_PLAN_HORIZON,
+    RobustScaler,
+    RobustScalerObjective,
+)
 from repro.simulation.engine import ScalingPerQuerySimulator
 from repro.types import ArrivalTrace, ScalingAction
 
@@ -64,9 +68,7 @@ class TestConstruction:
         assert "COST" in scaler.name
 
     def test_from_model(self, fast_nhpp, periodic_trace, pending_model):
-        model = NHPPModel(fast_nhpp, bin_seconds=30.0).fit(
-            periodic_trace, detect_periodicity=False
-        )
+        model = NHPPModel(fast_nhpp, bin_seconds=30.0).fit(periodic_trace, period_bins=0)
         scaler = RobustScaler.from_model(model, pending_model, target=0.8)
         assert scaler.planning_interval > 0
 
@@ -219,7 +221,7 @@ class _PerQueryRobustScaler(RobustScaler):
 
     def _plan(self, context: PlanningContext) -> ScalingResponse:
         now = context.time
-        window = self.planner.planning_interval + self.planner.lookahead_margin
+        window = self.planner.planning_interval
         local_intensity = self.forecast.shift(now)
         expected_in_window = float(local_intensity.cumulative(window))
         min_commitments = max(
@@ -246,7 +248,7 @@ class _PerQueryRobustScaler(RobustScaler):
                 if committed_beyond_window >= min_commitments:
                     break
                 committed_beyond_window += 1
-            if relative_creation > self.planner.max_plan_horizon:
+            if relative_creation > MAX_PLAN_HORIZON:
                 break
             actions.append(
                 ScalingAction(

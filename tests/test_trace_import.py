@@ -19,6 +19,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceFormatError, WorkloadError
+from repro.runtime import prepare_workload
 from repro.store import ArtifactStore
 from repro.store.traces import get_or_build_trace, trace_cache_key
 from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
@@ -217,6 +218,14 @@ class TestCsvTraceScenario:
         )
         with pytest.raises(TraceFormatError):
             scenario_from_trace_csv(path)
+
+    def test_recording_with_empty_test_split_is_rejected(self, tmp_path):
+        # Every arrival falls before the 75 % train/test cut.
+        arrivals = np.linspace(10.0, 1000.0, 50)
+        trace = ArrivalTrace(arrivals, np.full(50, 4.0), name="early", horizon=1800.0)
+        scenario = scenario_from_trace_csv(save_trace_csv(trace, tmp_path / "early.csv"))
+        with pytest.raises(WorkloadError, match="early-test"):
+            prepare_workload(scenario.build_trace(seed=0), **scenario.simulator_defaults)
 
     def test_deleted_file_fails_on_next_build(self, trace_csv):
         scenario = scenario_from_trace_csv(trace_csv)
