@@ -19,14 +19,16 @@ The matrices are banded with bandwidth ``O(L)``, so the solve costs
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
-from scipy.sparse.linalg import splu
 
 from ..config import ADMMConfig
 from ..exceptions import ConvergenceError
 from .objective import RegularizedNHPPObjective, soft_threshold
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["ADMMResult", "fit_log_intensity"]
 
@@ -65,31 +67,53 @@ class ADMMResult:
 
 
 class _SystemMatrix:
-    """``A_k = static_quadratic + diag(d_k)`` for successive ``d_k``, assembled once.
+    """Solves ``A_k x = b`` with ``A_k = static_quadratic + diag(d_k)``, assembled once.
 
     ``A_k`` differs from the static quadratic only on its diagonal, so its
-    CSC structure is built once and :meth:`with_diagonal` overwrites the
-    diagonal entries in place.  The static quadratic is put in canonical
-    form first (sorted indices, which ``splu`` would otherwise impose on
-    every ``A_k`` in place).  Its diagonal is a sum of squares, so adding a
-    positive ``d_k`` drops no entry: structure and values equal those of a
-    fresh ``static_quadratic + sparse.diags(d_k)`` bit for bit.  ``splu``
-    keeps its default COLAMD ordering: another solver or ordering changes
-    the fitted bits.
+    CSC structure is built once and :meth:`solve` overwrites the diagonal
+    entries in place.  The static quadratic is put in canonical form first
+    (sorted indices, which ``splu`` would otherwise impose on every ``A_k``
+    in place).  Its diagonal is a sum of squares, so adding a positive
+    ``d_k`` drops no entry: the pattern is the same for every ``A_k``.
+
+    SuperLU's default column order (COLAMD, then the elimination tree's
+    postorder) depends on that pattern only, so it is taken once, from a
+    factorization of the assembled matrix.  The stored matrix is ``A_k``
+    with its columns already in that order, factored with
+    ``permc_spec="NATURAL"``, which leaves the order as it is; the solution
+    is permuted back.  Factor and solve then do the same arithmetic as
+    ``splu(A_k)`` with its default ordering.
     """
 
     def __init__(self, static_quadratic: sparse.csc_matrix) -> None:
+        # Imported here: scipy is slow to import and only the fit uses it.
+        from scipy import sparse
+        from scipy.sparse.linalg import splu
+
         static_quadratic.sum_duplicates()
         n = static_quadratic.shape[0]
-        self.matrix = static_quadratic + sparse.identity(n, format="csc")
-        columns = np.repeat(np.arange(n), np.diff(self.matrix.indptr))
-        self._diagonal_entries = np.flatnonzero(self.matrix.indices == columns)
+        assembled = static_quadratic + sparse.identity(n, format="csc")
+        # Column i of A_k is column perm_c[i] of the permuted matrix.
+        self._perm_c = splu(assembled).perm_c
+        source_column = np.argsort(self._perm_c)
+        self.matrix = assembled[:, source_column]
+        columns = source_column[np.repeat(np.arange(n), np.diff(self.matrix.indptr))]
+        diagonal_entries = np.flatnonzero(self.matrix.indices == columns)
+        # Ordered by column of A_k, so d_k is added without a gather.
+        self._diagonal_entries = diagonal_entries[self._perm_c]
         self._static_diagonal = static_quadratic.diagonal()
 
     def with_diagonal(self, diagonal: np.ndarray) -> sparse.csc_matrix:
-        """The matrix with ``diagonal`` added to the static diagonal."""
+        """The column-permuted matrix with ``diagonal`` added to the static diagonal."""
         self.matrix.data[self._diagonal_entries] = self._static_diagonal + diagonal
         return self.matrix
+
+    def solve(self, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
+        """``x`` with ``(static_quadratic + diag(diagonal)) x = rhs``."""
+        from scipy.sparse.linalg import splu
+
+        factor = splu(self.with_diagonal(diagonal), permc_spec="NATURAL")
+        return factor.solve(rhs)[self._perm_c]
 
 
 def fit_log_intensity(
@@ -161,8 +185,7 @@ def fit_log_intensity(
         )
         if dl is not None:
             b_vector = b_vector + dl_t @ (nu_z + rho * z)
-        solver = splu(system.with_diagonal(delta_t * exp_r))
-        r_new = solver.solve(b_vector)
+        r_new = system.solve(delta_t * exp_r, b_vector)
         r_new = np.clip(r_new, -_LOG_INTENSITY_CLIP, _LOG_INTENSITY_CLIP)
 
         # --- y update: proximal operator of beta1 * ||.||_1.

@@ -21,7 +21,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import special
 
 from .._validation import check_positive
 from ..exceptions import ModelNotFittedError, ValidationError
@@ -122,6 +121,9 @@ def poisson_log_likelihood(
     check_positive(bin_seconds, "bin_seconds")
     if np.any(values < 0):
         raise ValidationError("intensity_values must be non-negative")
+    # Imported here: scipy is slow to import and only fits and diagnostics use it.
+    from scipy import special
+
     means = values * bin_seconds
     if np.any((means == 0) & (counts > 0)):
         return float("-inf")

@@ -16,13 +16,16 @@ penalty on the ``L``-step forward difference:
 from __future__ import annotations
 
 from dataclasses import dataclass
+from typing import TYPE_CHECKING
 
 import numpy as np
-from scipy import sparse
 
 from .._validation import as_1d_float_array, check_non_negative, check_positive
 from ..exceptions import ValidationError
 from ..timeseries.differencing import second_difference_matrix, seasonal_difference_matrix
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = ["soft_threshold", "RegularizedNHPPObjective"]
 

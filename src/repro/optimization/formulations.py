@@ -27,6 +27,7 @@ reference it is tested against.
 from __future__ import annotations
 
 import enum
+import math
 from dataclasses import dataclass
 from functools import partial
 
@@ -254,8 +255,14 @@ def _columns(
 
 
 def _quantile_columns(xi: np.ndarray, tau: np.ndarray, alpha: float) -> np.ndarray:
-    """Eq. (3) per row: "lower" picks an order statistic, as in solve_hp_constrained."""
-    return np.quantile(xi - tau, alpha, axis=1, method="lower")
+    """Eq. (3) per row: the order statistic ``np.quantile(..., method="lower")`` picks.
+
+    ``solve_hp_constrained`` calls ``np.quantile``; its "lower" index is
+    ``floor((R - 1) * alpha)``, and a partition around that index yields the
+    same element without the rest of the quantile machinery.
+    """
+    k = math.floor((xi.shape[1] - 1) * alpha)
+    return np.partition(xi - tau, k, axis=1)[:, k]
 
 
 def _waiting_time_budget_columns(

@@ -18,7 +18,6 @@ Monte Carlo.
 from __future__ import annotations
 
 import numpy as np
-from scipy import special
 
 from .._validation import check_integer, check_non_negative, check_probability
 from ..pending import DeterministicPendingTime, PendingTimeModel
@@ -87,6 +86,9 @@ def _kappa_deterministic(lam: float, tau: float, alpha: float, max_kappa: int) -
     """
     if tau <= 0:
         return 0
+    # Imported here: scipy is slow to import and only this branch of kappa uses it.
+    from scipy import special
+
     threshold = lam * tau
     kappa = 0
     for i in range(1, max_kappa + 1):

@@ -15,8 +15,6 @@ from __future__ import annotations
 from dataclasses import dataclass, replace
 from typing import Any, Mapping, Sequence
 
-import numpy as np
-
 from ..config import SimulationConfig
 from ..exceptions import ValidationError, WorkloadError
 from ..metrics.report import summarize_result
@@ -82,12 +80,6 @@ class PreparedWorkload:
     pending_model: PendingTimeModel
     simulation: SimulationConfig
     reference_cost: float
-
-    @property
-    def mean_processing_time(self) -> float:
-        """Average processing time of the test queries (``mu_s``)."""
-        processing = np.asarray(self.test.processing_times, dtype=float)
-        return float(processing.mean()) if processing.size else 0.0
 
     def replay(self, scaler: Autoscaler) -> SimulationResult:
         """Replay the test trace under ``scaler``."""

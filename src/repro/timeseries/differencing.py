@@ -8,21 +8,36 @@ filtering) and ``||D_L r||_2^2`` (periodicity) where
 
 Both matrices are constructed as ``scipy.sparse.csr_matrix`` so that the ADMM
 normal equations stay sparse-banded and can be solved in ``O(T L^2)`` time.
+scipy is imported when a matrix is built, not with this module: it is slow to
+import and only the NHPP fit needs it.
 """
 
 from __future__ import annotations
 
+from typing import TYPE_CHECKING
+
 import numpy as np
-from scipy import sparse
 
 from .._validation import check_integer
 from ..exceptions import ValidationError
+
+if TYPE_CHECKING:
+    from scipy import sparse
 
 __all__ = [
     "first_difference_matrix",
     "second_difference_matrix",
     "seasonal_difference_matrix",
 ]
+
+
+def _csr(
+    data: np.ndarray, rows: np.ndarray, cols: np.ndarray, shape: tuple[int, int]
+) -> sparse.csr_matrix:
+    """The ``csr_matrix`` with entries ``data`` at ``(rows, cols)``."""
+    from scipy.sparse import csr_matrix
+
+    return csr_matrix((data, (rows, cols)), shape=shape)
 
 
 def first_difference_matrix(n: int) -> sparse.csr_matrix:
@@ -34,7 +49,7 @@ def first_difference_matrix(n: int) -> sparse.csr_matrix:
     data = np.concatenate([-np.ones(n - 1), np.ones(n - 1)])
     rows = np.concatenate([np.arange(n - 1), np.arange(n - 1)])
     cols = np.concatenate([np.arange(n - 1), np.arange(1, n)])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(n - 1, n))
+    return _csr(data, rows, cols, (n - 1, n))
 
 
 def second_difference_matrix(n: int) -> sparse.csr_matrix:
@@ -48,7 +63,7 @@ def second_difference_matrix(n: int) -> sparse.csr_matrix:
     data = np.concatenate([np.ones(m), -2.0 * np.ones(m), np.ones(m)])
     rows = np.tile(np.arange(m), 3)
     cols = np.concatenate([np.arange(m), np.arange(1, m + 1), np.arange(2, m + 2)])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, n))
+    return _csr(data, rows, cols, (m, n))
 
 
 def seasonal_difference_matrix(n: int, period: int) -> sparse.csr_matrix:
@@ -67,4 +82,4 @@ def seasonal_difference_matrix(n: int, period: int) -> sparse.csr_matrix:
     data = np.concatenate([np.ones(m), -np.ones(m)])
     rows = np.tile(np.arange(m), 2)
     cols = np.concatenate([np.arange(m), np.arange(period, period + m)])
-    return sparse.csr_matrix((data, (rows, cols)), shape=(m, n))
+    return _csr(data, rows, cols, (m, n))

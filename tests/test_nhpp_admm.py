@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+import scipy.sparse.linalg
 from scipy import optimize, sparse
 
 from repro.config import ADMMConfig
@@ -121,7 +122,7 @@ class TestFitLogIntensity:
 
 
 class TestSystemMatrixAssembly:
-    """The ``A_k`` assembled once and updated in place equals a fresh sum every iteration."""
+    """The ``A_k`` assembled once, in SuperLU's column order, equals a fresh sum every iteration."""
 
     @pytest.mark.parametrize(
         "beta_period,period_bins",
@@ -139,31 +140,44 @@ class TestSystemMatrixAssembly:
         )
         cfg = ADMMConfig(max_iterations=40)
         diagonals: list[np.ndarray] = []
-        factored: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+        factored: list[tuple[np.ndarray, np.ndarray, np.ndarray, object]] = []
         with_diagonal = admm._SystemMatrix.with_diagonal
-        splu = admm.splu
+        splu = scipy.sparse.linalg.splu
 
         def recording_with_diagonal(system, diagonal):
             diagonals.append(diagonal.copy())
             return with_diagonal(system, diagonal)
 
-        def recording_splu(matrix):
-            factored.append((matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy()))
-            return splu(matrix)
+        def recording_splu(matrix, **options):
+            factor = splu(matrix, **options)
+            if options.get("permc_spec") == "NATURAL":
+                arrays = (matrix.indptr.copy(), matrix.indices.copy(), matrix.data.copy())
+                factored.append((*arrays, factor))
+            return factor
 
         monkeypatch.setattr(admm._SystemMatrix, "with_diagonal", recording_with_diagonal)
-        monkeypatch.setattr(admm, "splu", recording_splu)
+        # admm imports splu when it runs, so patching the scipy module reaches it.
+        monkeypatch.setattr(scipy.sparse.linalg, "splu", recording_splu)
         result = fit_log_intensity(obj, cfg)
 
         assert len(diagonals) == len(factored) == result.n_iterations
         static_quadratic = admm.RHO * (obj.d2.T @ obj.d2).tocsc()
         if obj.dl is not None:
             static_quadratic = static_quadratic + admm.RHO * (obj.dl.T @ obj.dl).tocsc()
-        for diagonal, (indptr, indices, data) in zip(diagonals, factored):
+        rhs = np.linspace(-1.0, 1.0, obj.n_bins)
+        for diagonal, (indptr, indices, data, factor) in zip(diagonals, factored):
             fresh = static_quadratic + sparse.diags(diagonal, format="csc")
             # splu sorts a non-canonical input in place before factoring it,
             # so the canonical form is what it would have factored.
             fresh.sum_duplicates()
-            np.testing.assert_array_equal(indptr, fresh.indptr)
-            np.testing.assert_array_equal(indices, fresh.indices)
-            assert data.tobytes() == fresh.data.tobytes()
+            default_factor = splu(fresh)
+            permuted = fresh[:, np.argsort(default_factor.perm_c)]
+            np.testing.assert_array_equal(indptr, permuted.indptr)
+            np.testing.assert_array_equal(indices, permuted.indices)
+            assert data.tobytes() == permuted.data.tobytes()
+            # NATURAL keeps the stored column order, so SuperLU repeats the
+            # default factorization's arithmetic on the same columns.
+            np.testing.assert_array_equal(factor.perm_c, np.arange(obj.n_bins))
+            np.testing.assert_array_equal(factor.perm_r, default_factor.perm_r)
+            solved = factor.solve(rhs)[default_factor.perm_c]
+            assert solved.tobytes() == default_factor.solve(rhs).tobytes()
