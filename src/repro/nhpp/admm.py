@@ -12,8 +12,15 @@ system per iteration:
     B_k = Q - delta_t * exp(r_k) + delta_t * diag(exp(r_k)) r_k
           + D2^T (nu_y + rho y) + D_L^T (nu_z + rho z)
 
-The matrices are banded with bandwidth ``O(L)``, so the solve costs
-``O(T L^2)`` as discussed in Section V of the paper.
+The matrices are banded with bandwidth ``O(L)``, so a factorization costs
+``O(T L^2)`` as discussed in Section V of the paper.  Only the diagonal
+``delta_t * exp(r_k)`` changes between iterations, so the fit does not factor
+every ``A_k``: it keeps one sparse LU factor and solves the following systems
+by conjugate gradient preconditioned with it, refactoring only when the
+solves start to need more than a few steps (see :class:`_SystemMatrix`).
+Each solution is either direct or has a relative residual of at most
+:data:`_CG_TOLERANCE`, so the iterates match a factor-every-iteration fit up
+to round-off.
 """
 
 from __future__ import annotations
@@ -24,7 +31,7 @@ from typing import TYPE_CHECKING
 import numpy as np
 
 from ..config import ADMMConfig
-from ..exceptions import ConvergenceError
+from ..exceptions import ConvergenceError, ValidationError
 from .objective import RegularizedNHPPObjective, soft_threshold
 
 if TYPE_CHECKING:
@@ -43,6 +50,15 @@ _LOG_INTENSITY_CLIP = 30.0
 #: the objective-stagnation stopping rule to fire.
 _OBJECTIVE_WINDOW = 10
 
+#: Relative residual ``||b - A_k x|| / ||b||`` at which a PCG solve stops.
+_CG_TOLERANCE = 1e-12
+
+#: A PCG solve that needs more steps than this makes the next solve refactor.
+_REFACTOR_STEPS = 4
+
+#: PCG steps after which a solve gives up, factors ``A_k`` and solves directly.
+_CG_MAX_STEPS = 20
+
 
 @dataclass
 class ADMMResult:
@@ -58,31 +74,45 @@ class ADMMResult:
         Number of iterations performed.
     objective_value:
         Final value of the objective (1).
+    n_factorizations:
+        Sparse LU factorizations of ``A_k`` over the run.
+    cg_steps:
+        Preconditioned conjugate-gradient steps over the run.
     """
 
     log_intensity: np.ndarray
     converged: bool
     n_iterations: int
     objective_value: float
+    n_factorizations: int
+    cg_steps: int
 
 
 class _SystemMatrix:
     """Solves ``A_k x = b`` with ``A_k = static_quadratic + diag(d_k)``, assembled once.
 
     ``A_k`` differs from the static quadratic only on its diagonal, so its
-    CSC structure is built once and :meth:`solve` overwrites the diagonal
-    entries in place.  The static quadratic is put in canonical form first
-    (sorted indices, which ``splu`` would otherwise impose on every ``A_k``
-    in place).  Its diagonal is a sum of squares, so adding a positive
-    ``d_k`` drops no entry: the pattern is the same for every ``A_k``.
+    CSC structure is built once and :meth:`with_diagonal` overwrites the
+    diagonal entries in place.  The static quadratic is put in canonical form
+    first (sorted indices, which ``splu`` would otherwise impose in place).
+    Its diagonal is a sum of squares, so adding a positive ``d_k`` drops no
+    entry: the pattern is the same for every ``A_k``.
 
-    SuperLU's default column order (COLAMD, then the elimination tree's
-    postorder) depends on that pattern only, so it is taken once, from a
-    factorization of the assembled matrix.  The stored matrix is ``A_k``
-    with its columns already in that order, factored with
-    ``permc_spec="NATURAL"``, which leaves the order as it is; the solution
-    is permuted back.  Factor and solve then do the same arithmetic as
-    ``splu(A_k)`` with its default ordering.
+    SuperLU's column order (COLAMD, then the elimination tree's postorder)
+    depends on that pattern only, so it is taken once, from a factorization
+    of the assembled matrix.  The stored matrix is ``A_k`` with its columns
+    already in that order and is factored with ``permc_spec="NATURAL"``.
+
+    A factor is kept across iterations.  :meth:`solve` runs conjugate
+    gradient on ``A_k``, preconditioned by the kept factor of an earlier
+    ``A_j`` and warm-started from the previous solution, until the relative
+    residual is at most :data:`_CG_TOLERANCE`.  The next call refactors when
+    a solve took more than :data:`_REFACTOR_STEPS` steps; a solve that misses
+    the tolerance within :data:`_CG_MAX_STEPS` factors ``A_k`` and solves
+    directly.  CG needs a symmetric operator, and the column-permuted matrix
+    is not one, so it runs in the original coordinates: the matvec gathers
+    ``x`` into the stored column order and the preconditioner permutes the
+    factor's solution back.
     """
 
     def __init__(self, static_quadratic: sparse.csc_matrix) -> None:
@@ -95,13 +125,17 @@ class _SystemMatrix:
         assembled = static_quadratic + sparse.identity(n, format="csc")
         # Column i of A_k is column perm_c[i] of the permuted matrix.
         self._perm_c = splu(assembled).perm_c
-        source_column = np.argsort(self._perm_c)
-        self.matrix = assembled[:, source_column]
-        columns = source_column[np.repeat(np.arange(n), np.diff(self.matrix.indptr))]
+        self._source_column = np.argsort(self._perm_c)
+        self.matrix = assembled[:, self._source_column]
+        columns = self._source_column[np.repeat(np.arange(n), np.diff(self.matrix.indptr))]
         diagonal_entries = np.flatnonzero(self.matrix.indices == columns)
         # Ordered by column of A_k, so d_k is added without a gather.
         self._diagonal_entries = diagonal_entries[self._perm_c]
         self._static_diagonal = static_quadratic.diagonal()
+        self._factor = None
+        self._solution: np.ndarray | None = None
+        self.n_factorizations = 0
+        self.cg_steps = 0
 
     def with_diagonal(self, diagonal: np.ndarray) -> sparse.csc_matrix:
         """The column-permuted matrix with ``diagonal`` added to the static diagonal."""
@@ -110,10 +144,52 @@ class _SystemMatrix:
 
     def solve(self, diagonal: np.ndarray, rhs: np.ndarray) -> np.ndarray:
         """``x`` with ``(static_quadratic + diag(diagonal)) x = rhs``."""
-        from scipy.sparse.linalg import splu
+        matrix = self.with_diagonal(diagonal)
+        solution = None
+        if self._factor is not None:
+            solution, steps = self._conjugate_gradient(matrix, rhs)
+            self.cg_steps += steps
+            if steps > _REFACTOR_STEPS:
+                self._factor = None
+        if solution is None:
+            from scipy.sparse.linalg import splu
 
-        factor = splu(self.with_diagonal(diagonal), permc_spec="NATURAL")
-        return factor.solve(rhs)[self._perm_c]
+            self._factor = splu(matrix, permc_spec="NATURAL")
+            self.n_factorizations += 1
+            solution = self._factor.solve(rhs)[self._perm_c]
+        self._solution = solution
+        return solution
+
+    def _conjugate_gradient(
+        self, matrix: sparse.csc_matrix, rhs: np.ndarray
+    ) -> tuple[np.ndarray | None, int]:
+        """PCG from the previous solution: ``(x, steps)``, ``x`` is ``None`` if it missed."""
+        source_column = self._source_column
+        perm_c = self._perm_c
+        factor = self._factor
+        tolerance = _CG_TOLERANCE * float(np.linalg.norm(rhs))
+        x = self._solution.copy()
+        residual = rhs - matrix @ x[source_column]
+        if np.linalg.norm(residual) <= tolerance:
+            return x, 0
+        preconditioned = factor.solve(residual)[perm_c]
+        direction = preconditioned
+        alignment = float(residual @ preconditioned)
+        for step in range(1, _CG_MAX_STEPS + 1):
+            product = matrix @ direction[source_column]
+            alpha = alignment / float(direction @ product)
+            x += alpha * direction
+            residual -= alpha * product
+            if np.linalg.norm(residual) <= tolerance:
+                # The recurred residual drifts from the true one; accept only
+                # a solution whose true residual meets the tolerance.
+                true_residual = np.linalg.norm(rhs - matrix @ x[source_column])
+                return (x if true_residual <= tolerance else None), step
+            preconditioned = factor.solve(residual)[perm_c]
+            next_alignment = float(residual @ preconditioned)
+            direction = preconditioned + (next_alignment / alignment) * direction
+            alignment = next_alignment
+        return None, _CG_MAX_STEPS
 
 
 def fit_log_intensity(
@@ -149,7 +225,7 @@ def fit_log_intensity(
 
     r = objective.initial_guess() if initial_guess is None else np.array(initial_guess, dtype=float)
     if r.shape != (n,):
-        raise ValueError(f"initial_guess must have shape ({n},), got {r.shape}")
+        raise ValidationError(f"initial_guess must have shape ({n},), got {r.shape}")
 
     y = d2 @ r
     nu_y = np.zeros(d2.shape[0])
@@ -169,6 +245,9 @@ def fit_log_intensity(
     system = _SystemMatrix(static_quadratic)
 
     recent_objectives: list[float] = []
+    eps_abs = cfg.tolerance * 1e-2
+    sqrt_m = np.sqrt(max(d2.shape[0] + (dl.shape[0] if dl is not None else 0), 1))
+    sqrt_n = np.sqrt(max(n, 1))
 
     converged = False
     iteration = 0
@@ -226,9 +305,6 @@ def fit_log_intensity(
         current_objective = objective.value(r)
         recent_objectives.append(current_objective)
 
-        eps_abs = cfg.tolerance * 1e-2
-        sqrt_m = np.sqrt(max(d2.shape[0] + (dl.shape[0] if dl is not None else 0), 1))
-        sqrt_n = np.sqrt(max(n, 1))
         eps_primal = sqrt_m * eps_abs + cfg.tolerance * split_norm
         eps_dual = sqrt_n * eps_abs + cfg.tolerance * float(np.linalg.norm(dual_scale_vec))
         residuals_small = primal <= eps_primal and dual <= eps_dual
@@ -258,4 +334,6 @@ def fit_log_intensity(
         converged=converged,
         n_iterations=iteration,
         objective_value=objective.value(r),
+        n_factorizations=system.n_factorizations,
+        cg_steps=system.cg_steps,
     )

@@ -35,6 +35,9 @@ MIN_INTENSITY = 1e-8
 #: Bucket bounds of the ``fit.admm_iterations`` histogram (iterations).
 _ITERATION_BUCKETS = (10.0, 30.0, 100.0, 300.0, 1_000.0, 3_000.0)
 
+#: Bucket bounds of the ``fit.cg_steps`` histogram (PCG steps per fit).
+_CG_STEP_BUCKETS = (10.0, 100.0, 300.0, 1_000.0, 3_000.0, 10_000.0)
+
 
 @dataclass(frozen=True)
 class NHPPFitResult:
@@ -137,6 +140,8 @@ class NHPPModel:
         recorder.histogram("fit.admm_iterations", _ITERATION_BUCKETS).observe(
             admm_result.n_iterations
         )
+        recorder.inc("fit.admm_factorizations", admm_result.n_factorizations)
+        recorder.histogram("fit.cg_steps", _CG_STEP_BUCKETS).observe(admm_result.cg_steps)
         intensity = np.maximum(np.exp(admm_result.log_intensity), MIN_INTENSITY)
 
         self._fit_result = NHPPFitResult(

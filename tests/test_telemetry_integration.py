@@ -113,6 +113,12 @@ class TestFitTelemetry:
         iterations = state["histograms"]["fit.admm_iterations"]
         assert iterations["count"] == 1
         assert iterations["max"] == fit_on.admm.n_iterations
+        # The PCG solver's work: factorizations and CG steps, once per fit.
+        assert state["counters"]["fit.admm_factorizations"] == fit_on.admm.n_factorizations
+        assert 0 < fit_on.admm.n_factorizations < fit_on.admm.n_iterations
+        cg_steps = state["histograms"]["fit.cg_steps"]
+        assert cg_steps["count"] == 1
+        assert cg_steps["max"] == fit_on.admm.cg_steps > 0
 
     def test_converged_fit_counts_zero(self):
         from repro.nhpp.model import NHPPModel
@@ -126,6 +132,9 @@ class TestFitTelemetry:
         state = recorder.snapshot()
         assert state["counters"]["fit.unconverged"] == 0
         assert state["histograms"]["fit.admm_iterations"]["count"] == 1
+        admm = model.fit_result.admm
+        assert state["counters"]["fit.admm_factorizations"] == admm.n_factorizations
+        assert state["histograms"]["fit.cg_steps"]["count"] == 1
 
 
 class _CountingNull(NullRecorder):
@@ -332,6 +341,8 @@ class TestTelemetryCLI:
         assert code == 0
         assert "fit.unconverged" in out
         assert "fit.admm_iterations" in out
+        assert "fit.admm_factorizations" in out
+        assert "fit.cg_steps" in out
 
     def test_show_missing_run_errors(self):
         code, _, err = _invoke(["telemetry", "show", "no-such-run"])
