@@ -5,7 +5,8 @@ real-world traces (QPS below ~6) and stays in the seconds even at thousands
 of QPS.  These micro-benchmarks time one HP / RT / cost decision for a single
 query at the Monte Carlo sample size used in the experiments, and one
 planning round's column-wise solve (``solve_columns``) of ``K = 30`` queries
-at ``R = 400`` samples, the shape RobustScaler solves every 10 s.
+at ``R = 400`` samples, the shape RobustScaler solves every 10 s, and one
+round's scenario draw of ``K = 28`` queries with none or 24 already covered.
 """
 
 from __future__ import annotations
@@ -75,10 +76,13 @@ def test_round_column_solve_latency(benchmark, objective, target):
     assert creation.shape == (30,)
 
 
-def test_scenario_generation_latency(benchmark):
+@pytest.mark.parametrize("first", [0, 24])
+def test_scenario_generation_latency(benchmark, first):
+    # K = 28 queries at R = 400 with 24 already covered is a typical RobustScaler
+    # round; only the K - first solved columns are drawn.
     intensity = PiecewiseConstantIntensity(np.array([6.0]), 60.0, extrapolation="hold")
     pending = DeterministicPendingTime(13.0)
     scenarios = benchmark(
-        generate_scenarios, intensity, pending, 50, _SAMPLES, 0
+        generate_scenarios, intensity, pending, 28, 400, 0, first=first
     )
-    assert scenarios.n_queries == 50
+    assert scenarios.n_queries == 28 - first

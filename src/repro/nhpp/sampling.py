@@ -134,10 +134,9 @@ def sample_next_arrivals(
     random_state:
         Seed or generator.
     first:
-        Index of the first upcoming query whose samples are returned.  The
-        random stream is consumed exactly as for ``first=0`` and the result
-        equals that draw's ``[:, first:]``; only the returned columns pay for
-        the inversion of the cumulative intensity.
+        Index ``j`` of the first upcoming query whose samples are returned.
+        Only the ``n_arrivals - j`` returned columns are drawn: queries
+        before ``j`` enter through one ``Gamma(j, 1)`` variate per row.
 
     Returns
     -------
@@ -150,9 +149,16 @@ def sample_next_arrivals(
     -----
     The construction uses the time-rescaling theorem: with
     ``Lambda(t) = int_0^t lambda``, the ``i``-th arrival time equals
-    ``Lambda^{-1}(gamma_i)`` with ``gamma_i ~ Gamma(i, 1)``.  Sampling the
-    cumulative sums of ``n_arrivals`` unit exponentials per replication gives
-    all the Gamma variates at once.
+    ``Lambda^{-1}(gamma_i)`` with ``gamma_i ~ Gamma(i, 1)``, the sum of ``i``
+    unit exponentials.  Each row draws ``n_arrivals - first`` unit
+    exponentials and takes their cumulative sums; when ``first > 0`` it then
+    draws ``gamma_first`` itself (``rng.standard_gamma(first)``) and adds it
+    to every sum.  That has the joint law of the sums of ``n_arrivals``
+    exponentials from the ``first+1``-th on, without drawing the covered
+    ones.  The stream is consumed in that order: the ``(n_samples,
+    n_arrivals - first)`` exponentials row by row, then the ``n_samples``
+    Gamma variates.  With ``first=0`` no Gamma variate is drawn, so the
+    result is ``Lambda^{-1}(cumsum(exponentials, axis=1))``.
     """
     check_integer(n_arrivals, "n_arrivals", minimum=1)
     check_integer(n_samples, "n_samples", minimum=1)
@@ -160,8 +166,10 @@ def sample_next_arrivals(
     if first >= n_arrivals:
         raise ValidationError(f"first must be below n_arrivals={n_arrivals}, got {first}")
     rng = ensure_rng(random_state)
-    exponentials = rng.exponential(1.0, size=(n_samples, n_arrivals))
-    gammas = np.cumsum(exponentials, axis=1)[:, first:]
+    exponentials = rng.exponential(1.0, size=(n_samples, n_arrivals - first))
+    gammas = np.cumsum(exponentials, axis=1)
+    if first:
+        gammas += rng.standard_gamma(first, size=(n_samples, 1))
     flat = gammas.reshape(-1)
     times = np.asarray(intensity.inverse_cumulative(flat), dtype=float)
     return times.reshape(gammas.shape)

@@ -217,7 +217,13 @@ def solve_columns(
         The formulation's constraint level: the target hitting probability,
         the waiting-time budget, or the idle-cost budget respectively.
     """
-    xi, tau = _columns(arrival_samples, pending_samples)
+    return _solve_rows(*_columns(arrival_samples, pending_samples), objective, target)
+
+
+def _solve_rows(
+    xi: np.ndarray, tau: np.ndarray, objective: DecisionObjective, target: float
+) -> np.ndarray:
+    """:func:`solve_columns` on samples already laid out by :func:`_columns`."""
     if objective is DecisionObjective.HIT_PROBABILITY:
         alpha = 1.0 - check_probability(target, "target_hit_probability")
         solve = partial(_quantile_columns, alpha=alpha)
@@ -368,9 +374,9 @@ def solve_batch(
         The formulation's constraint level: the target hitting probability,
         the waiting-time budget, or the idle-cost budget respectively.
     """
-    raw = solve_columns(scenarios.arrival_times, scenarios.pending_times, objective, target)
-    creation = np.maximum(raw, 0.0)
     xi, tau = _columns(scenarios.arrival_times, scenarios.pending_times)
+    raw = _solve_rows(xi, tau, objective, target)
+    creation = np.maximum(raw, 0.0)
     at = creation[:, None]
     waiting = np.maximum(tau - np.maximum(xi - at, 0.0), 0.0).mean(axis=1)
     idle = np.maximum(xi - tau - at, 0.0).mean(axis=1)

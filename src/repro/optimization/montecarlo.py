@@ -104,16 +104,21 @@ def generate_scenarios(
         Seed or generator; arrival and pending samples are drawn from the
         same stream so a single seed reproduces the full scenario set.
     first:
-        Index of the first upcoming query to return.  Samples of all
-        ``n_queries`` queries are still drawn, so the random stream advances
-        exactly as for ``first=0`` and the result equals that draw sliced
-        to ``[:, first:]``; query ``first + i`` is column ``i``.  Planners
-        pass the number of queries already covered, whose samples they
-        would discard.
+        Index ``j`` of the first upcoming query to return; query ``j + i``
+        is column ``i``.  Only the ``K - j`` returned columns are drawn (see
+        :func:`~repro.nhpp.sampling.sample_next_arrivals`).  Planners pass
+        the number of queries already covered by outstanding instances.
+
+    Notes
+    -----
+    The stream is consumed in a fixed order: the ``R x (K - j)`` unit
+    exponentials of the arrivals, then (when ``j > 0``) one ``Gamma(j, 1)``
+    variate per row, then the ``R x (K - j)`` pending times, row by row.
+    ``first=0`` draws no Gamma variate.
     """
     check_integer(n_queries, "n_queries", minimum=1)
     check_integer(n_samples, "n_samples", minimum=1)
     rng = ensure_rng(random_state)
     arrivals = sample_next_arrivals(intensity, n_queries, n_samples, rng, first=first)
-    pending = pending_model.sample(n_samples * n_queries, rng).reshape(n_samples, n_queries)
-    return ArrivalScenarios(arrival_times=arrivals, pending_times=pending[:, first:])
+    pending = pending_model.sample(arrivals.size, rng).reshape(arrivals.shape)
+    return ArrivalScenarios(arrival_times=arrivals, pending_times=pending)

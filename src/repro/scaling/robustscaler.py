@@ -240,6 +240,4 @@ class RobustScaler(Autoscaler):
             pending_bound = 4.0 * self.pending_model.mean
         if self.objective is DecisionObjective.HIT_PROBABILITY:
             return pending_bound
-        if self.objective is DecisionObjective.RESPONSE_TIME:
-            return pending_bound + self.target
         return pending_bound + self.target

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from scipy import stats
 
 from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
@@ -258,20 +259,45 @@ class TestSolveColumns:
             assert batch == _per_query(xi, tau, objective, target)
 
 
+def _periodic_intensity() -> PiecewiseConstantIntensity:
+    return PiecewiseConstantIntensity(np.array([0.2, 1.5, 0.7]), 60.0, extrapolation="periodic")
+
+
+def _inverted(intensity: PiecewiseConstantIntensity, gammas: np.ndarray) -> np.ndarray:
+    return intensity.inverse_cumulative(gammas.reshape(-1)).reshape(gammas.shape)
+
+
 class TestScenarioColumns:
-    @pytest.mark.parametrize("first", [0, 1, 4])
-    def test_first_slices_the_full_draw(self, first):
-        intensity = PiecewiseConstantIntensity(
-            np.array([0.2, 1.5, 0.7]), 60.0, extrapolation="periodic"
+    @pytest.mark.parametrize("first", [1, 4, 24])
+    def test_first_columns_follow_the_gamma_law(self, first):
+        # Rate 1 makes Lambda the identity: the i-th column is Gamma(first+i+1, 1).
+        intensity = PiecewiseConstantIntensity(np.array([1.0]), 60.0, extrapolation="hold")
+        scenarios = generate_scenarios(
+            intensity, DeterministicPendingTime(13.0), first + 4, 2000, first, first=first
         )
-        pending = UniformPendingTime(8.0, 18.0)
-        full_rng = np.random.default_rng(3)
-        sliced_rng = np.random.default_rng(3)
-        full = generate_scenarios(intensity, pending, 5, 200, full_rng)
-        sliced = generate_scenarios(intensity, pending, 5, 200, sliced_rng, first=first)
-        assert np.array_equal(sliced.arrival_times, full.arrival_times[:, first:])
-        assert np.array_equal(sliced.pending_times, full.pending_times[:, first:])
-        assert sliced_rng.random() == full_rng.random()
+        xi = scenarios.arrival_times
+        assert xi.shape == (2000, 4)
+        for i in range(4):
+            assert stats.kstest(xi[:, i], stats.gamma(first + i + 1).cdf).pvalue > 0.01
+        gaps = np.diff(xi, axis=1).reshape(-1)
+        assert stats.kstest(gaps, "expon").pvalue > 0.01
+
+    @pytest.mark.parametrize("first", [0, 1, 4])
+    def test_stream_order_is_exponentials_gamma_pending(self, first):
+        # first=0 draws no Gamma column: a plain cumsum of unit exponentials.
+        intensity = _periodic_intensity()
+        drawn_rng = np.random.default_rng(5)
+        scenarios = generate_scenarios(
+            intensity, UniformPendingTime(8.0, 18.0), 6, 200, drawn_rng, first=first
+        )
+        rng = np.random.default_rng(5)
+        gammas = np.cumsum(rng.exponential(1.0, size=(200, 6 - first)), axis=1)
+        if first > 0:
+            gammas = gammas + rng.standard_gamma(first, size=(200, 1))
+        pending = rng.uniform(8.0, 18.0, size=200 * (6 - first)).reshape(200, 6 - first)
+        assert np.array_equal(scenarios.arrival_times, _inverted(intensity, gammas))
+        assert np.array_equal(scenarios.pending_times, pending)
+        assert drawn_rng.random() == rng.random()
 
     def test_first_must_leave_a_column(self):
         intensity = PiecewiseConstantIntensity(np.array([0.5]), 60.0, extrapolation="hold")

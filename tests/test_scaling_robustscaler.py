@@ -211,7 +211,7 @@ class TestEndToEndQoS:
 
 
 class _PerQueryRobustScaler(RobustScaler):
-    """Reference planning round: draw every column, one scalar solve per query."""
+    """Reference planning round: the same draws, one scalar solve per query."""
 
     _SOLVERS = {
         RobustScalerObjective.HIT_PROBABILITY: solve_hp_constrained,
@@ -238,12 +238,14 @@ class _PerQueryRobustScaler(RobustScaler):
             n_queries=n_to_plan,
             n_samples=self.planner.monte_carlo_samples,
             random_state=self._rng,
+            first=outstanding,
         )
         solve = self._SOLVERS[self.objective]
         actions = []
         committed_beyond_window = 0
         for index in range(outstanding, n_to_plan):
-            relative_creation = solve(*scenarios.for_query(index), self.target).creation_time
+            samples = scenarios.for_query(index - outstanding)
+            relative_creation = solve(*samples, self.target).creation_time
             if relative_creation > window:
                 if committed_beyond_window >= min_commitments:
                     break

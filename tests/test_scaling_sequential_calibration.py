@@ -30,7 +30,7 @@ def hpp_trace() -> ArrivalTrace:
 
 
 class _PerQuerySequentialHPScaler(SequentialHPScaler):
-    """Reference Algorithm 4 block: draw every column, one scalar HP solve per query."""
+    """Reference Algorithm 4 block: the same draws, one scalar HP solve per query."""
 
     def _plan_block(self, context, first_index, count):
         if count <= 0:
@@ -41,10 +41,12 @@ class _PerQuerySequentialHPScaler(SequentialHPScaler):
             n_queries=first_index + count,
             n_samples=self.planner.monte_carlo_samples,
             random_state=self._rng,
+            first=first_index,
         )
         actions = []
         for index in range(first_index, first_index + count):
-            decision = solve_hp_constrained(*scenarios.for_query(index), self.target)
+            samples = scenarios.for_query(index - first_index)
+            decision = solve_hp_constrained(*samples, self.target)
             actions.append(
                 ScalingAction(
                     creation_time=context.time + decision.creation_time,
