@@ -5,8 +5,11 @@ real-world traces (QPS below ~6) and stays in the seconds even at thousands
 of QPS.  These micro-benchmarks time one HP / RT / cost decision for a single
 query at the Monte Carlo sample size used in the experiments, and one
 planning round's column-wise solve (``solve_columns``) of ``K = 30`` queries
-at ``R = 400`` samples, the shape RobustScaler solves every 10 s, and one
-round's scenario draw of ``K = 28`` queries with none or 24 already covered.
+at ``R = 400`` samples, the shape RobustScaler solves every 10 s, one
+round's scenario draw of ``K = 28`` queries with none or 24 already covered,
+and the two pieces of a typical round on the 24 h google trace: inverting
+1,600 masses that reach about 8 bins of a 118-bin periodic window, and an
+RT solve of a single column (K - j = 1, the most common round).
 """
 
 from __future__ import annotations
@@ -86,3 +89,32 @@ def test_scenario_generation_latency(benchmark, first):
         generate_scenarios, intensity, pending, 28, 400, 0, first=first
     )
     assert scenarios.n_queries == 28 - first
+
+
+def test_round_inversion_latency(benchmark):
+    # A round's draw: R = 400 rows of K - j = 4 cumulated exponentials plus a
+    # Gamma(20, 1) variate, scaled so the largest mass reaches bin 8.
+    rng = np.random.default_rng(0)
+    window = PiecewiseConstantIntensity(
+        rng.gamma(2.0, 0.3, size=118), 60.0, extrapolation="periodic"
+    )
+    gammas = np.cumsum(rng.exponential(1.0, size=(400, 4)), axis=1)
+    gammas += rng.standard_gamma(20, size=(400, 1))
+    masses = (gammas * (window.cumulative(8 * 60.0) / gammas.max())).reshape(-1)
+    times = benchmark(window.inverse_cumulative, masses)
+    assert times.shape == (1_600,) and times.max() <= 8 * 60.0
+
+
+def test_round_rt_one_column_latency(benchmark):
+    intensity = PiecewiseConstantIntensity(np.array([0.3]), 60.0, extrapolation="hold")
+    scenarios = generate_scenarios(
+        intensity, DeterministicPendingTime(13.0), 20, 400, random_state=0, first=19
+    )
+    creation = benchmark(
+        solve_columns,
+        scenarios.arrival_times,
+        scenarios.pending_times,
+        DecisionObjective.RESPONSE_TIME,
+        5.0,
+    )
+    assert creation.shape == (1,)

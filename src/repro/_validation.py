@@ -8,6 +8,7 @@ a solver.
 
 from __future__ import annotations
 
+import math
 from typing import Iterable, Sequence
 
 import numpy as np
@@ -69,7 +70,7 @@ def as_1d_int_array(values: Iterable[int], name: str = "values") -> np.ndarray:
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it as float."""
     value = float(value)
-    if not np.isfinite(value) or value <= 0:
+    if not math.isfinite(value) or value <= 0:
         raise ValidationError(f"{name} must be a positive finite number, got {value!r}")
     return value
 
@@ -77,7 +78,7 @@ def check_positive(value: float, name: str) -> float:
 def check_non_negative(value: float, name: str) -> float:
     """Validate that ``value`` is >= 0 and return it as float."""
     value = float(value)
-    if not np.isfinite(value) or value < 0:
+    if not math.isfinite(value) or value < 0:
         raise ValidationError(f"{name} must be a non-negative finite number, got {value!r}")
     return value
 
@@ -85,7 +86,7 @@ def check_non_negative(value: float, name: str) -> float:
 def check_probability(value: float, name: str, *, inclusive: bool = True) -> float:
     """Validate that ``value`` lies in [0, 1] (or (0, 1) if not inclusive)."""
     value = float(value)
-    if not np.isfinite(value):
+    if not math.isfinite(value):
         raise ValidationError(f"{name} must be finite, got {value!r}")
     if inclusive:
         if value < 0.0 or value > 1.0:
@@ -99,7 +100,7 @@ def check_probability(value: float, name: str, *, inclusive: bool = True) -> flo
 def check_in_range(value: float, name: str, low: float, high: float) -> float:
     """Validate that ``low <= value <= high``."""
     value = float(value)
-    if not np.isfinite(value) or value < low or value > high:
+    if not math.isfinite(value) or value < low or value > high:
         raise ValidationError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return value
 

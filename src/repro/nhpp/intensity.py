@@ -10,6 +10,8 @@ map Gamma-distributed event counts back to arrival times.
 
 from __future__ import annotations
 
+from functools import cached_property
+
 import numpy as np
 
 from .._validation import as_1d_float_array, check_non_negative, check_positive
@@ -104,6 +106,12 @@ class PiecewiseConstantIntensity:
 
     def cumulative(self, t: float | np.ndarray) -> np.ndarray | float:
         """Integrated intensity ``Lambda(t) = int_0^t lambda(u) du``."""
+        if isinstance(t, float) and 0.0 <= t <= self.duration:
+            # A float inside the window: the vector path's float operations
+            # below, in the same order, on scalars.
+            idx = min(int(t / self.bin_seconds), self.n_bins - 1)
+            within = t - idx * self.bin_seconds
+            return float(self._cum_edges[idx] + self._values[idx] * within)
         t_arr = np.atleast_1d(np.asarray(t, dtype=float))
         out = np.empty_like(t_arr)
         duration = self.duration
@@ -141,11 +149,13 @@ class PiecewiseConstantIntensity:
         """
         m_arr = np.atleast_1d(np.asarray(mass, dtype=float))
         total = self.total_mass
-        if m_arr.size and m_arr.min() > 0 and m_arr.max() <= total:
-            # Fast path: every mass inverts inside the window, with the
-            # general path's arithmetic and none of its masks or copies.
-            out = self._invert_positive(m_arr)
-            return out if np.ndim(mass) else float(out[0])
+        if m_arr.size and m_arr.min() > 0:
+            largest = m_arr.max()
+            if largest <= total:
+                # Fast path: every mass inverts inside the window, with the
+                # general path's arithmetic and none of its masks or copies.
+                out = self._invert_positive(m_arr, largest)
+                return out if np.ndim(mass) else float(out[0])
         if np.any(m_arr < 0):
             raise ValidationError("mass must be non-negative")
         out = np.empty_like(m_arr)
@@ -204,19 +214,35 @@ class PiecewiseConstantIntensity:
         out = np.zeros_like(masses)
         positive = masses > 0
         if np.any(positive):
-            out[positive] = self._invert_positive(masses[positive])
+            m = masses[positive]
+            out[positive] = self._invert_positive(m, m.max())
         return out
 
-    def _invert_positive(self, m: np.ndarray) -> np.ndarray:
-        """:meth:`_invert_within_window` for masses that are all positive."""
-        edge_index = np.searchsorted(self._cum_edges, m, side="left")
-        edge_index = np.clip(edge_index, 1, self.n_bins)
-        bin_index = edge_index - 1
-        rates = self._values[bin_index]
+    def _invert_positive(self, m: np.ndarray, largest: float) -> np.ndarray:
+        """:meth:`_invert_within_window` for masses in ``(0, largest]``.
+
+        ``largest`` is the largest of the masses and at most ``total_mass``.
+        Mass ``m`` inverts in the bin just before the first cumulative edge
+        that reaches it.  Edge 0 is zero, below every mass, and edge
+        ``reach``, the first that ``largest`` reaches, reaches every mass.
+        So the bin is the count of edges ``1 .. reach - 1`` below ``m``,
+        one search over those edges, always in ``[0, reach)``.  A planning
+        round's masses reach a handful of a window's bins, so the search
+        covers those and not the whole profile.
+        """
+        edges = self._cum_edges
+        reach = int(edges.searchsorted(largest))
+        bin_index = edges[1:reach].searchsorted(m)
         # cum_edges[bin_index] < m <= cum_edges[bin_index + 1] guarantees a
         # strictly positive rate; the maximum guards against float round-off.
-        within = (m - self._cum_edges[bin_index]) / np.maximum(rates, 1e-300)
-        return bin_index * self.bin_seconds + np.minimum(within, self.bin_seconds)
+        rates = self._values[bin_index]
+        np.maximum(rates, 1e-300, out=rates)
+        within = m - edges[bin_index]
+        within /= rates
+        np.minimum(within, self.bin_seconds, out=within)
+        out = bin_index * self.bin_seconds
+        out += within
+        return out
 
     def upper_bound(self, window_seconds: float | None = None) -> float:
         """Maximum intensity over ``[0, window_seconds]`` (or the whole profile)."""
@@ -255,16 +281,24 @@ class PiecewiseConstantIntensity:
             if self.extrapolation != "periodic":
                 return None
             offset_seconds = float(np.mod(offset_seconds, horizon))
-        # Sample the shifted profile on the same grid width.
+        # Sample the shifted profile on the same grid width:
+        # times = (offset + k * bin) + 0.5 * bin, one per bin k.
         n_bins = self.n_bins
-        times = offset_seconds + np.arange(n_bins) * self.bin_seconds + 0.5 * self.bin_seconds
+        times = offset_seconds + self._shift_grid
+        times += 0.5 * self.bin_seconds
         if self.extrapolation == "periodic":
             # np.mod returns times inside the window unchanged, bit for bit.
-            times = np.mod(times, horizon)
-        bins = np.minimum((times / self.bin_seconds).astype(int), n_bins - 1)
+            np.mod(times, horizon, out=times)
+        bins = (times / self.bin_seconds).astype(int)
+        np.minimum(bins, n_bins - 1, out=bins)
         if self.extrapolation == "zero":
             bins[times >= horizon] = n_bins
         return bins
+
+    @cached_property
+    def _shift_grid(self) -> np.ndarray:
+        """``arange(n_bins) * bin_seconds``, the bin starts :meth:`_shift_bins` offsets."""
+        return np.arange(self.n_bins) * self.bin_seconds
 
     def _shifted(self, bins: np.ndarray | None) -> "PiecewiseConstantIntensity":
         """The shifted window holding the values of ``bins`` (see :meth:`_shift_bins`)."""
@@ -317,7 +351,7 @@ class PlanningWindow:
 
     def at(self, now: float) -> tuple[PiecewiseConstantIntensity, tuple[float, ...]]:
         """``forecast.shift(now)`` and its cumulative mass at each of ``horizons``."""
-        check_non_negative(now, "offset_seconds")
+        check_non_negative(now, "now")
         bins = self.forecast._shift_bins(now)
         key = None if bins is None else bins.tobytes()
         if self._window is None or key != self._key:

@@ -143,7 +143,8 @@ def sample_next_arrivals(
     numpy.ndarray
         Array of shape ``(n_samples, n_arrivals - first)`` where column ``i``
         holds samples of the arrival time of the ``(first+i+1)``-th upcoming
-        query.
+        query.  Columns are contiguous in memory (the array is Fortran
+        ordered), the layout the column solvers read.
 
     Notes
     -----
@@ -166,13 +167,17 @@ def sample_next_arrivals(
     if first >= n_arrivals:
         raise ValidationError(f"first must be below n_arrivals={n_arrivals}, got {first}")
     rng = ensure_rng(random_state)
-    exponentials = rng.exponential(1.0, size=(n_samples, n_arrivals - first))
-    gammas = np.cumsum(exponentials, axis=1)
+    columns = n_arrivals - first
+    # Cumulated query by query on a query-major copy, whose rows are
+    # contiguous: row i becomes e_i + (e_0 + ... + e_{i-1}), np.cumsum's
+    # additions in its order.  The result is the transpose of that layout.
+    gammas = rng.standard_exponential(size=(n_samples, columns)).T.copy()
+    for i in range(1, columns):
+        gammas[i] += gammas[i - 1]
     if first:
-        gammas += rng.standard_gamma(first, size=(n_samples, 1))
-    flat = gammas.reshape(-1)
-    times = np.asarray(intensity.inverse_cumulative(flat), dtype=float)
-    return times.reshape(gammas.shape)
+        gammas += rng.standard_gamma(first, size=n_samples)
+    times = intensity.inverse_cumulative(gammas.reshape(-1))
+    return times.reshape(gammas.shape).T
 
 
 def sample_homogeneous_arrivals(

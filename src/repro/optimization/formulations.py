@@ -21,7 +21,8 @@ A planning round needs the decisions of many queries at once, so
 :func:`solve_columns` solves every column of an ``(R, K)`` sample matrix in a
 handful of array operations.  It returns exactly the raw optima the per-query
 solvers return (bit for bit), which remain the public per-query API and the
-reference it is tested against.
+reference it is tested against.  A planner builds one :class:`ColumnSolver`
+per scaler, which checks the formulation's target once, not every round.
 """
 
 from __future__ import annotations
@@ -55,6 +56,7 @@ __all__ = [
     "solve_rt_constrained",
     "solve_cost_constrained",
     "solve_columns",
+    "ColumnSolver",
     "solve_batch",
 ]
 
@@ -217,29 +219,43 @@ def solve_columns(
         The formulation's constraint level: the target hitting probability,
         the waiting-time budget, or the idle-cost budget respectively.
     """
-    return _solve_rows(*_columns(arrival_samples, pending_samples), objective, target)
+    return ColumnSolver(objective, target)(arrival_samples, pending_samples)
 
 
-def _solve_rows(
-    xi: np.ndarray, tau: np.ndarray, objective: DecisionObjective, target: float
-) -> np.ndarray:
-    """:func:`solve_columns` on samples already laid out by :func:`_columns`."""
-    if objective is DecisionObjective.HIT_PROBABILITY:
-        alpha = 1.0 - check_probability(target, "target_hit_probability")
-        solve = partial(_quantile_columns, alpha=alpha)
-    elif objective is DecisionObjective.RESPONSE_TIME:
-        budget = check_non_negative(target, "waiting_budget")
-        solve = partial(_waiting_time_budget_columns, waiting_budget=budget)
-    elif objective is DecisionObjective.COST:
-        budget = check_non_negative(target, "idle_budget")
-        solve = partial(_idle_time_budget_columns, idle_budget=budget)
-    else:  # pragma: no cover - exhaustive enum
-        raise ValidationError(f"unknown objective {objective!r}")
-    # Blocks bound the temporaries (the RT walk sorts ``2R`` breakpoints per
-    # query) on Fig. 8-sized batches of hundreds of thousands of queries.
-    step = max(1, _BLOCK_SAMPLES // xi.shape[1])
-    blocks = [solve(xi[i : i + step], tau[i : i + step]) for i in range(0, xi.shape[0], step)]
-    return np.concatenate(blocks) if blocks else np.empty(0)
+class ColumnSolver:
+    """:func:`solve_columns` for one formulation, its target validated once.
+
+    A planner builds one per scaler and calls it every round; only the
+    round's samples are checked then.
+    """
+
+    def __init__(self, objective: DecisionObjective, target: float) -> None:
+        if objective is DecisionObjective.HIT_PROBABILITY:
+            alpha = 1.0 - check_probability(target, "target_hit_probability")
+            self._solve = partial(_quantile_columns, alpha=alpha)
+        elif objective is DecisionObjective.RESPONSE_TIME:
+            budget = check_non_negative(target, "waiting_budget")
+            self._solve = partial(_waiting_time_budget_columns, waiting_budget=budget)
+        elif objective is DecisionObjective.COST:
+            budget = check_non_negative(target, "idle_budget")
+            self._solve = partial(_idle_time_budget_columns, idle_budget=budget)
+        else:  # pragma: no cover - exhaustive enum
+            raise ValidationError(f"unknown objective {objective!r}")
+
+    def __call__(self, arrival_samples: np.ndarray, pending_samples: np.ndarray) -> np.ndarray:
+        """:func:`solve_columns` of ``(R, K)`` samples."""
+        return self.rows(*_columns(arrival_samples, pending_samples))
+
+    def rows(self, xi: np.ndarray, tau: np.ndarray) -> np.ndarray:
+        """The solve on samples already laid out by :func:`_columns`."""
+        # Blocks bound the temporaries (the RT walk sorts ``2R`` breakpoints
+        # per query) on Fig. 8-sized batches of hundreds of thousands of queries.
+        step = max(1, _BLOCK_SAMPLES // xi.shape[1])
+        if xi.shape[0] <= step:
+            return self._solve(xi, tau)
+        return np.concatenate(
+            [self._solve(xi[i : i + step], tau[i : i + step]) for i in range(0, xi.shape[0], step)]
+        )
 
 
 def _columns(
@@ -255,7 +271,7 @@ def _columns(
         )
     if xi.shape[0] == 0:
         raise ValidationError("at least one Monte Carlo sample is required")
-    if not (np.all(np.isfinite(xi)) and np.all(np.isfinite(tau))):
+    if not (np.isfinite(xi).all() and np.isfinite(tau).all()):
         raise ValidationError("samples must contain only finite values")
     return np.ascontiguousarray(xi.T), np.ascontiguousarray(tau.T)
 
@@ -282,39 +298,43 @@ def _waiting_time_budget_columns(
     A stable sort of ``[sorted xi | sorted xi - tau]`` yields that merge
     order; running sums (``np.cumsum`` adds strictly left to right, like the
     walk) give the slope and ``E_hat`` on every piece, and ``argmax`` finds
-    the first piece bracketing the budget.
+    the first piece bracketing the budget.  Gathers go through flat indices
+    into the ``(rows, 2R)`` piece arrays.
     """
     n = xi.shape[1]
-    slack = xi - tau
     out = xi.max(axis=1)
-    solve = waiting_budget < tau.mean(axis=1)
-    if not np.any(solve):
+    # tau.mean(axis=1), as the scalar walk's tau.mean(): a sum, then / n.
+    solve = np.flatnonzero(waiting_budget < tau.sum(axis=1) / n)
+    if not solve.size:
         return out
-    breakpoints = np.concatenate(
-        [np.sort(xi[solve], axis=1), np.sort(slack[solve], axis=1)], axis=1
-    )
+    width = 2 * n
+    breakpoints = np.empty((solve.size, width))
+    breakpoints[:, :n] = xi[solve]
+    breakpoints[:, n:] = breakpoints[:, :n] - tau[solve]
+    breakpoints[:, :n].sort(axis=1)
+    breakpoints[:, n:].sort(axis=1)
     # Two presorted runs: the stable sort (timsort) only merges them.
-    order = np.argsort(breakpoints, axis=1, kind="stable")
-    x_right = np.take_along_axis(breakpoints, order, axis=1)
-    step = np.where(order < n, -1.0 / n, 1.0 / n)
-    slope = np.zeros_like(x_right)
-    slope[:, 1:] = np.cumsum(step[:, :-1], axis=1)
-    x_left = np.empty_like(x_right)
-    x_left[:, 0] = breakpoints[:, n]  # min(xi - tau)
-    x_left[:, 1:] = x_right[:, :-1]
-    e_right = np.cumsum(slope * (x_right - x_left), axis=1)
-    e_left = np.zeros_like(e_right)
-    e_left[:, 1:] = e_right[:, :-1]
-    bracket = (e_left <= waiting_budget) & (waiting_budget <= e_right) & (slope > 0)
-    found = bracket.any(axis=1)
-    piece = bracket.argmax(axis=1)[:, None]
-    x_left = np.take_along_axis(x_left, piece, axis=1)[:, 0]
-    e_left = np.take_along_axis(e_left, piece, axis=1)[:, 0]
-    slope = np.take_along_axis(slope, piece, axis=1)[:, 0]
-    with np.errstate(divide="ignore", invalid="ignore"):
-        root = x_left + (waiting_budget - e_left) / slope
-    # An unbracketed budget (floating error only) falls back to max(xi).
-    out[solve] = np.where(found, root, out[solve])
+    order = breakpoints.argsort(axis=1, kind="stable")
+    starts = np.arange(0, breakpoints.size, width)
+    # Piece k runs from points[:, k] to points[:, k + 1], where E_hat is
+    # energy[:, k] and energy[:, k + 1]; it has slope[:, k].
+    points = np.empty((solve.size, width + 1))
+    points[:, 0] = breakpoints[:, n]  # min(xi - tau)
+    points[:, 1:] = breakpoints.reshape(-1)[order + starts[:, None]]
+    slope = np.zeros((solve.size, width))
+    np.cumsum(np.where(order[:, :-1] < n, -1.0 / n, 1.0 / n), axis=1, out=slope[:, 1:])
+    energy = np.zeros_like(points)
+    np.cumsum(slope * (points[:, 1:] - points[:, :-1]), axis=1, out=energy[:, 1:])
+    bracket = (
+        (energy[:, :-1] <= waiting_budget) & (waiting_budget <= energy[:, 1:]) & (slope > 0)
+    )
+    # An unbracketed budget (floating error only) keeps max(xi).
+    found = np.flatnonzero(bracket.any(axis=1))
+    piece = starts[found] + bracket[found].argmax(axis=1)
+    left = piece + found  # the same piece in the one-longer rows of points and energy
+    out[solve[found]] = points.reshape(-1)[left] + (
+        waiting_budget - energy.reshape(-1)[left]
+    ) / slope.reshape(-1)[piece]
     return out
 
 
@@ -325,8 +345,9 @@ def _idle_time_budget_columns(
     n = xi.shape[1]
     slack = xi - tau
     out = np.zeros(xi.shape[0])
-    solve = np.maximum(slack, 0.0).mean(axis=1) > idle_budget
-    if not np.any(solve):
+    # C_hat(0) = mean(max(slack, 0)), as the scalar form: a sum, then / n.
+    solve = np.maximum(slack, 0.0).sum(axis=1) / n > idle_budget
+    if not solve.any():
         return out
     slack_sorted = np.sort(slack[solve], axis=1)
     # C_hat(v_k) = sum_{j > k} (v_j - v_k) / n via suffix sums, as in the scalar form.
@@ -336,19 +357,20 @@ def _idle_time_budget_columns(
     c_at_breaks = (suffix_sums - counts_after * slack_sorted) / n
     # One searchsorted per row keeps the root search bit-equal to the scalar
     # form even where round-off makes C_hat locally non-monotone.
-    idx = np.array(
-        [np.searchsorted(-row, -idle_budget, side="left") for row in c_at_breaks]
-    )
-    rows = np.arange(idx.size)
+    descending = -c_at_breaks
+    key = -idle_budget
+    idx = np.array([row.searchsorted(key) for row in descending])
     previous = np.maximum(idx - 1, 0)
-    x_left = slack_sorted[rows, previous]
-    c_left = c_at_breaks[rows, previous]
+    at = np.arange(0, slack_sorted.size, n) + previous
+    root = slack_sorted.reshape(-1)[at]  # x_left; stays there where the slope is 0
     slope = -counts_after[previous] / n
-    with np.errstate(divide="ignore", invalid="ignore"):
-        interior = np.where(slope == 0, x_left, x_left + (idle_budget - c_left) / slope)
+    moving = np.flatnonzero(slope)
+    root[moving] += (idle_budget - c_at_breaks.reshape(-1)[at[moving]]) / slope[moving]
     # Left of the first breakpoint every sample is active (slope -1).
-    first = slack_sorted[:, 0] + (idle_budget - c_at_breaks[:, 0]) / (-1.0)
-    root = np.where(idx >= n, slack_sorted[:, -1], np.where(idx == 0, first, interior))
+    before = np.flatnonzero(idx == 0)
+    root[before] = slack_sorted[before, 0] + (idle_budget - c_at_breaks[before, 0]) / (-1.0)
+    past = np.flatnonzero(idx >= n)
+    root[past] = slack_sorted[past, -1]
     out[solve] = np.maximum(root, 0.0)
     return out
 
@@ -375,7 +397,7 @@ def solve_batch(
         the waiting-time budget, or the idle-cost budget respectively.
     """
     xi, tau = _columns(scenarios.arrival_times, scenarios.pending_times)
-    raw = _solve_rows(xi, tau, objective, target)
+    raw = ColumnSolver(objective, target).rows(xi, tau)
     creation = np.maximum(raw, 0.0)
     at = creation[:, None]
     waiting = np.maximum(tau - np.maximum(xi - at, 0.0), 0.0).mean(axis=1)

@@ -23,7 +23,7 @@ At every planning tick the policy
 
 from __future__ import annotations
 
-import numpy as np
+import math
 
 from .._validation import check_non_negative
 from ..config import PlannerConfig
@@ -31,8 +31,8 @@ from ..exceptions import PlanningError
 from ..nhpp.intensity import PiecewiseConstantIntensity, PlanningWindow
 from ..nhpp.model import NHPPModel
 from ..optimization.formulations import (
+    ColumnSolver,
     DecisionObjective,
-    solve_columns,
     # Not called here: the per-query solvers stay bound in this module
     # because perfbench's traced run patches them by name.
     solve_cost_constrained,  # noqa: F401
@@ -88,11 +88,14 @@ class RobustScaler(Autoscaler):
     ) -> None:
         if not isinstance(forecast, PiecewiseConstantIntensity):
             raise PlanningError("forecast must be a PiecewiseConstantIntensity")
+        if not isinstance(pending_model, PendingTimeModel):
+            raise PlanningError("pending_model must be a PendingTimeModel")
         self.forecast = forecast
         self.pending_model = pending_model
         self.objective = objective
         self.target = self._validate_target(objective, target)
         self.planner = planner or PlannerConfig()
+        self._solve = ColumnSolver(objective, self.target)
         self._seed = random_state
         self._rng = ensure_rng(random_state)
         self.name = f"RobustScaler-{objective.value.upper()}(target={target:g})"
@@ -173,7 +176,7 @@ class RobustScaler(Autoscaler):
         expected_in_window, expected_candidates = expectations
 
         min_commitments = max(
-            1, int(np.ceil(expected_in_window + 2.0 * np.sqrt(expected_in_window)))
+            1, math.ceil(expected_in_window + 2.0 * math.sqrt(expected_in_window))
         )
         n_to_plan = self._queries_to_consider(expected_candidates, context, min_commitments)
         outstanding = context.outstanding_instances
@@ -189,9 +192,7 @@ class RobustScaler(Autoscaler):
             random_state=self._rng,
             first=outstanding,
         )
-        raw_creation = solve_columns(
-            scenarios.arrival_times, scenarios.pending_times, self.objective, self.target
-        )
+        raw_creation = self._solve(scenarios.arrival_times, scenarios.pending_times)
 
         actions: list[ScalingAction] = []
         committed_beyond_window = 0
@@ -230,13 +231,13 @@ class RobustScaler(Autoscaler):
         bounded by its mean plus a few standard deviations; on top of that we
         always consider the mandatory look-ahead commitments.
         """
-        bound = int(np.ceil(expected + 4.0 * np.sqrt(expected) + 5.0)) + min_commitments
+        bound = math.ceil(expected + 4.0 * math.sqrt(expected) + 5.0) + min_commitments
         cap = context.outstanding_instances + 20_000
         return min(bound, cap)
 
     def _lookahead_slack(self) -> float:
         pending_bound = self.pending_model.upper_bound
-        if not np.isfinite(pending_bound):
+        if not math.isfinite(pending_bound):
             pending_bound = 4.0 * self.pending_model.mean
         if self.objective is DecisionObjective.HIT_PROBABILITY:
             return pending_bound

@@ -20,7 +20,7 @@ import numpy as np
 from .._validation import check_integer, check_probability
 from ..config import PlannerConfig
 from ..nhpp.intensity import PiecewiseConstantIntensity, PlanningWindow
-from ..optimization.formulations import DecisionObjective, solve_columns
+from ..optimization.formulations import ColumnSolver, DecisionObjective
 from ..optimization.montecarlo import generate_scenarios
 from ..optimization.threshold import compute_kappa
 from ..pending import PendingTimeModel
@@ -73,6 +73,7 @@ class SequentialHPScaler(Autoscaler):
         )
         self.planning_every = check_integer(planning_every, "planning_every", minimum=1)
         self.planner = planner or PlannerConfig()
+        self._solve = ColumnSolver(DecisionObjective.HIT_PROBABILITY, self.target)
         if intensity_upper_bound is None:
             intensity_upper_bound = forecast.upper_bound()
         self.intensity_upper_bound = float(intensity_upper_bound)
@@ -126,12 +127,7 @@ class SequentialHPScaler(Autoscaler):
             random_state=self._rng,
             first=first_index,
         )
-        raw_creation = solve_columns(
-            scenarios.arrival_times,
-            scenarios.pending_times,
-            DecisionObjective.HIT_PROBABILITY,
-            self.target,
-        )
+        raw_creation = self._solve(scenarios.arrival_times, scenarios.pending_times)
         creation = context.time + np.maximum(raw_creation, 0.0)
         return ScalingResponse(
             actions=[

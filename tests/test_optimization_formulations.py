@@ -9,6 +9,7 @@ from scipy import stats
 from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.optimization.formulations import (
+    ColumnSolver,
     DecisionObjective,
     solve_batch,
     solve_columns,
@@ -257,6 +258,92 @@ class TestSolveColumns:
         for target in _targets(objective, xi, tau):
             batch = solve_batch(ArrivalScenarios(xi, tau), objective, target)
             assert batch == _per_query(xi, tau, objective, target)
+
+
+def _tied_rows(seed: int, n_samples: int, n_queries: int, taus: tuple[float, ...]):
+    """Integer arrivals with a deterministic pending time per column.
+
+    Every arrival is an integer and so is every slack ``xi - tau``, so an
+    arrival of one sample often equals another sample's slack.  Column ``i``
+    has pending time ``taus[i % len(taus)]``.
+    """
+    rng = np.random.default_rng(seed)
+    xi = rng.integers(0, 30, size=(n_samples, n_queries)).astype(float)
+    tau = np.broadcast_to(np.resize(np.array(taus), n_queries), xi.shape).copy()
+    return xi, tau
+
+
+def _assert_columns_equal_scalar(xi, tau, objective, target) -> list[float]:
+    expected = [d.raw_creation_time for d in _per_query(xi, tau, objective, target)]
+    assert solve_columns(xi, tau, objective, target).tolist() == expected
+    return expected
+
+
+class TestColumnSolversAgainstScalarWalks:
+    """Edge shapes of the flat-index RT and cost column solvers."""
+
+    def test_rt_rows_mixing_solved_unsolved_and_unbracketed(self):
+        # A budget one ulp below tau = 3 leaves the tau = 1, 2 columns
+        # unsolved (budget >= mean(tau)) and solves the tau = 3, 4 ones.
+        # One ulp below mean(tau), the running sums on tied breakpoints can
+        # end short of the budget: the walk then falls back to max(xi).
+        budget = float(np.nextafter(3.0, -np.inf))
+        xi, tau = _tied_rows(0, 7, 120, (1.0, 2.0, 3.0, 4.0))
+        expected = _assert_columns_equal_scalar(xi, tau, DecisionObjective.RESPONSE_TIME, budget)
+        solved = tau.mean(axis=0) > budget
+        assert solved.any() and not solved.all()
+        fallback = solved & (np.array(expected) == xi.max(axis=0))
+        bracketed = solved & (np.array(expected) != xi.max(axis=0))
+        assert fallback.any() and bracketed.any()
+
+    @pytest.mark.parametrize("objective", list(DecisionObjective))
+    @pytest.mark.parametrize("n_samples", [1, 2, 7, 400])
+    def test_tie_heavy_columns(self, objective, n_samples):
+        xi, tau = _tied_rows(n_samples, n_samples, 24, (3.0, 13.0))
+        for target in _targets(objective, xi, tau) + [float(np.nextafter(3.0, -np.inf))]:
+            if objective is DecisionObjective.HIT_PROBABILITY and target > 1.0:
+                continue
+            _assert_columns_equal_scalar(xi, tau, objective, target)
+
+    @pytest.mark.parametrize("objective", list(DecisionObjective))
+    @pytest.mark.parametrize("n_samples", [1, 400])
+    def test_one_column(self, objective, n_samples):
+        # K - j = 1: the planner's most common round.
+        for seed in range(6):
+            xi, tau = _corpus_case(n_samples, tied=bool(seed % 2), jittered=seed > 2, seed=seed)
+            xi, tau = xi[:, 4:5], tau[:, 4:5]
+            for target in _targets(objective, xi, tau):
+                _assert_columns_equal_scalar(xi, tau, objective, target)
+
+    def test_cost_root_on_every_kind_of_piece(self):
+        # Budget 0 is met on the piece ending at the last breakpoint, a
+        # budget above C_hat(v_0) extrapolates left of the first breakpoint,
+        # and the others interpolate inside a piece.
+        xi, tau = _tied_rows(5, 9, 30, (2.0, 13.0))
+        xi[:, ::2] += 20.0  # every slack positive: C_hat(0) exceeds C_hat(v_0)
+        slack_first = np.sort(xi - tau, axis=0)[0]
+        c_first = np.maximum(xi - tau - slack_first, 0.0).mean(axis=0)
+        for target in (0.0, float(c_first.max()) + 0.5, 1.0, 2.5):
+            _assert_columns_equal_scalar(xi, tau, DecisionObjective.COST, target)
+
+    def test_no_columns(self):
+        xi = np.empty((400, 0))
+        for objective, target in ((DecisionObjective.HIT_PROBABILITY, 0.9),
+                                  (DecisionObjective.RESPONSE_TIME, 1.0),
+                                  (DecisionObjective.COST, 1.0)):
+            assert solve_columns(xi, xi, objective, target).shape == (0,)
+
+    def test_column_solver_validates_its_target_once(self):
+        with pytest.raises(ValidationError):
+            ColumnSolver(DecisionObjective.HIT_PROBABILITY, 1.5)
+        with pytest.raises(ValidationError):
+            ColumnSolver(DecisionObjective.COST, -1.0)
+        xi, tau = _corpus_case(50, tied=True, jittered=True, seed=8)
+        solve = ColumnSolver(DecisionObjective.RESPONSE_TIME, 0.5)
+        expected = solve_columns(xi, tau, DecisionObjective.RESPONSE_TIME, 0.5)
+        assert solve(xi, tau).tolist() == expected.tolist()
+        with pytest.raises(ValidationError):
+            solve(xi[:, 0], tau[:, 0])
 
 
 def _periodic_intensity() -> PiecewiseConstantIntensity:

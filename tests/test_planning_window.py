@@ -284,3 +284,154 @@ def test_inverse_matches_masked_path(name, fractions):
             intensity.inverse_cumulative(masses)
         return
     _assert_same_inverse(intensity, masses)
+
+
+# ------------------------------------------- bounded inversion and shift grid
+
+
+def _full_search_inverse(intensity: PiecewiseConstantIntensity, m: np.ndarray) -> np.ndarray:
+    """Positive masses inverted by a search over every cumulative edge."""
+    edges, values, width = intensity._cum_edges, intensity.values, intensity.bin_seconds
+    edge_index = np.clip(np.searchsorted(edges, m, side="left"), 1, intensity.n_bins)
+    bin_index = edge_index - 1
+    within = (m - edges[bin_index]) / np.maximum(values[bin_index], 1e-300)
+    return bin_index * width + np.minimum(within, width)
+
+
+def _assert_bounded_equals_full(intensity: PiecewiseConstantIntensity, masses) -> None:
+    masses = np.asarray(masses, dtype=float)
+    assert masses.min() > 0 and masses.max() <= intensity.total_mass
+    assert _same_bits(intensity.inverse_cumulative(masses), _full_search_inverse(intensity, masses))
+
+
+@pytest.mark.parametrize("name", list(FORECASTS))
+class TestBoundedInversion:
+    """The search over the edges the largest mass reaches equals the full search."""
+
+    def test_masses_exactly_on_edges(self, name):
+        intensity = FORECASTS[name]
+        edges = intensity._cum_edges[1:]
+        _assert_bounded_equals_full(intensity, edges)
+        for reach in range(len(edges)):
+            # The largest mass sits exactly on an edge; the rest lie below it.
+            top = edges[reach]
+            _assert_bounded_equals_full(intensity, np.array([top, top * 0.5, top * 0.999]))
+
+    def test_every_mass_in_the_first_bin(self, name):
+        intensity = FORECASTS[name]
+        first_edge = intensity._cum_edges[1]
+        masses = first_edge * np.linspace(1e-6, 1.0, 50)
+        _assert_bounded_equals_full(intensity, masses)
+        assert np.all(intensity.inverse_cumulative(masses) <= intensity.bin_seconds)
+
+
+
+def test_one_bin_window():
+    # A one-bin forecast, and the one-bin tail a hold forecast becomes past its window.
+    hold = FORECASTS["hold"]
+    for window in (FORECASTS["hold-1-bin"], hold.shift(hold.duration + 0.5 * BIN)):
+        assert window.n_bins == 1
+        _assert_bounded_equals_full(window, window.total_mass * np.linspace(0.01, 1.0, 30))
+
+
+def test_reach_boundary_at_zero_rate_bins():
+    # Bins 2 and 3 of the periodic profile are empty: edges 2, 3 and 4 are
+    # equal, and a mass on them inverts at the end of bin 1.
+    intensity = FORECASTS["periodic"]
+    edges = intensity._cum_edges
+    assert edges[2] == edges[3] == edges[4]
+    on_flat = edges[3]
+    just_past = np.nextafter(on_flat, np.inf)
+    for masses in (
+        [on_flat],
+        [on_flat, 0.5 * on_flat],
+        [just_past, on_flat, 0.25 * on_flat],
+        [edges[5], just_past, on_flat],
+    ):
+        _assert_bounded_equals_full(intensity, masses)
+    assert intensity.inverse_cumulative(on_flat) == 2 * BIN
+    assert intensity.inverse_cumulative(just_past) >= 4 * BIN
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FORECASTS)),
+    fractions=st.lists(
+        st.floats(min_value=0.0, max_value=1.0, exclude_min=True, allow_nan=False),
+        min_size=1,
+        max_size=40,
+    ),
+    edges=st.lists(st.integers(min_value=1, max_value=2_000), max_size=5),
+)
+def test_bounded_inversion_matches_full_search(name, fractions, edges):
+    intensity = FORECASTS[name]
+    cum_edges = intensity._cum_edges
+    masses = np.array(fractions) * intensity.total_mass
+    on_edges = cum_edges[[e % intensity.n_bins + 1 for e in edges]]
+    masses = np.concatenate([masses, on_edges])
+    masses = masses[masses > 0]
+    if masses.size:
+        _assert_bounded_equals_full(intensity, masses)
+
+
+def _uncached_shift_bins(forecast: PiecewiseConstantIntensity, offset: float):
+    """``_shift_bins`` with its grid built from ``np.arange`` on every call."""
+    horizon = forecast.duration
+    if offset >= horizon:
+        if forecast.extrapolation != "periodic":
+            return None
+        offset = float(np.mod(offset, horizon))
+    n_bins = forecast.n_bins
+    times = offset + np.arange(n_bins) * forecast.bin_seconds + 0.5 * forecast.bin_seconds
+    if forecast.extrapolation == "periodic":
+        times = np.mod(times, horizon)
+    bins = np.minimum((times / forecast.bin_seconds).astype(int), n_bins - 1)
+    if forecast.extrapolation == "zero":
+        bins[times >= horizon] = n_bins
+    return bins
+
+
+def _wrap_offsets(forecast: PiecewiseConstantIntensity) -> list[float]:
+    """Non-integer offsets and offsets one ulp either side of the wrap."""
+    duration = forecast.duration
+    near = [duration, 2.0 * duration, duration - 0.5 * BIN, duration - BIN]
+    ulps = [float(np.nextafter(x, side)) for x in near for side in (-np.inf, np.inf)]
+    offsets = [0.1, 12.345, 29.999999, 30.000001, 59.999, 1e-9, duration - 1e-9] + near + ulps
+    return [offset for offset in offsets if offset >= 0.0]
+
+
+@pytest.mark.parametrize("name", list(FORECASTS))
+def test_cached_shift_grid_matches_value_shift(name):
+    forecast = FORECASTS[name]
+    for now in _wrap_offsets(forecast):
+        expected = _uncached_shift_bins(forecast, now)
+        bins = forecast._shift_bins(now)
+        if expected is None:
+            assert bins is None
+        else:
+            assert _same_bits(bins, expected)
+        _assert_matches_fresh_shift(forecast, PlanningWindow(forecast, HORIZONS), now)
+
+
+def test_negative_now_is_reported_as_now():
+    memo = PlanningWindow(FORECASTS["periodic"])
+    with pytest.raises(ValidationError, match=r"^now must be"):
+        memo.at(-0.5)
+
+
+@settings(max_examples=80, deadline=None)
+@given(
+    name=st.sampled_from(sorted(FORECASTS)),
+    fraction=st.floats(min_value=0.0, max_value=1.0, allow_nan=False),
+    on_edge=st.integers(min_value=0, max_value=2_000) | st.none(),
+)
+def test_scalar_cumulative_matches_array_path(name, fraction, on_edge):
+    intensity = FORECASTS[name]
+    if on_edge is None:
+        t = fraction * intensity.duration
+    else:
+        t = (on_edge % (intensity.n_bins + 1)) * intensity.bin_seconds
+    for scalar in (t, np.float64(t)):
+        got = intensity.cumulative(scalar)
+        assert isinstance(got, float)
+        assert _same_bits(np.array([got]), intensity.cumulative(np.array([t])))

@@ -54,6 +54,10 @@ class TestConstruction:
         with pytest.raises(PlanningError):
             RobustScaler("not-an-intensity", pending_model)
 
+    def test_invalid_pending_model_rejected(self):
+        with pytest.raises(PlanningError, match="pending_model"):
+            RobustScaler(_constant_forecast(1.0), 13.0)
+
     def test_invalid_hp_target_rejected(self, pending_model):
         with pytest.raises(PlanningError):
             RobustScaler(_constant_forecast(1.0), pending_model, target=1.5)
