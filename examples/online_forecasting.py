@@ -7,9 +7,9 @@ of recent arrivals.  This example simulates that control loop:
 1. arrivals stream in from a periodic workload;
 2. a :class:`~repro.nhpp.online.RollingNHPPForecaster` refits the regularized
    NHPP every 30 simulated minutes;
-3. at each refit the example prints the forecast for the next hour and an
-   ASCII chart of the recent traffic, which is what an operator dashboard
-   would show;
+3. at each refit the example prints the forecast for the next hour, and at
+   the end a one-line sparkline of the recent traffic, which is what an
+   operator dashboard would show;
 4. at the end, the forecast quality is compared against the naive
    constant-rate (homogeneous Poisson) baseline using AIC.
 
@@ -23,7 +23,6 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ADMMConfig, NHPPConfig
-from repro.metrics import ascii_series
 from repro.nhpp import (
     HomogeneousPoissonModel,
     RollingNHPPForecaster,
@@ -77,8 +76,13 @@ def main() -> None:
     # Operator dashboard: recent traffic at one-minute resolution.
     recent = arrivals[arrivals >= horizon - 7200.0] - (horizon - 7200.0)
     counts, _ = np.histogram(recent, bins=np.arange(0, 7201, 60))
+    levels = np.round(counts / max(counts.max(), 1) * 7).astype(int)
     print()
-    print(ascii_series(counts, title="Queries per minute over the last two hours"))
+    print(
+        "Queries per minute over the last two hours "
+        f"(peak {counts.max()}, mean {counts.mean():.1f}):"
+    )
+    print("".join(" .:-=+*#"[level] for level in levels))
 
     # How much does the NHPP buy over a constant-rate model on this workload?
     series = QPSSeries(

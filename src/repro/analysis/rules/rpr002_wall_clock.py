@@ -17,7 +17,7 @@ from ..core import Finding, ModuleContext, Rule, iter_calls, register_rule
 
 #: Package-relative directories whose code must be wall-clock free.
 DETERMINISTIC_DIRS = frozenset(
-    {"simulation", "fleet", "scaling", "optimization", "nhpp", "workloads"}
+    {"simulation", "scaling", "optimization", "nhpp", "workloads"}
 )
 
 #: Package-relative prefixes exempt even if nested under a banned dir (and
@@ -48,7 +48,7 @@ class NoWallClockInDeterministicPath(Rule):
     name = "no-wall-clock-in-deterministic-path"
     description = (
         "Wall-clock reads (time.time/perf_counter/datetime.now) are banned in "
-        "simulation/, fleet/, scaling/, optimization/, nhpp/, workloads/ — "
+        "simulation/, scaling/, optimization/, nhpp/, workloads/ — "
         "deterministic code sees only simulated time."
     )
 

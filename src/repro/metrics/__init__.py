@@ -6,7 +6,6 @@ from .variance import windowed_mean_variance
 from .pareto import ParetoPoint, dominates, pareto_frontier
 from .errors import mean_absolute_error, mean_squared_error
 from .report import format_table, summarize_result
-from .asciiplot import ascii_scatter, ascii_series
 
 __all__ = [
     "hit_rate",
@@ -22,6 +21,4 @@ __all__ = [
     "mean_absolute_error",
     "summarize_result",
     "format_table",
-    "ascii_scatter",
-    "ascii_series",
 ]

@@ -13,7 +13,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .._validation import check_integer
 from ..exceptions import ValidationError
 from ..nhpp.intensity import PiecewiseConstantIntensity
 from ..nhpp.sampling import sample_next_arrivals
@@ -109,6 +108,14 @@ def generate_scenarios(
         :func:`~repro.nhpp.sampling.sample_next_arrivals`).  Planners pass
         the number of queries already covered by outstanding instances.
 
+    Raises
+    ------
+    ValidationError
+        If ``n_queries`` or ``n_samples`` is not a positive integer, or
+        ``first`` is not in ``[0, n_queries)``.  The arguments are checked
+        once, by :func:`~repro.nhpp.sampling.sample_next_arrivals`, so the
+        message names ``n_queries`` as ``n_arrivals``.
+
     Notes
     -----
     The stream is consumed in a fixed order: the ``R x (K - j)`` unit
@@ -116,8 +123,6 @@ def generate_scenarios(
     variate per row, then the ``R x (K - j)`` pending times, row by row.
     ``first=0`` draws no Gamma variate.
     """
-    check_integer(n_queries, "n_queries", minimum=1)
-    check_integer(n_samples, "n_samples", minimum=1)
     rng = ensure_rng(random_state)
     arrivals = sample_next_arrivals(intensity, n_queries, n_samples, rng, first=first)
     pending = pending_model.sample(arrivals.size, rng).reshape(arrivals.shape)

@@ -72,7 +72,6 @@ from .adversarial import (
     recipes_for_target,
     register_adversarial_scenarios,
 )
-from .mixes import DEFAULT_FLEET_SCENARIOS, tenant_mix
 
 __all__ = [
     # primitives
@@ -110,7 +109,4 @@ __all__ = [
     "get_recipe",
     "recipes_for_target",
     "register_adversarial_scenarios",
-    # fleet tenant mixes
-    "DEFAULT_FLEET_SCENARIOS",
-    "tenant_mix",
 ]

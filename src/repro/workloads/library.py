@@ -105,7 +105,7 @@ def _bursty_batch(horizon: float) -> IntensityPrimitive:
     return (floor + bursts) * GammaNoise(0.25, correlation_bins=5)
 
 
-def _multi_tenant_mix(horizon: float) -> IntensityPrimitive:
+def _multi_tenant(horizon: float) -> IntensityPrimitive:
     tenant_a = SeasonalBump(_DAY, 0.4, sharpness=6.0, base=0.03)
     tenant_b = SeasonalBump(_DAY, 0.3, sharpness=6.0, base=0.02, phase_fraction=0.35)
     tenant_c = RegimeSwitching((0.02, 0.35), _HOUR, start_regime=0)
@@ -266,7 +266,7 @@ def register_builtin_scenarios(registry=DEFAULT_REGISTRY, *, overwrite: bool = F
         Scenario(
             name="multi-tenant-mix",
             description="Superposition of two phase-shifted diurnal tenants and one bursty tenant",
-            intensity=_multi_tenant_mix,
+            intensity=_multi_tenant,
             horizon_seconds=3 * _DAY,
             tags=("seasonal", "bursty", "multi-tenant"),
         ),

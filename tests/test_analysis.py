@@ -27,6 +27,7 @@ from repro.analysis import (
     render_text,
 )
 from repro.analysis.core import META_RULE_ID
+from repro.analysis.rules.rpr002_wall_clock import DETERMINISTIC_DIRS
 from repro.cli import main as cli_main
 
 REPO_ROOT = Path(__file__).resolve().parent.parent
@@ -92,7 +93,7 @@ POSITIVE_CASES = [
     ),
     (
         "RPR002",
-        "repro/fleet/bad_clock.py",
+        "repro/nhpp/bad_clock.py",
         """
         import time as _time
         from datetime import datetime
@@ -341,6 +342,15 @@ def test_every_rule_has_positive_and_negative_coverage():
         negatives = [case for case in NEGATIVE_CASES if case[0] == rule_id]
         assert len(positives) >= 2, f"{rule_id} needs >=2 positive fixtures"
         assert len(negatives) >= 1, f"{rule_id} needs >=1 negative fixture"
+
+
+@pytest.mark.parametrize("directory", sorted(DETERMINISTIC_DIRS))
+def test_rpr002_covers_existing_deterministic_dirs(directory):
+    """Each banned directory is a real package and the rule fires inside it."""
+    assert (SRC / directory / "__init__.py").is_file()
+    source = "import time\n\ndef stamp():\n    return time.time()\n"
+    findings = findings_for(source, path=f"repro/{directory}/stamp.py")
+    assert rule_ids(findings) == {"RPR002"}
 
 
 # --------------------------------------------------------------- suppressions

@@ -46,7 +46,8 @@ _TINY_REG_GRID = dict(
 class TestRegistry:
     def test_expected_experiments_registered(self):
         names = experiment_names()
-        assert set(names) >= {
+        assert set(names) == {
+            "adversarial",
             "traces",
             "pareto",
             "variance",

@@ -36,6 +36,17 @@ def _result(hits, response_times, processing: float = 1.0) -> SimulationResult:
     )
 
 
+#: Small (cost, qos) clouds on a coarse grid, so ties and duplicates occur.
+_POINTS = st.lists(
+    st.builds(
+        ParetoPoint,
+        st.integers(0, 6).map(float),
+        st.integers(0, 6).map(lambda q: q / 6.0),
+    ),
+    max_size=12,
+)
+
+
 class TestQoSMetrics:
     def test_hit_rate(self):
         result = _result([1, 0, 1, 1], [1, 2, 1, 1])
@@ -138,6 +149,68 @@ class TestPareto:
         qos = [p.qos for p in frontier]
         assert qos == sorted(qos)
 
+    def test_empty_and_single_point(self):
+        assert pareto_frontier([]) == []
+        only = ParetoPoint(cost=3.0, qos=0.2, label="only")
+        assert pareto_frontier([only]) == [only]
+
+    def test_identical_points_are_all_kept(self):
+        # Equal points do not dominate each other (nothing is strictly better).
+        twins = [ParetoPoint(1.0, 0.5, label="x"), ParetoPoint(1.0, 0.5, label="y")]
+        assert not dominates(twins[0], twins[1])
+        assert [p.label for p in pareto_frontier(twins)] == ["x", "y"]
+
+    def test_label_is_not_part_of_equality(self):
+        assert ParetoPoint(1.0, 0.5, label="a") == ParetoPoint(1.0, 0.5, label="b")
+        assert ParetoPoint(1.0, 0.5) != ParetoPoint(1.0, 0.6)
+
+    @given(_POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_dominates_is_irreflexive_and_asymmetric(self, points):
+        for a in points:
+            assert not dominates(a, a)
+            for b in points:
+                assert not (dominates(a, b) and dominates(b, a))
+
+    @given(_POINTS, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_frontier_members_are_undominated(self, points, higher):
+        frontier = pareto_frontier(points, qos_higher_is_better=higher)
+        assert all(any(p is q for q in points) for p in frontier)
+        for member in frontier:
+            assert not any(
+                dominates(other, member, qos_higher_is_better=higher) for other in points
+            )
+
+    @given(_POINTS, st.booleans())
+    @settings(max_examples=50, deadline=None)
+    def test_every_excluded_point_is_dominated_by_the_frontier(self, points, higher):
+        frontier = pareto_frontier(points, qos_higher_is_better=higher)
+        excluded = [p for p in points if not any(p is q for q in frontier)]
+        assert len(frontier) + len(excluded) == len(points)
+        for point in excluded:
+            assert any(
+                dominates(member, point, qos_higher_is_better=higher)
+                for member in frontier
+            )
+
+    @given(_POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_lower_qos_better_equals_negated_qos(self, points):
+        lower = pareto_frontier(points, qos_higher_is_better=False)
+        negated = [ParetoPoint(p.cost, -p.qos, label=i) for i, p in enumerate(points)]
+        mirrored = pareto_frontier(negated)
+        assert sorted((p.cost, p.qos) for p in lower) == sorted(
+            (p.cost, -p.qos) for p in mirrored
+        )
+
+    @given(_POINTS)
+    @settings(max_examples=50, deadline=None)
+    def test_frontier_is_idempotent(self, points):
+        frontier = pareto_frontier(points)
+        again = pareto_frontier(frontier)
+        assert [(p.cost, p.qos) for p in again] == [(p.cost, p.qos) for p in frontier]
+
 
 class TestErrors:
     def test_mse_mae(self):
@@ -157,6 +230,11 @@ class TestReport:
         summary = summarize_result(result, reference_cost=100.0)
         for key in ("hit_rate", "rt_avg", "total_cost", "relative_cost", "rt_p95"):
             assert key in summary
+        assert summary["n_queries"] == 120.0
+        assert summary["hit_rate"] == result.hit_rate == pytest.approx(0.5)
+        assert summary["rt_avg"] == result.mean_response_time == pytest.approx(2.5)
+        assert summary["total_cost"] == result.total_cost
+        assert summary["relative_cost"] == result.total_cost / 100.0
 
     def test_format_table_alignment(self):
         rows = [{"a": 1.0, "b": "x"}, {"a": 22.5, "b": "yy"}]
@@ -165,6 +243,11 @@ class TestReport:
         assert lines[0] == "demo"
         assert "a" in lines[1] and "b" in lines[1]
         assert len(lines) == 5
+        assert lines[2].split("  ") == ["-" * len("22.5"), "-" * len("yy")]
+        b_column = lines[1].index("b")
+        for line in lines[3:]:
+            assert line[b_column - 2 : b_column] == "  "
+            assert line[b_column] != " "
 
     def test_format_table_missing_cells(self):
         rows = [{"a": 1.0}, {"b": 2.0}]
@@ -173,3 +256,35 @@ class TestReport:
 
     def test_format_table_empty(self):
         assert format_table([], title="nothing") == "nothing"
+
+    @pytest.mark.parametrize("reference_cost", [None, 0.0, -4.0])
+    def test_relative_cost_needs_a_positive_reference(self, reference_cost):
+        result = _result([1, 0] * 10, [2.0, 3.0] * 10)
+        summary = summarize_result(result, reference_cost=reference_cost)
+        assert "relative_cost" not in summary
+
+    def test_planning_latency_keys_follow_planning_times(self):
+        result = _result([1, 1] * 10, [2.0, 2.0] * 10)
+        assert "mean_planning_seconds" not in summarize_result(result)
+        result.planning_times = [0.5, 0.25, 1.5]
+        summary = summarize_result(result)
+        assert summary["mean_planning_seconds"] == pytest.approx(0.75)
+        assert summary["max_planning_seconds"] == 1.5
+
+    def test_quantile_keys_are_labelled_in_percent(self):
+        result = _result([1] * 100, list(np.arange(1.0, 101.0)))
+        summary = summarize_result(result)
+        quantiles = response_time_quantiles(result)
+        assert quantiles
+        for level, value in quantiles.items():
+            assert summary[f"rt_p{level * 100:g}"] == value
+
+    def test_variance_window_is_honoured(self):
+        # Alternating 10-query blocks of hits and misses: 10-query windows
+        # see the full swing, 20-query windows average it away.
+        hits = ([1] * 10 + [0] * 10) * 6
+        result = _result(hits, [2.0] * len(hits))
+        narrow = summarize_result(result, variance_window=10)
+        wide = summarize_result(result, variance_window=20)
+        assert narrow["hit_rate_window_variance"] == pytest.approx(0.25)
+        assert wide["hit_rate_window_variance"] == pytest.approx(0.0)

@@ -161,12 +161,21 @@ class TestSampleNextArrivals:
         result = stats.kstest(samples, "gamma", args=(k, 0, 1.0 / rate))
         assert result.pvalue > 0.01
 
-    def test_invalid_arguments(self):
+    @pytest.mark.parametrize(
+        "n_arrivals,n_samples,first",
+        [(0, 10, 0), (2, 0, 0), (2.5, 10, 0), (3, 1.5, 0), (True, 10, 0), (3, 10, 1.0)],
+    )
+    def test_invalid_arguments(self, n_arrivals, n_samples, first):
         intensity = PiecewiseConstantIntensity(np.array([1.0]), 60.0)
         with pytest.raises(ValidationError):
-            sample_next_arrivals(intensity, 0, 10)
-        with pytest.raises(ValidationError):
-            sample_next_arrivals(intensity, 2, 0)
+            sample_next_arrivals(intensity, n_arrivals, n_samples, 0, first=first)
+
+    def test_first_returns_only_the_remaining_columns(self):
+        intensity = PiecewiseConstantIntensity(np.array([1.0]), 60.0, extrapolation="hold")
+        samples = sample_next_arrivals(intensity, 5, 30, 2, first=4)
+        assert samples.shape == (30, 1)
+        assert samples.flags.f_contiguous
+        assert np.all(samples > 0)
 
 
 class TestSampleHomogeneousArrivals:

@@ -44,6 +44,17 @@ class TestGenerateScenarios:
         b = generate_scenarios(constant_intensity, pending_model, 2, 20, 7)
         np.testing.assert_array_equal(a.arrival_times, b.arrival_times)
 
+    @pytest.mark.parametrize(
+        "n_queries,n_samples,name",
+        [(0, 10, "n_arrivals"), (3, 0, "n_samples"), (2.5, 10, "n_arrivals")],
+    )
+    def test_rejects_bad_counts(
+        self, constant_intensity, pending_model, n_queries, n_samples, name
+    ):
+        # The sampler checks the counts, under its own argument names.
+        with pytest.raises(ValidationError, match=name):
+            generate_scenarios(constant_intensity, pending_model, n_queries, n_samples, 0)
+
     def test_arrival_marginals_match_intensity(self, pending_model):
         rate = 0.8
         intensity = PiecewiseConstantIntensity(np.array([rate]), 60.0, extrapolation="hold")

@@ -22,7 +22,7 @@ from repro.runtime import (
     run_tasks,
     strip_timing,
 )
-from repro.store import ArtifactStore, list_runs
+from repro.store import ArtifactStore, RunJournal, list_runs
 
 
 @pytest.fixture
@@ -130,6 +130,88 @@ class TestResume:
             tasks, base_seed=7, workers=2, store=store, run_id="r4"
         )
         assert strip_timing(resumed) == strip_timing(baseline)
+
+
+class TestRunJournal:
+    """The journal and run index on their own, without the executor."""
+
+    def test_absent_record_loads_as_none(self, store):
+        journal = RunJournal(store, "j", 7)
+        assert journal.load(0, "digest") is None
+        assert journal.completed == 0
+
+    def test_record_round_trips_and_counts(self, store):
+        journal = RunJournal(store, "j", 7)
+        payload = {"row": {"cost": 0.1 + 0.2}, "resumed": False}
+        journal.record(3, "digest", payload)
+        assert journal.completed == 1
+        reader = RunJournal(store, "j", 7)
+        assert reader.load(3, "digest") == payload
+        assert reader.load(3, "digest")["row"]["cost"] == 0.1 + 0.2
+        assert reader.completed == 2
+
+    @pytest.mark.parametrize(
+        "run_id,base_seed,index,digest",
+        [("other", 7, 3, "d"), ("j", 8, 3, "d"), ("j", 7, 4, "d"), ("j", 7, 3, "e")],
+    )
+    def test_records_keyed_by_run_seed_index_and_digest(
+        self, store, run_id, base_seed, index, digest
+    ):
+        RunJournal(store, "j", 7).record(3, "d", {"row": {}})
+        assert RunJournal(store, run_id, base_seed).load(index, digest) is None
+
+    @pytest.mark.parametrize("payload", [["row"], {"no_row": 1}, "row"])
+    def test_malformed_record_loads_as_none(self, store, payload):
+        journal = RunJournal(store, "j", 7)
+        store.put("results", journal._key(0, "d"), payload)
+        assert journal.load(0, "d") is None
+        assert journal.completed == 0
+
+    def test_empty_store_lists_no_runs(self, store):
+        assert list_runs(store) == []
+
+    def test_publish_index_reports_total_and_completion(self, store):
+        journal = RunJournal(store, "j", 5)
+        journal.publish_index(4)
+        [run] = list_runs(store)
+        assert (run["run_id"], run["base_seed"], run["completed"], run["total"]) == (
+            "j",
+            5,
+            0,
+            4,
+        )
+        journal.record(0, "d", {"row": {}})
+        [run] = list_runs(store)
+        assert (run["completed"], run["total"]) == (1, 4)
+
+    def test_runs_listed_newest_first(self, store, monkeypatch):
+        clock = iter([100.0, 300.0, 200.0])
+        monkeypatch.setattr("repro.store.runs.time.time", lambda: next(clock))
+        for run_id in ("old", "new", "middle"):
+            RunJournal(store, run_id, 0).publish_index(1)
+        runs = list_runs(store)
+        assert [run["run_id"] for run in runs] == ["new", "middle", "old"]
+        assert [run["updated_at"] for run in runs] == [300.0, 200.0, 100.0]
+
+    def test_run_without_meta_listed_with_zero_counts(self, store):
+        RunJournal(store, "evicted", 3).publish_index(2)
+        store.put("results", ("run-meta", "evicted"), None)
+        [run] = list_runs(store)
+        assert run == {
+            "run_id": "evicted",
+            "base_seed": None,
+            "completed": 0,
+            "total": None,
+            "updated_at": 0.0,
+        }
+
+    def test_lost_catalog_entry_heals_on_next_record(self, store):
+        journal = RunJournal(store, "j", 7)
+        journal.publish_index(2)
+        store.put("results", ("run-catalog",), {})
+        assert list_runs(store) == []
+        journal.record(0, "d", {"row": {}})
+        assert [run["run_id"] for run in list_runs(store)] == ["j"]
 
 
 class TestStreaming:

@@ -276,6 +276,15 @@ class TestRegistry:
             "alibaba",
         } <= names
 
+    def test_multi_tenant_scenario_is_registered(self):
+        scenario = get_scenario("multi-tenant-mix")
+        assert scenario.kind == "intensity"
+        assert scenario.horizon_seconds == 3 * _DAY
+        assert "multi-tenant" in scenario.tags
+        intensity = scenario.build_intensity(scale=0.05, seed=3)
+        # The 0.05 q/s floor under the three tenants keeps every bin busy.
+        assert np.all(intensity.values > 0)
+
     def test_lookup_is_case_insensitive(self):
         assert get_scenario("FLASH-CROWD").name == "flash-crowd"
         assert "Flash-Crowd" in DEFAULT_REGISTRY
