@@ -1,4 +1,5 @@
-"""Ablation benchmarks for the design choices called out in DESIGN.md.
+"""Ablation benchmarks for three design choices in the paper's method (see
+:mod:`repro.experiments.ablation` for what each one isolates):
 
 * kappa look-ahead on/off in the sequential scaling scheme;
 * Monte Carlo sample size versus decision accuracy and latency;

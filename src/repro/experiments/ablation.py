@@ -1,4 +1,4 @@
-"""Ablation studies on the design choices called out in DESIGN.md.
+"""Ablation studies of three design choices in the paper's method.
 
 Three ablations complement the paper's own experiments:
 

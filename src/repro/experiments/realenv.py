@@ -66,7 +66,7 @@ def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
                 "cost_per_query": result.total_cost / max(result.n_queries, 1),
                 "relative_cost": result.total_cost / workload.reference_cost,
                 "mean_planning_ms": 1000.0
-                * (sum(result.planning_times) / max(len(result.planning_times), 1)),
+                * (float(result.planning_times.sum()) / max(result.planning_times.size, 1)),
             }
         )
     return rows

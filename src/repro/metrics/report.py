@@ -6,11 +6,14 @@ from typing import Any, Mapping, Sequence
 
 import numpy as np
 
+from .._validation import check_integer
 from ..types import SimulationResult
-from .qos import response_time_quantiles
-from .variance import windowed_mean_variance
+from .qos import TABLE2_LEVELS, quantiles_of
+from .variance import block_mean_variance
 
 __all__ = ["summarize_result", "format_table"]
+
+_TABLE2_LEVELS = np.asarray(TABLE2_LEVELS, dtype=float)
 
 
 def summarize_result(
@@ -26,23 +29,30 @@ def summarize_result(
     variances of Fig. 5, the high-level response-time quantiles of Table II,
     and the mean planning latency.
     """
+    window = check_integer(variance_window, "variance_window", minimum=1)
+    # Each column is derived once and shared by every metric that reads it;
+    # the values equal the public helpers' (``result.mean_response_time``,
+    # ``response_time_quantiles``, ``windowed_mean_variance``) bit for bit.
+    response = result.response_times
+    total_cost = result.total_cost
     summary: dict[str, float] = {
         "n_queries": float(result.n_queries),
         "hit_rate": result.hit_rate,
-        "rt_avg": result.mean_response_time,
-        "total_cost": result.total_cost,
+        "rt_avg": float(response.mean()) if response.size else float("nan"),
+        "total_cost": total_cost,
     }
     if reference_cost is not None and reference_cost > 0:
-        summary["relative_cost"] = result.total_cost / reference_cost
-    _, hit_var = windowed_mean_variance(result.hits.astype(float), variance_window)
-    _, rt_var = windowed_mean_variance(result.response_times, variance_window)
-    summary["hit_rate_window_variance"] = hit_var
-    summary["rt_window_variance"] = rt_var
-    for level, value in response_time_quantiles(result).items():
+        summary["relative_cost"] = total_cost / reference_cost
+    summary["hit_rate_window_variance"] = block_mean_variance(
+        result.hits.astype(float), window
+    )
+    summary["rt_window_variance"] = block_mean_variance(response, window)
+    for level, value in quantiles_of(response, _TABLE2_LEVELS).items():
         summary[f"rt_p{level * 100:g}"] = value
-    if result.planning_times:
-        summary["mean_planning_seconds"] = float(np.mean(result.planning_times))
-        summary["max_planning_seconds"] = float(np.max(result.planning_times))
+    planning = result.planning_times
+    if planning.size:
+        summary["mean_planning_seconds"] = float(planning.mean())
+        summary["max_planning_seconds"] = float(planning.max())
     return summary
 
 

@@ -40,9 +40,20 @@ def windowed_mean_variance(
     window = check_integer(window, "window", minimum=1)
     if values.size == 0:
         return float("nan"), float("nan")
-    overall_mean = float(values.mean())
+    return float(values.mean()), block_mean_variance(values, window)
+
+
+def block_mean_variance(values: np.ndarray, window: int) -> float:
+    """Variance of the ``window``-query block means of a float column.
+
+    The unchecked core of :func:`windowed_mean_variance`, for callers that
+    hold a validated column and window: NaN when ``values`` is empty, 0 with
+    fewer than two complete blocks.
+    """
+    if values.size == 0:
+        return float("nan")
     n_blocks = values.size // window
     if n_blocks < 2:
-        return overall_mean, 0.0
+        return 0.0
     block_means = values[: n_blocks * window].reshape(n_blocks, window).mean(axis=1)
-    return overall_mean, float(block_means.var())
+    return float(block_means.var())

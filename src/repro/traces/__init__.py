@@ -4,7 +4,8 @@ The paper evaluates on a proprietary container-registry trace (CRS), the
 Google cluster trace 2019 and the Alibaba cluster trace 2018.  None of those
 can be bundled offline, so this subpackage provides seeded synthetic
 generators that reproduce the structural features each experiment relies on
-(see DESIGN.md for the substitution rationale), together with CSV/JSONL IO
+(listed per generator in :mod:`repro.traces.synthetic`; README "Workload
+scenarios" covers their registry aliases), together with CSV/JSONL IO
 for users who want to plug in their own traces, and the perturbation /
 missing-data / anomaly utilities used by the robustness experiments.
 """

@@ -351,8 +351,9 @@ class SimulationResult:
     unused_instance_cost, n_unused_instances:
         Cost and count of instances created but never assigned a query.
     planning_times:
-        Wall-clock seconds of each policy call, one entry per call (the
-        batched engine records 0.0 for each arrival it serves without one).
+        Wall-clock seconds of each policy call as a ``float64`` column, one
+        entry per call; the batched engine records ``0.0`` for each arrival
+        it serves without one.  A list is accepted and converted once.
     """
 
     def __init__(
@@ -370,7 +371,7 @@ class SimulationResult:
         pending_times: np.ndarray,
         proactive: np.ndarray,
         unused_instance_cost: float = 0.0,
-        planning_times: Optional[list[float]] = None,
+        planning_times: Sequence[float] | np.ndarray | None = None,
         n_unused_instances: int = 0,
     ) -> None:
         self.scaler_name = scaler_name
@@ -388,8 +389,8 @@ class SimulationResult:
         if len(set(sizes.values())) > 1:
             raise ValidationError(f"column lengths disagree: {sizes}")
         self.unused_instance_cost = unused_instance_cost
-        self.planning_times: list[float] = (
-            list(planning_times) if planning_times is not None else []
+        self.planning_times = np.asarray(
+            planning_times if planning_times is not None else (), dtype=float
         )
         self.n_unused_instances = int(n_unused_instances)
 
@@ -446,8 +447,8 @@ class SimulationResult:
             or self.trace_name != other.trace_name
             or self.unused_instance_cost != other.unused_instance_cost
             or self.n_unused_instances != other.n_unused_instances
-            or self.planning_times != other.planning_times
             or self.n_queries != other.n_queries
+            or not np.array_equal(self.planning_times, other.planning_times)
         ):
             return False
         return all(

@@ -83,6 +83,7 @@ def assert_engine_parity(trace, scaler_factory, config, *, pending_model=None):
         assert reference.unused_instance_cost == fast.unused_instance_cost
         assert reference.n_unused_instances == fast.n_unused_instances
         assert len(reference.planning_times) == len(fast.planning_times)
+        assert reference.planning_times.dtype == fast.planning_times.dtype == np.float64
         assert reference.n_queries == fast.n_queries
         assert reference.total_cost == fast.total_cost
     return reference, fast
@@ -262,6 +263,54 @@ class TestEdgeCaseParity:
         assert_engine_parity(
             trace, lambda: FixedPlanScaler([40.0, 45.0, 110.0]), config
         )
+
+
+def _spin_one_clock_tick() -> None:
+    """Busy-wait until ``perf_counter`` moves, so a timed call reads > 0."""
+    started = time.perf_counter()
+    while time.perf_counter() == started:
+        pass
+
+
+class ClockedTickScaler(Autoscaler):
+    """Passive tick policy whose every call takes a nonzero measured time."""
+
+    name = "ClockedTick"
+    reacts_to_arrivals = False
+
+    def __init__(self, interval: float) -> None:
+        self._interval = interval
+
+    @property
+    def planning_interval(self) -> float:
+        return self._interval
+
+    def initialize(self, context) -> ScalingResponse:
+        _spin_one_clock_tick()
+        return ScalingResponse.empty()
+
+    def on_planning_tick(self, context) -> ScalingResponse:
+        _spin_one_clock_tick()
+        return ScalingResponse.create_now(context.time, 1)
+
+
+class TestPlanningTimeColumn:
+    def test_passive_arrivals_read_exact_zeros_between_measured_calls(self):
+        trace = _poisson_trace(rate=0.6, horizon=300.0)
+        reference, batched = assert_engine_parity(
+            trace, lambda: ClockedTickScaler(10.0), SimulationConfig(pending_time=5.0)
+        )
+        # Entry layout in both engines: initialize, then per arrival the
+        # ticks due at or before it followed by the arrival's own entry.
+        arrivals = trace.arrival_times
+        ticks_before = np.floor(arrivals / 10.0).astype(int)
+        arrival_entries = 1 + np.arange(arrivals.size) + ticks_before
+        assert batched.planning_times.size == 1 + arrivals.size + ticks_before[-1]
+        calls = np.ones(batched.planning_times.size, dtype=bool)
+        calls[arrival_entries] = False
+        assert np.all(batched.planning_times[arrival_entries] == 0.0)
+        assert np.all(batched.planning_times[calls] > 0.0)
+        assert np.all(reference.planning_times[calls] > 0.0)
 
 
 class TestRobustScalerParity:

@@ -266,7 +266,7 @@ class TestReport:
     def test_planning_latency_keys_follow_planning_times(self):
         result = _result([1, 1] * 10, [2.0, 2.0] * 10)
         assert "mean_planning_seconds" not in summarize_result(result)
-        result.planning_times = [0.5, 0.25, 1.5]
+        result.planning_times = np.array([0.5, 0.25, 1.5])
         summary = summarize_result(result)
         assert summary["mean_planning_seconds"] == pytest.approx(0.75)
         assert summary["max_planning_seconds"] == 1.5
@@ -288,3 +288,84 @@ class TestReport:
         wide = summarize_result(result, variance_window=20)
         assert narrow["hit_rate_window_variance"] == pytest.approx(0.25)
         assert wide["hit_rate_window_variance"] == pytest.approx(0.0)
+
+
+def _same(a: float, b: float) -> bool:
+    """Bit-for-bit float equality, with NaN equal to NaN."""
+    return np.array_equal(np.float64(a), np.float64(b), equal_nan=True)
+
+
+def _random_result(n: int, seed: int) -> SimulationResult:
+    rng = np.random.default_rng(seed)
+    arrivals = np.sort(rng.uniform(0.0, 100.0, n))
+    hits = rng.random(n) < 0.6
+    processing = rng.exponential(3.0, n)
+    waiting = np.where(hits, 0.0, rng.exponential(2.0, n))
+    creation = arrivals - rng.uniform(0.0, 20.0, n)
+    starts = arrivals + waiting
+    return SimulationResult(
+        "random",
+        "trace",
+        arrival_times=arrivals,
+        processing_times=processing,
+        hits=hits,
+        waiting_times=waiting,
+        creation_times=creation,
+        ready_times=np.minimum(starts, creation + 5.0),
+        start_times=starts,
+        pending_times=np.full(n, 5.0),
+        proactive=hits,
+        unused_instance_cost=float(rng.uniform(0.0, 50.0)),
+        planning_times=rng.uniform(0.0, 0.01, rng.integers(0, 4)),
+    )
+
+
+class TestSummaryMatchesPublicHelpers:
+    """``summarize_result`` reads each column once; its values must equal
+    what the public helpers compute from the result, bit for bit."""
+
+    @staticmethod
+    def _check(result: SimulationResult, window: int = 50) -> None:
+        summary = summarize_result(result, reference_cost=17.5, variance_window=window)
+        expected = {
+            "n_queries": float(result.n_queries),
+            "hit_rate": result.hit_rate,
+            "rt_avg": result.mean_response_time,
+            "total_cost": result.total_cost,
+            "relative_cost": result.total_cost / 17.5,
+            "hit_rate_window_variance": windowed_mean_variance(
+                result.hits.astype(float), window
+            )[1],
+            "rt_window_variance": windowed_mean_variance(result.response_times, window)[1],
+        }
+        for level, value in response_time_quantiles(result).items():
+            expected[f"rt_p{level * 100:g}"] = value
+        if result.planning_times.size:
+            expected["mean_planning_seconds"] = float(np.mean(result.planning_times))
+            expected["max_planning_seconds"] = float(np.max(result.planning_times))
+        assert summary.keys() == expected.keys()
+        for key, value in expected.items():
+            assert _same(summary[key], value), key
+
+    @given(st.integers(0, 400), st.integers(0, 2**32 - 1), st.integers(1, 60))
+    @settings(max_examples=60, deadline=None)
+    def test_random_results(self, n, seed, window):
+        self._check(_random_result(n, seed), window)
+
+    def test_empty_result_reads_nan(self):
+        result = _random_result(0, 1)
+        self._check(result)
+        summary = summarize_result(result)
+        for key in ("hit_rate", "rt_avg", "hit_rate_window_variance", "rt_p99"):
+            assert np.isnan(summary[key])
+
+    def test_fewer_than_two_blocks_reads_zero_variance(self):
+        result = _random_result(99, 2)
+        self._check(result)
+        summary = summarize_result(result)
+        assert summary["hit_rate_window_variance"] == 0.0
+        assert summary["rt_window_variance"] == 0.0
+
+    def test_bad_window_is_rejected(self):
+        with pytest.raises(ValidationError, match="variance_window"):
+            summarize_result(_random_result(10, 3), variance_window=0)

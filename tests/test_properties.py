@@ -18,6 +18,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
+from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_next_arrivals
 from repro.optimization.formulations import solve_cost_constrained, solve_hp_constrained
@@ -151,23 +152,33 @@ class TestDecisionConsistency:
 
 class TestSamplingConsistency:
     @given(
-        st.lists(st.floats(min_value=0.0, max_value=3.0), min_size=1, max_size=8),
+        st.lists(st.floats(min_value=0.0, max_value=3.0), max_size=7),
+        # The last (held) rate carries every draw past the window, so it is
+        # positive; a zero tail raises by design (see the test below).
+        st.floats(min_value=0.0, max_value=3.0, exclude_min=True),
         st.integers(min_value=1, max_value=5),
         st.integers(min_value=0, max_value=10_000),
     )
     @settings(max_examples=40, deadline=None)
-    def test_next_arrival_samples_respect_cumulative_intensity(self, rates, k, seed):
+    def test_next_arrival_samples_respect_cumulative_intensity(self, body, held, k, seed):
         """Each sampled arrival time carries at least as much integrated
         intensity as the previous one, and the count of arrivals before any
         time t has the right mean (checked loosely via the first arrival)."""
-        rates = np.asarray(rates)
-        if rates.sum() <= 0:
-            rates = rates + 0.1
+        rates = np.asarray([*body, held])
         intensity = PiecewiseConstantIntensity(rates, 60.0, extrapolation="hold")
         samples = sample_next_arrivals(intensity, k, 200, seed)
         assert samples.shape == (200, k)
         assert np.all(np.diff(samples, axis=1) >= -1e-9)
         assert np.all(samples >= 0.0)
+
+    def test_zero_held_rate_raises_past_the_window(self):
+        # Window mass 0.0625 * 60 = 3.75; some of 200 rows of five unit
+        # exponentials pass it, and a zero tail cannot carry them.
+        intensity = PiecewiseConstantIntensity(
+            np.array([0.0625, 0.0]), 60.0, extrapolation="hold"
+        )
+        with pytest.raises(ValidationError, match="held intensity is zero"):
+            sample_next_arrivals(intensity, 5, 200, 0)
 
     @given(st.integers(min_value=0, max_value=10_000))
     @settings(max_examples=20, deadline=None)

@@ -214,3 +214,25 @@ class TestSimulationResult:
                 pending_times=[0.0, 0.0],
                 proactive=[True, True],
             )
+
+    def test_planning_times_default_to_an_empty_float_column(self):
+        result = _result([True], [0.0], 1.0)
+        assert result.planning_times.dtype == np.float64
+        assert result.planning_times.shape == (0,)
+
+    def test_planning_times_from_a_list_equal_those_from_an_array(self):
+        from_list = _result([True, False], [0.0, 5.0], 1.0, planning_times=[0.5, 0.0, 0.25])
+        from_array = _result(
+            [True, False], [0.0, 5.0], 1.0, planning_times=np.array([0.5, 0.0, 0.25])
+        )
+        assert from_list.planning_times.dtype == np.float64
+        assert from_list == from_array
+
+    def test_equality_sees_a_changed_planning_time(self):
+        times = np.array([0.5, 0.0, 0.25])
+        base = _result([True, False], [0.0, 5.0], 1.0, planning_times=times)
+        changed = times.copy()
+        changed[1] = 1e-9
+        assert base != _result([True, False], [0.0, 5.0], 1.0, planning_times=changed)
+        assert base != _result([True, False], [0.0, 5.0], 1.0, planning_times=times[:2])
+        assert base == _result([True, False], [0.0, 5.0], 1.0, planning_times=times.copy())
