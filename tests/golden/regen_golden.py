@@ -1,4 +1,4 @@
-"""Regenerate the golden fixtures: scenario traces and RobustScaler planning.
+"""Regenerate the golden fixtures: scenario traces, RobustScaler planning, baselines.
 
 Run from the repository root whenever the RNG draw order of scenario
 generation intentionally changes (e.g. a new sampler construction), or
@@ -18,6 +18,13 @@ The planning fixture (``planning_google.json``) pins the fitted
 log-intensity and the per-query outcome columns of RobustScaler-HP, -RT and
 -cost on small seeded google traces; ``tests/test_golden_planning.py``
 fails if a change to the fit or to the planning round moves a single bit.
+
+The baseline fixture (``baselines.json``) pins the per-query outcome
+columns of the arrival-driven baselines (Reactive, BP and AdapBP) on short
+seeded alibaba and crs traces, with deterministic and jittered pending
+times; ``tests/test_golden_baselines.py`` replays every cell on every
+engine and fails if a change to the arrival rule or to an engine moves a
+single bit.
 """
 
 from __future__ import annotations
@@ -56,6 +63,19 @@ OUTCOME_COLUMNS = (
 )
 
 PLANNING_PATH = Path(__file__).parent / "planning_google.json"
+
+#: Baseline traces: (scenario, scale, seed, seconds kept from the start).
+#: Short prefixes keep the reference replays fast while spanning many
+#: AdapBP ticks and both busy and idle stretches.
+BASELINE_CASES = (("alibaba", 0.01, 7, 21_600.0), ("crs", 0.05, 3, 259_200.0))
+
+#: Pending-time jitter (seconds) per pending model of the baseline fixture.
+BASELINE_PENDING = {"deterministic": 0.0, "jittered": 2.0}
+
+#: Baseline policies pinned by the fixture, by label.
+BASELINE_POLICIES = ("reactive", "bp2", "adapbp2")
+
+BASELINES_PATH = Path(__file__).parent / "baselines.json"
 
 
 def array_digest(array) -> str:
@@ -145,6 +165,57 @@ def planning_fingerprint(name: str, scale: float, seed: int) -> dict:
     return record
 
 
+def baseline_scaler(label: str):
+    """A fresh baseline policy for one fixture label."""
+    from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
+    from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
+
+    if label == "reactive":
+        return ReactiveScaler()
+    if label == "bp2":
+        return BackupPoolScaler(2)
+    if label == "adapbp2":
+        return AdaptiveBackupPoolScaler(2.0, rate_window=60.0, update_interval=60.0)
+    raise KeyError(label)
+
+
+def baseline_fingerprint(
+    name: str, scale: float, seed: int, keep_seconds: float, engine: str = "reference"
+) -> dict:
+    """Digests of every baseline policy's replay of one trace, per pending model."""
+    from repro.config import SimulationConfig
+    from repro.simulation import create_simulator
+    from repro.workloads import get_scenario
+
+    scenario = get_scenario(name)
+    trace = scenario.build_trace(scale=scale, seed=seed).slice_time(0.0, keep_seconds)
+    record: dict = {"n_queries": int(trace.n_queries)}
+    for pending_label, jitter in BASELINE_PENDING.items():
+        config = SimulationConfig(
+            pending_time=scenario.pending_time,
+            pending_time_jitter=jitter,
+            seed=seed,
+            engine=engine,
+        )
+        policies: dict = {}
+        for label in BASELINE_POLICIES:
+            result = create_simulator(config).replay(trace, baseline_scaler(label))
+            columns = {column: array_digest(getattr(result, column)) for column in OUTCOME_COLUMNS}
+            policies[label] = {
+                "hits": int(result.hits.sum()),
+                "unused_instance_cost": float(result.unused_instance_cost),
+                "n_unused_instances": int(result.n_unused_instances),
+                "planning_entries": int(result.planning_times.size),
+                "columns": columns,
+            }
+        record[pending_label] = policies
+    return record
+
+
+def baseline_key(name: str, scale: float, seed: int, keep_seconds: float) -> str:
+    return f"{fixture_key(name, scale, seed)}|keep={keep_seconds:g}"
+
+
 def main() -> None:
     fixtures = build_fixtures()
     GOLDEN_PATH.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n")
@@ -152,6 +223,9 @@ def main() -> None:
     planning = {fixture_key(*case): planning_fingerprint(*case) for case in PLANNING_CASES}
     PLANNING_PATH.write_text(json.dumps(planning, indent=2, sort_keys=True) + "\n")
     print(f"wrote {len(planning)} planning fixtures to {PLANNING_PATH}")
+    baselines = {baseline_key(*case): baseline_fingerprint(*case) for case in BASELINE_CASES}
+    BASELINES_PATH.write_text(json.dumps(baselines, indent=2, sort_keys=True) + "\n")
+    print(f"wrote {len(baselines)} baseline fixtures to {BASELINES_PATH}")
 
 
 if __name__ == "__main__":
