@@ -118,7 +118,7 @@ class SimulationConfig:
         ``"batched"`` is the vectorized engine of
         :mod:`repro.simulation.fastengine` that produces identical results
         (same RNG draw order, same tiebreaks) at a fraction of the cost,
-        hook policies declaring an arrival kernel (BP, AdapBP) included.
+        policies with a positive arrival target (BP, AdapBP) included.
         ``None`` (the default) leaves the choice to the consuming layer,
         and every layer — :mod:`repro.api`, the CLI and
         :func:`repro.simulation.create_simulator` — resolves it to

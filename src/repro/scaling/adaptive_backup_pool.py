@@ -3,9 +3,10 @@
 AdapBP adjusts the pool size to the traffic level: every ``update_interval``
 seconds it estimates the current arrival rate as the average QPS over the
 most recent ``rate_window`` seconds and resets the pool target to
-``ceil(rate * rate_factor)``.  Between updates it behaves like Backup Pool
-with the current target (replenish on every arrival, scale in when the target
-drops).
+``ceil(rate * rate_factor)``, creating or scaling in instances to match.
+Between updates it behaves like Backup Pool with the current target: the
+base arrival rule replenishes the pool on every arrival, reading the target
+from :attr:`AdaptiveBackupPoolScaler.arrival_target`.
 """
 
 from __future__ import annotations
@@ -55,8 +56,8 @@ class AdaptiveBackupPoolScaler(Autoscaler):
         return self.update_interval
 
     @property
-    def current_target(self) -> int:
-        """The pool size currently being maintained."""
+    def arrival_target(self) -> int:
+        """The pool size currently maintained; it moves only at planning ticks."""
         return self._target
 
     def reset(self) -> None:
@@ -66,25 +67,9 @@ class AdaptiveBackupPoolScaler(Autoscaler):
         """Re-estimate the arrival rate and resize the pool to match."""
         rate = context.recent_arrival_rate(self.rate_window)
         self._target = min(int(math.ceil(rate * self.rate_factor)), self.max_pool_size)
-        return self._rebalance(context)
-
-    def on_query_arrival(self, context: PlanningContext) -> ScalingResponse:
-        """Replenish the pool to the current target after each arrival."""
-        return self._rebalance(context, allow_scale_in=False)
-
-    def arrival_kernel(self):
-        """AdapBP's arrival hook is a pool top-up; the target only moves at
-        planning ticks, so reading it once per chunk is exact."""
-        from ..simulation.kernels import PoolTopUpKernel
-
-        return PoolTopUpKernel(lambda: self._target)
-
-    def _rebalance(
-        self, context: PlanningContext, *, allow_scale_in: bool = True
-    ) -> ScalingResponse:
         deficit = self._target - context.outstanding_instances
         if deficit > 0:
             return ScalingResponse.create_now(context.time, deficit)
-        if deficit < 0 and allow_scale_in:
+        if deficit < 0:
             return ScalingResponse(scale_in=-deficit)
         return ScalingResponse.empty()

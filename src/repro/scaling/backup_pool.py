@@ -5,6 +5,9 @@ each query arrival one instance is taken from the pool and the pool is
 immediately replenished with a fresh instance.  ``B = 0`` degenerates to the
 purely reactive strategy that cold-starts an instance for every query, which
 is also the cost reference for the "relative cost" metric.
+
+Both are pure instances of the base arrival rule: BP declares
+``arrival_target = B`` and keeps the base hook.
 """
 
 from __future__ import annotations
@@ -32,30 +35,19 @@ class BackupPoolScaler(Autoscaler):
         """Fill the pool at time zero."""
         return ScalingResponse.create_now(context.time, self.pool_size)
 
-    def on_query_arrival(self, context: PlanningContext) -> ScalingResponse:
-        """Top the pool back up to ``pool_size`` after each arrival."""
-        deficit = self.pool_size - context.outstanding_instances
-        if deficit <= 0:
-            return ScalingResponse.empty()
-        return ScalingResponse.create_now(context.time, deficit)
-
-    def arrival_kernel(self):
-        """BP's arrival hook is a pool top-up with a constant target."""
-        from ..simulation.kernels import PoolTopUpKernel
-
-        return PoolTopUpKernel(lambda: self.pool_size)
+    @property
+    def arrival_target(self) -> int:
+        """The arrival rule tops the pool back up to ``pool_size``."""
+        return self.pool_size
 
 
 class ReactiveScaler(BackupPoolScaler):
     """Purely reactive scaling: no pool, every query cold-starts an instance.
 
-    Equivalent to ``BackupPoolScaler(0)``; exists as a named class because it
-    doubles as the cost reference for the ``relative cost`` metric.
+    Equivalent to ``BackupPoolScaler(0)`` (an arrival target of 0); exists
+    as a named class because it doubles as the cost reference for the
+    ``relative cost`` metric.
     """
-
-    #: With a zero-size pool the arrival hook's deficit is never positive,
-    #: so batched engines may skip it and vectorize whole arrival chunks.
-    reacts_to_arrivals = False
 
     def __init__(self) -> None:
         super().__init__(0)

@@ -4,7 +4,9 @@ The simulator drives a policy through three hooks:
 
 * :meth:`Autoscaler.initialize` — once, at simulation time 0;
 * :meth:`Autoscaler.on_query_arrival` — after every query arrival has been
-  resolved (the policy sees the updated pool state);
+  resolved (the policy sees the updated pool state).  The base hook is the
+  one arrival rule the baselines share: create instances right away until
+  :attr:`Autoscaler.arrival_target` are outstanding;
 * :meth:`Autoscaler.on_planning_tick` — every ``planning_interval`` seconds,
   when the policy declares one.
 
@@ -13,6 +15,14 @@ allowed to observe (time, arrival history, pool occupancy — never the future
 of the trace) and returns a :class:`ScalingResponse` describing instance
 creations, cancellations of previously scheduled creations, and scale-ins of
 idle instances.
+
+A policy describes its per-arrival behaviour by overriding
+:attr:`~Autoscaler.arrival_target` (Backup Pool returns its pool size,
+Adaptive Backup Pool its current target, everything else keeps 0, which
+does nothing), not by overriding the hook.  The batched engine then reads
+the target once per chunk of arrivals and serves the chunk over arrays
+instead of calling the hook per query; policies that do override the hook
+are replayed one query at a time.
 """
 
 from __future__ import annotations
@@ -116,23 +126,16 @@ class Autoscaler(abc.ABC):
     #: Human-readable policy name used in reports; subclasses override.
     name: str = "autoscaler"
 
-    #: Set to ``False`` by policies whose :meth:`on_query_arrival` is
-    #: guaranteed to return an empty response, allowing batched engines to
-    #: vectorize over arrival chunks instead of calling the hook per query.
-    #: The reference engine ignores the flag (it still invokes the no-op
-    #: hook), so declaring it never changes simulation outcomes.
-    reacts_to_arrivals: bool = True
-
     @property
-    def arrival_hook_is_passive(self) -> bool:
-        """True when per-arrival hook calls provably cannot change state.
+    def arrival_target(self) -> int:
+        """Instances the arrival rule keeps outstanding after every query.
 
-        Either the policy declares :attr:`reacts_to_arrivals` as ``False``
-        or it never overrode the base-class no-op hook.
+        The default 0 makes the base :meth:`on_query_arrival` a no-op.  The
+        value may change only in :meth:`initialize`,
+        :meth:`on_planning_tick` and :meth:`reset`: the batched engine reads
+        it once per chunk of arrivals between two planning ticks.
         """
-        if not self.reacts_to_arrivals:
-            return True
-        return type(self).on_query_arrival is Autoscaler.on_query_arrival
+        return 0
 
     @property
     def planning_interval(self) -> float | None:
@@ -146,28 +149,18 @@ class Autoscaler(abc.ABC):
     def on_query_arrival(self, context: PlanningContext) -> ScalingResponse:
         """Called after each query arrival has been matched to an instance.
 
+        The base hook is the arrival rule: create instances now until
+        :attr:`arrival_target` are outstanding (created or scheduled).
+        Override :attr:`arrival_target`, not this hook, to change the
+        target; a subclass that overrides the hook is replayed per query.
         The context is only valid for the duration of the call: fast engines
         may reuse one mutable snapshot across arrivals, so policies must not
         stash it for later inspection (read what you need, then return).
         """
+        deficit = self.arrival_target - context.outstanding_instances
+        if deficit > 0:
+            return ScalingResponse.create_now(context.time, deficit)
         return ScalingResponse.empty()
-
-    def arrival_kernel(self):
-        """Optional array-program equivalent of :meth:`on_query_arrival`.
-
-        Policies whose per-arrival decision can be expressed over flat
-        numpy arrays may return a
-        :class:`repro.simulation.kernels.ArrivalKernel`; the batched
-        engine then serves whole chunks of arrivals (everything between two
-        planning ticks) through it instead of dispatching the hook per
-        query, with bit-identical results.  Returning a kernel is a
-        *promise of equivalence*: the kernel must reproduce the hook's
-        decisions exactly (see :class:`~repro.simulation.kernels.ArrivalKernel`
-        for the contract).  The default is ``None`` — no kernel, per-query
-        hook dispatch.  The reference engine ignores kernels entirely, so
-        declaring one never changes simulation outcomes.
-        """
-        return None
 
     def on_planning_tick(self, context: PlanningContext) -> ScalingResponse:
         """Called every :attr:`planning_interval` seconds (if not ``None``)."""

@@ -264,7 +264,7 @@ class ScalingPerQuerySimulator:
             recorder.inc("engine.reference.queries", n)
             recorder.inc("engine.reference.planning_ticks", n_ticks)
             # The reference engine dispatches the arrival hook per query,
-            # passive or not — that is exactly what makes it slow.
+            # whatever the arrival target — that is exactly what makes it slow.
             recorder.inc("engine.reference.hook_arrivals", n)
             recorder.observe(
                 "engine.reference.replay_seconds",

@@ -6,19 +6,20 @@ differential harness in ``tests/test_engine_parity.py`` asserts
 bit-for-bit identical :class:`~repro.types.SimulationResult` rows — while
 restructuring the work so million-query traces are feasible:
 
-* **chunked arrivals** — when the policy's per-arrival hook provably cannot
-  change state (:attr:`~repro.scaling.base.Autoscaler.arrival_hook_is_passive`),
-  all arrivals between two planning ticks are served as one numpy batch:
+* **one arrival rule** — a policy that keeps the base arrival hook
+  states its per-arrival behaviour as
+  :attr:`~repro.scaling.base.Autoscaler.arrival_target`, read once per
+  chunk of arrivals (everything between two planning ticks).  A target of
+  0 means the hook does nothing, so the chunk is served as one numpy batch:
   hit/miss classification, waiting times and instance lifecycles come from
-  vectorized array expressions instead of a Python loop;
-* **kernel chunks** — otherwise, policies that declare an
-  :meth:`~repro.scaling.base.Autoscaler.arrival_kernel` (BP, AdapBP) have
-  whole chunks of arrivals served through their array kernel (see
-  :mod:`repro.simulation.kernels`); pending-time draws are bulk-sampled
+  vectorized array expressions instead of a Python loop.  A positive
+  target (BP, AdapBP) is served by the top-up functions of
+  :mod:`repro.simulation.kernels`; pending-time draws are bulk-sampled
   with the exact count the reference engine would consume, so rows stay
-  bit-identical.  Arrivals the kernel cannot take (scheduled creations in
-  flight, charged decision latency, a policy without a kernel, a chunk of
-  a single arrival) fall back to the per-query hook path;
+  bit-identical.  Arrivals a top-up chunk cannot take (scheduled creations
+  in flight, charged decision latency, a chunk of a single arrival) and
+  every arrival of a policy that overrides the hook go through the
+  per-query hook path;
 * **flat sorted pools** — the unassigned-instance pool and the scheduled
   creations are flat lists kept sorted by ``(ready_time, tiebreak)`` /
   ``(creation_time, tiebreak)``, so pop-min is a head slice, scale-in is a
@@ -39,7 +40,7 @@ restructuring the work so million-query traces are feasible:
 
 Parity notes.  The tiebreak counter is advanced in exactly the reference
 order (scheduled pushes consume ids too, materialization assigns fresh ids
-in pop order, kernel chunks advance it by their exact creation count),
+in pop order, top-up chunks advance it by their exact creation count),
 floating-point expressions reproduce the reference's operation order
 (e.g. ``(arrival + latency) + pending``), and cost accumulation follows
 the same element order, so results match bitwise, not just approximately.
@@ -60,7 +61,7 @@ from ..rng import ensure_rng
 from ..scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from ..telemetry import get_recorder
 from ..types import ArrivalTrace, SimulationResult
-from .kernels import KernelState
+from .kernels import plan_pool_topup, serve_topup_fifo, serve_topup_sorted
 
 __all__ = ["BatchedEventSimulator"]
 
@@ -69,12 +70,19 @@ _INF = math.inf
 #: Histogram buckets for per-chunk query counts (powers of ten).
 _CHUNK_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
 
-#: Shared zero-length draw array for kernel chunks that sample nothing.
+#: Shared zero-length draw array for top-up chunks that sample nothing.
 _EMPTY_DRAWS = np.empty(0, dtype=float)
 
-#: Smallest chunk served by an arrival kernel: copying the pool into the
-#: kernel's arrays and back costs more than one hook call.
-_MIN_KERNEL_CHUNK = 2
+#: Smallest top-up chunk: copying the pool into flat arrays and back costs
+#: more than one hook call.
+_MIN_TOPUP_CHUNK = 2
+
+
+def _observe_chunk_sizes(recorder, name: str, sizes: list[int]) -> None:
+    """Fold one replay's collected chunk sizes into a histogram."""
+    histogram = recorder.histogram(name, _CHUNK_BUCKETS)
+    for size in sizes:
+        histogram.observe(size)
 
 
 class BatchedEventSimulator:
@@ -120,7 +128,8 @@ class BatchedEventSimulator:
         recorder = get_recorder()
         # repro: allow[RPR002] telemetry replay timer only, never touches simulated time
         replay_started = _time.perf_counter()
-        chunk_sizes: list[int] | None = [] if recorder.enabled else None
+        passive_sizes: list[int] | None = [] if recorder.enabled else None
+        topup_sizes: list[int] | None = [] if recorder.enabled else None
         n_ticks = 0
         rng = ensure_rng(self.config.seed)
         sample = self.pending_model.sample
@@ -136,7 +145,7 @@ class BatchedEventSimulator:
         pool: list[tuple[float, int, float, float]] = []
         # Scheduled creations: flat sorted list of (creation, tie).
         sched: list[tuple[float, int]] = []
-        # Next tiebreak id; a plain int so kernel chunks can advance it by
+        # Next tiebreak id; a plain int so top-up chunks can advance it by
         # their whole creation count in one step.
         tiebreak = 0
         # Planning-time entries: one per policy call, plus a 0.0 for every
@@ -325,41 +334,30 @@ class BatchedEventSimulator:
             _ctx_set(arrival_context, "scheduled_creations", len(sched))
             return arrival_context
 
-        def serve_kernel_chunk(begin: int, end: int, params) -> None:
-            """Serve arrivals[begin:end] through the policy's arrival kernel.
+        def serve_topup_chunk(begin: int, end: int, target: int) -> None:
+            """Serve arrivals[begin:end] under the arrival rule with ``target >= 1``.
 
-            The kernel plans the chunk's exact pending-draw count from the
-            pool *size* alone, the draws are bulk-sampled (stream-prefix
+            The chunk's exact pending-draw count follows from the pool
+            *size* alone, the draws are bulk-sampled (stream-prefix
             stability keeps them bitwise equal to the reference engine's
             one-at-a-time draws), and the tiebreak counter advances by the
             exact creation count, so the surviving pool is indistinguishable
             from one produced by per-query hook dispatch.
             """
             nonlocal tiebreak
-            m = end - begin
             s0 = len(pool)
-            n_draws, n_created = kernel.plan(s0, m, params)
+            n_draws, n_created = plan_pool_topup(s0, end - begin, target)
             if n_draws:
                 draws = np.asarray(sample(n_draws, rng), dtype=float)
             else:
                 draws = _EMPTY_DRAWS
-            state = KernelState(
-                pool_ready=np.array([e[0] for e in pool], dtype=float),
-                pool_creation=np.array([e[2] for e in pool], dtype=float),
-                pool_pending=np.array([e[3] for e in pool], dtype=float),
-                latency=latency_const,
-                fifo_pool=fifo_pool,
-                begin=begin,
-                hit=hit_col,
-                waiting=waiting_col,
-                creation=creation_col,
-                ready=ready_col,
-                start=start_col,
-                pending=pending_col,
-                proactive=proactive_col,
+            flat_pool = (
+                np.array([e[0] for e in pool], dtype=float),
+                np.array([e[2] for e in pool], dtype=float),
+                np.array([e[3] for e in pool], dtype=float),
             )
-            surv_ready, surv_creation, surv_pending, surv_order = kernel.run_chunk(
-                state, arrivals[begin:end], draws, params
+            surv_ready, surv_creation, surv_pending, surv_order = serve_topup(
+                arrivals[begin:end], draws, target, latency_const, flat_pool, columns, begin
             )
             tie_base = tiebreak
             tiebreak += n_created
@@ -385,18 +383,29 @@ class BatchedEventSimulator:
 
         interval = scaler.planning_interval
         next_tick = interval if interval else None
-        passive = scaler.arrival_hook_is_passive
 
-        # Kernel tier: only for active arrival hooks, and only when decision
-        # latency is not charged (charged latency turns "create now" into a
-        # scheduled creation, which kernels do not model).
-        kernel = None if passive or charge else scaler.arrival_kernel()
-        fifo_pool = isinstance(self.pending_model, DeterministicPendingTime)
+        # Policies that keep the base arrival hook are served from their
+        # ``arrival_target``; the others dispatch their hook per query.
+        keeps_rule = type(scaler).on_query_arrival is Autoscaler.on_query_arrival
+        # With deterministic pending times the pool is FIFO (see kernels).
+        if isinstance(self.pending_model, DeterministicPendingTime):
+            serve_topup = serve_topup_fifo
+        else:
+            serve_topup = serve_topup_sorted
+        columns = (
+            hit_col,
+            waiting_col,
+            creation_col,
+            ready_col,
+            start_col,
+            pending_col,
+            proactive_col,
+        )
         n_hook = 0
 
         index = 0
         # First arrival at or after ``next_tick``: the end of the current
-        # tick interval, computed once per interval and shared by the tiers.
+        # tick interval, computed once per interval and shared by the paths.
         chunk_end = 0
         while index < n:
             arrival = float(arrivals[index])
@@ -419,18 +428,27 @@ class BatchedEventSimulator:
                         np.searchsorted(arrivals[index:], next_tick, side="left")
                     )
 
-            if passive:
+            # The target only moves at planning ticks, so one read covers
+            # the rest of the chunk.
+            target = scaler.arrival_target if keeps_rule else None
+            if target is not None and target <= 0:
                 serve_chunk(index, chunk_end)
+                if passive_sizes is not None:
+                    passive_sizes.append(chunk_end - index)
             elif (
-                kernel is not None
-                and chunk_end - index >= _MIN_KERNEL_CHUNK
+                target is not None
+                # Charged latency turns "create now" into a scheduled
+                # creation, which top-up chunks do not model.
+                and not charge
                 and not sched
-                and (params := kernel.begin_chunk()) is not None
+                and chunk_end - index >= _MIN_TOPUP_CHUNK
             ):
-                serve_kernel_chunk(index, chunk_end, params)
+                serve_topup_chunk(index, chunk_end, target)
+                if topup_sizes is not None:
+                    topup_sizes.append(chunk_end - index)
             else:
-                # Per-query hook fallback; the kernel (if any) is offered the
-                # remaining arrivals again at the next one.
+                # Per-query hook; a top-up chunk is offered the remaining
+                # arrivals again at the next one.
                 materialize(arrival)
                 serve_one(index, arrival)
                 response, latency = call_policy(
@@ -440,11 +458,9 @@ class BatchedEventSimulator:
                 n_hook += 1
                 index += 1
                 continue
-            # The reference engine still times the (no-op or kernel-served)
-            # arrival hook; keep the planning-time counts aligned.
+            # The reference engine still times the arrival hook it calls for
+            # every chunk-served arrival; keep the planning-time counts aligned.
             n_entries += chunk_end - index
-            if chunk_sizes is not None:
-                chunk_sizes.append(chunk_end - index)
             index = chunk_end
 
         # Instances created but never consumed cost until the end of the
@@ -460,23 +476,16 @@ class BatchedEventSimulator:
             recorder.inc("engine.batched.replays")
             recorder.inc("engine.batched.queries", n)
             recorder.inc("engine.batched.planning_ticks", n_ticks)
-            if passive:
-                recorder.inc("engine.batched.passive_arrivals", n)
-                recorder.inc("engine.batched.chunks", len(chunk_sizes))
-                chunk_hist_name = "engine.batched.chunk_queries"
-            else:
-                # Kernel-tier attribution: how many arrivals the kernel
-                # served chunk-at-a-time vs. fell back to hook dispatch.
-                recorder.inc("engine.batched.hook_arrivals", n_hook)
-                recorder.inc("engine.kernel.chunks", len(chunk_sizes))
-                recorder.inc("engine.kernel.arrivals", n - n_hook)
-                recorder.inc("engine.kernel.fallback_arrivals", n_hook)
-                chunk_hist_name = "engine.kernel.chunk_size"
-            chunk_hist = recorder.histogram(chunk_hist_name, _CHUNK_BUCKETS)
-            for size in chunk_sizes:
-                # repro: allow[RPR004] post-replay fold of collected chunk
-                # sizes — runs once per replay, not per query
-                chunk_hist.observe(size)
+            # Every arrival is served exactly one way: in a passive chunk,
+            # in a top-up chunk, or by the per-query hook.
+            recorder.inc("engine.batched.passive_arrivals", sum(passive_sizes))
+            recorder.inc("engine.batched.chunks", len(passive_sizes))
+            recorder.inc("engine.kernel.arrivals", sum(topup_sizes))
+            recorder.inc("engine.kernel.chunks", len(topup_sizes))
+            recorder.inc("engine.batched.hook_arrivals", n_hook)
+            recorder.inc("engine.kernel.fallback_arrivals", n_hook)
+            _observe_chunk_sizes(recorder, "engine.batched.chunk_queries", passive_sizes)
+            _observe_chunk_sizes(recorder, "engine.kernel.chunk_size", topup_sizes)
             recorder.observe(
                 "engine.batched.replay_seconds",
                 # repro: allow[RPR002] telemetry replay timer only, not simulated time

@@ -1,55 +1,50 @@
-"""Kernelized per-arrival policy path: vectorized hook kernels over flat arrays.
+"""Pool top-up chunks over flat arrays: the batched engine's arrival rule.
 
-The batched engine (:mod:`repro.simulation.fastengine`) serves
-*passive*-arrival policies as whole numpy chunks; BP/AdapBP-style scalers
-make a decision on every arrival and would otherwise need per-query
-:class:`~repro.scaling.base.PlanningContext` construction and Python hook
-dispatch.  This module provides the batched engine's kernel tier, between
-the passive chunk and the per-query hook:
+Every policy states its per-arrival behaviour as one number,
+:attr:`~repro.scaling.base.Autoscaler.arrival_target`: after each query the
+base hook creates instances right away until ``target`` are outstanding
+(Backup Pool, Adaptive Backup Pool; Reactive is the target-0 case).  The
+batched engine (:mod:`repro.simulation.fastengine`) serves a target of 0 as
+a passive chunk and a positive target through the functions here, which
+serve every arrival between two planning ticks in one call: on each
+arrival, take the earliest-ready pool instance (or cold-start), then create
+instances until ``target`` are outstanding.
 
-* :class:`KernelState` — a flat, array-based snapshot of the simulator
-  state a kernel operates on: the instance-pool columns (ready / creation /
-  pending times, sorted ascending), the scheduling-latency constant, and
-  views of the engine's columnar outcome accumulators;
-* the **arrival-kernel protocol** — a policy may return an
-  :class:`ArrivalKernel` from
-  :meth:`~repro.scaling.base.Autoscaler.arrival_kernel`, promising that its
-  per-arrival hook is equivalent to the kernel's array program.  The engine
-  then serves whole chunks of arrivals (everything between two planning
-  ticks) through the kernel instead of dispatching the hook per query;
-* :class:`PoolTopUpKernel` — the kernel of the *top-up family* shared by
-  Backup Pool, Adaptive Backup Pool and the reactive baseline: on each
-  arrival, take the earliest-ready pool instance (or cold-start), then
-  immediately create instances until ``target`` are outstanding.
-
-**Exact parity.**  Kernels must reproduce the reference engine bit for bit
+**Exact parity.**  A chunk must reproduce the reference engine bit for bit
 (same hit flags, waiting times, pending-time draws, RNG consumption order
-and pool tiebreaks).  Two facts make this tractable for the top-up family:
+and pool tiebreaks).  Two facts make this tractable:
 
 1. *Draw counts depend only on pool sizes*, never on drawn values: the
    pool size after each arrival is ``max(size - 1, target)`` regardless of
    which instance was taken.  :func:`plan_pool_topup` therefore derives the
    chunk's exact number of pending-time draws in closed form, the engine
-   samples them in one stream-prefix-stable bulk call, and the kernel
+   samples them in one stream-prefix-stable bulk call, and the chunk
    consumes them with a cursor — the RNG ends the chunk in exactly the
    state the reference engine would leave it in.
 2. *Deterministic pending times make the pool FIFO*: every new instance's
    ready time ``creation + latency + pending`` is >= every existing one's,
    so pop-min equals pop-head and the whole chunk collapses to pure numpy
-   slicing (:func:`PoolTopUpKernel.run_chunk`'s vectorized branch).  With
-   jittered/exponential pending models the pool order is data-dependent and
-   a scalar flat-array core (:func:`_serve_topup_chunk`) maintains the
-   sorted pool explicitly — the same source is compiled with ``numba.njit``
-   when the optional ``jit`` extra is installed (``pip install
-   robustscaler-repro[jit]``) and runs as plain Python otherwise; both
-   backends produce identical results (the JIT compiles the very same
-   function).
+   slicing (:func:`serve_topup_fifo`).  With jittered/exponential pending
+   models the pool order is data-dependent and a scalar flat-array core
+   (:func:`serve_topup_sorted`) maintains the sorted pool explicitly — the
+   same source is compiled with ``numba.njit`` when the optional ``jit``
+   extra is installed (``pip install robustscaler-repro[jit]``) and runs as
+   plain Python otherwise; both backends produce identical results (the JIT
+   compiles the very same function).
+
+Both servers share one signature: ``(arrivals, draws, target, latency,
+pool, out, begin)``, where ``pool`` is the ``(ready, creation, pending)``
+columns of the pre-chunk pool sorted by ``(ready, tiebreak)``, ``out`` is
+the engine's ``(hit, waiting, creation, ready, start, pending, proactive)``
+outcome columns (the chunk writes ``[begin, begin + len(arrivals))`` and
+nothing else), and the return value is the surviving pool as ``(ready,
+creation, pending, order)`` sorted by ``(ready, tiebreak)``.  ``order``
+keys each survivor: values ``< len(pool[0])`` index the pre-chunk pool,
+larger values are ``len(pool[0]) + creation_index`` for instances created
+during the chunk.
 """
 
 from __future__ import annotations
-
-import abc
-from typing import Callable
 
 import numpy as np
 
@@ -58,11 +53,10 @@ from ..exceptions import SimulationError
 __all__ = [
     "NUMBA_AVAILABLE",
     "JIT_BACKEND",
-    "ArrivalKernel",
-    "KernelState",
-    "PoolTopUpKernel",
     "plan_pool_topup",
     "scalar_backend",
+    "serve_topup_fifo",
+    "serve_topup_sorted",
 ]
 
 try:
@@ -75,135 +69,13 @@ except Exception:  # pragma: no cover - exercised only without the extra
 #: True when the optional numba JIT backend is importable.
 NUMBA_AVAILABLE = _numba is not None
 
-#: Human-readable name of the scalar-kernel backend in use.
+#: Human-readable name of the scalar-core backend in use.
 JIT_BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
-
-_EMPTY_F = np.empty(0, dtype=float)
-_EMPTY_I = np.empty(0, dtype=np.int64)
 
 
 def scalar_backend() -> str:
-    """The backend executing scalar (non-FIFO) kernel chunks."""
+    """The backend executing scalar (non-FIFO) top-up chunks."""
     return JIT_BACKEND
-
-
-class KernelState:
-    """Flat array-based simulator state handed to an arrival kernel.
-
-    The pool columns are parallel arrays sorted by ``(ready, tiebreak)``
-    ascending — index ``i`` across ``pool_ready`` / ``pool_creation`` /
-    ``pool_pending`` is one created-but-unassigned instance.  The outcome
-    arrays are the engine's full columnar accumulators; a kernel writes the
-    slice ``[begin, begin + len(chunk))`` and nothing else.
-
-    ``fifo_pool`` is True when the engine's pending-time model is
-    deterministic: every future instance's ready time is then >= every
-    pooled one's, pop-min equals pop-head, and kernels may use their
-    vectorized branches.
-    """
-
-    __slots__ = (
-        "pool_ready",
-        "pool_creation",
-        "pool_pending",
-        "latency",
-        "fifo_pool",
-        "begin",
-        "hit",
-        "waiting",
-        "creation",
-        "ready",
-        "start",
-        "pending",
-        "proactive",
-    )
-
-    def __init__(
-        self,
-        *,
-        pool_ready: np.ndarray,
-        pool_creation: np.ndarray,
-        pool_pending: np.ndarray,
-        latency: float,
-        fifo_pool: bool,
-        begin: int,
-        hit: np.ndarray,
-        waiting: np.ndarray,
-        creation: np.ndarray,
-        ready: np.ndarray,
-        start: np.ndarray,
-        pending: np.ndarray,
-        proactive: np.ndarray,
-    ) -> None:
-        self.pool_ready = pool_ready
-        self.pool_creation = pool_creation
-        self.pool_pending = pool_pending
-        self.latency = latency
-        self.fifo_pool = fifo_pool
-        self.begin = begin
-        self.hit = hit
-        self.waiting = waiting
-        self.creation = creation
-        self.ready = ready
-        self.start = start
-        self.pending = pending
-        self.proactive = proactive
-
-
-class ArrivalKernel(abc.ABC):
-    """A policy's per-arrival decision, expressed over flat arrays.
-
-    A policy returning one from
-    :meth:`~repro.scaling.base.Autoscaler.arrival_kernel` promises that for
-    every arrival its ``on_query_arrival`` hook
-
-    * only creates instances *immediately* (``creation_time <= now``) —
-      never schedules future creations, cancels scheduled ones, or scales
-      idle instances in, and
-    * depends only on state that changes at planning ticks (the engine
-      re-reads :meth:`begin_chunk` at every chunk boundary).
-
-    The engine verifies the environmental preconditions itself (empty
-    scheduled-creation queue, decision latency not charged, more than one
-    arrival left before the next tick) and silently falls back to
-    per-query hook dispatch when they do not hold, so a
-    kernel never changes results — only the speed of obtaining them.
-    """
-
-    @abc.abstractmethod
-    def begin_chunk(self):
-        """Snapshot the policy parameters for the next chunk.
-
-        Returns an opaque ``params`` value passed to :meth:`plan` and
-        :meth:`run_chunk`, or ``None`` to decline the chunk (the engine
-        then serves the next arrival through the regular hook path and
-        asks again at the following one).
-        """
-
-    @abc.abstractmethod
-    def plan(self, pool_size: int, n_arrivals: int, params) -> tuple[int, int]:
-        """``(n_draws, n_created)`` the chunk will consume and create.
-
-        Must be exact: the engine bulk-samples precisely ``n_draws``
-        pending times before running the chunk so the RNG stream stays
-        aligned with the reference engine, and advances the pool tiebreak
-        counter by precisely ``n_created``.
-        """
-
-    @abc.abstractmethod
-    def run_chunk(
-        self, state: KernelState, arrivals: np.ndarray, draws: np.ndarray, params
-    ) -> tuple[np.ndarray, np.ndarray, np.ndarray, np.ndarray]:
-        """Serve ``arrivals`` (one chunk), writing the outcome slice.
-
-        Returns the surviving pool as ``(ready, creation, pending, order)``
-        arrays sorted by ``(ready, tiebreak)``; ``order`` keys each
-        survivor: values ``< len(state.pool_ready)`` index the pre-chunk
-        pool (the engine reuses the original entry, preserving its
-        tiebreak), larger values are ``pool_size + creation_index`` for
-        instances created during the chunk (the engine assigns them fresh
-        tiebreaks in creation order).
-        """
 
 
 def plan_pool_topup(pool_size: int, n_arrivals: int, target: int) -> tuple[int, int]:
@@ -212,22 +84,19 @@ def plan_pool_topup(pool_size: int, n_arrivals: int, target: int) -> tuple[int, 
     Per arrival the reference engine pops the earliest-ready instance (a
     cold start — one draw — when the pool is empty), then creates
     ``max(0, target - size)`` instances (one draw each).  Sizes evolve as
-    ``size -> max(size - 1, target)`` independent of the drawn values, so:
-
-    * ``target == 0``: no creations; arrivals beyond the first
-      ``pool_size`` all cold-start.
-    * ``target >= 1``: only the first arrival can cold-start (afterwards
-      the pool is topped up before the next arrival); the pool drains by
-      one per arrival until it reaches ``target`` and then stays there,
-      creating one instance per arrival.
+    ``size -> max(size - 1, target)`` independent of the drawn values.  With
+    ``target >= 1`` only the first arrival can cold-start (afterwards the
+    pool is topped up before the next arrival); the pool drains by one per
+    arrival until it reaches ``target`` and then stays there, creating one
+    instance per arrival.  A target of 0 is a passive chunk, not a top-up.
     """
     s0 = int(pool_size)
     m = int(n_arrivals)
     t = int(target)
+    if t < 1:
+        raise SimulationError(f"a top-up chunk needs a target >= 1, got {t}")
     if m <= 0:
         return 0, 0
-    if t <= 0:
-        return max(0, m - s0), 0
     cold = 1 if s0 == 0 else 0
     first = t if s0 == 0 else max(0, t - (s0 - 1))
     # Arrivals before ``jstart`` only drain the oversized pool; from
@@ -235,6 +104,71 @@ def plan_pool_topup(pool_size: int, n_arrivals: int, target: int) -> tuple[int, 
     jstart = min(max(s0 - t, 1), m)
     n_created = first + (m - jstart)
     return cold + n_created, n_created
+
+
+def serve_topup_fifo(a, draws, target, latency, pool, out, begin):
+    """Pure-numpy top-up chunk when the pool order is provably FIFO.
+
+    Every query is matched to a *queue position*: the initial pool entries
+    followed by created instances in creation order.  Query ``j`` (except a
+    leading cold start) consumes queue position ``j``, so hits, waits and
+    lifecycles come from array expressions over the concatenated queue.
+    """
+    pool_ready, pool_creation, pool_pending = pool
+    hit, waiting, creation, ready, start, pending, proactive = out
+    b = begin
+    m = a.size
+    s0 = pool_ready.size
+
+    cold = 1 if s0 == 0 else 0
+    if cold:
+        # Only the first arrival of a chunk can cold-start when the target
+        # is positive: the top-up refills the pool before the next arrival.
+        draw0 = draws[0]
+        ready0 = (a[0] + latency) + draw0
+        creation[b] = a[0]
+        ready[b] = ready0
+        start[b] = ready0
+        waiting[b] = ready0 - a[0]
+        pending[b] = draw0
+
+    first = target if s0 == 0 else max(0, target - (s0 - 1))
+    jstart = min(max(s0 - target, 1), m)
+    n_created = first + (m - jstart)
+    created_creation = np.empty(n_created, dtype=float)
+    created_creation[:first] = a[0]
+    created_creation[first:] = a[jstart:]
+    created_pending = draws[cold:]
+    created_ready = (created_creation + latency) + created_pending
+
+    if s0:
+        queue_ready = np.concatenate((pool_ready, created_ready))
+        queue_creation = np.concatenate((pool_creation, created_creation))
+        queue_pending = np.concatenate((pool_pending, created_pending))
+    else:
+        queue_ready = created_ready
+        queue_creation = created_creation
+        queue_pending = created_pending
+
+    n_served = m - cold
+    arr = a[cold:]
+    r = queue_ready[:n_served]
+    s = np.maximum(r, arr)
+    hit[b + cold : b + m] = r <= arr
+    waiting[b + cold : b + m] = s - arr
+    creation[b + cold : b + m] = queue_creation[:n_served]
+    ready[b + cold : b + m] = r
+    start[b + cold : b + m] = s
+    pending[b + cold : b + m] = queue_pending[:n_served]
+    proactive[b + cold : b + m] = True
+
+    order = np.arange(n_served, s0 + n_created, dtype=np.int64)
+    return (
+        queue_ready[n_served:],
+        queue_creation[n_served:],
+        queue_pending[n_served:],
+        order,
+    )
 
 
 def _serve_topup_chunk(
@@ -326,185 +260,40 @@ else:
     _serve_topup_chunk_impl = _serve_topup_chunk
 
 
-class PoolTopUpKernel(ArrivalKernel):
-    """Arrival kernel of the pool-top-up family (Reactive / BP / AdapBP).
-
-    Parameters
-    ----------
-    target_fn:
-        Zero-argument callable returning the policy's *current* pool
-        target; read once per chunk (targets only change at planning
-        ticks for this family).  A negative or ``None`` target declines
-        the chunk.
-    """
-
-    def __init__(self, target_fn: Callable[[], int | None]) -> None:
-        self._target_fn = target_fn
-
-    # ------------------------------------------------------------ protocol
-
-    def begin_chunk(self):
-        target = self._target_fn()
-        if target is None:
-            return None
-        target = int(target)
-        return target if target >= 0 else None
-
-    def plan(self, pool_size: int, n_arrivals: int, params) -> tuple[int, int]:
-        return plan_pool_topup(pool_size, n_arrivals, int(params))
-
-    def run_chunk(self, state, arrivals, draws, params):
-        target = int(params)
-        if state.fifo_pool:
-            return self._run_fifo(state, arrivals, draws, target)
-        return self._run_scalar(state, arrivals, draws, target)
-
-    # ---------------------------------------------------- vectorized (FIFO)
-
-    def _run_fifo(self, state, a, draws, target):
-        """Pure-numpy chunk when the pool order is provably FIFO.
-
-        Every query is matched to a *queue position*: the initial pool
-        entries followed by created instances in creation order.  Query
-        ``j`` (except a leading cold start) consumes queue position ``j``,
-        so hits, waits and lifecycles come from array expressions over the
-        concatenated queue.
-        """
-        b = state.begin
-        m = a.size
-        latency = state.latency
-        pool_ready = state.pool_ready
-        s0 = pool_ready.size
-        hit = state.hit
-        waiting = state.waiting
-        creation = state.creation
-        ready = state.ready
-        start = state.start
-        pending = state.pending
-        proactive = state.proactive
-
-        if target == 0:
-            served = min(s0, m)
-            if served:
-                r = pool_ready[:served]
-                arr = a[:served]
-                s = np.maximum(r, arr)
-                hit[b : b + served] = r <= arr
-                waiting[b : b + served] = s - arr
-                creation[b : b + served] = state.pool_creation[:served]
-                ready[b : b + served] = r
-                start[b : b + served] = s
-                pending[b : b + served] = state.pool_pending[:served]
-                proactive[b : b + served] = True
-            if m > served:
-                arr = a[served:]
-                r = (arr + latency) + draws
-                waiting[b + served : b + m] = r - arr
-                creation[b + served : b + m] = arr
-                ready[b + served : b + m] = r
-                start[b + served : b + m] = r
-                pending[b + served : b + m] = draws
-                # hit / proactive stay False (cold starts).
-            order = np.arange(served, s0, dtype=np.int64)
-            return (
-                pool_ready[served:],
-                state.pool_creation[served:],
-                state.pool_pending[served:],
-                order,
-            )
-
-        cold = 1 if s0 == 0 else 0
-        if cold:
-            # Only the first arrival of a chunk can cold-start when the
-            # target is positive: the top-up refills the pool before the
-            # next arrival is served.
-            draw0 = draws[0]
-            ready0 = (a[0] + latency) + draw0
-            creation[b] = a[0]
-            ready[b] = ready0
-            start[b] = ready0
-            waiting[b] = ready0 - a[0]
-            pending[b] = draw0
-
-        first = target if s0 == 0 else max(0, target - (s0 - 1))
-        jstart = min(max(s0 - target, 1), m)
-        n_created = first + (m - jstart)
-        created_creation = np.empty(n_created, dtype=float)
-        created_creation[:first] = a[0]
-        created_creation[first:] = a[jstart:]
-        created_pending = draws[cold:]
-        created_ready = (created_creation + latency) + created_pending
-
-        if s0:
-            queue_ready = np.concatenate((pool_ready, created_ready))
-            queue_creation = np.concatenate((state.pool_creation, created_creation))
-            queue_pending = np.concatenate((state.pool_pending, created_pending))
-        else:
-            queue_ready = created_ready
-            queue_creation = created_creation
-            queue_pending = created_pending
-
-        n_served = m - cold
-        arr = a[cold:]
-        r = queue_ready[:n_served]
-        s = np.maximum(r, arr)
-        hit[b + cold : b + m] = r <= arr
-        waiting[b + cold : b + m] = s - arr
-        creation[b + cold : b + m] = queue_creation[:n_served]
-        ready[b + cold : b + m] = r
-        start[b + cold : b + m] = s
-        pending[b + cold : b + m] = queue_pending[:n_served]
-        proactive[b + cold : b + m] = True
-
-        order = np.arange(n_served, s0 + n_created, dtype=np.int64)
-        return (
-            queue_ready[n_served:],
-            queue_creation[n_served:],
-            queue_pending[n_served:],
-            order,
+def serve_topup_sorted(a, draws, target, latency, pool, out, begin):
+    """Top-up chunk over an explicitly sorted pool, for jittered pending models."""
+    pool_ready, pool_creation, pool_pending = pool
+    s0 = pool_ready.size
+    capacity = s0 + draws.size + 1
+    q_ready = np.empty(capacity, dtype=float)
+    q_creation = np.empty(capacity, dtype=float)
+    q_pending = np.empty(capacity, dtype=float)
+    q_order = np.empty(capacity, dtype=np.int64)
+    q_ready[:s0] = pool_ready
+    q_creation[:s0] = pool_creation
+    q_pending[:s0] = pool_pending
+    q_order[:s0] = np.arange(s0, dtype=np.int64)
+    head, tail, _, consumed = _serve_topup_chunk_impl(
+        a,
+        latency,
+        target,
+        draws,
+        q_ready,
+        q_creation,
+        q_pending,
+        q_order,
+        s0,
+        *out,
+        begin,
+    )
+    if consumed != draws.size:  # pragma: no cover - plan/serve invariant
+        raise SimulationError(
+            f"top-up chunk consumed {consumed} pending draws but the chunk plan "
+            f"sampled {draws.size}; the RNG stream would diverge"
         )
-
-    # ------------------------------------------------------ scalar (sorted)
-
-    def _run_scalar(self, state, a, draws, target):
-        """Sorted flat-array loop for jittered pending models (JIT-able)."""
-        s0 = state.pool_ready.size
-        capacity = s0 + draws.size + 1
-        q_ready = np.empty(capacity, dtype=float)
-        q_creation = np.empty(capacity, dtype=float)
-        q_pending = np.empty(capacity, dtype=float)
-        q_order = np.empty(capacity, dtype=np.int64)
-        q_ready[:s0] = state.pool_ready
-        q_creation[:s0] = state.pool_creation
-        q_pending[:s0] = state.pool_pending
-        q_order[:s0] = np.arange(s0, dtype=np.int64)
-        head, tail, created, consumed = _serve_topup_chunk_impl(
-            a,
-            state.latency,
-            target,
-            draws,
-            q_ready,
-            q_creation,
-            q_pending,
-            q_order,
-            s0,
-            state.hit,
-            state.waiting,
-            state.creation,
-            state.ready,
-            state.start,
-            state.pending,
-            state.proactive,
-            state.begin,
-        )
-        if consumed != draws.size:  # pragma: no cover - plan/run invariant
-            raise SimulationError(
-                f"kernel consumed {consumed} pending draws but the chunk plan "
-                f"sampled {draws.size}; the RNG stream would diverge"
-            )
-        return (
-            q_ready[head:tail].copy(),
-            q_creation[head:tail].copy(),
-            q_pending[head:tail].copy(),
-            q_order[head:tail].copy(),
-        )
+    return (
+        q_ready[head:tail].copy(),
+        q_creation[head:tail].copy(),
+        q_pending[head:tail].copy(),
+        q_order[head:tail].copy(),
+    )

@@ -67,7 +67,7 @@ def create_simulator(
     semantics define Algorithm 1; ``"batched"`` is the vectorized
     :class:`~repro.simulation.fastengine.BatchedEventSimulator`, which
     produces bit-identical results at a fraction of the cost on large
-    traces, hook policies that declare an arrival kernel (BP, AdapBP)
+    traces, policies with a positive arrival target (BP, AdapBP)
     included.
 
     A config that never chose an engine (``engine=None``) gets

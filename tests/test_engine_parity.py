@@ -6,7 +6,7 @@ cost and planning-call counts — between
 :class:`~repro.simulation.engine.ScalingPerQuerySimulator` (the semantics)
 and each fast engine:
 :class:`~repro.simulation.fastengine.BatchedEventSimulator`, with its
-passive-chunk, kernel-chunk and per-query hook tiers.  Any future engine
+passive-chunk, top-up-chunk and per-query hook paths.  Any future engine
 (async backend, compiled whole-trace kernel) is expected to pass this suite
 unchanged.
 """
@@ -20,8 +20,9 @@ import numpy as np
 import pytest
 
 from repro.config import PlannerConfig, SimulationConfig
+from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_homogeneous_arrivals
-from repro.pending import ExponentialPendingTime
+from repro.pending import DeterministicPendingTime, ExponentialPendingTime
 from repro.runtime import (
     EvalTask,
     PrepSpec,
@@ -35,6 +36,7 @@ from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.scaling.base import Autoscaler, ScalingResponse
 from repro.scaling.robustscaler import RobustScaler, RobustScalerObjective
+from repro.scaling.sequential import SequentialHPScaler
 from repro.simulation import (
     BatchedEventSimulator,
     ScalingPerQuerySimulator,
@@ -93,7 +95,6 @@ class SchedulingScaler(Autoscaler):
     """Tick policy exercising scheduled creations, cancels and scale-ins."""
 
     name = "SchedulingScaler"
-    reacts_to_arrivals = False
 
     def __init__(self, interval: float, lookahead: float, burst: int = 2) -> None:
         self._interval = interval
@@ -276,7 +277,6 @@ class ClockedTickScaler(Autoscaler):
     """Passive tick policy whose every call takes a nonzero measured time."""
 
     name = "ClockedTick"
-    reacts_to_arrivals = False
 
     def __init__(self, interval: float) -> None:
         self._interval = interval
@@ -335,11 +335,39 @@ class TestRobustScalerParity:
         assert_engine_parity(workload.test, factory, config)
 
 
-class BurstyHookScaler(Autoscaler):
-    """Active arrival hook with no kernel: every 5th arrival adds an instance.
+class TestSequentialHPParity:
+    """Algorithm 4 overrides the arrival hook, so it replays per query."""
 
-    Forces :class:`BatchedEventSimulator` onto the per-query fallback path
-    for the whole replay (``arrival_kernel()`` returns the base ``None``).
+    @pytest.mark.parametrize("jitter", [0.0, 3.0], ids=["deterministic", "jitter"])
+    def test_sequential_hp_parity(self, jitter):
+        from repro.telemetry import Recorder, use
+
+        trace = _poisson_trace(rate=0.3, horizon=1200.0, seed=14)
+        config = SimulationConfig(pending_time=9.0, pending_time_jitter=jitter, seed=14)
+
+        def factory():
+            return SequentialHPScaler(
+                PiecewiseConstantIntensity(np.array([0.3]), 60.0, extrapolation="hold"),
+                DeterministicPendingTime(9.0),
+                target_hit_probability=0.85,
+                planning_every=3,
+                planner=PlannerConfig(monte_carlo_samples=50),
+                random_state=14,
+            )
+
+        reference, _ = assert_engine_parity(trace, factory, config)
+        assert reference.proactive_flags.any()
+        with use(Recorder()) as recorder:
+            BatchedEventSimulator(config).replay(trace, factory())
+        counters = recorder.snapshot()["counters"]
+        assert counters["engine.batched.hook_arrivals"] == trace.n_queries
+
+
+class BurstyHookScaler(Autoscaler):
+    """Overridden arrival hook: every 5th arrival adds an instance.
+
+    Forces :class:`BatchedEventSimulator` onto the per-query hook path for
+    the whole replay.
     """
 
     name = "BurstyHook"
@@ -351,12 +379,12 @@ class BurstyHookScaler(Autoscaler):
 
 
 class ScheduledTopUpScaler(BackupPoolScaler):
-    """BP's top-up hook plus ticks that schedule *future* creations.
+    """BP's arrival rule plus ticks that schedule *future* creations.
 
-    While a scheduled creation is outstanding the kernel tier's empty-queue
-    precondition fails, so arrivals fall back to per-query hook dispatch;
-    once the creation materializes the kernel resumes.  Exercises the
-    interleaving of all three dispatch outcomes within one replay.
+    While a scheduled creation is outstanding a top-up chunk's empty-queue
+    precondition fails, so arrivals go through the per-query hook; once the
+    creation materializes top-up chunks resume.  Exercises the
+    interleaving of the dispatch outcomes within one replay.
     """
 
     name = "ScheduledTopUp"
@@ -375,11 +403,55 @@ class ScheduledTopUpScaler(BackupPoolScaler):
         )
 
 
+class OverPoolScaler(BackupPoolScaler):
+    """BP whose overridden hook keeps one instance more than ``arrival_target``."""
+
+    name = "OverPool"
+
+    def on_query_arrival(self, context) -> ScalingResponse:
+        deficit = self.arrival_target + 1 - context.outstanding_instances
+        if deficit > 0:
+            return ScalingResponse.create_now(context.time, deficit)
+        return ScalingResponse.empty()
+
+
+def _dispatch_counters(trace, scaler, config, pending_model=None) -> dict:
+    """Counters of one batched replay, checked for the three-way partition."""
+    from repro.telemetry import Recorder, use
+
+    with use(Recorder()) as recorder:
+        BatchedEventSimulator(config, pending_model=pending_model).replay(trace, scaler)
+    counters = recorder.snapshot()["counters"]
+    assert (
+        counters["engine.batched.passive_arrivals"]
+        + counters["engine.kernel.arrivals"]
+        + counters["engine.batched.hook_arrivals"]
+        == trace.n_queries
+    )
+    assert counters["engine.kernel.fallback_arrivals"] == counters["engine.batched.hook_arrivals"]
+    return counters
+
+
 class TestKernelDispatch:
-    """The kernel tier's dispatch decisions and its fallback behavior."""
+    """How the batched engine serves each arrival: passive chunk, top-up
+    chunk or per-query hook."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 2.0], ids=["deterministic", "jitter"])
+    def test_overridden_hook_replays_per_query(self, jitter):
+        """A BP subclass that overrides the hook is not served from
+        ``arrival_target``: every arrival goes through its own hook."""
+        trace = _poisson_trace(rate=0.5, horizon=1500.0, seed=8)
+        config = SimulationConfig(pending_time=7.0, pending_time_jitter=jitter, seed=8)
+        reference, _ = assert_engine_parity(trace, lambda: OverPoolScaler(2), config)
+        plain, _ = assert_engine_parity(trace, lambda: BackupPoolScaler(2), config)
+        # The override's extra instance is visible in the outcome.
+        assert reference.n_unused_instances == plain.n_unused_instances + 1
+        counters = _dispatch_counters(trace, OverPoolScaler(2), config)
+        assert counters["engine.batched.hook_arrivals"] == trace.n_queries
+        assert counters["engine.kernel.chunks"] == 0
 
     def test_policy_without_kernel_falls_back_silently(self):
-        """A hook policy with no kernel must replay identically (hook path)."""
+        """A policy that overrides the hook must replay identically (hook path)."""
         trace = _poisson_trace(rate=0.5, horizon=1500.0, seed=8)
         config = SimulationConfig(pending_time=7.0, seed=8)
         assert_engine_parity(trace, BurstyHookScaler, config)
@@ -397,7 +469,7 @@ class TestKernelDispatch:
         assert counters["engine.batched.hook_arrivals"] == trace.n_queries
 
     def test_scheduled_creations_interleave_with_kernel_chunks(self):
-        """Kernel chunks must pause while scheduled creations are in flight."""
+        """Top-up chunks must pause while scheduled creations are in flight."""
         trace = _poisson_trace(rate=0.5, horizon=2400.0, seed=12)
         for jitter in (0.0, 2.0):
             config = SimulationConfig(
@@ -423,7 +495,7 @@ class TestKernelDispatch:
 
     def test_charged_latency_disables_the_kernel_tier(self):
         """Charged decision latency turns create-now into scheduled creations,
-        which kernels do not model — the tier must switch off entirely."""
+        which top-up chunks do not model — they must switch off entirely."""
         from repro.telemetry import Recorder, use
 
         trace = _poisson_trace(rate=0.4, horizon=600.0, seed=3)
@@ -437,15 +509,12 @@ class TestKernelDispatch:
         assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
 
     def test_passive_tier_outranks_the_kernel(self):
-        """Reactive inherits BP's kernel but is passive: no kernel chunks."""
-        from repro.telemetry import Recorder, use
-
+        """Reactive is BP(0): an arrival target of 0 is served as passive
+        chunks, never as top-up chunks."""
         trace = _poisson_trace(rate=0.4, horizon=600.0, seed=3)
         config = SimulationConfig(pending_time=6.0, seed=3)
-        with use(Recorder()) as recorder:
-            BatchedEventSimulator(config).replay(trace, ReactiveScaler())
-        counters = recorder.snapshot()["counters"]
-        assert "engine.kernel.chunks" not in counters
+        counters = _dispatch_counters(trace, ReactiveScaler(), config)
+        assert counters["engine.kernel.chunks"] == 0
         assert counters["engine.batched.passive_arrivals"] == trace.n_queries
 
     @pytest.mark.parametrize(
@@ -454,40 +523,45 @@ class TestKernelDispatch:
         ids=["deterministic", "jitter", "exponential"],
     )
     def test_one_arrival_chunks_take_the_hook_path(self, jitter, pending_model):
-        """AdapBP ticking about once per arrival gap: tick intervals holding
-        a single arrival go to the hook, longer ones to the kernel."""
-        from repro.telemetry import Recorder, use
-
+        """AdapBP ticking about once per arrival gap: tick intervals with a
+        target of 0 are passive chunks; with a positive target, intervals
+        holding a single arrival go to the hook, longer ones to top-up
+        chunks."""
         trace = _poisson_trace(rate=0.5, horizon=1500.0, seed=21)
         config = SimulationConfig(pending_time=6.0, pending_time_jitter=jitter, seed=21)
-        interval = 2.0
+        interval, window, factor = 2.0, 20.0, 2.0
 
         def factory():
             return AdaptiveBackupPoolScaler(
-                2.0, rate_window=20.0, update_interval=interval
+                factor, rate_window=window, update_interval=interval
             )
 
         assert_engine_parity(trace, factory, config, pending_model=pending_model)
-        with use(Recorder()) as recorder:
-            BatchedEventSimulator(config, pending_model=pending_model).replay(
-                trace, factory()
-            )
-        counters = recorder.snapshot()["counters"]
+        counters = _dispatch_counters(trace, factory(), config, pending_model)
         assert counters["engine.kernel.chunks"] >= 1
         assert counters["engine.kernel.fallback_arrivals"] > 0
-        assert (
-            counters["engine.kernel.arrivals"]
-            + counters["engine.kernel.fallback_arrivals"]
-            == trace.n_queries
-        )
-        # Exactly one kernel chunk per tick interval holding two or more
-        # arrivals, and one hook call per interval holding a single one.
-        per_interval = np.bincount(
-            np.floor(trace.arrival_times / interval).astype(int)
-        )
-        assert counters["engine.kernel.chunks"] == int(np.sum(per_interval >= 2))
+        assert counters["engine.batched.passive_arrivals"] > 0
+        # The target serving interval k was set by the tick at k * interval
+        # from the arrivals in the trailing window (0 before the first tick).
+        arrivals = trace.arrival_times
+        slot = np.floor(arrivals / interval).astype(int)
+        per_interval = np.bincount(slot)
+        targets = np.zeros(per_interval.size, dtype=int)
+        for k in range(1, per_interval.size):
+            tick = k * interval
+            seen = int(np.searchsorted(arrivals, tick, side="left"))
+            first = int(np.searchsorted(arrivals[:seen], tick - window, side="left"))
+            targets[k] = int(np.ceil((seen - first) / window * factor))
+        topped = targets >= 1
+        # Exactly one top-up chunk per interval with a positive target and
+        # two or more arrivals, one hook call per such interval holding a
+        # single arrival, and everything else passive.
+        assert counters["engine.kernel.chunks"] == int(np.sum(topped & (per_interval >= 2)))
         assert counters["engine.kernel.fallback_arrivals"] == int(
-            np.sum(per_interval == 1)
+            np.sum(topped & (per_interval == 1))
+        )
+        assert counters["engine.batched.passive_arrivals"] == int(
+            per_interval[~topped].sum()
         )
 
     def test_single_arrival_trace_takes_the_hook_path(self):

@@ -4,9 +4,9 @@ Each property is checked on every engine: the reference engine because it
 defines the semantics, the batched engine because it must uphold them
 under every input hypothesis can dream up — not just the seeded
 configurations of the differential suite.  The BP/AdapBP properties run the
-batched engine's kernel-chunk dispatch through both kernel paths (the
-jittered configs exercise the scalar sorted-pool core, the deterministic
-ones the vectorized FIFO branch).
+batched engine's top-up chunks through both servers (the jittered configs
+exercise the scalar sorted-pool core, the deterministic ones the vectorized
+FIFO server).
 """
 
 from __future__ import annotations
@@ -32,7 +32,6 @@ class InitialFleetScaler(Autoscaler):
     """Creates ``count`` instances immediately at time zero, then stays idle."""
 
     name = "InitialFleet"
-    reacts_to_arrivals = False
 
     def __init__(self, count: int) -> None:
         self._count = count
@@ -45,7 +44,6 @@ class FutureFleetScaler(Autoscaler):
     """Schedules ``count`` future creations spread over the given window."""
 
     name = "FutureFleet"
-    reacts_to_arrivals = False
 
     def __init__(self, count: int, window: float) -> None:
         self._count = count
@@ -195,10 +193,11 @@ def _assert_bit_identical(reference, batched):
 
 @pytest.mark.parametrize("jitter", [0.0, 2.5], ids=["fifo", "sorted-pool"])
 class TestKernelTierParity:
-    """The batched engine serves BP/AdapBP through the arrival kernel (with
-    one-arrival tick intervals on the hook); on arbitrary traces the result
-    must match the reference engine bit for bit.  Zero jitter drives the
-    kernel's vectorized FIFO branch, positive jitter its sorted-pool core."""
+    """The batched engine serves BP/AdapBP as top-up chunks (with
+    one-arrival tick intervals on the hook and target-0 intervals passive);
+    on arbitrary traces the result must match the reference engine bit for
+    bit.  Zero jitter drives the vectorized FIFO server, positive jitter the
+    sorted-pool core."""
 
     @given(raw=arrival_lists, pool=st.integers(min_value=0, max_value=5))
     @settings(max_examples=25, deadline=None)

@@ -8,7 +8,7 @@ import pytest
 from repro.exceptions import ValidationError
 from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
-from repro.scaling.base import PlanningContext, ScalingResponse
+from repro.scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from repro.simulation.engine import ScalingPerQuerySimulator
 from repro.types import ArrivalTrace
 
@@ -56,6 +56,70 @@ class TestBackupPoolScaler:
         assert scaler.name == "Reactive"
 
 
+def _old_top_up_hook(target: int, context: PlanningContext) -> ScalingResponse:
+    """The arrival hook BP and AdapBP each carried before the shared rule."""
+    deficit = target - context.outstanding_instances
+    if deficit <= 0:
+        return ScalingResponse.empty()
+    return ScalingResponse.create_now(context.time, deficit)
+
+
+def _same_response(a: ScalingResponse, b: ScalingResponse) -> bool:
+    return (
+        [(x.creation_time, x.planned_at) for x in a.actions]
+        == [(x.creation_time, x.planned_at) for x in b.actions]
+        and a.cancel_scheduled == b.cancel_scheduled
+        and a.scale_in == b.scale_in
+    )
+
+
+class TestArrivalRule:
+    """BP and AdapBP keep the base hook and declare only ``arrival_target``."""
+
+    def test_base_policy_targets_nothing(self):
+        class Plain(Autoscaler):
+            pass
+
+        scaler = Plain()
+        assert scaler.arrival_target == 0
+        response = scaler.on_query_arrival(_context(3.0, np.array([3.0]), created=0))
+        assert _same_response(response, ScalingResponse.empty())
+
+    def test_baselines_keep_the_base_hook(self):
+        for cls in (BackupPoolScaler, ReactiveScaler, AdaptiveBackupPoolScaler):
+            assert cls.on_query_arrival is Autoscaler.on_query_arrival
+
+    @pytest.mark.parametrize("pool_size", [0, 1, 2, 5])
+    def test_bp_rule_matches_the_old_hook(self, pool_size):
+        scaler = BackupPoolScaler(pool_size)
+        assert scaler.arrival_target == pool_size
+        arrivals = np.array([7.0])
+        for created in range(pool_size + 3):
+            for scheduled in range(3):
+                context = _context(7.0, arrivals, created=created, scheduled=scheduled)
+                assert _same_response(
+                    scaler.on_query_arrival(context), _old_top_up_hook(pool_size, context)
+                )
+
+    def test_reactive_targets_zero(self):
+        assert ReactiveScaler().arrival_target == 0
+
+    @pytest.mark.parametrize("n_recent", [0, 3, 10, 40])
+    def test_adapbp_rule_matches_the_old_hook(self, n_recent):
+        scaler = AdaptiveBackupPoolScaler(2.5, rate_window=100.0)
+        assert scaler.arrival_target == 0
+        arrivals = np.linspace(901.0, 1000.0, n_recent)
+        scaler.on_planning_tick(_context(1000.0, arrivals, created=0))
+        target = int(np.ceil(n_recent / 100.0 * 2.5))
+        assert scaler.arrival_target == target
+        for created in range(target + 3):
+            for scheduled in range(3):
+                context = _context(1001.0, arrivals, created=created, scheduled=scheduled)
+                assert _same_response(
+                    scaler.on_query_arrival(context), _old_top_up_hook(target, context)
+                )
+
+
 class TestBackupPoolEndToEnd:
     def test_pool_guarantees_hits_for_sparse_arrivals(self, sim_config):
         # Arrivals far apart relative to pending time: with a pool of one the
@@ -94,21 +158,21 @@ class TestAdaptiveBackupPool:
         scaler = AdaptiveBackupPoolScaler(10.0, rate_window=100.0)
         arrivals = np.linspace(900.0, 1000.0, 20)  # 0.2 queries/second recently
         response = scaler.on_planning_tick(_context(1000.0, arrivals, created=0))
-        assert scaler.current_target == int(np.ceil(0.2 * 10.0))
-        assert len(response.actions) == scaler.current_target
+        assert scaler.arrival_target == int(np.ceil(0.2 * 10.0))
+        assert len(response.actions) == scaler.arrival_target
 
     def test_scales_in_when_target_drops(self):
         scaler = AdaptiveBackupPoolScaler(10.0, rate_window=100.0)
         # No recent arrivals: target drops to zero, existing pool scaled in.
         response = scaler.on_planning_tick(_context(5000.0, np.array([100.0]), created=3))
-        assert scaler.current_target == 0
+        assert scaler.arrival_target == 0
         assert response.scale_in == 3
 
     def test_arrival_replenishes_to_target(self):
         scaler = AdaptiveBackupPoolScaler(20.0, rate_window=100.0)
         arrivals = np.linspace(900.0, 1000.0, 10)
         scaler.on_planning_tick(_context(1000.0, arrivals, created=0))
-        target = scaler.current_target
+        target = scaler.arrival_target
         assert target >= 1
         response = scaler.on_query_arrival(
             _context(1001.0, np.append(arrivals, 1001.0), created=target - 1)
@@ -124,7 +188,7 @@ class TestAdaptiveBackupPool:
         scaler = AdaptiveBackupPoolScaler(10.0)
         scaler._target = 7
         scaler.reset()
-        assert scaler.current_target == 0
+        assert scaler.arrival_target == 0
 
     def test_negative_factor_rejected(self):
         with pytest.raises(ValidationError):

@@ -321,9 +321,10 @@ class TestTelemetryCLI:
         assert "engine.batched.queries" in out
 
     def test_show_surfaces_kernel_counters(self):
-        """A default-engine run with BP records the kernel-tier counters and
-        the chunk-size histogram, and ``telemetry show`` renders them so
-        ``telemetry diff`` can attribute engine speedups."""
+        """A default-engine run with BP records the top-up counters and the
+        chunk-size histogram, and ``telemetry show`` renders them so
+        ``telemetry diff`` can attribute engine speedups.  Every replayed
+        arrival is counted once: passive chunk, top-up chunk or hook."""
         code, _, _ = _invoke(
             _SWEEP_ARGS + ["--telemetry", "--run-id", "cli-kernel", "--quiet"]
         )
@@ -333,6 +334,14 @@ class TestTelemetryCLI:
         assert "engine.kernel.chunks" in out
         assert "engine.kernel.arrivals" in out
         assert "engine.kernel.chunk_size" in out
+        counters = load_snapshot(resolve_store(None), "cli-kernel")["counters"]
+        assert counters["engine.kernel.arrivals"] > 0
+        assert (
+            counters["engine.batched.passive_arrivals"]
+            + counters["engine.kernel.arrivals"]
+            + counters["engine.batched.hook_arrivals"]
+            == counters["engine.batched.queries"]
+        )
 
     def test_show_lists_fit_convergence(self):
         code, _, _ = _invoke(_SWEEP_ARGS + ["--telemetry", "--run-id", "cli-fit", "--quiet"])
