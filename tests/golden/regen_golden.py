@@ -25,6 +25,17 @@ seeded alibaba and crs traces, with deterministic and jittered pending
 times; ``tests/test_golden_baselines.py`` replays every cell on every
 engine and fails if a change to the arrival rule or to an engine moves a
 single bit.
+
+The driver fixture (``drivers.json``) pins the deterministic row columns of
+the paper-experiment drivers (Table I, Table III, the regularization and
+Monte Carlo sample-size ablations, Fig. 8's grid and Table IV's simulated
+row) at small parameters; ``tests/test_golden_drivers.py`` fails if a
+change to a driver moves a single bit of them.  Wall-clock columns and
+Table IV's "real" row, which charges measured planner latency, are left
+out.
+
+Only fixture files whose content changed are rewritten; the script prints
+which ones those were.
 """
 
 from __future__ import annotations
@@ -76,6 +87,53 @@ BASELINE_PENDING = {"deterministic": 0.0, "jittered": 2.0}
 BASELINE_POLICIES = ("reactive", "bp2", "adapbp2")
 
 BASELINES_PATH = Path(__file__).parent / "baselines.json"
+
+#: Paper-experiment drivers pinned by the driver fixture: small parameters
+#: and the deterministic columns digested, per registered experiment.
+DRIVER_CASES = {
+    "table1": (
+        {
+            "peak_qps": 5.0,
+            "period_seconds": 900.0,
+            "horizon_seconds": 3600.0,
+            "planning_interval": 10.0,
+            "monte_carlo_samples": 200,
+        },
+        ("variant", "metric", "target_level", "achieved_level", "n_queries"),
+    ),
+    "table3": (
+        {"period_seconds": 3600.0, "n_periods": 5, "max_iterations": 150},
+        ("model", "mse", "mae", "admm_iterations"),
+    ),
+    "regularization-sensitivity": (
+        {
+            "period_seconds": 1800.0,
+            "n_periods": 4,
+            "beta_smooth_values": (0.0, 50.0),
+            "beta_period_values": (0.0, 10.0),
+            "max_iterations": 100,
+        },
+        ("beta_smooth", "beta_period", "mse", "mae"),
+    ),
+    "mc-sample-ablation": (
+        {"sample_sizes": (1, 50, 2000), "n_trials": 10},
+        ("n_samples", "exact_decision", "mean_abs_error"),
+    ),
+    "scalability": (
+        {"qps_levels": (1.0, 50.0), "monte_carlo_samples": 300, "repeats": 1},
+        ("qps", "variant", "decisions_per_update"),
+    ),
+    "table4": (
+        {"scale": 0.15, "monte_carlo_samples": 150, "planning_interval": 10.0},
+        ("environment", "target_hp", "hit_rate", "rt_avg", "cost_per_query", "relative_cost"),
+    ),
+}
+
+#: Rows left out of the driver fixture, as (column, value) per experiment:
+#: Table IV's "real" row charges measured planner latency.
+DRIVER_EXCLUDED_ROWS = {"table4": ("environment", "real")}
+
+DRIVERS_PATH = Path(__file__).parent / "drivers.json"
 
 
 def array_digest(array) -> str:
@@ -216,16 +274,45 @@ def baseline_key(name: str, scale: float, seed: int, keep_seconds: float) -> str
     return f"{fixture_key(name, scale, seed)}|keep={keep_seconds:g}"
 
 
+def driver_fingerprint(name: str) -> dict:
+    """Digest of one driver's deterministic columns at the fixture's parameters."""
+    from repro.api import run_experiment
+
+    params, columns = DRIVER_CASES[name]
+    excluded = DRIVER_EXCLUDED_ROWS.get(name)
+    rows = [
+        {column: row[column] for column in columns}
+        for row in run_experiment(name, params)
+        if excluded is None or row[excluded[0]] != excluded[1]
+    ]
+    digest = hashlib.blake2b(digest_size=16)
+    # JSON writes every float as its shortest round-trip repr: one bit moved
+    # in any value changes the digest.
+    digest.update(json.dumps(rows, sort_keys=True).encode())
+    return {"n_rows": len(rows), "columns": list(columns), "digest": digest.hexdigest()}
+
+
+def write_fixture(path: Path, fixtures: dict) -> bool:
+    """Write ``fixtures`` to ``path`` unless the file already holds them."""
+    text = json.dumps(fixtures, indent=2, sort_keys=True) + "\n"
+    if path.exists() and path.read_text() == text:
+        return False
+    path.write_text(text)
+    return True
+
+
 def main() -> None:
-    fixtures = build_fixtures()
-    GOLDEN_PATH.write_text(json.dumps(fixtures, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(fixtures)} fixtures to {GOLDEN_PATH}")
-    planning = {fixture_key(*case): planning_fingerprint(*case) for case in PLANNING_CASES}
-    PLANNING_PATH.write_text(json.dumps(planning, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(planning)} planning fixtures to {PLANNING_PATH}")
-    baselines = {baseline_key(*case): baseline_fingerprint(*case) for case in BASELINE_CASES}
-    BASELINES_PATH.write_text(json.dumps(baselines, indent=2, sort_keys=True) + "\n")
-    print(f"wrote {len(baselines)} baseline fixtures to {BASELINES_PATH}")
+    fixtures = {
+        GOLDEN_PATH: build_fixtures(),
+        PLANNING_PATH: {fixture_key(*case): planning_fingerprint(*case) for case in PLANNING_CASES},
+        BASELINES_PATH: {
+            baseline_key(*case): baseline_fingerprint(*case) for case in BASELINE_CASES
+        },
+        DRIVERS_PATH: {name: driver_fingerprint(name) for name in DRIVER_CASES},
+    }
+    for path, content in fixtures.items():
+        status = "rewrote" if write_fixture(path, content) else "unchanged"
+        print(f"{status} {path.name} ({len(content)} fixtures)")
 
 
 if __name__ == "__main__":
