@@ -55,8 +55,9 @@ def main() -> None:
     #        on training data, then pick the nominal level that realizes a
     #        desired actual level (Section VI-C practical guideline).
     # The paper's calibration setting uses hourly bumps peaking near 1000 QPS
-    # (see ``paper_scalability_intensity``); a single 30-minute bump with a
-    # ~5 QPS peak keeps this example fast while exercising the same code.
+    # (Table I: ``repro experiment table1 --peak-qps 1000 --period-seconds
+    # 3600``); a single 30-minute bump with a ~5 QPS peak keeps this example
+    # fast while exercising the same code.
     forecast = _small_bump()
     train_trace = generate_trace_from_intensity(
         forecast,
@@ -95,17 +96,16 @@ def main() -> None:
 
 def _small_bump():
     """A single-bump intensity (30-minute period, ~5 QPS peak) for fast runs."""
-    import numpy as np
+    from repro.traces import periodic_bump_intensity
 
-    from repro.nhpp.intensity import PiecewiseConstantIntensity
-    from repro.traces import beta_bump_intensity
-
-    bin_seconds = 10.0
-    times = (np.arange(180) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times, peak=5.0, period_seconds=1800.0, exponent=20.0, base=0.05
+    return periodic_bump_intensity(
+        peak=5.0,
+        period_seconds=1800.0,
+        exponent=20.0,
+        base=0.05,
+        horizon_seconds=1800.0,
+        bin_seconds=10.0,
     )
-    return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
 
 if __name__ == "__main__":

@@ -31,18 +31,20 @@ from repro.nhpp import (
 )
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_arrival_times
-from repro.traces import beta_bump_intensity
+from repro.traces import periodic_bump_intensity
 from repro.types import QPSSeries
 
 
 def _workload_intensity() -> PiecewiseConstantIntensity:
     """Ground truth: a 30-minute cycle peaking around 0.8 queries/second."""
-    bin_seconds = 30.0
-    times = (np.arange(120) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times, peak=0.8, period_seconds=1800.0, exponent=8.0, base=0.05
+    return periodic_bump_intensity(
+        peak=0.8,
+        period_seconds=1800.0,
+        exponent=8.0,
+        base=0.05,
+        horizon_seconds=3600.0,
+        bin_seconds=30.0,
     )
-    return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
 
 def main() -> None:

@@ -17,11 +17,9 @@ from .exceptions import ValidationError
 
 __all__ = [
     "as_1d_float_array",
-    "as_1d_int_array",
     "check_positive",
     "check_non_negative",
     "check_probability",
-    "check_in_range",
     "check_integer",
     "check_sorted",
     "check_same_length",
@@ -52,21 +50,6 @@ def as_1d_float_array(values: Iterable[float], name: str = "values") -> np.ndarr
     return array.copy()
 
 
-def as_1d_int_array(values: Iterable[int], name: str = "values") -> np.ndarray:
-    """Convert ``values`` to a 1-D int64 array, validating integrality."""
-    array = np.asarray(list(values) if not isinstance(values, np.ndarray) else values)
-    if array.ndim != 1:
-        raise ValidationError(f"{name} must be one-dimensional, got shape {array.shape}")
-    if array.size == 0:
-        return array.astype(np.int64)
-    if not np.all(np.isfinite(array.astype(float))):
-        raise ValidationError(f"{name} must contain only finite values")
-    rounded = np.rint(array.astype(float))
-    if not np.allclose(array.astype(float), rounded):
-        raise ValidationError(f"{name} must contain integer values")
-    return rounded.astype(np.int64)
-
-
 def check_positive(value: float, name: str) -> float:
     """Validate that ``value`` is strictly positive and return it as float."""
     value = float(value)
@@ -94,14 +77,6 @@ def check_probability(value: float, name: str, *, inclusive: bool = True) -> flo
     else:
         if value <= 0.0 or value >= 1.0:
             raise ValidationError(f"{name} must lie strictly in (0, 1), got {value!r}")
-    return value
-
-
-def check_in_range(value: float, name: str, low: float, high: float) -> float:
-    """Validate that ``low <= value <= high``."""
-    value = float(value)
-    if not math.isfinite(value) or value < low or value > high:
-        raise ValidationError(f"{name} must lie in [{low}, {high}], got {value!r}")
     return value
 
 

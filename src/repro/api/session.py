@@ -382,11 +382,6 @@ class ExperimentHandle:
             self._params[target] = names[0]
         return self
 
-    def configure(self, **params: Any) -> "ExperimentHandle":
-        """Stage parameter overrides (validated against the schema at run time)."""
-        self._params.update(params)
-        return self
-
     def run(self, **params: Any) -> ResultSet:
         """Execute with the staged plus given parameters; returns a ResultSet."""
         merged = {**self._params, **params}

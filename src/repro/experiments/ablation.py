@@ -8,9 +8,12 @@ Three ablations complement the paper's own experiments:
   each planning block.
 * **Monte Carlo sample size** — decision accuracy (against the analytic
   optimum available for exponential interarrivals) and solve time as the
-  sample count ``R`` grows.
+  sample count ``R`` grows, solved by the planner's
+  :class:`~repro.optimization.formulations.ColumnSolver`.
 * **regularization sensitivity** — intensity-estimation error over a grid of
-  the smoothness and periodicity weights ``beta_1`` and ``beta_2``.
+  the smoothness and periodicity weights ``beta_1`` and ``beta_2``, each
+  cell one :func:`~repro.experiments.regularization.regularized_fit_errors`
+  fit (Table III's).
 
 All three are registered in :mod:`repro.api` (``kappa-ablation`` /
 ``mc-sample-ablation`` / ``regularization-sensitivity``), which also gives
@@ -34,20 +37,17 @@ from ..api import (
     register_experiment,
 )
 from ..api.session import RunContext
-from ..config import ADMMConfig, PlannerConfig, SimulationConfig
-from ..metrics.errors import mean_absolute_error, mean_squared_error
-from ..nhpp.admm import fit_log_intensity
+from ..config import PlannerConfig, SimulationConfig
 from ..nhpp.intensity import PiecewiseConstantIntensity
-from ..nhpp.objective import RegularizedNHPPObjective
-from ..nhpp.sampling import sample_counts, sample_homogeneous_arrivals
-from ..optimization.formulations import solve_hp_constrained
+from ..nhpp.sampling import sample_homogeneous_arrivals
+from ..optimization.formulations import ColumnSolver, DecisionObjective
 from ..optimization.montecarlo import generate_scenarios
 from ..pending import DeterministicPendingTime
 from ..runtime import FunctionTask
 from ..scaling.sequential import SequentialHPScaler
 from ..simulation.runner import create_simulator
-from ..traces.synthetic import beta_bump_intensity
 from ..types import ArrivalTrace
+from .regularization import regularized_fit_errors
 
 __all__ = [
     "kappa_ablation_point",
@@ -190,6 +190,7 @@ def mc_sample_point(
         np.array([arrival_rate]), 60.0, extrapolation="hold"
     )
     pending = DeterministicPendingTime(pending_time)
+    solve = ColumnSolver(DecisionObjective.HIT_PROBABILITY, target_hp)
     errors = []
     timings = []
     for trial in range(n_trials):
@@ -200,11 +201,10 @@ def mc_sample_point(
             n_samples=int(n_samples),
             random_state=seed + trial,
         )
-        xi, tau = scenarios.for_query(0)
         started = time.perf_counter()
-        decision = solve_hp_constrained(xi, tau, target_hp)
+        (raw_creation_time,) = solve(scenarios.arrival_times, scenarios.pending_times)
         timings.append(time.perf_counter() - started)
-        errors.append(abs(decision.raw_creation_time - exact))
+        errors.append(abs(float(raw_creation_time) - exact))
     return {
         "n_samples": int(n_samples),
         "exact_decision": float(exact),
@@ -282,36 +282,23 @@ def regularization_point(
     max_iterations: int,
 ) -> dict:
     """Intensity-estimation error for one (beta_smooth, beta_period) cell."""
-    horizon = period_seconds * n_periods
-    n_bins = int(horizon / bin_seconds)
-    times = (np.arange(n_bins) + 0.5) * bin_seconds
-    truth = beta_bump_intensity(
-        times,
-        peak=peak_qps,
+    errors = regularized_fit_errors(
+        beta_smooth=beta_smooth,
+        beta_period=beta_period,
         period_seconds=period_seconds,
-        exponent=10.0,
-        base=base_qps,
-    )
-    counts = sample_counts(
-        PiecewiseConstantIntensity(truth, bin_seconds, extrapolation="periodic"),
-        horizon,
-        seed,
-    )
-    period_bins = int(round(period_seconds / bin_seconds))
-    objective = RegularizedNHPPObjective(
-        counts=counts,
+        n_periods=n_periods,
         bin_seconds=bin_seconds,
-        beta_smooth=float(beta_smooth),
-        beta_period=float(beta_period),
-        period_bins=period_bins if beta_period > 0 else None,
+        peak_qps=peak_qps,
+        base_qps=base_qps,
+        exponent=10.0,
+        seed=seed,
+        max_iterations=max_iterations,
     )
-    result = fit_log_intensity(objective, ADMMConfig(max_iterations=max_iterations))
-    estimate = np.exp(result.log_intensity)
     return {
         "beta_smooth": float(beta_smooth),
         "beta_period": float(beta_period),
-        "mse": mean_squared_error(estimate, truth),
-        "mae": mean_absolute_error(estimate, truth),
+        "mse": errors["mse"],
+        "mae": errors["mae"],
     }
 
 

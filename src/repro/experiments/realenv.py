@@ -7,9 +7,11 @@ idealized simulation where decisions are computed instantaneously.  We
 reproduce the comparison by replaying the same trace twice:
 
 * **simulated** — the default simulator (decisions are free and instantaneous);
-* **real** — the :func:`repro.simulation.realenv.real_environment_config`
-  simulator, which charges the planner's wall-clock latency against the plan
-  and adds control-plane scheduling latency plus pod startup jitter.
+* **real** — the :func:`real_environment_config` simulator, which charges
+  the planner's wall-clock latency against the plan (a decision "create a
+  pod 5 seconds from now" that takes 6 seconds to compute is late) and adds
+  control-plane scheduling latency before each pod's pending period plus
+  pod startup jitter.
 
 Registered as ``"table4"`` in :mod:`repro.api`.  The "real" rows charge
 *measured* planner wall-clock time, so unlike every other experiment they
@@ -17,6 +19,8 @@ are intentionally not bit-reproducible.
 """
 
 from __future__ import annotations
+
+from dataclasses import replace
 
 from ..api import (
     ExperimentSpec,
@@ -26,11 +30,40 @@ from ..api import (
 from ..api.session import RunContext
 from ..config import SimulationConfig
 from ..runtime import prepare_workload
-from ..simulation.realenv import real_environment_config
 from ..workloads import get_scenario
 from .base import make_trace, robustscaler_spec
 
-__all__: list[str] = []
+__all__ = ["real_environment_config"]
+
+
+def real_environment_config(
+    base: SimulationConfig | None = None,
+    *,
+    scheduling_latency: float = 1.0,
+    pending_time_jitter: float = 2.0,
+) -> SimulationConfig:
+    """Derive a "real environment" simulator configuration from ``base``.
+
+    Parameters
+    ----------
+    base:
+        The simulated-environment configuration to start from.
+    scheduling_latency:
+        Control-plane latency (seconds) added before each pod's pending
+        period.
+    pending_time_jitter:
+        Half-width of the uniform jitter applied to pod startup times,
+        reflecting the variability observed on a real cluster; clamped to
+        the base pending time.
+    """
+    base = base or SimulationConfig()
+    jitter = min(pending_time_jitter, base.pending_time)
+    return replace(
+        base,
+        charge_decision_latency=True,
+        scheduling_latency=scheduling_latency,
+        pending_time_jitter=jitter,
+    )
 
 
 def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:

@@ -22,7 +22,8 @@ A planning round needs the decisions of many queries at once, so
 handful of array operations.  It returns exactly the raw optima the per-query
 solvers return (bit for bit), which remain the public per-query API and the
 reference it is tested against.  A planner builds one :class:`ColumnSolver`
-per scaler, which checks the formulation's target once, not every round.
+per scaler, which checks the formulation's target once, not every round;
+Fig. 8 and the Monte Carlo sample-size ablation time the same solver.
 """
 
 from __future__ import annotations
@@ -41,7 +42,6 @@ from .._validation import (
     check_same_length,
 )
 from ..exceptions import ValidationError
-from .montecarlo import ArrivalScenarios
 from .sort_and_search import (
     expected_idle_time,
     expected_waiting_time,
@@ -57,7 +57,6 @@ __all__ = [
     "solve_cost_constrained",
     "solve_columns",
     "ColumnSolver",
-    "solve_batch",
 ]
 
 
@@ -374,44 +373,3 @@ def _idle_time_budget_columns(
     out[solve] = np.maximum(root, 0.0)
     return out
 
-
-def solve_batch(
-    scenarios: ArrivalScenarios,
-    objective: DecisionObjective,
-    target: float,
-) -> list[ScalingDecision]:
-    """Solve the per-query problem for every upcoming query in ``scenarios``.
-
-    The decisions equal those of the per-query solvers; the creation times
-    come from :func:`solve_columns` and the two expectations are evaluated
-    column-wise too.
-
-    Parameters
-    ----------
-    scenarios:
-        Joint Monte Carlo samples for the next ``K`` queries.
-    objective:
-        Which formulation to apply.
-    target:
-        The formulation's constraint level: the target hitting probability,
-        the waiting-time budget, or the idle-cost budget respectively.
-    """
-    xi, tau = _columns(scenarios.arrival_times, scenarios.pending_times)
-    raw = ColumnSolver(objective, target).rows(xi, tau)
-    creation = np.maximum(raw, 0.0)
-    at = creation[:, None]
-    waiting = np.maximum(tau - np.maximum(xi - at, 0.0), 0.0).mean(axis=1)
-    idle = np.maximum(xi - tau - at, 0.0).mean(axis=1)
-    return [
-        ScalingDecision(
-            raw_creation_time=raw_x,
-            creation_time=created,
-            feasible=raw_x >= 0.0,
-            expected_waiting_time=wait,
-            expected_idle_time=idle_x,
-            objective=objective,
-        )
-        for raw_x, created, wait, idle_x in zip(
-            raw.tolist(), creation.tolist(), waiting.tolist(), idle.tolist()
-        )
-    ]

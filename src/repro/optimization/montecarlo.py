@@ -72,11 +72,6 @@ class ArrivalScenarios:
             )
         return self.arrival_times[:, index], self.pending_times[:, index]
 
-    def slack(self, index: int) -> np.ndarray:
-        """Samples of ``xi_i - tau_i`` — the latest creation time that still hits."""
-        xi, tau = self.for_query(index)
-        return xi - tau
-
 
 def generate_scenarios(
     intensity: PiecewiseConstantIntensity,

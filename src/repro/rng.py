@@ -13,7 +13,7 @@ from typing import Union
 
 import numpy as np
 
-__all__ = ["RandomState", "ensure_rng", "spawn_rng"]
+__all__ = ["RandomState", "ensure_rng"]
 
 #: The accepted type for ``random_state`` arguments throughout the library.
 RandomState = Union[None, int, np.random.Generator]
@@ -40,15 +40,3 @@ def ensure_rng(random_state: RandomState = None) -> np.random.Generator:
         f"got {type(random_state).__name__}"
     )
 
-
-def spawn_rng(rng: np.random.Generator, n: int) -> list[np.random.Generator]:
-    """Spawn ``n`` statistically independent child generators from ``rng``.
-
-    Used by experiment drivers that fan out over many parameter settings so
-    that each setting sees its own reproducible stream regardless of how many
-    draws the other settings consume.
-    """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    seeds = rng.integers(0, 2**63 - 1, size=n, dtype=np.int64)
-    return [np.random.default_rng(int(seed)) for seed in seeds]

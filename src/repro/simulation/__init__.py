@@ -8,7 +8,6 @@ from .runner import (
     replay,
     resolve_engine,
 )
-from .realenv import real_environment_config
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -16,6 +15,5 @@ __all__ = [
     "BatchedEventSimulator",
     "create_simulator",
     "replay",
-    "real_environment_config",
     "resolve_engine",
 ]

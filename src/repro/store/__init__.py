@@ -35,7 +35,6 @@ from .artifacts import (
     GCReport,
     NAMESPACES,
     StoreStats,
-    active_codec,
     key_digest,
 )
 from .runs import RunJournal, list_runs
@@ -49,7 +48,6 @@ __all__ = [
     "RunJournal",
     "STORE_DIR_ENV_VAR",
     "StoreStats",
-    "active_codec",
     "default_store_dir",
     "get_or_build_trace",
     "key_digest",

@@ -26,17 +26,6 @@ Durability guarantees:
 The store never raises on a bad or missing entry during reads: a miss is
 always a legal answer, because every artifact can be regenerated from its
 key.
-
-Large artifacts (prepared workloads, journaled result batches) can be
-transparently compressed by setting ``REPRO_STORE_COMPRESS``: ``zstd`` or
-``zlib`` request a codec explicitly (``zstd`` silently degrades to ``zlib``
-when the optional ``zstandard`` package is absent), any other truthy value
-auto-picks the best available codec, and unset/falsy disables compression.
-Compression only applies to payloads past a small size threshold; compressed
-entries carry the codec as a sixth header token, so stores written without
-compression (five-token headers) remain readable either way, and a payload
-that fails to decompress is treated exactly like any other corrupt entry —
-a miss that the caller regenerates.
 """
 
 from __future__ import annotations
@@ -46,7 +35,6 @@ import os
 import pickle
 import tempfile
 import time
-import zlib
 from dataclasses import dataclass
 from pathlib import Path
 
@@ -60,7 +48,6 @@ __all__ = [
     "GCReport",
     "NAMESPACES",
     "StoreStats",
-    "active_codec",
     "key_digest",
 ]
 
@@ -72,54 +59,6 @@ _SUFFIX = ".art"
 
 #: First header token; anything else is not ours.
 _MAGIC = "repro-store"
-
-#: Environment variable selecting the write-side compression codec.
-_COMPRESS_ENV = "REPRO_STORE_COMPRESS"
-
-#: Payloads smaller than this are stored raw even with compression on —
-#: the codec framing overhead outweighs any saving on tiny pickles.
-_COMPRESS_MIN_BYTES = 4096
-
-
-def _zstd_module():
-    """The ``zstandard`` module, or ``None`` when not installed."""
-    try:
-        import zstandard
-    except ImportError:
-        return None
-    return zstandard
-
-
-def active_codec() -> str | None:
-    """The compression codec ``put`` uses, from ``REPRO_STORE_COMPRESS``.
-
-    ``None`` (compression off) unless the variable is set to a truthy
-    value; ``zstd`` degrades to ``zlib`` when ``zstandard`` is missing.
-    """
-    value = os.environ.get(_COMPRESS_ENV, "").strip().lower()
-    if value in ("", "0", "false", "no", "off"):
-        return None
-    if value == "zlib":
-        return "zlib"
-    # "zstd", "1", "true", "auto", ... — best available codec.
-    return "zstd" if _zstd_module() is not None else "zlib"
-
-
-def _compress(codec: str, payload: bytes) -> bytes:
-    if codec == "zstd":
-        return _zstd_module().ZstdCompressor().compress(payload)
-    return zlib.compress(payload, 6)
-
-
-def _decompress(codec: str, blob: bytes) -> bytes:
-    if codec == "zstd":
-        zstandard = _zstd_module()
-        if zstandard is None:
-            raise ValueError("zstd-compressed artifact but zstandard is absent")
-        return zstandard.ZstdDecompressor().decompress(blob)
-    if codec == "zlib":
-        return zlib.decompress(blob)
-    raise ValueError(f"unknown artifact codec {codec!r}")
 
 
 def key_digest(key: object) -> str:
@@ -223,26 +162,15 @@ class ArtifactStore:
     # ------------------------------------------------------------ get / put
 
     def put(self, namespace: str, key: object, obj: object) -> Path:
-        """Serialize ``obj`` and atomically install it under ``(namespace, key)``.
-
-        With ``REPRO_STORE_COMPRESS`` set, payloads past the size threshold
-        are compressed; the integrity digest always covers the bytes as
-        stored, so verification never needs to decompress first.
-        """
+        """Serialize ``obj`` and atomically install it under ``(namespace, key)``."""
         path = self.path_for(namespace, key)
         payload = pickle.dumps(obj, protocol=pickle.HIGHEST_PROTOCOL)
-        codec = active_codec()
-        if codec is not None and len(payload) >= _COMPRESS_MIN_BYTES:
-            payload = _compress(codec, payload)
-        else:
-            codec = None
-        header = "{} v{} {} {} {}{}\n".format(
+        header = "{} v{} {} {} {}\n".format(
             _MAGIC,
             self.SCHEMA_VERSION,
             namespace,
             hashlib.blake2b(payload, digest_size=20).hexdigest(),
             len(payload),
-            f" {codec}" if codec is not None else "",
         )
         path.parent.mkdir(parents=True, exist_ok=True)
         fd, tmp_name = tempfile.mkstemp(
@@ -303,13 +231,9 @@ class ArtifactStore:
     def _decode(self, data: bytes) -> object:
         newline = data.index(b"\n")
         tokens = data[:newline].decode("ascii").split(" ")
-        if len(tokens) == 5:
-            codec = None
-        elif len(tokens) == 6:
-            codec = tokens[5]
-        else:
+        if len(tokens) != 5:
             raise ValueError("unrecognized artifact header")
-        magic, version, _namespace, payload_digest, payload_len = tokens[:5]
+        magic, version, _namespace, payload_digest, payload_len = tokens
         if magic != _MAGIC or version != f"v{self.SCHEMA_VERSION}":
             raise ValueError("unrecognized artifact header")
         payload = data[newline + 1 :]
@@ -318,8 +242,6 @@ class ArtifactStore:
         actual = hashlib.blake2b(payload, digest_size=20).hexdigest()
         if actual != payload_digest:
             raise ValueError("artifact payload hash mismatch")
-        if codec is not None:
-            payload = _decompress(codec, payload)
         obj = pickle.loads(payload)
         self.hits += 1
         return obj

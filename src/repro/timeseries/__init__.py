@@ -5,16 +5,14 @@ periodicity detector and the NHPP model: sparse difference operators, robust
 statistics, autocorrelation and periodograms.
 """
 
-from .aggregation import aggregate_counts, moving_average, rolling_sum
+from .aggregation import aggregate_counts
 from .differencing import (
-    first_difference_matrix,
     second_difference_matrix,
     seasonal_difference_matrix,
 )
 from .acf import autocorrelation, autocovariance
 from .periodogram import periodogram, dominant_frequencies
 from .robust import (
-    huber_weights,
     mad,
     median_filter,
     robust_zscore,
@@ -23,16 +21,12 @@ from .robust import (
 
 __all__ = [
     "aggregate_counts",
-    "moving_average",
-    "rolling_sum",
-    "first_difference_matrix",
     "second_difference_matrix",
     "seasonal_difference_matrix",
     "autocorrelation",
     "autocovariance",
     "periodogram",
     "dominant_frequencies",
-    "huber_weights",
     "mad",
     "median_filter",
     "robust_zscore",

@@ -2,8 +2,8 @@
 
 The periodicity detector first aggregates the raw QPS series into coarser
 bins so that low-traffic noise does not drown out cyclic structure
-(Section IV of the paper).  These helpers implement that aggregation plus a
-couple of smoothing primitives used elsewhere in the library.
+(Section IV of the paper).  :func:`aggregate_counts` implements that
+aggregation.
 """
 
 from __future__ import annotations
@@ -13,7 +13,7 @@ import numpy as np
 from .._validation import as_1d_float_array, check_integer
 from ..exceptions import ValidationError
 
-__all__ = ["aggregate_counts", "moving_average", "rolling_sum"]
+__all__ = ["aggregate_counts"]
 
 
 def aggregate_counts(counts: np.ndarray, factor: int, *, how: str = "sum") -> np.ndarray:
@@ -48,35 +48,3 @@ def aggregate_counts(counts: np.ndarray, factor: int, *, how: str = "sum") -> np
         return grouped.sum(axis=1)
     return grouped.mean(axis=1)
 
-
-def moving_average(values: np.ndarray, window: int) -> np.ndarray:
-    """Centered moving average with edge shrinkage.
-
-    The window shrinks near the boundaries so the output has the same length
-    as the input and no NaN padding is needed.
-    """
-    values = as_1d_float_array(values, "values")
-    window = check_integer(window, "window", minimum=1)
-    if window == 1 or values.size == 0:
-        return values.copy()
-    half = window // 2
-    padded = np.concatenate([np.full(half, np.nan), values, np.full(half, np.nan)])
-    out = np.empty_like(values)
-    for i in range(values.size):
-        segment = padded[i : i + 2 * half + 1]
-        out[i] = np.nanmean(segment)
-    return out
-
-
-def rolling_sum(values: np.ndarray, window: int) -> np.ndarray:
-    """Trailing rolling sum; the first ``window - 1`` entries sum what is available."""
-    values = as_1d_float_array(values, "values")
-    window = check_integer(window, "window", minimum=1)
-    if values.size == 0:
-        return values.copy()
-    cumulative = np.concatenate([[0.0], np.cumsum(values)])
-    out = np.empty_like(values)
-    for i in range(values.size):
-        start = max(0, i + 1 - window)
-        out[i] = cumulative[i + 1] - cumulative[start]
-    return out

@@ -25,7 +25,6 @@ if TYPE_CHECKING:
     from scipy import sparse
 
 __all__ = [
-    "first_difference_matrix",
     "second_difference_matrix",
     "seasonal_difference_matrix",
 ]
@@ -38,18 +37,6 @@ def _csr(
     from scipy.sparse import csr_matrix
 
     return csr_matrix((data, (rows, cols)), shape=shape)
-
-
-def first_difference_matrix(n: int) -> sparse.csr_matrix:
-    """Return the ``(n-1, n)`` first-order difference operator ``D1``.
-
-    ``(D1 x)_t = x_{t+1} - x_t``.
-    """
-    n = check_integer(n, "n", minimum=2)
-    data = np.concatenate([-np.ones(n - 1), np.ones(n - 1)])
-    rows = np.concatenate([np.arange(n - 1), np.arange(n - 1)])
-    cols = np.concatenate([np.arange(n - 1), np.arange(1, n)])
-    return _csr(data, rows, cols, (n - 1, n))
 
 
 def second_difference_matrix(n: int) -> sparse.csr_matrix:

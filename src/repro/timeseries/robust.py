@@ -1,4 +1,4 @@
-"""Robust statistics: MAD, robust z-scores, Huber weights, median filtering.
+"""Robust statistics: MAD, robust z-scores, winsorizing, median filtering.
 
 Real-world QPS traces carry outliers, bursts and missing intervals.  The
 periodicity detector clips or down-weights such points using the estimators
@@ -13,7 +13,7 @@ import numpy as np
 from .._validation import as_1d_float_array, check_integer, check_positive
 from ..exceptions import ValidationError
 
-__all__ = ["mad", "robust_zscore", "winsorize", "huber_weights", "median_filter"]
+__all__ = ["mad", "robust_zscore", "winsorize", "median_filter"]
 
 #: Scale factor that makes the MAD a consistent estimator of the standard
 #: deviation under a normal distribution.
@@ -64,20 +64,6 @@ def winsorize(values: np.ndarray, *, z_limit: float = 5.0) -> np.ndarray:
     low = center - z_limit * scale
     high = center + z_limit * scale
     return np.clip(values, low, high)
-
-
-def huber_weights(residuals: np.ndarray, *, delta: float = 1.345) -> np.ndarray:
-    """IRLS weights of the Huber loss for standardized residuals.
-
-    Residuals with absolute value below ``delta`` get weight 1; larger ones
-    are down-weighted proportionally to ``delta / |r|``.
-    """
-    residuals = as_1d_float_array(residuals, "residuals")
-    check_positive(delta, "delta")
-    weights = np.ones_like(residuals)
-    mask = np.abs(residuals) > delta
-    weights[mask] = delta / np.abs(residuals[mask])
-    return weights
 
 
 def median_filter(values: np.ndarray, window: int) -> np.ndarray:

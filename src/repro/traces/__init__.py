@@ -11,14 +11,12 @@ missing-data / anomaly utilities used by the robustness experiments.
 """
 
 from .synthetic import (
-    IntensityProfile,
     beta_bump_intensity,
     generate_alibaba_like_trace,
     generate_crs_like_trace,
     generate_google_like_trace,
     generate_trace_from_intensity,
-    paper_regularization_intensity,
-    paper_scalability_intensity,
+    periodic_bump_intensity,
 )
 from .io import load_trace_csv, save_trace_csv, load_qps_csv, save_qps_csv
 from .perturbation import (
@@ -28,14 +26,12 @@ from .perturbation import (
 )
 
 __all__ = [
-    "IntensityProfile",
     "beta_bump_intensity",
+    "periodic_bump_intensity",
     "generate_crs_like_trace",
     "generate_google_like_trace",
     "generate_alibaba_like_trace",
     "generate_trace_from_intensity",
-    "paper_scalability_intensity",
-    "paper_regularization_intensity",
     "load_trace_csv",
     "save_trace_csv",
     "load_qps_csv",

@@ -14,14 +14,12 @@ drive the paper's experiments:
   a daily pattern and one large unexpected burst (the anomaly the robustness
   experiment removes).
 
-The paper's two closed-form intensities (used for the scalability study of
-Fig. 8/Table I and the regularization study of Table III) are exposed as
-:func:`paper_scalability_intensity` and :func:`paper_regularization_intensity`.
+The paper's closed-form intensities (the scalability study of Table I and
+the regularization study of Table III) are beta bumps sampled on a bin grid:
+:func:`periodic_bump_intensity` builds one.
 """
 
 from __future__ import annotations
-
-from dataclasses import dataclass
 
 import numpy as np
 
@@ -33,38 +31,17 @@ from ..rng import RandomState, ensure_rng
 from ..types import ArrivalTrace
 
 __all__ = [
-    "IntensityProfile",
     "beta_bump_intensity",
+    "periodic_bump_intensity",
     "generate_trace_from_intensity",
     "generate_crs_like_trace",
     "generate_google_like_trace",
     "generate_alibaba_like_trace",
-    "paper_scalability_intensity",
-    "paper_regularization_intensity",
 ]
 
 _DAY = 86_400.0
 _HOUR = 3_600.0
 _WEEK = 7 * _DAY
-
-
-@dataclass(frozen=True)
-class IntensityProfile:
-    """A ground-truth intensity profile plus metadata about its structure.
-
-    Attributes
-    ----------
-    intensity:
-        The piecewise-constant intensity in queries per second.
-    period_seconds:
-        Dominant period of the profile (0 when aperiodic).
-    name:
-        Human-readable identifier.
-    """
-
-    intensity: PiecewiseConstantIntensity
-    period_seconds: float
-    name: str
 
 
 def beta_bump_intensity(
@@ -89,38 +66,29 @@ def beta_bump_intensity(
     return peak * (4.0**exponent) * (u**exponent) * ((1.0 - u) ** exponent) + base
 
 
-def paper_scalability_intensity(bin_seconds: float = 10.0) -> IntensityProfile:
-    """Intensity of the scalability study (Section VII-B2).
+def periodic_bump_intensity(
+    *,
+    peak: float,
+    period_seconds: float,
+    exponent: float,
+    base: float,
+    horizon_seconds: float,
+    bin_seconds: float,
+) -> PiecewiseConstantIntensity:
+    """:func:`beta_bump_intensity` on ``int(horizon / bin)`` bins, repeated periodically.
 
-    ``lambda(t) = 1000 * 4^40 (t mod 3600 / 3600)^40 (1 - ...)^40 + 0.001``
-    over a 7-hour horizon, peaking near 1000 QPS once per hour.
+    Each bin holds the bump's value at the bin midpoint; beyond the horizon
+    the profile repeats (``extrapolation="periodic"``).
     """
-    horizon = 25_200.0
-    times = (np.arange(int(horizon / bin_seconds)) + 0.5) * bin_seconds
+    times = (np.arange(int(horizon_seconds / bin_seconds)) + 0.5) * bin_seconds
     values = beta_bump_intensity(
-        times, peak=1000.0, period_seconds=3600.0, exponent=40.0, base=0.001
+        times, peak=peak, period_seconds=period_seconds, exponent=exponent, base=base
     )
-    intensity = PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
-    return IntensityProfile(intensity=intensity, period_seconds=3600.0, name="scalability")
-
-
-def paper_regularization_intensity(bin_seconds: float = 60.0) -> IntensityProfile:
-    """Intensity of the periodicity-regularization study (Table III).
-
-    ``lambda(t) = 4^10 (t mod 86400 / 86400)^10 (1 - ...)^10 + 0.1`` over one
-    week (604 800 s) with a daily period.
-    """
-    horizon = 604_800.0
-    times = (np.arange(int(horizon / bin_seconds)) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times, peak=1.0, period_seconds=86_400.0, exponent=10.0, base=0.1
-    )
-    intensity = PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
-    return IntensityProfile(intensity=intensity, period_seconds=86_400.0, name="regularization")
+    return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
 
 def generate_trace_from_intensity(
-    profile: IntensityProfile | PiecewiseConstantIntensity,
+    intensity: PiecewiseConstantIntensity,
     horizon_seconds: float,
     *,
     processing_time_mean: float = 20.0,
@@ -129,12 +97,12 @@ def generate_trace_from_intensity(
     random_state: RandomState = None,
     vectorized: bool = False,
 ) -> ArrivalTrace:
-    """Sample an :class:`~repro.types.ArrivalTrace` from an intensity profile.
+    """Sample an :class:`~repro.types.ArrivalTrace` from an intensity.
 
     Parameters
     ----------
-    profile:
-        Ground-truth intensity (or a profile wrapping one).
+    intensity:
+        Ground-truth intensity.
     horizon_seconds:
         Length of the generated trace.
     processing_time_mean:
@@ -145,7 +113,7 @@ def generate_trace_from_intensity(
         premium, mixture mean equal to ``processing_time_mean``) or
         ``"constant"``.
     name:
-        Trace name; defaults to the profile name.
+        Trace name; defaults to ``"synthetic"``.
     random_state:
         Seed or generator.
     vectorized:
@@ -157,17 +125,11 @@ def generate_trace_from_intensity(
     check_positive(horizon_seconds, "horizon_seconds")
     check_non_negative(processing_time_mean, "processing_time_mean")
     rng = ensure_rng(random_state)
-    if isinstance(profile, IntensityProfile):
-        intensity = profile.intensity
-        trace_name = name or profile.name
-    else:
-        intensity = profile
-        trace_name = name or "synthetic"
     arrivals = sample_arrival_times(intensity, horizon_seconds, rng, vectorized=vectorized)
     processing = _sample_processing_times(
         arrivals.size, processing_time_mean, processing_time_distribution, rng
     )
-    return ArrivalTrace(arrivals, processing, name=trace_name, horizon=horizon_seconds)
+    return ArrivalTrace(arrivals, processing, name=name or "synthetic", horizon=horizon_seconds)
 
 
 #: Cold/warm mixture parameters of the ``"bimodal"`` processing-time family:

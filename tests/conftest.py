@@ -9,7 +9,7 @@ from repro.config import ADMMConfig, NHPPConfig, PlannerConfig, SimulationConfig
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_arrival_times, sample_homogeneous_arrivals
 from repro.pending import DeterministicPendingTime
-from repro.traces.synthetic import beta_bump_intensity
+from repro.traces.synthetic import periodic_bump_intensity
 from repro.types import ArrivalTrace, QPSSeries
 
 
@@ -39,12 +39,14 @@ def constant_intensity() -> PiecewiseConstantIntensity:
 @pytest.fixture
 def periodic_intensity() -> PiecewiseConstantIntensity:
     """A periodic bump intensity with a 600-second period, 10-second bins."""
-    bin_seconds = 10.0
-    times = (np.arange(60) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times, peak=2.0, period_seconds=600.0, exponent=8.0, base=0.05
+    return periodic_bump_intensity(
+        peak=2.0,
+        period_seconds=600.0,
+        exponent=8.0,
+        base=0.05,
+        horizon_seconds=600.0,
+        bin_seconds=10.0,
     )
-    return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
 
 @pytest.fixture

@@ -129,10 +129,6 @@ DRIVER_CASES = {
     ),
 }
 
-#: Rows left out of the driver fixture, as (column, value) per experiment:
-#: Table IV's "real" row charges measured planner latency.
-DRIVER_EXCLUDED_ROWS = {"table4": ("environment", "real")}
-
 DRIVERS_PATH = Path(__file__).parent / "drivers.json"
 
 
@@ -279,11 +275,11 @@ def driver_fingerprint(name: str) -> dict:
     from repro.api import run_experiment
 
     params, columns = DRIVER_CASES[name]
-    excluded = DRIVER_EXCLUDED_ROWS.get(name)
     rows = [
         {column: row[column] for column in columns}
         for row in run_experiment(name, params)
-        if excluded is None or row[excluded[0]] != excluded[1]
+        # Table IV's "real" row charges measured planner latency.
+        if row.get("environment") != "real"
     ]
     digest = hashlib.blake2b(digest_size=16)
     # JSON writes every float as its shortest round-trip repr: one bit moved

@@ -106,6 +106,7 @@ class TestRegularizationExperiment:
         without = next(r for r in rows if "w/o" in r["model"])
         with_reg = next(r for r in rows if "w/ " in r["model"])
         improvement = next(r for r in rows if r["model"] == "improvement")
+        assert all(set(row) == {"model", "mse", "mae", "admm_iterations"} for row in rows)
         assert with_reg["mse"] < without["mse"]
         assert with_reg["mae"] < without["mae"]
         assert improvement["mse"] > 0.0
@@ -323,6 +324,8 @@ class TestAblations:
             },
         )
         assert len(rows) == 4
+        # The shared fit's iteration count stays out of the sensitivity rows.
+        assert all(set(row) == {"beta_smooth", "beta_period", "mse", "mae"} for row in rows)
         unregularized = next(
             r for r in rows if r["beta_smooth"] == 0.0 and r["beta_period"] == 0.0
         )

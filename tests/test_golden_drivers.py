@@ -56,12 +56,6 @@ def test_driver_rows_match_golden(fixtures, name):
     assert _regen.driver_fingerprint(name) == fixtures[name]
 
 
-def test_wall_clock_columns_are_not_pinned():
-    timed = {"runtime_seconds", "runtime_per_decision_ms", "solve_time_ms", "mean_planning_ms"}
-    for name, (_, columns) in _regen.DRIVER_CASES.items():
-        assert not timed & set(columns), name
-
-
 def test_write_fixture_skips_unchanged_content(tmp_path):
     path = tmp_path / "fixture.json"
     assert _regen.write_fixture(path, {"a": 1})

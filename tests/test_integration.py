@@ -31,18 +31,20 @@ from repro.config import NHPPConfig, ADMMConfig
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_arrival_times, sample_homogeneous_arrivals
 from repro.traces.perturbation import inject_missing_window
-from repro.traces.synthetic import beta_bump_intensity, generate_trace_from_intensity
+from repro.traces.synthetic import generate_trace_from_intensity, periodic_bump_intensity
 from repro.types import ArrivalTrace
 
 
 @pytest.fixture(scope="module")
 def bump_intensity() -> PiecewiseConstantIntensity:
-    bin_seconds = 30.0
-    times = (np.arange(240) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times, peak=0.6, period_seconds=1800.0, exponent=8.0, base=0.02
+    return periodic_bump_intensity(
+        peak=0.6,
+        period_seconds=1800.0,
+        exponent=8.0,
+        base=0.02,
+        horizon_seconds=7200.0,
+        bin_seconds=30.0,
     )
-    return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
 
 @pytest.fixture(scope="module")

@@ -11,10 +11,9 @@ from repro.config import ADMMConfig
 from repro.exceptions import ConvergenceError, ValidationError
 from repro.nhpp import admm
 from repro.nhpp.admm import fit_log_intensity
-from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.objective import RegularizedNHPPObjective
 from repro.nhpp.sampling import sample_counts
-from repro.traces.synthetic import beta_bump_intensity
+from repro.traces.synthetic import periodic_bump_intensity
 
 
 def _poisson_counts(rate_per_bin: np.ndarray, seed: int = 0) -> np.ndarray:
@@ -67,12 +66,16 @@ class TestFitLogIntensity:
 
     def test_periodicity_penalty_ties_cycles_together(self):
         period_bins = 20
-        times = (np.arange(period_bins * 6) + 0.5) * 60.0
-        rates = beta_bump_intensity(
-            times, peak=0.2, period_seconds=period_bins * 60.0, exponent=6.0, base=0.01
+        horizon = period_bins * 6 * 60.0
+        intensity = periodic_bump_intensity(
+            peak=0.2,
+            period_seconds=period_bins * 60.0,
+            exponent=6.0,
+            base=0.01,
+            horizon_seconds=horizon,
+            bin_seconds=60.0,
         )
-        intensity = PiecewiseConstantIntensity(rates, 60.0, extrapolation="periodic")
-        counts = sample_counts(intensity, times.size * 60.0, 5).astype(float)
+        counts = sample_counts(intensity, horizon, 5).astype(float)
         # Corrupt one cycle with an artificial dropout.
         corrupted = counts.copy()
         corrupted[40:60] = 0.0
@@ -86,7 +89,7 @@ class TestFitLogIntensity:
 
         without = fit(0.0)
         with_reg = fit(50.0)
-        truth = rates
+        truth = intensity.values
         err_without = np.mean(np.abs(without[40:60] - truth[40:60]))
         err_with = np.mean(np.abs(with_reg[40:60] - truth[40:60]))
         assert err_with < err_without

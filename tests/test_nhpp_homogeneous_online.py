@@ -17,7 +17,7 @@ from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.model import NHPPModel
 from repro.nhpp.online import RollingNHPPForecaster
 from repro.nhpp.sampling import sample_arrival_times, sample_counts
-from repro.traces.synthetic import beta_bump_intensity
+from repro.traces.synthetic import periodic_bump_intensity
 from repro.types import ArrivalTrace, QPSSeries
 
 
@@ -88,15 +88,16 @@ class TestDegreesOfFreedomAndAIC:
     def test_nhpp_preferred_over_constant_on_periodic_workload(self, fast_nhpp):
         bin_seconds = 60.0
         period_bins = 60
-        times = (np.arange(period_bins * 6) + 0.5) * bin_seconds
-        truth = beta_bump_intensity(
-            times, peak=0.5, period_seconds=period_bins * bin_seconds, exponent=6.0, base=0.02
+        horizon = period_bins * 6 * bin_seconds
+        truth = periodic_bump_intensity(
+            peak=0.5,
+            period_seconds=period_bins * bin_seconds,
+            exponent=6.0,
+            base=0.02,
+            horizon_seconds=horizon,
+            bin_seconds=bin_seconds,
         )
-        counts = sample_counts(
-            PiecewiseConstantIntensity(truth, bin_seconds, extrapolation="periodic"),
-            times.size * bin_seconds,
-            0,
-        )
+        counts = sample_counts(truth, horizon, 0)
         series = QPSSeries(counts, bin_seconds)
         nhpp = NHPPModel(fast_nhpp).fit(series, period_bins=period_bins)
         constant = HomogeneousPoissonModel().fit(series)
@@ -124,12 +125,14 @@ class TestDegreesOfFreedomAndAIC:
 
 class TestRollingNHPPForecaster:
     def _bump(self) -> PiecewiseConstantIntensity:
-        bin_seconds = 30.0
-        times = (np.arange(120) + 0.5) * bin_seconds
-        values = beta_bump_intensity(
-            times, peak=0.8, period_seconds=1800.0, exponent=8.0, base=0.05
+        return periodic_bump_intensity(
+            peak=0.8,
+            period_seconds=1800.0,
+            exponent=8.0,
+            base=0.05,
+            horizon_seconds=3600.0,
+            bin_seconds=30.0,
         )
-        return PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
 
     def test_not_ready_before_first_refit(self):
         forecaster = RollingNHPPForecaster()

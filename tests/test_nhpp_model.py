@@ -11,20 +11,23 @@ from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.model import MIN_INTENSITY, NHPPModel
 from repro.nhpp.sampling import sample_arrival_times, sample_counts
 from repro.nhpp.validation import ks_statistic_time_rescaling, rescaled_interarrival_times
-from repro.traces.synthetic import beta_bump_intensity
+from repro.traces.synthetic import periodic_bump_intensity
 from repro.types import QPSSeries
 
 
 def _periodic_series(period_bins: int, n_periods: int, seed: int) -> tuple[QPSSeries, np.ndarray]:
     bin_seconds = 60.0
-    n_bins = period_bins * n_periods
-    times = (np.arange(n_bins) + 0.5) * bin_seconds
-    truth = beta_bump_intensity(
-        times, peak=0.5, period_seconds=period_bins * bin_seconds, exponent=6.0, base=0.02
+    horizon = period_bins * n_periods * bin_seconds
+    intensity = periodic_bump_intensity(
+        peak=0.5,
+        period_seconds=period_bins * bin_seconds,
+        exponent=6.0,
+        base=0.02,
+        horizon_seconds=horizon,
+        bin_seconds=bin_seconds,
     )
-    intensity = PiecewiseConstantIntensity(truth, bin_seconds, extrapolation="periodic")
-    counts = sample_counts(intensity, n_bins * bin_seconds, seed)
-    return QPSSeries(counts, bin_seconds, name="periodic"), truth
+    counts = sample_counts(intensity, horizon, seed)
+    return QPSSeries(counts, bin_seconds, name="periodic"), intensity.values
 
 
 class TestNHPPModelFit:

@@ -11,7 +11,6 @@ from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.optimization.formulations import (
     ColumnSolver,
     DecisionObjective,
-    solve_batch,
     solve_columns,
     solve_cost_constrained,
     solve_hp_constrained,
@@ -128,33 +127,34 @@ class TestCostConstrained:
         assert tight.creation_time >= loose.creation_time
 
 
-class TestSolveBatch:
+class TestSolveColumnsOnScenarios:
+    """Properties of a planning round's column solve on drawn scenarios."""
+
     def _scenarios(self) -> ArrivalScenarios:
         intensity = PiecewiseConstantIntensity(np.array([0.5]), 60.0, extrapolation="hold")
         return generate_scenarios(
             intensity, DeterministicPendingTime(2.0), n_queries=5, n_samples=2000, random_state=0
         )
 
-    def test_batch_length(self):
+    def _solve(self, objective, target) -> np.ndarray:
         scenarios = self._scenarios()
-        decisions = solve_batch(scenarios, DecisionObjective.HIT_PROBABILITY, 0.8)
-        assert len(decisions) == 5
+        return solve_columns(scenarios.arrival_times, scenarios.pending_times, objective, target)
+
+    def test_one_decision_per_query(self):
+        assert self._solve(DecisionObjective.HIT_PROBABILITY, 0.8).shape == (5,)
 
     def test_creation_times_nondecreasing_in_query_index(self):
-        scenarios = self._scenarios()
-        decisions = solve_batch(scenarios, DecisionObjective.HIT_PROBABILITY, 0.8)
-        times = [d.raw_creation_time for d in decisions]
+        times = self._solve(DecisionObjective.HIT_PROBABILITY, 0.8).tolist()
         assert all(b >= a - 0.3 for a, b in zip(times, times[1:]))
 
     def test_all_objectives_supported(self):
-        scenarios = self._scenarios()
         for objective, target in (
             (DecisionObjective.HIT_PROBABILITY, 0.9),
             (DecisionObjective.RESPONSE_TIME, 0.5),
             (DecisionObjective.COST, 1.0),
         ):
-            decisions = solve_batch(scenarios, objective, target)
-            assert all(d.objective is objective for d in decisions)
+            raw = self._solve(objective, target)
+            assert raw.shape == (5,) and np.isfinite(raw).all()
 
 
 def _per_query(xi: np.ndarray, tau: np.ndarray, objective, target):
@@ -251,13 +251,6 @@ class TestSolveColumns:
         bad[0, 0] = np.inf
         with pytest.raises(ValidationError):
             solve_columns(bad, tau, DecisionObjective.COST, 1.0)
-
-    @pytest.mark.parametrize("objective", list(DecisionObjective))
-    def test_solve_batch_equals_per_query_decisions(self, objective):
-        xi, tau = _corpus_case(400, tied=True, jittered=True, seed=4)
-        for target in _targets(objective, xi, tau):
-            batch = solve_batch(ArrivalScenarios(xi, tau), objective, target)
-            assert batch == _per_query(xi, tau, objective, target)
 
 
 def _tied_rows(seed: int, n_samples: int, n_queries: int, taus: tuple[float, ...]):

@@ -22,13 +22,12 @@ class TestArrivalScenarios:
         with pytest.raises(ValidationError):
             ArrivalScenarios(arrival_times=np.zeros(3), pending_times=np.zeros(3))
 
-    def test_for_query_and_slack(self):
+    def test_for_query(self):
         arrivals = np.array([[1.0, 2.0], [3.0, 4.0]])
         pending = np.array([[0.5, 0.5], [0.5, 0.5]])
         scenarios = ArrivalScenarios(arrival_times=arrivals, pending_times=pending)
         xi, tau = scenarios.for_query(1)
         np.testing.assert_allclose(xi, [2.0, 4.0])
-        np.testing.assert_allclose(scenarios.slack(0), [0.5, 2.5])
         with pytest.raises(ValidationError):
             scenarios.for_query(2)
 

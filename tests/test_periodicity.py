@@ -6,28 +6,26 @@ import numpy as np
 import pytest
 
 from repro.exceptions import PeriodicityDetectionError
-from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_counts
 from repro.periodicity import PeriodicityDetector
 from repro.periodicity.detector import AGGREGATION_FACTOR
-from repro.traces.synthetic import beta_bump_intensity
+from repro.traces.synthetic import periodic_bump_intensity
 from repro.types import QPSSeries
 
 
 def _periodic_counts(
     period_bins: int, n_periods: int, bin_seconds: float, peak: float, seed: int
 ) -> QPSSeries:
-    n_bins = period_bins * n_periods
-    times = (np.arange(n_bins) + 0.5) * bin_seconds
-    values = beta_bump_intensity(
-        times,
+    horizon = period_bins * n_periods * bin_seconds
+    intensity = periodic_bump_intensity(
         peak=peak,
         period_seconds=period_bins * bin_seconds,
         exponent=6.0,
         base=0.02,
+        horizon_seconds=horizon,
+        bin_seconds=bin_seconds,
     )
-    intensity = PiecewiseConstantIntensity(values, bin_seconds, extrapolation="periodic")
-    counts = sample_counts(intensity, n_bins * bin_seconds, seed)
+    counts = sample_counts(intensity, horizon, seed)
     return QPSSeries(counts, bin_seconds, name="periodic")
 
 

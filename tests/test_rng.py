@@ -5,7 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.rng import ensure_rng, spawn_rng
+from repro.rng import ensure_rng
 
 
 class TestEnsureRng:
@@ -29,21 +29,3 @@ class TestEnsureRng:
         with pytest.raises(TypeError):
             ensure_rng("seed")
 
-
-class TestSpawnRng:
-    def test_spawn_count(self):
-        children = spawn_rng(np.random.default_rng(1), 4)
-        assert len(children) == 4
-
-    def test_spawn_deterministic(self):
-        a = [g.random() for g in spawn_rng(np.random.default_rng(5), 3)]
-        b = [g.random() for g in spawn_rng(np.random.default_rng(5), 3)]
-        assert a == b
-
-    def test_spawn_independent_streams(self):
-        children = spawn_rng(np.random.default_rng(2), 2)
-        assert children[0].random() != children[1].random()
-
-    def test_negative_count_rejected(self):
-        with pytest.raises(ValueError):
-            spawn_rng(np.random.default_rng(0), -1)

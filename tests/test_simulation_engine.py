@@ -8,10 +8,10 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.config import SimulationConfig
+from repro.experiments.realenv import real_environment_config
 from repro.scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.simulation.engine import ScalingPerQuerySimulator
-from repro.simulation.realenv import real_environment_config
 from repro.simulation import create_simulator
 from repro.simulation.runner import replay
 from repro.types import ArrivalTrace, ScalingAction

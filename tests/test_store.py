@@ -11,8 +11,10 @@ tiers separately in :class:`~repro.runtime.CacheStats`.
 
 from __future__ import annotations
 
+import hashlib
 import os
 import pickle
+import zlib
 from concurrent.futures import ProcessPoolExecutor
 from pathlib import Path
 
@@ -109,96 +111,21 @@ class TestCorruption:
         assert store.get("workloads", ("k",)) == {"value": 43}
 
 
-class TestCompression:
-    """Opt-in artifact compression (``REPRO_STORE_COMPRESS``)."""
+class TestSixTokenHeader:
+    """Entries with a sixth header token (a payload codec) are not read."""
 
-    # Comfortably past the compression size threshold, and compressible.
-    BIG = {"rows": [{"i": i, "pad": "x" * 64} for i in range(500)]}
-
-    def _header(self, path: Path) -> list[str]:
-        data = path.read_bytes()
-        return data[: data.index(b"\n")].decode("ascii").split(" ")
-
-    def test_codec_resolution(self, monkeypatch):
-        from repro.store.artifacts import _zstd_module, active_codec
-
-        for off in ("", "0", "false", "off", "no"):
-            monkeypatch.setenv("REPRO_STORE_COMPRESS", off)
-            assert active_codec() is None
-        monkeypatch.delenv("REPRO_STORE_COMPRESS")
-        assert active_codec() is None
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zlib")
-        assert active_codec() == "zlib"
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zstd")
-        expected = "zstd" if _zstd_module() is not None else "zlib"
-        assert active_codec() == expected
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "1")
-        assert active_codec() == expected
-
-    def test_large_artifact_compressed_and_transparent(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zlib")
-        path = store.put("results", ("big",), self.BIG)
-        tokens = self._header(path)
-        assert len(tokens) == 6 and tokens[5] == "zlib"
-        assert path.stat().st_size < len(pickle.dumps(self.BIG))
-        # Transparent on read — with or without the env var set.
-        assert store.get("results", ("big",)) == self.BIG
-        monkeypatch.delenv("REPRO_STORE_COMPRESS")
-        assert ArtifactStore(store.root).get("results", ("big",)) == self.BIG
-
-    def test_small_artifact_stays_raw(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zlib")
-        path = store.put("results", ("small",), {"k": 1})
-        assert len(self._header(path)) == 5
-
-    def test_uncompressed_entries_readable_with_compression_on(
-        self, store, monkeypatch
-    ):
-        store.put("results", ("old",), self.BIG)
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zlib")
-        assert ArtifactStore(store.root).get("results", ("old",)) == self.BIG
-
-    def test_corrupt_compressed_payload_degrades_to_miss(self, store, monkeypatch):
-        monkeypatch.setenv("REPRO_STORE_COMPRESS", "zlib")
-        path = store.put("results", ("big",), self.BIG)
-        data = bytearray(path.read_bytes())
-        data[-5] ^= 0xFF  # breaks the integrity digest
-        path.write_bytes(bytes(data))
-        assert store.get("results", ("big",)) is None
+    def test_six_token_entry_is_a_reaped_miss(self, store):
+        path = store.put("results", ("old",), {"value": 1})
+        payload = zlib.compress(pickle.dumps({"value": 1}))
+        digest = hashlib.blake2b(payload, digest_size=20).hexdigest()
+        header = f"repro-store v{ArtifactStore.SCHEMA_VERSION} results {digest} {len(payload)} zlib\n"
+        path.write_bytes(header.encode("ascii") + payload)
+        assert store.get("results", ("old",)) is None
         assert store.stats().corrupt == 1
         assert not path.exists()
-
-    def test_undecompressible_payload_degrades_to_miss(self, store):
-        # A header that *claims* compression over a raw pickled payload:
-        # the digest verifies, the decompression fails, the entry is a miss.
-        import hashlib
-
-        payload = pickle.dumps({"value": 1})
-        digest = hashlib.blake2b(payload, digest_size=20).hexdigest()
-        path = store.path_for("results", ("fake",))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            f"repro-store v1 results {digest} {len(payload)} zlib\n".encode("ascii")
-            + payload
-        )
-        assert store.get("results", ("fake",)) is None
-        assert store.stats().corrupt == 1
-        assert not path.exists()
-
-    def test_unknown_codec_degrades_to_miss(self, store):
-        import hashlib
-
-        payload = pickle.dumps({"value": 1})
-        digest = hashlib.blake2b(payload, digest_size=20).hexdigest()
-        path = store.path_for("results", ("alien",))
-        path.parent.mkdir(parents=True, exist_ok=True)
-        path.write_bytes(
-            f"repro-store v1 results {digest} {len(payload)} lzma9\n".encode("ascii")
-            + payload
-        )
-        assert store.get("results", ("alien",)) is None
-        assert store.stats().corrupt == 1
-
+        # The caller regenerates the artifact under the same key.
+        store.put("results", ("old",), {"value": 1})
+        assert store.get("results", ("old",)) == {"value": 1}
 
 class TestGC:
     def _put_aged(self, store, namespace, key, obj, age_seconds, now):

@@ -1,4 +1,4 @@
-"""Tests for time-aggregation and smoothing helpers."""
+"""Tests for time aggregation."""
 
 from __future__ import annotations
 
@@ -8,7 +8,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.timeseries.aggregation import aggregate_counts, moving_average, rolling_sum
+from repro.timeseries.aggregation import aggregate_counts
 
 
 class TestAggregateCounts:
@@ -48,37 +48,3 @@ class TestAggregateCounts:
             return
         out = aggregate_counts(values, factor)
         assert out.sum() == pytest.approx(values[:n_full].sum())
-
-
-class TestMovingAverage:
-    def test_window_one_identity(self):
-        values = np.array([1.0, 5.0, 2.0])
-        np.testing.assert_allclose(moving_average(values, 1), values)
-
-    def test_constant_series_unchanged(self):
-        values = np.full(10, 3.0)
-        np.testing.assert_allclose(moving_average(values, 5), values)
-
-    def test_smooths_spike(self):
-        values = np.zeros(11)
-        values[5] = 10.0
-        smoothed = moving_average(values, 5)
-        assert smoothed[5] < 10.0
-        assert smoothed[5] > 0.0
-
-    def test_output_length_matches_input(self):
-        values = np.arange(7, dtype=float)
-        assert moving_average(values, 3).shape == values.shape
-
-
-class TestRollingSum:
-    def test_simple(self):
-        out = rolling_sum(np.array([1.0, 2.0, 3.0, 4.0]), 2)
-        np.testing.assert_allclose(out, [1.0, 3.0, 5.0, 7.0])
-
-    def test_window_larger_than_series(self):
-        out = rolling_sum(np.array([1.0, 2.0]), 10)
-        np.testing.assert_allclose(out, [1.0, 3.0])
-
-    def test_empty(self):
-        assert rolling_sum(np.array([]), 3).size == 0

@@ -9,23 +9,9 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.timeseries.differencing import (
-    first_difference_matrix,
     second_difference_matrix,
     seasonal_difference_matrix,
 )
-
-
-class TestFirstDifference:
-    def test_shape(self):
-        assert first_difference_matrix(5).shape == (4, 5)
-
-    def test_values(self):
-        x = np.array([1.0, 4.0, 9.0])
-        np.testing.assert_allclose(first_difference_matrix(3) @ x, [3.0, 5.0])
-
-    def test_constant_in_null_space(self):
-        d1 = first_difference_matrix(10)
-        np.testing.assert_allclose(d1 @ np.full(10, 7.0), 0.0, atol=1e-12)
 
 
 class TestSecondDifference:

@@ -9,7 +9,6 @@ from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
 from repro.timeseries.robust import (
-    huber_weights,
     mad,
     median_filter,
     robust_zscore,
@@ -70,21 +69,6 @@ class TestWinsorize:
         clipped = winsorize(x)
         assert clipped.min() >= x.min() - 1e-9
         assert clipped.max() <= x.max() + 1e-9
-
-
-class TestHuberWeights:
-    def test_small_residuals_weight_one(self):
-        weights = huber_weights(np.array([0.0, 0.5, -1.0]), delta=1.345)
-        np.testing.assert_allclose(weights, 1.0)
-
-    def test_large_residuals_downweighted(self):
-        weights = huber_weights(np.array([10.0, -20.0]), delta=1.0)
-        np.testing.assert_allclose(weights, [0.1, 0.05])
-
-    def test_weights_in_unit_interval(self):
-        rng = np.random.default_rng(4)
-        weights = huber_weights(rng.normal(scale=5.0, size=100))
-        assert np.all((weights > 0) & (weights <= 1.0))
 
 
 class TestMedianFilter:

@@ -12,8 +12,7 @@ from repro.traces.synthetic import (
     generate_crs_like_trace,
     generate_google_like_trace,
     generate_trace_from_intensity,
-    paper_regularization_intensity,
-    paper_scalability_intensity,
+    periodic_bump_intensity,
 )
 
 
@@ -46,15 +45,56 @@ class TestBetaBumpIntensity:
 
 
 class TestPaperIntensities:
+    """The bump builder at the paper's constants (Table I and Table III)."""
+
     def test_scalability_intensity_peak(self):
-        profile = paper_scalability_intensity()
-        assert profile.intensity.upper_bound() == pytest.approx(1000.0, rel=0.01)
-        assert profile.period_seconds == 3600.0
+        # Hourly bump peaking near 1000 QPS over seven hours, 10 s bins.
+        intensity = periodic_bump_intensity(
+            peak=1000.0,
+            period_seconds=3600.0,
+            exponent=40.0,
+            base=0.001,
+            horizon_seconds=25_200.0,
+            bin_seconds=10.0,
+        )
+        assert intensity.n_bins == 2520
+        # The bins next to the half period sit within 0.1% of peak + base.
+        assert intensity.value(1805.0) == pytest.approx(1000.0 + 0.001, rel=1e-3)
+        assert intensity.upper_bound() == pytest.approx(1000.0 + 0.001, rel=1e-3)
 
     def test_regularization_intensity_period(self):
-        profile = paper_regularization_intensity()
-        assert profile.period_seconds == 86_400.0
-        assert profile.intensity.upper_bound() == pytest.approx(1.1, rel=0.01)
+        # Daily bump over one week, 60 s bins.
+        intensity = periodic_bump_intensity(
+            peak=1.0,
+            period_seconds=86_400.0,
+            exponent=10.0,
+            base=0.1,
+            horizon_seconds=604_800.0,
+            bin_seconds=60.0,
+        )
+        assert intensity.n_bins == 10_080
+        assert intensity.value(43_230.0) == pytest.approx(1.0 + 0.1, rel=1e-5)
+        assert intensity.upper_bound() == pytest.approx(1.0 + 0.1, rel=1e-5)
+
+    def test_bins_hold_midpoint_values(self):
+        intensity = periodic_bump_intensity(
+            peak=2.0, period_seconds=600.0, exponent=8.0, base=0.05,
+            horizon_seconds=600.0, bin_seconds=10.0,
+        )
+        midpoints = (np.arange(60) + 0.5) * 10.0
+        expected = beta_bump_intensity(
+            midpoints, peak=2.0, period_seconds=600.0, exponent=8.0, base=0.05
+        )
+        assert intensity.values.tolist() == expected.tolist()
+
+    def test_extrapolation_is_periodic(self):
+        intensity = periodic_bump_intensity(
+            peak=1000.0, period_seconds=3600.0, exponent=40.0, base=0.001,
+            horizon_seconds=7200.0, bin_seconds=10.0,
+        )
+        t = np.array([5.0, 1805.0, 3595.0])
+        np.testing.assert_array_equal(intensity.value(t + 7200.0), intensity.value(t))
+        np.testing.assert_array_equal(intensity.value(t + 5 * 7200.0), intensity.value(t))
 
 
 class TestGenerateTraceFromIntensity:

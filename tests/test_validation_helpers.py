@@ -7,8 +7,6 @@ import pytest
 
 from repro._validation import (
     as_1d_float_array,
-    as_1d_int_array,
-    check_in_range,
     check_integer,
     check_non_negative,
     check_positive,
@@ -47,24 +45,6 @@ class TestAs1dFloatArray:
         assert as_1d_float_array([]).size == 0
 
 
-class TestAs1dIntArray:
-    def test_accepts_integers(self):
-        out = as_1d_int_array([1, 2, 3])
-        assert out.dtype == np.int64
-
-    def test_accepts_integral_floats(self):
-        out = as_1d_int_array([1.0, 2.0])
-        assert out.tolist() == [1, 2]
-
-    def test_rejects_fractional(self):
-        with pytest.raises(ValidationError):
-            as_1d_int_array([1.5])
-
-    def test_rejects_2d(self):
-        with pytest.raises(ValidationError):
-            as_1d_int_array(np.zeros((2, 2), dtype=int))
-
-
 class TestScalarChecks:
     def test_check_positive_accepts(self):
         assert check_positive(0.5, "x") == 0.5
@@ -93,11 +73,6 @@ class TestScalarChecks:
     def test_check_probability_exclusive(self):
         with pytest.raises(ValidationError):
             check_probability(0.0, "p", inclusive=False)
-
-    def test_check_in_range(self):
-        assert check_in_range(5.0, "x", 0.0, 10.0) == 5.0
-        with pytest.raises(ValidationError):
-            check_in_range(11.0, "x", 0.0, 10.0)
 
     def test_check_integer(self):
         assert check_integer(3, "n") == 3
