@@ -331,3 +331,134 @@ class TestAblations:
         )
         best = min(rows, key=lambda r: r["mse"])
         assert best["mse"] <= unregularized["mse"]
+
+
+class TestSharedDriverCode:
+    """The pipeline code the drivers call, checked against the steps it replaced."""
+
+    #: A small regularization study: 3 cycles of a 30-minute bump.
+    FIT = {
+        "beta_smooth": 50.0,
+        "beta_period": 10.0,
+        "period_seconds": 1800.0,
+        "n_periods": 3,
+        "bin_seconds": 60.0,
+        "peak_qps": 1.0,
+        "base_qps": 0.1,
+        "exponent": 10.0,
+        "seed": 0,
+        "max_iterations": 80,
+    }
+
+    def test_regularized_fit_errors_columns(self):
+        from repro.experiments.regularization import regularized_fit_errors
+
+        errors = regularized_fit_errors(**self.FIT)
+        assert set(errors) == {"mse", "mae", "admm_iterations"}
+        assert np.isfinite(errors["mse"]) and errors["mse"] >= 0.0
+        assert np.isfinite(errors["mae"]) and errors["mae"] >= 0.0
+        assert 1 <= errors["admm_iterations"] <= self.FIT["max_iterations"]
+
+    def test_regularized_fit_errors_follow_the_seed(self):
+        from repro.experiments.regularization import regularized_fit_errors
+
+        first = regularized_fit_errors(**self.FIT)
+        assert regularized_fit_errors(**self.FIT) == first
+        assert regularized_fit_errors(**{**self.FIT, "seed": 1})["mse"] != first["mse"]
+
+    def test_zero_period_weight_is_the_unpenalized_fit(self):
+        from repro.config import ADMMConfig
+        from repro.experiments.regularization import regularized_fit_errors
+        from repro.metrics.errors import mean_squared_error
+        from repro.nhpp.admm import fit_log_intensity
+        from repro.nhpp.objective import RegularizedNHPPObjective
+        from repro.nhpp.sampling import sample_counts
+        from repro.traces.synthetic import periodic_bump_intensity
+
+        params = {**self.FIT, "beta_period": 0.0}
+        horizon = params["period_seconds"] * params["n_periods"]
+        truth = periodic_bump_intensity(
+            peak=params["peak_qps"],
+            period_seconds=params["period_seconds"],
+            exponent=params["exponent"],
+            base=params["base_qps"],
+            horizon_seconds=horizon,
+            bin_seconds=params["bin_seconds"],
+        )
+        objective = RegularizedNHPPObjective(
+            counts=sample_counts(truth, horizon, params["seed"]),
+            bin_seconds=params["bin_seconds"],
+            beta_smooth=params["beta_smooth"],
+            beta_period=0.0,
+            period_bins=None,
+        )
+        result = fit_log_intensity(objective, ADMMConfig(max_iterations=params["max_iterations"]))
+        expected = mean_squared_error(np.exp(result.log_intensity), truth.values)
+        assert regularized_fit_errors(**params)["mse"] == expected
+
+    def test_sensitivity_cell_is_the_shared_fit(self):
+        from repro.experiments.ablation import regularization_point
+        from repro.experiments.regularization import regularized_fit_errors
+
+        cell = {k: v for k, v in self.FIT.items() if k != "exponent"}
+        row = regularization_point(**cell)
+        errors = regularized_fit_errors(**self.FIT)
+        assert row == {
+            "beta_smooth": 50.0,
+            "beta_period": 10.0,
+            "mse": errors["mse"],
+            "mae": errors["mae"],
+        }
+
+    def test_table3_rows_are_two_shared_fits(self):
+        from repro.experiments.regularization import regularized_fit_errors
+
+        params = {k: v for k, v in self.FIT.items() if k != "beta_period"}
+        rows = run_experiment("table3", {**params, "beta_period": 10.0})
+        by_model = {row["model"]: row for row in rows}
+        without = regularized_fit_errors(**{**params, "beta_period": 0.0})
+        with_reg = regularized_fit_errors(**{**params, "beta_period": 10.0})
+        assert {**without, "model": "NHPP w/o periodicity reg."} == (
+            by_model["NHPP w/o periodicity reg."]
+        )
+        assert {**with_reg, "model": "NHPP w/ periodicity reg."} == (
+            by_model["NHPP w/ periodicity reg."]
+        )
+
+    @pytest.mark.parametrize("n_samples", [1, 50, 2000])
+    def test_mc_sample_point_errors_match_the_scalar_solver(self, n_samples):
+        # The ablation's column solve must give the per-query HP solver's
+        # decision on the same (R, 1) samples, bit for bit.
+        from repro.experiments.ablation import mc_sample_point
+        from repro.nhpp.intensity import PiecewiseConstantIntensity
+        from repro.optimization.formulations import solve_hp_constrained
+        from repro.optimization.montecarlo import generate_scenarios
+        from repro.pending import DeterministicPendingTime
+
+        rate, pending, target, trials, seed = 1.0, 5.0, 0.9, 3, 11
+        row = mc_sample_point(
+            n_samples=n_samples,
+            arrival_rate=rate,
+            pending_time=pending,
+            target_hp=target,
+            n_trials=trials,
+            seed=seed,
+        )
+        alpha = 1.0 - target
+        exact = -np.log(1.0 - alpha) / rate - pending
+        intensity = PiecewiseConstantIntensity(np.array([rate]), 60.0, extrapolation="hold")
+        errors = []
+        for trial in range(trials):
+            scenarios = generate_scenarios(
+                intensity,
+                DeterministicPendingTime(pending),
+                n_queries=1,
+                n_samples=n_samples,
+                random_state=seed + trial,
+            )
+            xi, tau = scenarios.for_query(0)
+            errors.append(abs(solve_hp_constrained(xi, tau, target).raw_creation_time - exact))
+        assert row["n_samples"] == n_samples
+        assert row["exact_decision"] == float(exact)
+        assert row["mean_abs_error"] == float(np.mean(errors))
+        assert row["solve_time_ms"] >= 0.0

@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -231,6 +233,29 @@ class TestRealEnvironment:
         base = SimulationConfig(pending_time=1.0)
         real = real_environment_config(base, pending_time_jitter=5.0)
         assert real.pending_time_jitter <= real.pending_time
+
+    @pytest.mark.parametrize("pending_time", [0.5, 2.0, 13.0])
+    def test_jitter_is_the_smaller_of_request_and_pending_time(self, pending_time):
+        real = real_environment_config(SimulationConfig(pending_time=pending_time))
+        assert real.pending_time_jitter == min(2.0, pending_time)
+
+    def test_default_base_is_the_default_simulator(self):
+        real = real_environment_config()
+        expected = real_environment_config(SimulationConfig())
+        assert real == expected
+        assert real.charge_decision_latency
+        assert real.scheduling_latency == 1.0
+
+    def test_other_settings_and_base_are_kept(self):
+        base = SimulationConfig(pending_time=7.0)
+        real = real_environment_config(base, scheduling_latency=0.5)
+        assert not base.charge_decision_latency
+        assert base.scheduling_latency == SimulationConfig().scheduling_latency
+        assert real.pending_time == 7.0
+        changed = ("charge_decision_latency", "scheduling_latency", "pending_time_jitter")
+        for field in dataclasses.fields(SimulationConfig):
+            if field.name not in changed:
+                assert getattr(real, field.name) == getattr(base, field.name), field.name
 
 
 class TestReadyCountTracking:

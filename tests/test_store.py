@@ -127,6 +127,48 @@ class TestSixTokenHeader:
         store.put("results", ("old",), {"value": 1})
         assert store.get("results", ("old",)) == {"value": 1}
 
+    @staticmethod
+    def _write_raw(path: Path, extra_tokens: tuple[str, ...], drop: int = 0) -> None:
+        """Write a raw pickle whose digest verifies, under a reshaped header."""
+        payload = pickle.dumps({"value": 1})
+        digest = hashlib.blake2b(payload, digest_size=20).hexdigest()
+        tokens = [
+            "repro-store",
+            f"v{ArtifactStore.SCHEMA_VERSION}",
+            "results",
+            digest,
+            str(len(payload)),
+        ]
+        tokens = tokens[: len(tokens) - drop] + list(extra_tokens)
+        path.write_bytes((" ".join(tokens) + "\n").encode("ascii") + payload)
+
+    @pytest.mark.parametrize("codec", ["zlib", "zstd", "lzma9"])
+    def test_codec_token_over_a_valid_payload_is_a_miss(self, store, codec):
+        # The payload would load if the sixth token were ignored: the header
+        # shape alone makes the entry unreadable.
+        path = store.put("results", ("k",), {"value": 1})
+        self._write_raw(path, (codec,))
+        assert store.get("results", ("k",)) is None
+        assert store.stats().corrupt == 1
+        assert not path.exists()
+
+    @pytest.mark.parametrize(
+        "extra_tokens, drop", [((), 1), (("zlib", "x"), 0)], ids=["four", "seven"]
+    )
+    def test_other_token_counts_are_misses(self, store, extra_tokens, drop):
+        path = store.put("results", ("k",), {"value": 1})
+        self._write_raw(path, extra_tokens, drop)
+        assert store.get("results", ("k",)) is None
+        assert store.stats().corrupt == 1
+
+    def test_five_token_entry_written_by_hand_is_read(self, store):
+        # The same bytes under the five-token header are a valid entry.
+        path = store.put("results", ("k",), {"value": 2})
+        self._write_raw(path, ())
+        assert store.get("results", ("k",)) == {"value": 1}
+        assert store.stats().corrupt == 0
+
+
 class TestGC:
     def _put_aged(self, store, namespace, key, obj, age_seconds, now):
         path = store.put(namespace, key, obj)

@@ -97,6 +97,57 @@ class TestPaperIntensities:
         np.testing.assert_array_equal(intensity.value(t + 5 * 7200.0), intensity.value(t))
 
 
+#: (peak, period, exponent, base, horizon, bin) of the builder's call sites.
+_BUMP_SITES = {
+    "table1-default": (20.0, 1800.0, 40.0, 0.001, 4 * 1800.0, 5.0),
+    "table3-default": (1.0, 14_400.0, 10.0, 0.1, 7 * 14_400.0, 60.0),
+    "sensitivity-default": (1.0, 7200.0, 10.0, 0.1, 6 * 7200.0, 60.0),
+    "tests-conftest": (2.0, 600.0, 8.0, 0.05, 600.0, 10.0),
+    "faas-example": (5.0, 1800.0, 20.0, 0.05, 1800.0, 10.0),
+    "online-example": (0.8, 1800.0, 8.0, 0.05, 3600.0, 30.0),
+}
+
+
+class TestPeriodicBumpIntensity:
+    """The one bin-midpoint bump builder the drivers, tests and examples share."""
+
+    @staticmethod
+    def _build(peak, period, exponent, base, horizon, bin_seconds):
+        return periodic_bump_intensity(
+            peak=peak,
+            period_seconds=period,
+            exponent=exponent,
+            base=base,
+            horizon_seconds=horizon,
+            bin_seconds=bin_seconds,
+        )
+
+    @pytest.mark.parametrize("site", sorted(_BUMP_SITES))
+    def test_equals_the_written_out_steps(self, site):
+        peak, period, exponent, base, horizon, bin_seconds = _BUMP_SITES[site]
+        intensity = self._build(*_BUMP_SITES[site])
+        # Bin midpoints -> beta bump -> periodic piecewise-constant intensity,
+        # the steps each call site used to write out.
+        times = (np.arange(int(horizon / bin_seconds)) + 0.5) * bin_seconds
+        values = beta_bump_intensity(
+            times, peak=peak, period_seconds=period, exponent=exponent, base=base
+        )
+        assert intensity.values.tobytes() == values.tobytes()
+        assert intensity.bin_seconds == bin_seconds
+        assert intensity.extrapolation == "periodic"
+
+    @pytest.mark.parametrize(
+        "horizon, bin_seconds, n_bins",
+        [(600.0, 10.0, 60), (609.9, 10.0, 60), (3600.0, 7.0, 514)],
+    )
+    def test_bin_count_is_the_floored_ratio(self, horizon, bin_seconds, n_bins):
+        intensity = self._build(1.0, 600.0, 4.0, 0.1, horizon, bin_seconds)
+        assert intensity.n_bins == n_bins
+
+    def test_values_lie_between_base_and_peak_plus_base(self):
+        intensity = self._build(*_BUMP_SITES["faas-example"])
+        assert intensity.values.min() >= 0.05
+        assert intensity.values.max() <= 5.0 + 0.05
 class TestGenerateTraceFromIntensity:
     def test_count_matches_mass(self, periodic_intensity):
         horizon = 3600.0
