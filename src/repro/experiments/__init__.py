@@ -27,10 +27,10 @@ Table IV (real environment)  ``table4``
 
 Beyond the paper, ``scenario-sweep`` runs the autoscaler comparison across
 every scenario in the workload registry (:mod:`repro.workloads`) and marks
-each scenario's cost/QoS Pareto frontier; ``adversarial`` searches each
-policy's worst-case workload; and the three ablations (``kappa-ablation`` /
-``mc-sample-ablation`` / ``regularization-sensitivity``) probe the planner's
-and the fit's design choices.
+each scenario's cost/QoS Pareto frontier, and the three ablations
+(``kappa-ablation`` / ``mc-sample-ablation`` /
+``regularization-sensitivity``) probe the planner's and the fit's design
+choices.
 """
 
 from .traces_overview import run_traces_overview
@@ -47,12 +47,9 @@ from .scenario_sweep import (
     build_scenario_sweep_tasks,
     summarize_scenario_sweep,
 )
-from .adversarial import summarize_adversarial, violation_per_dollar
 
 __all__ = [
     "run_traces_overview",
     "build_scenario_sweep_tasks",
     "summarize_scenario_sweep",
-    "summarize_adversarial",
-    "violation_per_dollar",
 ]

@@ -30,6 +30,8 @@ from ..api import (
 from ..api.session import RunContext
 from ..config import SimulationConfig
 from ..runtime import prepare_workload
+from ..scaling.backup_pool import ReactiveScaler
+from ..simulation.runner import replay
 from ..workloads import get_scenario
 from .base import make_trace, robustscaler_spec
 
@@ -74,20 +76,26 @@ def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
     )
     scaler_spec = robustscaler_spec(params, "rs-hp", params["target_hp"])
 
-    rows: list[dict] = []
-    simulated_config = SimulationConfig(pending_time=13.0, engine=ctx.engine)
+    # One fit serves both environments; only the reactive reference replay,
+    # the relative-cost denominator, depends on the simulator configuration.
+    simulated = prepare_workload(
+        trace,
+        train_fraction=scenario.train_fraction,
+        bin_seconds=scenario.bin_seconds,
+        simulation=SimulationConfig(pending_time=13.0, engine=ctx.engine),
+    )
     real_config = real_environment_config(
-        simulated_config,
+        simulated.simulation,
         scheduling_latency=params["scheduling_latency"],
         pending_time_jitter=params["pending_time_jitter"],
     )
-    for label, sim_config in (("simulated", simulated_config), ("real", real_config)):
-        workload = prepare_workload(
-            trace,
-            train_fraction=scenario.train_fraction,
-            bin_seconds=scenario.bin_seconds,
-            simulation=sim_config,
-        )
+    real = replace(
+        simulated,
+        simulation=real_config,
+        reference_cost=replay(simulated.test, ReactiveScaler(), real_config).total_cost,
+    )
+    rows: list[dict] = []
+    for label, workload in (("simulated", simulated), ("real", real)):
         scaler = scaler_spec.build(workload, random_state=0)
         result = workload.replay(scaler)
         rows.append(

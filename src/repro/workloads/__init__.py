@@ -17,10 +17,6 @@ catalog of named, parameterized, seed-reproducible workload scenarios:
 * :mod:`repro.workloads.library` — the built-in scenarios (flash crowds,
   diurnal/weekly seasonality, launches, sale events, batch bursts,
   multi-tenant mixes, outages) plus aliases for the paper traces;
-* :mod:`repro.workloads.adversarial` — the policy-targeted suite under
-  the ``adversarial/`` prefix: per scaler family, recipes constructed to
-  defeat its specific mechanism, each with a bounded parameter box the
-  ``adversarial`` experiment searches;
 * real recorded traces join the registry through
   :func:`register_trace_csv`, backed by the validating
   :mod:`repro.traces.io` loaders.
@@ -64,14 +60,6 @@ from .registry import (
 )
 from .scenarios import Scenario
 from . import library as _library  # populates DEFAULT_REGISTRY on import
-from . import adversarial as _adversarial  # registers the adversarial/ suite
-from .adversarial import (
-    ADVERSARIAL_RECIPES,
-    AdversarialRecipe,
-    get_recipe,
-    recipes_for_target,
-    register_adversarial_scenarios,
-)
 
 __all__ = [
     # primitives
@@ -103,10 +91,4 @@ __all__ = [
     "CSVTraceGenerator",
     "scenario_from_trace_csv",
     "register_trace_csv",
-    # adversarial suite
-    "AdversarialRecipe",
-    "ADVERSARIAL_RECIPES",
-    "get_recipe",
-    "recipes_for_target",
-    "register_adversarial_scenarios",
 ]

@@ -3,14 +3,13 @@
 The module-level :data:`DEFAULT_REGISTRY` is what the CLI, the sweep
 experiment driver and the benchmark consult; :mod:`repro.workloads.library`
 populates it at import time with the built-in scenarios plus registry
-aliases for the three paper traces, and
-:mod:`repro.workloads.adversarial` adds the policy-targeted suite under the
-``adversarial/`` prefix.  Callers can register additional scenarios (e.g.
-in user code or tests) with :func:`register_scenario`, and real recorded
-traces join the registry through :func:`register_trace_csv`: a trace CSV on
-disk becomes a generator-backed :class:`Scenario` (validated by the
-hardened :mod:`repro.traces.io` loaders) that every experiment, the CLI and
-the store-backed trace cache treat exactly like a built-in scenario.
+aliases for the three paper traces.  Callers can register additional
+scenarios (e.g. in user code or tests) with :func:`register_scenario`, and
+real recorded traces join the registry through :func:`register_trace_csv`:
+a trace CSV on disk becomes a generator-backed :class:`Scenario`
+(validated by the hardened :mod:`repro.traces.io` loaders) that every
+experiment, the CLI and the store-backed trace cache treat exactly like a
+built-in scenario.
 """
 
 from __future__ import annotations

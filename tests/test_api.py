@@ -2,9 +2,9 @@
 
 Covers the registry (specs, parameter schemas, validation), the fluent
 ``Session`` facade (scenario mapping, seed override, typed ``ResultSet``
-with provenance), the progress-streaming hook, and the property that the
-``experiment`` / ``workloads sweep`` CLI subcommands are fully generated
-from the registry (no orphaned argparse flags).
+with provenance), journaled resume, the progress-streaming hook, and the
+property that the ``experiment`` / ``workloads sweep`` CLI subcommands are
+fully generated from the registry (no orphaned argparse flags).
 """
 
 from __future__ import annotations
@@ -31,6 +31,8 @@ from repro.api.cligen import (
 from repro.cli import SWEEP_EXTRA_FLAGS, build_parser, main
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import trace_defaults
+from repro.runtime import strip_timing
+from repro.store import ArtifactStore
 
 #: A deliberately tiny parameterization used wherever a real run is needed.
 _TINY_REG_GRID = dict(
@@ -47,7 +49,6 @@ class TestRegistry:
     def test_expected_experiments_registered(self):
         names = experiment_names()
         assert set(names) == {
-            "adversarial",
             "traces",
             "pareto",
             "variance",
@@ -218,6 +219,23 @@ class TestSessionFluent:
             assert list(frame.columns) == list(result.columns)
             assert len(frame) == len(result)
             assert list(frame["beta_period"]) == result.column("beta_period")
+
+    def test_journaled_rerun_resumes_bit_identically(self, tmp_path):
+        params = dict(
+            scenario_names=["steady-state"],
+            scale=0.05,
+            monte_carlo_samples=60,
+            planning_interval=20.0,
+        )
+        session = Session(store=ArtifactStore(tmp_path / "store"), run_id="resume")
+        first = session.experiment("scenario-sweep").run(**params)
+        assert first.provenance.n_resumed == 0
+        second = session.experiment("scenario-sweep").run(**params)
+        assert second.provenance.n_resumed == first.provenance.n_tasks > 0
+        assert strip_timing(second.rows) == strip_timing(first.rows)
+        # And the journaled rows agree with the store-less run.
+        unjournaled = Session(store=None).experiment("scenario-sweep").run(**params)
+        assert strip_timing(first.rows) == strip_timing(unjournaled.rows)
 
     def test_progress_hook_streams_every_task(self):
         class Recorder(ProgressHook):

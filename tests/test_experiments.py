@@ -16,6 +16,7 @@ import pytest
 from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import make_trace, trace_defaults
+from repro.nhpp.model import NHPPModel
 from repro.runtime import PrepSpec, prepare_workload
 from repro.types import ArrivalTrace
 from repro.workloads import get_scenario
@@ -293,6 +294,23 @@ class TestRealEnvExperiment:
         real = next(r for r in rows if r["environment"] == "real")
         assert real["hit_rate"] == pytest.approx(simulated["hit_rate"], abs=0.15)
         assert real["rt_avg"] == pytest.approx(simulated["rt_avg"], rel=0.15)
+
+    def test_both_environments_share_one_fit(self, monkeypatch):
+        fits = []
+        original_fit = NHPPModel.fit
+
+        def counting_fit(self, *args, **kwargs):
+            fits.append(1)
+            return original_fit(self, *args, **kwargs)
+
+        monkeypatch.setattr(NHPPModel, "fit", counting_fit)
+        rows = run_experiment(
+            "table4",
+            {"scale": 0.05, "monte_carlo_samples": 40, "planning_interval": 20.0},
+            store=None,
+        )
+        assert [row["environment"] for row in rows] == ["simulated", "real"]
+        assert len(fits) == 1
 
 
 class TestAblations:

@@ -5,9 +5,11 @@ from __future__ import annotations
 import numpy as np
 import pytest
 from scipy import stats
+from scipy.special import gammaincinv
 
 from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
+from repro.nhpp.sampling import sample_next_arrivals
 from repro.optimization.formulations import (
     ColumnSolver,
     DecisionObjective,
@@ -155,6 +157,33 @@ class TestSolveColumnsOnScenarios:
         ):
             raw = self._solve(objective, target)
             assert raw.shape == (5,) and np.isfinite(raw).all()
+
+
+class TestHPClosedFormOnNonHomogeneousIntensity:
+    """The Monte Carlo HP decision against its exact value.
+
+    Lambda^-1 is monotone and tau is deterministic, so the exact decision
+    for the k-th upcoming query is Lambda^-1(Q_Gamma(k, 1)(1 - target)) - tau.
+    The empirical quantile of R samples lies within five binomial standard
+    deviations of the level 1 - target.
+    """
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    @pytest.mark.parametrize("target", [0.3, 0.6, 0.9])
+    def test_columns_lie_in_the_quantile_band(self, seed, target):
+        intensity = PiecewiseConstantIntensity(
+            np.array([0.05, 0.4, 0.1, 1.2, 0.3]), 10.0, extrapolation="hold"
+        )
+        n_queries, n_samples, pending = 6, 2000, 13.0
+        xi = sample_next_arrivals(intensity, n_queries, n_samples, seed)
+        tau = np.full(xi.shape, pending)
+        raw = solve_columns(xi, tau, DecisionObjective.HIT_PROBABILITY, target)
+        k = np.arange(1, n_queries + 1)
+        half_width = 5.0 * np.sqrt(target * (1.0 - target) / n_samples)
+        low = intensity.inverse_cumulative(gammaincinv(k, 1.0 - target - half_width))
+        high = intensity.inverse_cumulative(gammaincinv(k, 1.0 - target + half_width))
+        assert np.all(raw >= low - pending)
+        assert np.all(raw <= high - pending)
 
 
 def _per_query(xi: np.ndarray, tau: np.ndarray, objective, target):
