@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import pickle
+
 import numpy as np
 import pytest
 
@@ -396,6 +398,82 @@ class TestRegistry:
             np.testing.assert_array_equal(alias.arrival_times, direct.arrival_times)
             np.testing.assert_array_equal(alias.processing_times, direct.processing_times)
             assert alias.horizon == direct.horizon
+
+
+_LIBRARY = sorted(scenario_names())
+_INTENSITY_LIBRARY = [name for name in _LIBRARY if get_scenario(name).kind == "intensity"]
+
+
+class TestLibraryScenarioContract:
+    """Per-scenario guarantees the sweep, the CLI and the drivers rely on."""
+
+    SCALE = 0.03
+    SEED = 5
+
+    @pytest.mark.parametrize("name", _LIBRARY)
+    def test_pickled_scenario_rebuilds_the_same_trace(self, name):
+        # Parallel sweeps ship scenarios to worker processes by pickle.
+        scenario = get_scenario(name)
+        clone = pickle.loads(pickle.dumps(scenario))
+        assert clone == scenario
+        a = scenario.build_trace(scale=self.SCALE, seed=self.SEED)
+        b = clone.build_trace(scale=self.SCALE, seed=self.SEED)
+        np.testing.assert_array_equal(a.arrival_times, b.arrival_times)
+        np.testing.assert_array_equal(a.processing_times, b.processing_times)
+
+    @pytest.mark.parametrize("name", _LIBRARY)
+    def test_seed_none_uses_default_seed(self, name):
+        scenario = get_scenario(name)
+        implicit = scenario.build_trace(scale=self.SCALE)
+        explicit = scenario.build_trace(scale=self.SCALE, seed=scenario.default_seed)
+        np.testing.assert_array_equal(implicit.arrival_times, explicit.arrival_times)
+        np.testing.assert_array_equal(implicit.processing_times, explicit.processing_times)
+
+    @pytest.mark.parametrize("name", _LIBRARY)
+    def test_split_partitions_the_trace_at_train_fraction(self, name):
+        scenario = get_scenario(name)
+        full = scenario.build_trace(scale=self.SCALE, seed=self.SEED)
+        train, test = scenario.build_split(scale=self.SCALE, seed=self.SEED)
+        cut = full.horizon * scenario.train_fraction
+        assert train.horizon == pytest.approx(cut)
+        assert test.horizon == pytest.approx(full.horizon - cut)
+        assert train.n_queries > 0 and test.n_queries > 0
+        assert train.n_queries + test.n_queries == full.n_queries
+        assert np.all(train.arrival_times < cut)
+        np.testing.assert_allclose(
+            test.arrival_times + cut, full.arrival_times[train.n_queries :], rtol=1e-12
+        )
+        np.testing.assert_array_equal(
+            np.concatenate([train.processing_times, test.processing_times]),
+            full.processing_times,
+        )
+
+    @pytest.mark.parametrize("name", _INTENSITY_LIBRARY)
+    def test_trace_spans_the_scaled_horizon(self, name):
+        scenario = get_scenario(name)
+        trace = scenario.build_trace(scale=self.SCALE, seed=self.SEED)
+        assert trace.horizon == scenario.scaled_horizon(self.SCALE)
+        assert trace.name == scenario.name
+
+    @pytest.mark.parametrize("name", _INTENSITY_LIBRARY)
+    def test_window_counts_are_poisson_in_the_compiled_intensity(self, name):
+        # build_intensity consumes the seed exactly as build_trace does before
+        # sampling, so it returns the intensity this realization was drawn
+        # from.  Given it, each window's count is Poisson with mean Λ(b) − Λ(a).
+        # Λ is taken up to the horizon, not total_mass: the compiled grid
+        # rounds up to whole bins past it.
+        scenario = get_scenario(name)
+        trace = scenario.build_trace(scale=self.SCALE, seed=self.SEED)
+        intensity = scenario.build_intensity(scale=self.SCALE, seed=self.SEED)
+        edges = np.linspace(0.0, trace.horizon, 5)
+        counts, _ = np.histogram(trace.arrival_times, bins=edges)
+        means = np.diff(intensity.cumulative(edges))
+        assert np.all(np.abs(counts - means) <= 5.0 * np.sqrt(means) + 1.0), (
+            counts,
+            means,
+        )
+        total = intensity.cumulative(trace.horizon)
+        assert abs(trace.n_queries - total) <= 5.0 * np.sqrt(total)
 
 
 class TestScenarioSweep:
