@@ -28,8 +28,8 @@ single bit.
 
 The driver fixture (``drivers.json``) pins the deterministic row columns of
 the paper-experiment drivers (Table I, Table III, the regularization and
-Monte Carlo sample-size ablations, Fig. 8's grid and Table IV's simulated
-row) at small parameters; ``tests/test_golden_drivers.py`` fails if a
+Monte Carlo sample-size ablations, Fig. 4's sweep, Fig. 8's grid and
+Table IV's simulated row) at small parameters; ``tests/test_golden_drivers.py`` fails if a
 change to a driver moves a single bit of them.  Wall-clock columns and
 Table IV's "real" row, which charges measured planner latency, are left
 out.
@@ -89,7 +89,8 @@ BASELINE_POLICIES = ("reactive", "bp2", "adapbp2")
 BASELINES_PATH = Path(__file__).parent / "baselines.json"
 
 #: Paper-experiment drivers pinned by the driver fixture: small parameters
-#: and the deterministic columns digested, per registered experiment.
+#: (one dict, or a tuple of dicts whose rows are concatenated) and the
+#: deterministic columns digested, per registered experiment.
 DRIVER_CASES = {
     "table1": (
         {
@@ -126,6 +127,45 @@ DRIVER_CASES = {
     "table4": (
         {"scale": 0.15, "monte_carlo_samples": 150, "planning_interval": 10.0},
         ("environment", "target_hp", "hit_rate", "rt_avg", "cost_per_query", "relative_cost"),
+    ),
+    # Fig. 4 runs twice: a paper trace with hand-tuned grids, then two library
+    # scenarios whose grids come from their tags (flash-crowd is adversarial,
+    # steady-state is not).
+    "pareto": (
+        (
+            {
+                "trace_names": ("google",),
+                "scale": 0.13,
+                "monte_carlo_samples": 60,
+                "planning_interval": 20.0,
+            },
+            {
+                "trace_names": ("flash-crowd", "steady-state"),
+                "scale": 0.05,
+                "monte_carlo_samples": 60,
+                "planning_interval": 20.0,
+            },
+        ),
+        (
+            "trace",
+            "scaler",
+            "pool_size",
+            "rate_factor",
+            "target_hp",
+            "waiting_budget",
+            "idle_budget",
+            "n_queries",
+            "hit_rate",
+            "rt_avg",
+            "total_cost",
+            "relative_cost",
+            "hit_rate_window_variance",
+            "rt_window_variance",
+            "rt_p75",
+            "rt_p95",
+            "rt_p99",
+            "rt_p99.9",
+        ),
     ),
 }
 
@@ -275,9 +315,12 @@ def driver_fingerprint(name: str) -> dict:
     from repro.api import run_experiment
 
     params, columns = DRIVER_CASES[name]
+    runs = (params,) if isinstance(params, dict) else params
     rows = [
-        {column: row[column] for column in columns}
-        for row in run_experiment(name, params)
+        # Sweep-parameter columns are set only on their own scaler's rows.
+        {column: row.get(column) for column in columns}
+        for run in runs
+        for row in run_experiment(name, run)
         # Table IV's "real" row charges measured planner latency.
         if row.get("environment") != "real"
     ]

@@ -2,8 +2,8 @@
 
 ``tests/golden/drivers.json`` pins, at small parameters, a digest of the
 deterministic row columns of Table I, Table III, the regularization and
-Monte Carlo sample-size ablations, Fig. 8's grid and Table IV's simulated
-row.  Wall-clock columns and Table IV's "real" row (which charges measured
+Monte Carlo sample-size ablations, Fig. 4's sweep, Fig. 8's grid and
+Table IV's simulated row.  Wall-clock columns and Table IV's "real" row (which charges measured
 planner latency) are not pinned.  A change that makes a driver reuse the
 pipeline's own code must leave every digest unchanged.  If a change is
 meant to move them, re-baseline with::
