@@ -8,9 +8,9 @@ Two end-to-end assertions, matching the API-redesign acceptance criteria:
    ``run_id``, and a second (warm) session run resumes every task from the
    journal with bit-identical rows.
 2. **Registry-generated CLI** — every ``repro experiment <name>`` subparser
-   (and ``workloads sweep``) carries no orphaned argparse flags: each
-   option is derived from the experiment's parameter schema or the uniform
-   session knobs, and ``--help`` renders for all of them.
+   carries no orphaned argparse flags: each option is derived from the
+   experiment's parameter schema or the uniform session knobs, and
+   ``--help`` renders for all of them.
 
 Run standalone::
 
@@ -27,8 +27,7 @@ from pathlib import Path
 
 from repro.api import Session, experiment_names, get_experiment
 from repro.api.cligen import audit_parser
-from repro.cli import SWEEP_EXTRA_FLAGS, build_parser
-from repro.runtime import strip_timing
+from repro.cli import build_parser
 
 from conftest import print_artifact
 
@@ -55,29 +54,15 @@ def check_cli_fully_generated() -> list[dict]:
         n_options = sum(1 for a in sub._actions if a.option_strings)
         rows.append({"subcommand": f"experiment {name}", "options": n_options, "orphans": 0})
         sub.format_help()  # --help must render
-    sweep = _subparser_map(top["workloads"])["sweep"]
-    orphans = audit_parser(
-        sweep, get_experiment("scenario-sweep"), extra_flags=SWEEP_EXTRA_FLAGS
-    )
-    if orphans:
-        raise AssertionError(f"workloads sweep: orphaned CLI flags {orphans}")
-    sweep.format_help()
-    rows.append(
-        {
-            "subcommand": "workloads sweep",
-            "options": sum(1 for a in sweep._actions if a.option_strings),
-            "orphans": 0,
-        }
-    )
     return rows
 
 
 def check_cold_store_session(scale: float = 0.05) -> list[dict]:
-    """Run scenario-sweep through a Session against a cold store, then resume."""
+    """Run pareto through a Session against a cold store, then resume."""
     with tempfile.TemporaryDirectory(prefix="repro-api-smoke-") as tmp:
         store_dir = Path(tmp) / "store"
         params = dict(
-            scenario_names=("steady-state", "flash-crowd"),
+            trace_names=("steady-state", "flash-crowd"),
             scale=scale,
             monte_carlo_samples=60,
             planning_interval=20.0,
@@ -85,7 +70,7 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
 
         started = time.perf_counter()
         cold_session = Session(store=store_dir, run_id="api-smoke")
-        cold = cold_session.experiment("scenario-sweep").run(**params)
+        cold = cold_session.experiment("pareto").run(**params)
         cold_seconds = time.perf_counter() - started
         assert cold.rows, "cold Session run produced no rows"
         assert cold.provenance.engine == "batched"
@@ -94,20 +79,20 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
 
         started = time.perf_counter()
         warm_session = Session(store=store_dir, run_id="api-smoke")
-        warm = warm_session.experiment("scenario-sweep").run(**params)
+        warm = warm_session.experiment("pareto").run(**params)
         warm_seconds = time.perf_counter() - started
         assert warm.provenance.n_resumed == warm.provenance.n_tasks, (
             "warm run should recover every task from the journal"
         )
-        assert strip_timing(warm.rows) == strip_timing(cold.rows)
+        assert warm.rows == cold.rows
 
         # The reference-engine escape hatch agrees bit-for-bit.
         reference = (
             Session(store=store_dir, engine="reference")
-            .experiment("scenario-sweep")
+            .experiment("pareto")
             .run(**params)
         )
-        assert strip_timing(reference.rows) == strip_timing(cold.rows)
+        assert reference.rows == cold.rows
 
     return [
         {

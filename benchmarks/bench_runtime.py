@@ -2,7 +2,7 @@
 
 Two measurements:
 
-* **Executor comparison** — the same scenario-sweep task batch evaluated
+* **Executor comparison** — the same multi-scenario task batch evaluated
   serially and on a process pool, recording wall-clock, the workload-cache
   hit counts, and (the hard guarantee) that both executors produce
   bit-identical result rows.  The speedup column is what the pool buys on
@@ -27,34 +27,49 @@ import time
 import numpy as np
 import pytest
 
-from repro.experiments.scenario_sweep import build_scenario_sweep_tasks
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_arrival_times
-from repro.runtime import WorkloadCache, run_tasks, strip_timing
+from repro.runtime import (
+    EvalTask,
+    ScalerSpec,
+    WorkloadCache,
+    WorkloadSpec,
+    run_tasks,
+)
 
 #: Representative subset: steady + adversarial + heavy-tail + a paper trace.
 _BENCH_SCENARIOS = ("steady-state", "flash-crowd", "pareto-bursts", "google")
 
 
-def bench_params(scale: float = 0.05, seed: int = 7) -> dict:
-    """The sweep parameters the executor benchmark evaluates."""
-    return {
-        "scenario_names": _BENCH_SCENARIOS,
-        "scale": scale,
-        "seed": seed,
-        "planning_interval": 10.0,
-        "monte_carlo_samples": 120,
-        "hp_targets": (0.5, 0.9),
-        "pool_sizes": (1, 4),
-        "adaptive_factors": (10.0,),
-    }
+def bench_tasks(scale: float = 0.05, seed: int = 7) -> list[EvalTask]:
+    """One small autoscaler comparison per scenario, grouped by scenario."""
+    planner = {"planning_interval": 10.0, "monte_carlo_samples": 120}
+    scalers = [
+        ScalerSpec("reactive"),
+        ScalerSpec("bp", 1),
+        ScalerSpec("bp", 4),
+        ScalerSpec("adapbp", 10.0),
+        ScalerSpec("rs-hp", 0.5, **planner),
+        ScalerSpec("rs-hp", 0.9, **planner),
+        ScalerSpec("rs-rt", 5.0, **planner),
+        ScalerSpec("rs-cost", 5.0, **planner),
+    ]
+    return [
+        EvalTask(
+            WorkloadSpec(scenario=name, scale=scale, seed=seed),
+            scaler,
+            extra=(("scenario", name),),
+        )
+        for name in _BENCH_SCENARIOS
+        for scaler in scalers
+    ]
 
 
 def run_executor_comparison(
     scale: float = 0.05, workers: int = 2, seed: int = 7
 ) -> dict:
     """Evaluate one task batch serially and in parallel; compare and time."""
-    tasks, skipped = build_scenario_sweep_tasks(bench_params(scale=scale, seed=seed))
+    tasks = bench_tasks(scale=scale, seed=seed)
     cache = WorkloadCache()
 
     start = time.perf_counter()
@@ -65,11 +80,10 @@ def run_executor_comparison(
     parallel = run_tasks(tasks, base_seed=seed, workers=workers)
     parallel_seconds = time.perf_counter() - start
 
-    serial_rows = strip_timing([r.row for r in serial])
-    parallel_rows = strip_timing([r.row for r in parallel])
+    serial_rows = [r.row for r in serial]
+    parallel_rows = [r.row for r in parallel]
     return {
         "n_tasks": len(tasks),
-        "n_skipped": len(skipped),
         "workers": workers,
         "serial_seconds": serial_seconds,
         "parallel_seconds": parallel_seconds,

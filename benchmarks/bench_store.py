@@ -3,20 +3,21 @@
 Two measurements:
 
 * **Cold vs warm CLI invocation** (default, ``--smoke`` for CI sizing) —
-  the same multi-scenario ``repro workloads sweep`` run twice through the
-  real CLI against one store directory.  The first invocation pays trace
-  generation, NHPP/ADMM fits, reference replays, sweep replays; the second
-  finds the prepared workloads, the generated traces *and* (via
+  the same multi-scenario ``repro experiment pareto`` run twice through
+  the real CLI against one store directory.  The first invocation pays
+  trace generation, NHPP/ADMM fits, reference replays, sweep replays; the
+  second finds the prepared workloads, the generated traces *and* (via
   ``--run-id``) every journaled result row on disk, so it performs zero
   model fits and zero replays.  The script reports both the store-only
-  effect (an in-process re-run with a fresh memory cache must report zero
-  fits in ``CacheStats``) and the end-to-end wall-clock speedup.
+  effect (an in-process re-run with a fresh memory cache must count zero
+  fits, ``cache.misses`` in its telemetry) and the end-to-end wall-clock
+  speedup.
 
 * **Kill/resume round-trip** (``--resume-smoke``) — a child process starts
   the same sweep with a ``run_id``, is SIGKILLed after the first few tasks
   are journaled, and the parent resumes the run with the same id; the
-  merged rows must be bit-identical (timing columns aside) to an
-  uninterrupted run that never touched a store.
+  merged rows must be bit-identical to an uninterrupted run that never
+  touched a store.
 
 Runs standalone for CI smoke jobs::
 
@@ -33,9 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api import run_experiment
-from repro.experiments.scenario_sweep import build_scenario_sweep_tasks
-from repro.runtime import WorkloadCache, run_task_rows, strip_timing
+from repro.api import Session, run_experiment
 from repro.store import ArtifactStore
 
 #: Representative multi-scenario sweep: steady + adversarial + spiky + paper.
@@ -52,7 +51,7 @@ _SMOKE_MIN_SPEEDUP = 3.0
 def sweep_params(scale: float) -> dict:
     """The benchmark sweep, identical across CLI, child and parent runs."""
     return {
-        "scenario_names": _BENCH_SCENARIOS,
+        "trace_names": _BENCH_SCENARIOS,
         "scale": scale,
         "seed": _SEED,
         "planning_interval": _PLANNING_INTERVAL,
@@ -61,9 +60,9 @@ def sweep_params(scale: float) -> dict:
 
 
 def _cli_command(scale: float, store_dir: str, run_id: str) -> list[str]:
-    command = [sys.executable, "-m", "repro.cli", "workloads", "sweep"]
+    command = [sys.executable, "-m", "repro.cli", "experiment", "pareto"]
     for name in _BENCH_SCENARIOS:
-        command += ["--scenario", name]
+        command += ["--trace", name]
     command += [
         "--scale",
         str(scale),
@@ -77,7 +76,7 @@ def _cli_command(scale: float, store_dir: str, run_id: str) -> list[str]:
         store_dir,
         "--run-id",
         run_id,
-        "--summary-only",
+        "--quiet",
     ]
     return command
 
@@ -103,21 +102,21 @@ def bench_cold_warm(scale: float, smoke: bool) -> None:
 
         # Store-only effect, independent of the result journal: a fresh
         # memory cache against the warm store must perform zero model fits.
-        store = ArtifactStore(store_dir)
-        tasks, _ = build_scenario_sweep_tasks(sweep_params(scale), store=store)
-        cache = WorkloadCache(store=store)
         started = time.perf_counter()
-        run_task_rows(tasks, base_seed=_SEED, cache=cache, store=store)
+        result = (
+            Session(store=store_dir, telemetry=True)
+            .experiment("pareto")
+            .run(**sweep_params(scale))
+        )
         replay_only = time.perf_counter() - started
-        stats = cache.stats()
+        counters = result.telemetry["counters"]
+        fits = counters.get("cache.misses", 0)
         print(
             f"warm-store re-run     {replay_only:8.2f} s   "
-            f"(CacheStats: {stats.disk_hits} disk hits, {stats.misses} fits)"
+            f"({counters.get('cache.disk_hits', 0)} disk hits, {fits} fits)"
         )
-        if stats.misses != 0:
-            raise SystemExit(
-                f"FAIL: warm store still performed {stats.misses} model fits"
-            )
+        if fits != 0:
+            raise SystemExit(f"FAIL: warm store still performed {fits} model fits")
         if smoke and speedup < _SMOKE_MIN_SPEEDUP:
             raise SystemExit(
                 f"FAIL: warm-run speedup {speedup:.1f}x below the "
@@ -129,15 +128,17 @@ def bench_cold_warm(scale: float, smoke: bool) -> None:
 def _run_child(scale: float, store_dir: str, run_id: str) -> int:
     """Child entry point: run the journaled sweep until killed."""
     store = ArtifactStore(store_dir)
-    run_experiment("scenario-sweep", sweep_params(scale), store=store, run_id=run_id)
+    run_experiment("pareto", sweep_params(scale), store=store, run_id=run_id)
     return 0
 
 
 def bench_resume(scale: float, kill_after: int, timeout: float) -> None:
     """Kill a journaled sweep mid-run, resume it, compare with uninterrupted."""
     params = sweep_params(scale)
-    tasks, _ = build_scenario_sweep_tasks(params)
-    print(f"sweep: {len(tasks)} tasks; killing the child after ~{kill_after} journal")
+    # Uninterrupted and store-less: the reference rows, one per task.
+    baseline = run_experiment("pareto", params)
+    n_tasks = len(baseline)
+    print(f"sweep: {n_tasks} tasks; killing the child after ~{kill_after} journal")
 
     with tempfile.TemporaryDirectory(prefix="repro-bench-resume-") as tmp:
         store_dir = str(Path(tmp) / "store")
@@ -168,23 +169,20 @@ def bench_resume(scale: float, kill_after: int, timeout: float) -> None:
         child.kill()
         child.wait()
         journaled = len(store.entries("results"))
-        print(f"child killed with {journaled}/{len(tasks)} tasks journaled")
+        print(f"child killed with {journaled}/{n_tasks} tasks journaled")
         if journaled == 0:
             raise SystemExit("FAIL: child was killed before journaling anything")
-        if journaled >= len(tasks):
+        if journaled >= n_tasks:
             raise SystemExit(
                 "FAIL: child finished before the kill; nothing was interrupted "
                 "(increase --scale)"
             )
 
         started = time.perf_counter()
-        resumed = run_experiment(
-            "scenario-sweep", params, store=store, run_id=run_id
-        )
+        resumed = run_experiment("pareto", params, store=store, run_id=run_id)
         print(f"resumed run           {time.perf_counter() - started:8.2f} s")
 
-        baseline = run_experiment("scenario-sweep", params)
-        if strip_timing(resumed) != strip_timing(baseline):
+        if resumed != baseline:
             raise SystemExit(
                 "FAIL: resumed rows differ from the uninterrupted run"
             )

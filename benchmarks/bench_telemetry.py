@@ -30,7 +30,6 @@ from repro.api import Session
 from repro.cli import main as cli_main
 from repro.config import SimulationConfig
 from repro.nhpp.sampling import sample_homogeneous_arrivals
-from repro.runtime import strip_timing
 from repro.scaling.backup_pool import ReactiveScaler
 from repro.simulation import create_simulator
 from repro.telemetry import Recorder, load_snapshot, use
@@ -50,7 +49,7 @@ def check_snapshot_artifacts(scale: float) -> list[dict]:
     with tempfile.TemporaryDirectory(prefix="repro-telemetry-smoke-") as tmp:
         store_dir = Path(tmp) / "store"
         params = dict(
-            scenario_names=("steady-state", "flash-crowd"),
+            trace_names=("steady-state", "flash-crowd"),
             scale=scale,
             monte_carlo_samples=60,
             planning_interval=20.0,
@@ -62,7 +61,7 @@ def check_snapshot_artifacts(scale: float) -> list[dict]:
         for label, run_id in (("cold", "telemetry-cold"), ("warm", "telemetry-warm")):
             started = time.perf_counter()
             session = Session(store=store_dir, run_id=run_id, telemetry=True)
-            result = session.experiment("scenario-sweep").run(**params)
+            result = session.experiment("pareto").run(**params)
             timings[label] = time.perf_counter() - started
             snapshot = load_snapshot(session.store, run_id)
             assert snapshot is not None, f"{label} run persisted no snapshot"
@@ -81,8 +80,8 @@ def check_snapshot_artifacts(scale: float) -> list[dict]:
         )
 
         # Telemetry observes, never perturbs: same rows with it off.
-        plain = Session(store=store_dir).experiment("scenario-sweep").run(**params)
-        assert strip_timing(plain.rows) == strip_timing(rows[0].rows)
+        plain = Session(store=store_dir).experiment("pareto").run(**params)
+        assert plain.rows == rows[0].rows
 
         # CLI surface over the same store.
         store_flag = ["--store-dir", str(store_dir)]

@@ -11,9 +11,9 @@ One registry, one facade, one execution contract:
   ``store`` / ``run_id`` / ``workers`` / ``engine`` / ``seed`` uniformly
   through :func:`repro.runtime.run_tasks` and returning a typed
   :class:`~repro.api.session.ResultSet` (columnar rows + provenance);
-* the ``repro experiment`` and ``repro workloads sweep`` CLI subcommands
-  are generated from the registry (:mod:`repro.api.cligen`), so adding an
-  experiment never touches :mod:`repro.cli`;
+* the ``repro experiment`` CLI subcommands are generated from the
+  registry (:mod:`repro.api.cligen`), so adding an experiment never
+  touches :mod:`repro.cli`;
 * the batched replay engine is the default at this layer
   (``engine="reference"`` is the escape hatch; both engines produce
   bit-identical rows).
@@ -22,7 +22,7 @@ Quickstart::
 
     from repro.api import Session
 
-    rows = Session(workers=4).experiment("scenario-sweep").scenario(
+    rows = Session(workers=4).experiment("pareto").scenario(
         "cold-start-services"
     ).run(scale=0.1)
 """

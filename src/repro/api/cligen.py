@@ -1,7 +1,7 @@
 """Argparse generation from experiment parameter schemas.
 
-The ``repro experiment`` and ``repro workloads sweep`` subcommands are
-*generated* from the registry: every option flag is derived either from a
+The ``repro experiment`` subcommands are *generated* from the registry:
+every option flag is derived either from a
 :class:`~repro.api.registry.ParamSpec` or from the uniform session knobs
 (``--workers`` / ``--engine`` / ``--run-id`` / store flags / ``--quiet``).
 Adding an experiment therefore never touches :mod:`repro.cli`; and
@@ -37,7 +37,7 @@ def _format_default(param: ParamSpec) -> str:
 def add_param_arguments(
     parser: argparse.ArgumentParser, spec: ExperimentSpec
 ) -> None:
-    """Install one option per CLI-visible schema parameter.
+    """Install one option per schema parameter.
 
     Every generated option defaults to ``None`` ("not given"), so the
     schema's own defaults (including derived-per-trace grids) apply exactly
@@ -45,8 +45,6 @@ def add_param_arguments(
     flags, booleans become ``--flag`` / ``--no-flag`` pairs.
     """
     for param in spec.params:
-        if not param.cli:
-            continue
         help_text = f"{param.help or param.name} (default: {_format_default(param)})"
         if param.kind == "bool":
             parser.add_argument(
@@ -146,8 +144,6 @@ def collect_params(args: argparse.Namespace, spec: ExperimentSpec) -> dict:
     """The schema overrides actually given on the command line."""
     params = {}
     for param in spec.params:
-        if not param.cli:
-            continue
         value = getattr(args, param.dest, None)
         if value is not None:
             params[param.name] = value
@@ -190,23 +186,14 @@ def _session_flags(spec: ExperimentSpec) -> set[str]:
     return flags
 
 
-def audit_parser(
-    parser: argparse.ArgumentParser,
-    spec: ExperimentSpec,
-    *,
-    extra_flags: set[str] | frozenset[str] = frozenset(),
-) -> list[str]:
+def audit_parser(parser: argparse.ArgumentParser, spec: ExperimentSpec) -> list[str]:
     """Option strings of ``parser`` that the registry did not generate.
 
     Returns the orphans (empty means the subcommand is fully
-    registry-generated).  ``extra_flags`` whitelists presentation-only
-    flags a caller adds on top (e.g. ``--summary-only`` on the workloads
-    sweep).
+    registry-generated).
     """
-    expected = _session_flags(spec) | set(extra_flags)
+    expected = _session_flags(spec)
     for param in spec.params:
-        if not param.cli:
-            continue
         expected.add(param.flag)
         if param.kind == "bool":
             # BooleanOptionalAction registers the --no- variant too.

@@ -26,7 +26,7 @@ flags and its help text are generated from the spec.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any, Callable, Iterable, Mapping
 
 from ..exceptions import ValidationError
@@ -75,8 +75,7 @@ class ParamSpec:
     name:
         Python-level parameter name (the key in the resolved params dict).
     kind:
-        Scalar type: ``"float"`` / ``"int"`` / ``"str"`` / ``"bool"``, or
-        ``"object"`` for opaque programmatic-only values (never on the CLI).
+        Scalar type: ``"float"`` / ``"int"`` / ``"str"`` / ``"bool"``.
     default:
         Default value; ``None`` is a legal default meaning "derived by the
         experiment" (per-trace grids and the like).
@@ -87,13 +86,9 @@ class ParamSpec:
         Optional closed set of legal scalar values.
     help:
         One-line help text (surfaces in the generated CLI and listings).
-    cli:
-        When ``False`` the parameter is programmatic-only (no CLI flag) —
-        used for live objects such as a custom ``ScenarioRegistry`` or an
-        explicit ``SimulationConfig``.
     cli_flag:
-        Override for the generated option string (e.g. ``--scenario`` for
-        the ``scenario_names`` parameter, matching the historical CLI).
+        Override for the generated option string (e.g. ``--trace`` for
+        the ``trace_names`` parameter, matching the historical CLI).
     """
 
     name: str
@@ -102,16 +97,13 @@ class ParamSpec:
     sequence: bool = False
     choices: tuple | None = None
     help: str = ""
-    cli: bool = True
     cli_flag: str | None = None
 
     def __post_init__(self) -> None:
-        if self.kind not in (*_KINDS, "object"):
+        if self.kind not in _KINDS:
             raise ValidationError(
                 f"ParamSpec {self.name!r}: unknown kind {self.kind!r}"
             )
-        if self.kind == "object" and self.cli:
-            object.__setattr__(self, "cli", False)
 
     @property
     def flag(self) -> str:
@@ -129,8 +121,6 @@ class ParamSpec:
         """Validate and convert ``value`` to the declared type."""
         if value is None:
             return None
-        if self.kind == "object":
-            return value
         if self.sequence:
             if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
                 value = (value,)

@@ -299,17 +299,12 @@ def _execute(
     finally:
         if ctx.progress is not None:
             ctx.progress.finish()
-    public = {
-        name: value
-        for name, value in resolved.items()
-        if spec.param(name).kind != "object"
-    }
     from .. import __version__
 
     provenance = Provenance(
         experiment=spec.name,
-        params=public,
-        seed=public.get("seed"),
+        params=resolved,
+        seed=resolved.get("seed"),
         engine=ctx.engine,
         workers=ctx.workers,
         run_id=ctx.run_id,
@@ -359,9 +354,8 @@ class ExperimentHandle:
         """Point the experiment at one or more registry scenarios.
 
         Maps onto the spec's declared scenario parameter (e.g.
-        ``trace_names`` for ``pareto``, ``scenario_names`` for
-        ``scenario-sweep``); experiments without a scenario notion reject
-        the call.
+        ``trace_names`` for ``pareto``, ``trace_name`` for ``table4``);
+        experiments without a scenario notion reject the call.
         """
         target = self._spec.scenario_param
         if target is None:

@@ -6,11 +6,10 @@ Usage examples::
     repro simulate --trace google --scaler rs-hp --target 0.9
     repro experiment pareto                  # regenerate the Fig. 4 data
     repro experiment table3                  # periodicity-regularization study
-    repro experiment scenario-sweep --workers 4   # parallel registry sweep
+    repro experiment pareto --trace flash-crowd --workers 4   # any scenario
     repro experiment pareto --help           # registry-generated options
     repro workloads list                     # the scenario registry
     repro workloads generate --scenario flash-crowd --seed 7 --out fc.csv
-    repro workloads sweep                    # autoscalers across every scenario
     repro store info                         # artifact-store footprint
     repro store ls --runs                    # journaled runs with completion
     repro store gc --max-bytes 500000000 --pin workloads/
@@ -18,8 +17,8 @@ Usage examples::
     repro telemetry show r1                  # metrics + slowest spans
     repro telemetry diff r1 r2               # compare two runs
 
-The ``experiment`` and ``workloads sweep`` subcommands are **generated from
-the experiment registry** (:mod:`repro.api`): each experiment's options come
+The ``experiment`` subcommands are **generated from the experiment
+registry** (:mod:`repro.api`): each experiment's options come
 from its declared parameter schema plus the uniform session knobs
 (``--workers`` / ``--engine`` / ``--run-id`` / store flags / ``--quiet``),
 so adding an experiment never touches this module.  Execution routes
@@ -28,8 +27,8 @@ programmatic use — with the batched replay engine as the default
 (``--engine reference`` is the escape hatch; both engines produce
 bit-identical rows).
 
-Persistence: ``simulate``, ``experiment`` and ``workloads sweep`` use the
-disk artifact store of :mod:`repro.store` by default, so repeated
+Persistence: ``simulate`` and ``experiment`` use the disk artifact store
+of :mod:`repro.store` by default, so repeated
 invocations reuse model fits and generated traces instead of recomputing
 them.  ``--store-dir`` (or the ``REPRO_STORE_DIR`` environment variable)
 relocates it, ``--no-store`` disables it, ``--run-id`` journals per-task
@@ -76,7 +75,6 @@ from .exceptions import (
     ValidationError,
     WorkloadError,
 )
-from .experiments import summarize_scenario_sweep
 from .metrics.report import format_table, summarize_result
 from .runtime import SCALER_KINDS, PrepSpec, ScalerSpec, WorkloadCache, WorkloadSpec
 from .simulation.runner import resolve_engine
@@ -84,10 +82,6 @@ from .store import STORE_DIR_ENV_VAR, list_runs, resolve_store
 from .workloads import get_scenario, list_scenarios
 
 __all__ = ["main", "build_parser"]
-
-#: Presentation-only flags the workloads sweep adds on top of the generated
-#: schema options (whitelisted by the registry-generation audit).
-SWEEP_EXTRA_FLAGS = frozenset({"--summary-only", "--hp-only"})
 
 
 def _add_store_dir_flag(parser: argparse.ArgumentParser) -> None:
@@ -185,7 +179,7 @@ def build_parser() -> argparse.ArgumentParser:
         add_session_arguments(sub, spec, store_env_var=STORE_DIR_ENV_VAR)
 
     workloads = subparsers.add_parser(
-        "workloads", help="workload-scenario registry: list, generate, sweep"
+        "workloads", help="workload-scenario registry: list, generate"
     )
     workloads_sub = workloads.add_subparsers(dest="workloads_command", required=True)
 
@@ -201,27 +195,6 @@ def build_parser() -> argparse.ArgumentParser:
     generate.add_argument("--scale", type=float, default=1.0, help="trace size factor")
     generate.add_argument(
         "--out", default=None, help="optional path to save the trace as CSV"
-    )
-
-    sweep = workloads_sub.add_parser(
-        "sweep",
-        help=(
-            "run RobustScaler and the baselines across scenarios "
-            "(the 'scenario-sweep' experiment with a frontier summary)"
-        ),
-    )
-    sweep_spec = get_experiment("scenario-sweep")
-    add_param_arguments(sweep, sweep_spec)
-    add_session_arguments(sweep, sweep_spec, store_env_var=STORE_DIR_ENV_VAR)
-    sweep.add_argument(
-        "--summary-only",
-        action="store_true",
-        help="print only the per-scenario frontier summary",
-    )
-    sweep.add_argument(
-        "--hp-only",
-        action="store_true",
-        help="sweep only the HP variant of RobustScaler (skip RT and cost)",
     )
 
     store = subparsers.add_parser(
@@ -402,36 +375,26 @@ def _command_workloads_generate(args: argparse.Namespace) -> int:
     return 0
 
 
-def _run_registry_experiment(args: argparse.Namespace, name: str):
-    """Shared execution path of ``experiment`` and ``workloads sweep``.
-
-    Returns ``(result, store, console)`` where ``result`` is the Session's
-    ResultSet and ``console`` is the invocation's status emitter (quiet
-    suppresses both the progress line and the ``[store]`` summaries there).
-    """
-    spec = get_experiment(name)
-    params = collect_params(args, spec)
+def _command_experiment(args: argparse.Namespace) -> int:
+    spec = get_experiment(args.name)
     session_kwargs = collect_session_kwargs(args, spec)
+    # Quiet suppresses both the progress line and the [store] summary.
     console = Console(quiet=bool(getattr(args, "quiet", False)))
     store = None
     progress = None
-    if spec.runtime:
-        store = resolve_store(args.store_dir, enabled=not args.no_store)
-        progress = console.progress()
-    session = Session(
-        store=store,
-        workers=session_kwargs.get("workers"),
-        engine=session_kwargs.get("engine"),
-        run_id=session_kwargs.get("run_id"),
-        progress=progress,
-        telemetry=session_kwargs.get("telemetry", False),
-    )
-    return session.experiment(name).run(**params), store, console
-
-
-def _command_experiment(args: argparse.Namespace) -> int:
     try:
-        result, store, console = _run_registry_experiment(args, args.name)
+        if spec.runtime:
+            store = resolve_store(args.store_dir, enabled=not args.no_store)
+            progress = console.progress()
+        session = Session(
+            store=store,
+            workers=session_kwargs.get("workers"),
+            engine=session_kwargs.get("engine"),
+            run_id=session_kwargs.get("run_id"),
+            progress=progress,
+            telemetry=session_kwargs.get("telemetry", False),
+        )
+        result = session.experiment(args.name).run(**collect_params(args, spec))
     except (ExperimentError, ValidationError, WorkloadError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -441,44 +404,13 @@ def _command_experiment(args: argparse.Namespace) -> int:
     return 0
 
 
-def _command_workloads_sweep(args: argparse.Namespace) -> int:
-    if args.hp_only:
-        args.rt_variant = False
-        args.cost_variant = False
-    result, store, console = _run_registry_experiment(args, "scenario-sweep")
-    rows = result.rows
-    if store is not None:
-        console.emit(_store_summary(store))
-    if not args.summary_only:
-        columns = [
-            "scenario",
-            "scaler",
-            "pool_size",
-            "rate_factor",
-            "target_hp",
-            "n_queries",
-            "hit_rate",
-            "rt_avg",
-            "relative_cost",
-            "on_frontier",
-            "note",
-        ]
-        print(format_table(rows, columns=columns, title="Scenario sweep"))
-        print()
-    summary = summarize_scenario_sweep(rows)
-    print(format_table(summary, title="Per-scenario Pareto summary"))
-    return 0
-
-
 def _command_workloads(args: argparse.Namespace) -> int:
     try:
         if args.workloads_command == "list":
             return _command_workloads_list()
         if args.workloads_command == "generate":
             return _command_workloads_generate(args)
-        if args.workloads_command == "sweep":
-            return _command_workloads_sweep(args)
-    except (ExperimentError, WorkloadError, ValidationError) as exc:
+    except (WorkloadError, ValidationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     return 2  # pragma: no cover - subparser is required

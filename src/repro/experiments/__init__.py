@@ -25,10 +25,9 @@ Table III (regularization)   ``table3``
 Table IV (real environment)  ``table4``
 ===========================  =============================================
 
-Beyond the paper, ``scenario-sweep`` runs the autoscaler comparison across
-every scenario in the workload registry (:mod:`repro.workloads`) and marks
-each scenario's cost/QoS Pareto frontier, and the three ablations
-(``kappa-ablation`` / ``mc-sample-ablation`` /
+``pareto`` also runs the autoscaler comparison on any library scenario of
+the workload registry (:mod:`repro.workloads`).  Beyond the paper, the
+three ablations (``kappa-ablation`` / ``mc-sample-ablation`` /
 ``regularization-sensitivity``) probe the planner's and the fit's design
 choices.
 """
@@ -43,13 +42,5 @@ from . import control_accuracy as _control  # registers "control", "planning-fre
 from . import regularization as _regularization  # registers "table3"
 from . import realenv as _realenv  # registers "table4"
 from . import ablation as _ablation  # registers the three ablations
-from .scenario_sweep import (
-    build_scenario_sweep_tasks,
-    summarize_scenario_sweep,
-)
 
-__all__ = [
-    "run_traces_overview",
-    "build_scenario_sweep_tasks",
-    "summarize_scenario_sweep",
-]
+__all__ = ["run_traces_overview"]

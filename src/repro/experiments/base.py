@@ -50,11 +50,11 @@ def trace_defaults(name: str) -> dict:
     """Per-trace sweep grids (``pool_sizes``, ``adaptive_factors``, ``hp_targets``).
 
     The three paper traces carry hand-tuned grids; every other registered
-    workload scenario gets generic grids refined by its registry entry (the
-    tag-refined target grids of
-    :func:`repro.experiments.scenario_sweep.scenario_sweep_defaults`).  The
-    train split, bin width and pending time are not here: they are the
-    scenario's own fields.  Unknown names raise
+    workload scenario gets generic grids whose HP targets follow its tags:
+    spiky, hard-to-forecast traffic (``adversarial`` / ``heavy-tail``)
+    sweeps moderate targets, since chasing very high hit probabilities is
+    hopeless there.  The train split, bin width and pending time are not
+    here: they are the scenario's own fields.  Unknown names raise
     :class:`~repro.exceptions.WorkloadError`.
     """
     defaults = {
@@ -77,13 +77,11 @@ def trace_defaults(name: str) -> dict:
     key = name.lower()
     if key in defaults:
         return defaults[key]
-    from .scenario_sweep import scenario_sweep_defaults
-
-    grids = scenario_sweep_defaults(get_scenario(name))
+    hard_to_forecast = {"adversarial", "heavy-tail"} & set(get_scenario(name).tags)
     return {
         "pool_sizes": [0, 1, 2, 4, 8],
         "adaptive_factors": [0.0, 10.0, 25.0, 50.0, 100.0],
-        "hp_targets": sorted(set(grids["hp_targets"]) | {0.9}),
+        "hp_targets": [0.3, 0.7, 0.9] if hard_to_forecast else [0.5, 0.9],
     }
 
 

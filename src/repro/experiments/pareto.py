@@ -89,7 +89,7 @@ def _run_pareto(params: dict, ctx: RunContext) -> list[dict]:
             scenario=name,
             scale=params["scale"],
             seed=params["seed"],
-            prep=PrepSpec(simulation=params["extra_simulation"], engine=ctx.engine),
+            prep=PrepSpec(engine=ctx.engine),
         )
         tasks += [
             EvalTask(workload, spec, extra=(("trace", name),))
@@ -177,12 +177,6 @@ register_experiment(
                 sequence=True,
                 cli_flag="--adaptive-factor",
                 help="Adaptive Backup Pool rate factors",
-            ),
-            ParamSpec(
-                "extra_simulation",
-                "object",
-                None,
-                help="explicit SimulationConfig override",
             ),
         ),
         run=_run_pareto,

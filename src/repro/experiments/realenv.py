@@ -82,7 +82,8 @@ def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
         trace,
         train_fraction=scenario.train_fraction,
         bin_seconds=scenario.bin_seconds,
-        simulation=SimulationConfig(pending_time=13.0, engine=ctx.engine),
+        pending_time=13.0,
+        engine=ctx.engine,
     )
     real_config = real_environment_config(
         simulated.simulation,

@@ -26,8 +26,9 @@ def summarize_result(
 
     Returns a dictionary with ``hit_rate``, ``rt_avg``, ``total_cost``,
     ``relative_cost`` (when a reference cost is supplied), the windowed QoS
-    variances of Fig. 5, the high-level response-time quantiles of Table II,
-    and the mean planning latency.
+    variances of Fig. 5 and the high-level response-time quantiles of
+    Table II.  Every value is a function of the replay's outcome alone; the
+    planner's wall-clock latency stays in ``result.planning_times``.
     """
     window = check_integer(variance_window, "variance_window", minimum=1)
     # Each column is derived once and shared by every metric that reads it;
@@ -49,10 +50,6 @@ def summarize_result(
     summary["rt_window_variance"] = block_mean_variance(response, window)
     for level, value in quantiles_of(response, _TABLE2_LEVELS).items():
         summary[f"rt_p{level * 100:g}"] = value
-    planning = result.planning_times
-    if planning.size:
-        summary["mean_planning_seconds"] = float(planning.mean())
-        summary["max_planning_seconds"] = float(planning.max())
     return summary
 
 

@@ -73,7 +73,7 @@ __all__ = [
 WORKERS_ENV_VAR = "REPRO_WORKERS"
 
 #: Row columns measuring wall-clock time (excluded from determinism checks).
-_TIMING_SUFFIXES = ("_planning_seconds", "_time_ms")
+_TIMING_SUFFIXES = ("_time_ms",)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -97,9 +97,10 @@ def resolve_workers(workers: int | None = None) -> int:
 def strip_timing(rows: Iterable[dict]) -> list[dict]:
     """Copies of ``rows`` without the wall-clock timing columns.
 
-    Planning latencies and solver timings are real time measurements and
-    therefore the only row entries that may differ between two executions of
-    the same task list; compare stripped rows when asserting determinism.
+    Solver timings (the ablations' ``*_time_ms``) are real time
+    measurements and therefore the only row entries that may differ between
+    two executions of the same task list; compare stripped rows when
+    asserting determinism.
     """
     return [
         {

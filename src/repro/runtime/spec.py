@@ -22,13 +22,14 @@ from typing import Any
 
 import numpy as np
 
-from ..config import PlannerConfig, SimulationConfig
+from ..config import PlannerConfig
 from ..exceptions import ValidationError
 from ..rng import RandomState
 from ..scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from ..scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from ..scaling.base import Autoscaler
 from ..scaling.robustscaler import RobustScaler, RobustScalerObjective
+from ..simulation.runner import DEFAULT_ENGINE
 from ..types import ArrivalTrace
 from .workload import PreparedWorkload, prepare_workload
 
@@ -74,10 +75,9 @@ class PrepSpec:
     train_fraction: float | None = None
     bin_seconds: float | None = None
     pending_time: float | None = None
-    simulation: SimulationConfig | None = None
-    #: Replay engine override (``"reference"`` / ``"batched"``); tasks carry
-    #: it as plain data so pool workers build the right simulator.  ``None``
-    #: defers to the ``simulation`` config (default: batched).
+    #: Replay engine (``"reference"`` / ``"batched"``); tasks carry it as
+    #: plain data so pool workers build the right simulator.  ``None``
+    #: selects the default, batched.
     engine: str | None = None
 
     def resolve(self, scenario=None) -> dict:
@@ -94,28 +94,19 @@ class PrepSpec:
             "train_fraction": float(pick(self.train_fraction, "train_fraction", 0.75)),
             "bin_seconds": float(pick(self.bin_seconds, "bin_seconds", 60.0)),
             "pending_time": float(pick(self.pending_time, "pending_time", 13.0)),
-            "simulation": self.simulation,
             "engine": self.engine,
         }
 
     def _key(self, scenario=None) -> tuple:
         resolved = self.resolve(scenario)
-        # Key by the *effective* engine, not the raw override: engine=None
-        # defers to the simulation config (default "batched"), so e.g.
-        # `simulate` (explicit "batched") and the experiment drivers
-        # (None) must address the same prepared-workload artifact.
-        engine = resolved["engine"]
-        if engine is None:
-            simulation = resolved["simulation"]
-            engine = (
-                simulation.engine if simulation is not None else None
-            ) or "batched"
+        # Key by the *effective* engine, not the raw override, so an
+        # explicit "batched" and the default None address the same
+        # prepared-workload artifact.
         return (
             resolved["train_fraction"],
             resolved["bin_seconds"],
             resolved["pending_time"],
-            resolved["simulation"],
-            engine,
+            resolved["engine"] or DEFAULT_ENGINE,
         )
 
 

@@ -12,7 +12,7 @@ task executor (:mod:`repro.runtime.executor`) turns every
 """
 from __future__ import annotations
 
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Any, Mapping, Sequence
 
 from ..config import SimulationConfig
@@ -64,7 +64,8 @@ class PreparedWorkload:
     forecast:
         The extrapolated intensity used by the RobustScaler variants.
     pending_model:
-        The pending-time model shared by the planner and the simulator.
+        The pending-time model the planner plans with; its mean equals
+        ``simulation.pending_time``.
     simulation:
         Simulator configuration used for the replays.
     reference_cost:
@@ -92,7 +93,6 @@ def prepare_workload(
     train_fraction: float = 0.75,
     bin_seconds: float = 60.0,
     pending_time: float = 13.0,
-    simulation: SimulationConfig | None = None,
     engine: str | None = None,
 ) -> PreparedWorkload:
     """Split, fit, and package a trace for evaluation.
@@ -107,15 +107,11 @@ def prepare_workload(
     bin_seconds:
         Bin width for the QPS series the NHPP is fitted on.
     pending_time:
-        Instance startup latency (seconds) used in both planning and replay.
-    simulation:
-        Simulator configuration; defaults to a deterministic pending time of
-        ``pending_time`` seconds.
+        Deterministic instance startup latency (seconds), the one value
+        both the planner and the replays use.
     engine:
-        Replay engine override (``"reference"`` / ``"batched"``); ``None``
-        keeps whatever ``simulation`` selects, falling back to
-        :data:`~repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``) when
-        the simulation config is silent too.
+        Replay engine (``"reference"`` / ``"batched"``); ``None`` selects
+        :data:`~repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``).
         All engines produce identical results, so this only changes replay
         speed.
     """
@@ -132,10 +128,9 @@ def prepare_workload(
         model.fit(train)
     forecast = model.forecast()
     pending_model = DeterministicPendingTime(pending_time)
-    sim_config = simulation or SimulationConfig(pending_time=pending_time)
-    effective_engine = engine or sim_config.engine or DEFAULT_ENGINE
-    if effective_engine != sim_config.engine:
-        sim_config = replace(sim_config, engine=effective_engine)
+    sim_config = SimulationConfig(
+        pending_time=pending_time, engine=engine or DEFAULT_ENGINE
+    )
     with recorder.span("prepare.reference_replay"):
         reference = replay(test, ReactiveScaler(), sim_config)
     return PreparedWorkload(

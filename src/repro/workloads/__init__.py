@@ -12,8 +12,8 @@ catalog of named, parameterized, seed-reproducible workload scenarios:
   workload generator with its simulator defaults (train/test split, bin
   width, pending time);
 * :mod:`repro.workloads.registry` — the :class:`ScenarioRegistry` every
-  downstream layer (CLI ``workloads`` subcommand, the ``scenario-sweep``
-  experiment, the benchmark) looks scenarios up in;
+  downstream layer (CLI ``workloads`` subcommand, the experiment drivers,
+  the benchmark) looks scenarios up in;
 * :mod:`repro.workloads.library` — the built-in scenarios (flash crowds,
   diurnal/weekly seasonality, launches, sale events, batch bursts,
   multi-tenant mixes, outages) plus aliases for the paper traces;

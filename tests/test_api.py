@@ -3,8 +3,8 @@
 Covers the registry (specs, parameter schemas, validation), the fluent
 ``Session`` facade (scenario mapping, seed override, typed ``ResultSet``
 with provenance), journaled resume, the progress-streaming hook, and the
-property that the ``experiment`` / ``workloads sweep`` CLI subcommands are
-fully generated from the registry (no orphaned argparse flags).
+property that the ``experiment`` CLI subcommands are fully generated from
+the registry (no orphaned argparse flags).
 """
 
 from __future__ import annotations
@@ -28,10 +28,9 @@ from repro.api.cligen import (
     add_session_arguments,
     audit_parser,
 )
-from repro.cli import SWEEP_EXTRA_FLAGS, build_parser, main
+from repro.cli import build_parser, main
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import trace_defaults
-from repro.runtime import strip_timing
 from repro.store import ArtifactStore
 
 #: A deliberately tiny parameterization used wherever a real run is needed.
@@ -60,7 +59,6 @@ class TestRegistry:
             "planning-frequency",
             "table3",
             "table4",
-            "scenario-sweep",
             "kappa-ablation",
             "mc-sample-ablation",
             "regularization-sensitivity",
@@ -222,20 +220,20 @@ class TestSessionFluent:
 
     def test_journaled_rerun_resumes_bit_identically(self, tmp_path):
         params = dict(
-            scenario_names=["steady-state"],
+            trace_names=["steady-state"],
             scale=0.05,
             monte_carlo_samples=60,
             planning_interval=20.0,
         )
         session = Session(store=ArtifactStore(tmp_path / "store"), run_id="resume")
-        first = session.experiment("scenario-sweep").run(**params)
+        first = session.experiment("pareto").run(**params)
         assert first.provenance.n_resumed == 0
-        second = session.experiment("scenario-sweep").run(**params)
+        second = session.experiment("pareto").run(**params)
         assert second.provenance.n_resumed == first.provenance.n_tasks > 0
-        assert strip_timing(second.rows) == strip_timing(first.rows)
+        assert second.rows == first.rows
         # And the journaled rows agree with the store-less run.
-        unjournaled = Session(store=None).experiment("scenario-sweep").run(**params)
-        assert strip_timing(first.rows) == strip_timing(unjournaled.rows)
+        unjournaled = Session(store=None).experiment("pareto").run(**params)
+        assert first.rows == unjournaled.rows
 
     def test_progress_hook_streams_every_task(self):
         class Recorder(ProgressHook):
@@ -280,23 +278,15 @@ class TestGeneratedCLI:
             orphans = audit_parser(sub, get_experiment(name))
             assert orphans == [], f"{name}: orphaned flags {orphans}"
 
-    def test_workloads_sweep_is_generated_from_scenario_sweep(self):
-        top = _subparser_map(build_parser())
-        sweep = _subparser_map(top["workloads"])["sweep"]
-        orphans = audit_parser(
-            sweep, get_experiment("scenario-sweep"), extra_flags=SWEEP_EXTRA_FLAGS
-        )
-        assert orphans == []
-
     def test_generated_parser_matches_programmatic_defaults(self):
         parser = argparse.ArgumentParser()
-        spec = get_experiment("scenario-sweep")
+        spec = get_experiment("pareto")
         add_param_arguments(parser, spec)
         add_session_arguments(parser, spec, store_env_var="REPRO_STORE_DIR")
         args = parser.parse_args(
-            ["--scenario", "crs", "--scenario", "google", "--mc-samples", "60"]
+            ["--trace", "crs", "--trace", "google", "--mc-samples", "60"]
         )
-        assert args.scenario == ["crs", "google"]
+        assert args.trace == ["crs", "google"]
         assert args.mc_samples == 60
         assert args.engine is None  # resolved to batched by the Session
 

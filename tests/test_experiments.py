@@ -17,7 +17,7 @@ from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import make_trace, trace_defaults
 from repro.nhpp.model import NHPPModel
-from repro.runtime import PrepSpec, prepare_workload
+from repro.runtime import PrepSpec, WorkloadSpec, prepare_workload
 from repro.types import ArrivalTrace
 from repro.workloads import get_scenario
 from repro.experiments.traces_overview import run_traces_overview
@@ -48,6 +48,21 @@ class TestBaseHelpers:
         assert all(defaults[key] for key in defaults)
 
     @pytest.mark.parametrize(
+        "name, hp_targets",
+        [
+            ("flash-crowd", [0.3, 0.7, 0.9]),
+            ("pareto-bursts", [0.3, 0.7, 0.9]),
+            ("outage-recovery", [0.3, 0.7, 0.9]),
+            ("steady-state", [0.5, 0.9]),
+            ("bursty-batch", [0.5, 0.9]),
+            ("weekly-seasonal", [0.5, 0.9]),
+        ],
+    )
+    def test_library_hp_targets_follow_scenario_tags(self, name, hp_targets):
+        # adversarial / heavy-tail traffic sweeps moderate HP targets.
+        assert trace_defaults(name)["hp_targets"] == hp_targets
+
+    @pytest.mark.parametrize(
         "name, train_fraction, bin_seconds",
         [("crs", 0.75, 300.0), ("google", 0.75, 60.0), ("alibaba", 0.8, 60.0)],
     )
@@ -68,6 +83,22 @@ class TestBaseHelpers:
         assert workload.reference_cost > 0
         assert workload.test.n_queries > 0
         assert workload.model.is_fitted
+
+    @pytest.mark.parametrize("pending_time", [5.0, 13.0, 30.0])
+    def test_planner_and_replay_share_one_pending_time(
+        self, small_poisson_trace, pending_time
+    ):
+        # RobustScaler must plan for the startup time its replay is scored on.
+        direct = prepare_workload(small_poisson_trace, pending_time=pending_time)
+        spec = WorkloadSpec(
+            scenario="steady-state",
+            scale=0.05,
+            seed=3,
+            prep=PrepSpec(pending_time=pending_time),
+        )
+        for workload in (direct, spec.prepare()):
+            assert workload.pending_model.mean == pending_time
+            assert workload.simulation.pending_time == pending_time
 
     @pytest.mark.parametrize(
         "arrivals, empty_split",

@@ -192,7 +192,7 @@ def _run_session(run_id: str, workers: int | None = None, **params):
         store="auto", telemetry=True, run_id=run_id, workers=workers
     )
     result = (
-        session.experiment("scenario-sweep")
+        session.experiment("pareto")
         .scenario("steady-state")
         .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0, **params)
     )
@@ -213,10 +213,10 @@ class TestSessionTelemetry:
         assert snapshot["gauges"]["runtime.workers"] == 1
         assert "runtime.task_seconds" in snapshot["histograms"]
         span_names = {record["name"] for record in snapshot["spans"]}
-        assert "experiment.scenario-sweep" in span_names
+        assert "experiment.pareto" in span_names
         assert "fit.admm" in span_names
         assert "task.execute" in span_names
-        assert snapshot["provenance"]["experiment"] == "scenario-sweep"
+        assert snapshot["provenance"]["experiment"] == "pareto"
         # And the same payload is addressable by run id in the store.
         loaded = load_snapshot(session.store, "itg-run")
         assert loaded is not None
@@ -225,7 +225,7 @@ class TestSessionTelemetry:
     def test_disabled_by_default(self):
         session = Session(store=None)
         result = (
-            session.experiment("scenario-sweep")
+            session.experiment("pareto")
             .scenario("steady-state")
             .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
         )
@@ -241,23 +241,21 @@ class TestSessionTelemetry:
         assert len(set(ids)) == len(ids)
 
     def test_telemetry_rows_match_untelemetered_rows(self):
-        from repro.runtime import strip_timing
-
         _, with_telemetry = _run_session("itg-parity")
         session = Session(store=None, telemetry=False)
         without = (
-            session.experiment("scenario-sweep")
+            session.experiment("pareto")
             .scenario("steady-state")
             .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
         )
-        assert strip_timing(with_telemetry.rows) == strip_timing(without.rows)
+        assert with_telemetry.rows == without.rows
 
 
 class TestResultSetExport:
     def test_to_csv_round_trip(self, tmp_path):
         session = Session(store=None)
         result = (
-            session.experiment("scenario-sweep")
+            session.experiment("pareto")
             .scenario("steady-state")
             .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
         )
@@ -273,14 +271,14 @@ class TestResultSetExport:
     def test_to_dicts_returns_copies(self):
         session = Session(store=None)
         result = (
-            session.experiment("scenario-sweep")
+            session.experiment("pareto")
             .scenario("steady-state")
             .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
         )
         copies = result.to_dicts()
         assert copies == result.rows
-        copies[0]["scenario"] = "mutated"
-        assert result.rows[0]["scenario"] != "mutated"
+        copies[0]["trace"] = "mutated"
+        assert result.rows[0]["trace"] != "mutated"
 
 
 def _invoke(argv) -> tuple[int, str, str]:
@@ -290,10 +288,10 @@ def _invoke(argv) -> tuple[int, str, str]:
     return code, out.getvalue(), err.getvalue()
 
 
-_SWEEP_ARGS = [
+_PARETO_ARGS = [
     "experiment",
-    "scenario-sweep",
-    "--scenario",
+    "pareto",
+    "--trace",
     "steady-state",
     "--scale",
     "0.05",
@@ -308,7 +306,7 @@ class TestTelemetryCLI:
     def test_show_and_diff(self):
         for run_id in ("cli-a", "cli-b"):
             code, _, _ = _invoke(
-                _SWEEP_ARGS + ["--telemetry", "--run-id", run_id, "--quiet"]
+                _PARETO_ARGS + ["--telemetry", "--run-id", run_id, "--quiet"]
             )
             assert code == 0
         code, out, _ = _invoke(["telemetry", "show", "cli-a"])
@@ -326,7 +324,7 @@ class TestTelemetryCLI:
         ``telemetry diff`` can attribute engine speedups.  Every replayed
         arrival is counted once: passive chunk, top-up chunk or hook."""
         code, _, _ = _invoke(
-            _SWEEP_ARGS + ["--telemetry", "--run-id", "cli-kernel", "--quiet"]
+            _PARETO_ARGS + ["--telemetry", "--run-id", "cli-kernel", "--quiet"]
         )
         assert code == 0
         code, out, _ = _invoke(["telemetry", "show", "cli-kernel"])
@@ -344,7 +342,7 @@ class TestTelemetryCLI:
         )
 
     def test_show_lists_fit_convergence(self):
-        code, _, _ = _invoke(_SWEEP_ARGS + ["--telemetry", "--run-id", "cli-fit", "--quiet"])
+        code, _, _ = _invoke(_PARETO_ARGS + ["--telemetry", "--run-id", "cli-fit", "--quiet"])
         assert code == 0
         code, out, _ = _invoke(["telemetry", "show", "cli-fit"])
         assert code == 0
@@ -360,7 +358,7 @@ class TestTelemetryCLI:
 
     def test_store_info_reports_telemetry_namespace(self):
         code, _, _ = _invoke(
-            _SWEEP_ARGS + ["--telemetry", "--run-id", "ns-run", "--quiet"]
+            _PARETO_ARGS + ["--telemetry", "--run-id", "ns-run", "--quiet"]
         )
         assert code == 0
         code, out, _ = _invoke(["store", "info"])
@@ -383,13 +381,13 @@ class TestTelemetryCLI:
 
 class TestQuietUniformity:
     def test_quiet_silences_progress_and_store_lines(self):
-        code, _, err = _invoke(_SWEEP_ARGS + ["--quiet"])
+        code, _, err = _invoke(_PARETO_ARGS + ["--quiet"])
         assert code == 0
         assert "[progress]" not in err
         assert "[store]" not in err
 
     def test_loud_run_prints_store_summary(self):
-        code, _, err = _invoke(_SWEEP_ARGS)
+        code, _, err = _invoke(_PARETO_ARGS)
         assert code == 0
         assert "[store]" in err
 

@@ -1,4 +1,4 @@
-"""Tests for the workload-scenario subsystem (primitives, registry, sweep)."""
+"""Tests for the workload-scenario subsystem (primitives, registry, library)."""
 
 from __future__ import annotations
 
@@ -7,9 +7,7 @@ import pickle
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
-from repro.experiments.scenario_sweep import summarize_scenario_sweep
 from repro.traces import generate_alibaba_like_trace, generate_google_like_trace
 from repro.workloads import (
     DEFAULT_REGISTRY,
@@ -310,30 +308,6 @@ class TestRegistry:
         assert "custom-isolated" in registry
         assert "custom-isolated" not in DEFAULT_REGISTRY
 
-    def test_sweep_honours_empty_custom_registry(self):
-        registry = ScenarioRegistry()
-        registry.register(
-            Scenario(
-                name="only-me",
-                description="",
-                intensity=lambda horizon: Constant(0.5),
-                horizon_seconds=4 * _HOUR,
-            )
-        )
-        rows = run_experiment(
-            "scenario-sweep",
-            {
-                "registry": registry,
-                "scale": 0.5,
-                "planning_interval": 30.0,
-                "monte_carlo_samples": 40,
-                "hp_targets": (0.7,),
-                "pool_sizes": (1,),
-                "adaptive_factors": (10.0,),
-            },
-        )
-        assert {row["scenario"] for row in rows} == {"only-me"}
-
     def test_duplicate_registration_rejected(self):
         registry = ScenarioRegistry()
         scenario = Scenario(
@@ -474,89 +448,3 @@ class TestLibraryScenarioContract:
         )
         total = intensity.cumulative(trace.horizon)
         assert abs(trace.n_queries - total) <= 5.0 * np.sqrt(total)
-
-
-class TestScenarioSweep:
-    @pytest.fixture(scope="class")
-    def sweep_rows(self) -> list[dict]:
-        return run_experiment(
-            "scenario-sweep",
-            {
-                "scenario_names": ("steady-state", "flash-crowd"),
-                "scale": 0.05,
-                "seed": 7,
-                "planning_interval": 20.0,
-                "monte_carlo_samples": 80,
-                "hp_targets": (0.7,),
-                "pool_sizes": (1,),
-                "adaptive_factors": (10.0,),
-            },
-        )
-
-    def test_rows_cover_requested_scenarios_and_scalers(self, sweep_rows):
-        assert {row["scenario"] for row in sweep_rows} == {
-            "steady-state",
-            "flash-crowd",
-        }
-        scalers = {row["scaler"] for row in sweep_rows}
-        assert "Reactive" in scalers
-        assert any(s.startswith("BP(") for s in scalers)
-        assert any(s.startswith("AdapBP") for s in scalers)
-        assert any(s.startswith("RobustScaler-HP") for s in scalers)
-
-    def test_reactive_anchors_relative_cost(self, sweep_rows):
-        for row in sweep_rows:
-            if row["scaler"] == "Reactive":
-                assert row["relative_cost"] == pytest.approx(1.0)
-                assert row["hit_rate"] == 0.0
-
-    def test_frontier_marked_per_scenario(self, sweep_rows):
-        for scenario in ("steady-state", "flash-crowd"):
-            flags = [r["on_frontier"] for r in sweep_rows if r["scenario"] == scenario]
-            assert any(flags)
-
-    def test_sweep_deterministic(self, sweep_rows):
-        again = run_experiment(
-            "scenario-sweep",
-            {
-                "scenario_names": ("steady-state", "flash-crowd"),
-                "scale": 0.05,
-                "seed": 7,
-                "planning_interval": 20.0,
-                "monte_carlo_samples": 80,
-                "hp_targets": (0.7,),
-                "pool_sizes": (1,),
-                "adaptive_factors": (10.0,),
-            },
-        )
-
-        def strip_timings(rows: list[dict]) -> list[dict]:
-            # Planning latencies are wall-clock measurements; everything else
-            # (trace, decisions, metrics) must reproduce exactly.
-            return [
-                {k: v for k, v in row.items() if not k.endswith("_planning_seconds")}
-                for row in rows
-            ]
-
-        assert strip_timings(again) == strip_timings(sweep_rows)
-
-    def test_summary_one_row_per_scenario(self, sweep_rows):
-        summary = summarize_scenario_sweep(sweep_rows)
-        assert [row["scenario"] for row in summary] == ["flash-crowd", "steady-state"]
-        for row in summary:
-            assert row["frontier_scalers"]
-            assert 0.0 <= row["best_hit_rate"] <= 1.0
-
-    def test_tiny_scale_skips_gracefully(self):
-        rows = run_experiment(
-            "scenario-sweep",
-            {"scenario_names": ("crs",), "scale": 0.5, "seed": 7, "min_test_queries": 10**9},
-        )
-        assert len(rows) == 1
-        assert "skipped" in rows[0]["note"]
-        # Skipped scenarios must remain visible in the summary view.
-        summary = summarize_scenario_sweep(rows)
-        assert len(summary) == 1
-        assert summary[0]["scenario"] == "crs"
-        assert summary[0]["n_points"] == 0
-        assert "skipped" in summary[0]["note"]

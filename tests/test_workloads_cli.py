@@ -1,4 +1,4 @@
-"""Smoke tests for the ``workloads`` CLI subcommand."""
+"""Smoke tests for the ``workloads`` CLI subcommand and registry scenarios on the CLI."""
 
 from __future__ import annotations
 
@@ -23,12 +23,6 @@ class TestParser:
     def test_generate_requires_scenario(self):
         with pytest.raises(SystemExit):
             build_parser().parse_args(["workloads", "generate"])
-
-    def test_sweep_accumulates_scenarios(self):
-        args = build_parser().parse_args(
-            ["workloads", "sweep", "--scenario", "crs", "--scenario", "google"]
-        )
-        assert args.scenario == ["crs", "google"]
 
 
 class TestList:
@@ -88,12 +82,12 @@ class TestGenerate:
         assert "unknown scenario" in capsys.readouterr().err
 
 
-class TestSweep:
-    def test_small_sweep_runs_and_is_deterministic(self, capsys):
+class TestParetoOnLibraryScenario:
+    def test_small_run_is_byte_identical_across_runs(self, capsys):
         argv = [
-            "workloads",
-            "sweep",
-            "--scenario",
+            "experiment",
+            "pareto",
+            "--trace",
             "steady-state",
             "--scale",
             "0.05",
@@ -103,45 +97,15 @@ class TestSweep:
             "20",
             "--mc-samples",
             "60",
-            "--hp-target",
-            "0.7",
         ]
         assert main(argv) == 0
         first = capsys.readouterr().out
         assert "RobustScaler-HP" in first
         assert "BP(" in first
-        assert "Reactive" in first
-        assert "Per-scenario Pareto summary" in first
+        assert "AdapBP" in first
+        # Rows hold no wall clock, so the printed table reproduces exactly.
         assert main(argv) == 0
         assert capsys.readouterr().out == first
-
-    def test_summary_only(self, capsys):
-        code = main(
-            [
-                "workloads",
-                "sweep",
-                "--scenario",
-                "steady-state",
-                "--scale",
-                "0.05",
-                "--mc-samples",
-                "60",
-                "--planning-interval",
-                "20",
-                "--hp-target",
-                "0.7",
-                "--summary-only",
-            ]
-        )
-        assert code == 0
-        output = capsys.readouterr().out
-        assert "Per-scenario Pareto summary" in output
-        assert "Scenario sweep" not in output
-
-    def test_unknown_scenario_fails_cleanly(self, capsys):
-        code = main(["workloads", "sweep", "--scenario", "nope"])
-        assert code == 2
-        assert "unknown scenario" in capsys.readouterr().err
 
 
 class TestSimulateRegistryIntegration:
