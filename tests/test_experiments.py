@@ -209,6 +209,64 @@ class TestParetoExperiment:
         assert rs_rows[-1]["relative_cost"] >= rs_rows[0]["relative_cost"] - 0.05
 
 
+class TestParetoOnLibraryScenarios:
+    SCENARIOS = ("steady-state", "flash-crowd")
+
+    @pytest.fixture(scope="class")
+    def rows(self) -> list[dict]:
+        return run_experiment(
+            "pareto",
+            {
+                "trace_names": self.SCENARIOS,
+                "scale": 0.05,
+                "seed": 7,
+                "planning_interval": 20.0,
+                "monte_carlo_samples": 80,
+                "hp_targets": (0.7,),
+                "pool_sizes": (0, 1),
+                "adaptive_factors": (10.0,),
+            },
+        )
+
+    def test_rows_cover_requested_scenarios_and_scalers(self, rows):
+        assert {row["trace"] for row in rows} == set(self.SCENARIOS)
+        for scenario in self.SCENARIOS:
+            families = {
+                row["scaler"].split("(")[0] for row in rows if row["trace"] == scenario
+            }
+            assert families == {
+                "BP",
+                "AdapBP",
+                "RobustScaler-HP",
+                "RobustScaler-RT",
+                "RobustScaler-COST",
+            }
+
+    def test_bp_zero_anchors_relative_cost_per_scenario(self, rows):
+        for scenario in self.SCENARIOS:
+            (anchor,) = (
+                r for r in rows if r["trace"] == scenario and r["scaler"] == "BP(B=0)"
+            )
+            assert anchor["relative_cost"] == pytest.approx(1.0)
+            assert anchor["hit_rate"] == 0.0
+
+    def test_tighter_rt_budget_buys_hits_at_a_cost(self, rows):
+        for scenario in self.SCENARIOS:
+            rt_rows = sorted(
+                (
+                    r
+                    for r in rows
+                    if r["trace"] == scenario and r["scaler"].startswith("RobustScaler-RT")
+                ),
+                key=lambda r: -r["waiting_budget"],
+            )
+            assert len(rt_rows) == 5
+            hits = [r["hit_rate"] for r in rt_rows]
+            costs = [r["relative_cost"] for r in rt_rows]
+            assert hits == sorted(hits) and hits[-1] > hits[0]
+            assert costs == sorted(costs) and costs[-1] > costs[0]
+
+
 class TestVarianceExperiment:
     def test_rows_schema(self):
         rows = run_experiment(
