@@ -7,9 +7,11 @@ Two measurements:
   hit counts, and (the hard guarantee) that both executors produce
   bit-identical result rows.  The speedup column is what the pool buys on
   this machine; on a single-CPU box it is ~1x by construction.
-* **Vectorized NHPP sampler** — the per-bin Python loop of
+* **Vectorized NHPP sampler** — the per-bin draws of
   ``sample_arrival_times`` against the opt-in bulk construction
-  (``vectorized=True``) on a 100 000-bin horizon.
+  (``vectorized=True``) on a 100 000-bin horizon: about 25x on a 2-core
+  Xeon (python 3.11.7, numpy 2.4.6), down from about 200x before the
+  default path computed its bin rates as arrays.
 
 Runs standalone for CI smoke jobs::
 

@@ -19,8 +19,8 @@ Autoscaling for Complex Workloads* (Qian et al., ICDE 2022).  It provides:
   intensity primitives that combine algebraically, a registry of named,
   seed-reproducible scenarios (flash crowds, diurnal/weekly seasonality,
   launches, sale events, batch bursts, multi-tenant mixes, outages, plus
-  aliases for the paper traces), and a ``repro workloads list|generate|sweep``
-  CLI that evaluates the autoscalers across the whole registry;
+  aliases for the paper traces), and a ``repro workloads list|generate``
+  CLI;
 * a parallel evaluation runtime (:mod:`repro.runtime`): experiment sweeps
   expressed as declarative, picklable tasks, executed serially or on a
   process pool (``--workers`` / ``REPRO_WORKERS``) with bit-identical
@@ -47,134 +47,148 @@ Quickstart
 ...                                  target=0.9)               # doctest: +SKIP
 >>> result = replay(test, scaler)                              # doctest: +SKIP
 >>> result.hit_rate                                            # doctest: +SKIP
+
+Every public name resolves on first access (PEP 562), so ``import repro``
+and ``import repro.cli`` load only the submodules a command uses.
 """
 
-from .config import ADMMConfig, NHPPConfig, PlannerConfig, SimulationConfig
-from .exceptions import (
-    ConfigurationError,
-    ConvergenceError,
-    InfeasibleConstraintError,
-    ModelNotFittedError,
-    PeriodicityDetectionError,
-    PlanningError,
-    RobustScalerError,
-    SimulationError,
-    TraceError,
-    ValidationError,
-    WorkloadError,
-)
-from .nhpp import NHPPModel, PiecewiseConstantIntensity
-from .pending import (
-    DeterministicPendingTime,
-    ExponentialPendingTime,
-    PendingTimeModel,
-    UniformPendingTime,
-)
-from .periodicity import PeriodicityDetector
-from .scaling import (
-    AdaptiveBackupPoolScaler,
-    Autoscaler,
-    BackupPoolScaler,
-    ReactiveScaler,
-    RobustScaler,
-    RobustScalerObjective,
-    SequentialHPScaler,
-)
-from .simulation import ScalingPerQuerySimulator, replay
-from .traces import (
-    generate_alibaba_like_trace,
-    generate_crs_like_trace,
-    generate_google_like_trace,
-    generate_trace_from_intensity,
-)
-from .runtime import (
-    EvalTask,
-    PrepSpec,
-    ScalerSpec,
-    WorkloadCache,
-    WorkloadSpec,
-    run_task_rows,
-    run_tasks,
-)
-from .types import ArrivalTrace, QPSSeries, ScalingAction, SimulationResult
-from .workloads import (
-    Scenario,
-    ScenarioRegistry,
-    get_scenario,
-    list_scenarios,
-    register_scenario,
-    scenario_names,
-)
-from .api import Session, list_experiments, run_experiment
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from ._lazy import lazy_exports
 
 __version__ = "1.0.0"
 
-__all__ = [
-    "__version__",
+#: Public name -> the submodule that defines it, imported on first access.
+_EXPORTS = {
     # configuration
-    "ADMMConfig",
-    "NHPPConfig",
-    "PlannerConfig",
-    "SimulationConfig",
+    "ADMMConfig": ".config",
+    "NHPPConfig": ".config",
+    "PlannerConfig": ".config",
+    "SimulationConfig": ".config",
     # exceptions
-    "RobustScalerError",
-    "ConfigurationError",
-    "ValidationError",
-    "TraceError",
-    "PeriodicityDetectionError",
-    "ModelNotFittedError",
-    "ConvergenceError",
-    "InfeasibleConstraintError",
-    "SimulationError",
-    "PlanningError",
-    "WorkloadError",
+    "RobustScalerError": ".exceptions",
+    "ConfigurationError": ".exceptions",
+    "ValidationError": ".exceptions",
+    "TraceError": ".exceptions",
+    "PeriodicityDetectionError": ".exceptions",
+    "ModelNotFittedError": ".exceptions",
+    "ConvergenceError": ".exceptions",
+    "InfeasibleConstraintError": ".exceptions",
+    "SimulationError": ".exceptions",
+    "PlanningError": ".exceptions",
+    "WorkloadError": ".exceptions",
     # data types
-    "ArrivalTrace",
-    "QPSSeries",
-    "ScalingAction",
-    "SimulationResult",
+    "ArrivalTrace": ".types",
+    "QPSSeries": ".types",
+    "ScalingAction": ".types",
+    "SimulationResult": ".types",
     # workload modeling
-    "NHPPModel",
-    "PiecewiseConstantIntensity",
-    "PeriodicityDetector",
+    "NHPPModel": ".nhpp",
+    "PiecewiseConstantIntensity": ".nhpp",
+    "PeriodicityDetector": ".periodicity",
     # pending-time models
-    "PendingTimeModel",
-    "DeterministicPendingTime",
-    "UniformPendingTime",
-    "ExponentialPendingTime",
+    "PendingTimeModel": ".pending",
+    "DeterministicPendingTime": ".pending",
+    "UniformPendingTime": ".pending",
+    "ExponentialPendingTime": ".pending",
     # autoscalers
-    "Autoscaler",
-    "BackupPoolScaler",
-    "ReactiveScaler",
-    "AdaptiveBackupPoolScaler",
-    "RobustScaler",
-    "RobustScalerObjective",
-    "SequentialHPScaler",
+    "Autoscaler": ".scaling",
+    "BackupPoolScaler": ".scaling",
+    "ReactiveScaler": ".scaling",
+    "AdaptiveBackupPoolScaler": ".scaling",
+    "RobustScaler": ".scaling",
+    "RobustScalerObjective": ".scaling",
+    "SequentialHPScaler": ".scaling",
     # simulation
-    "ScalingPerQuerySimulator",
-    "replay",
+    "ScalingPerQuerySimulator": ".simulation",
+    "replay": ".simulation",
     # traces
-    "generate_crs_like_trace",
-    "generate_google_like_trace",
-    "generate_alibaba_like_trace",
-    "generate_trace_from_intensity",
+    "generate_crs_like_trace": ".traces",
+    "generate_google_like_trace": ".traces",
+    "generate_alibaba_like_trace": ".traces",
+    "generate_trace_from_intensity": ".traces",
     # evaluation runtime
-    "EvalTask",
-    "PrepSpec",
-    "ScalerSpec",
-    "WorkloadCache",
-    "WorkloadSpec",
-    "run_tasks",
-    "run_task_rows",
+    "EvalTask": ".runtime",
+    "PrepSpec": ".runtime",
+    "ScalerSpec": ".runtime",
+    "WorkloadCache": ".runtime",
+    "WorkloadSpec": ".runtime",
+    "run_tasks": ".runtime",
+    "run_task_rows": ".runtime",
     # workload scenarios
-    "Scenario",
-    "ScenarioRegistry",
-    "register_scenario",
-    "get_scenario",
-    "list_scenarios",
-    "scenario_names",
+    "Scenario": ".workloads",
+    "ScenarioRegistry": ".workloads",
+    "register_scenario": ".workloads",
+    "get_scenario": ".workloads",
+    "list_scenarios": ".workloads",
+    "scenario_names": ".workloads",
     # declarative experiment API
-    "Session",
-    "list_experiments",
-    "run_experiment",
-]
+    "Session": ".api",
+    "list_experiments": ".api",
+    "run_experiment": ".api",
+}
+
+__all__ = ["__version__", *_EXPORTS]
+
+__getattr__, __dir__ = lazy_exports(__name__, _EXPORTS)
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from .config import ADMMConfig, NHPPConfig, PlannerConfig, SimulationConfig
+    from .exceptions import (
+        ConfigurationError,
+        ConvergenceError,
+        InfeasibleConstraintError,
+        ModelNotFittedError,
+        PeriodicityDetectionError,
+        PlanningError,
+        RobustScalerError,
+        SimulationError,
+        TraceError,
+        ValidationError,
+        WorkloadError,
+    )
+    from .types import ArrivalTrace, QPSSeries, ScalingAction, SimulationResult
+    from .nhpp import NHPPModel, PiecewiseConstantIntensity
+    from .periodicity import PeriodicityDetector
+    from .pending import (
+        DeterministicPendingTime,
+        ExponentialPendingTime,
+        PendingTimeModel,
+        UniformPendingTime,
+    )
+    from .scaling import (
+        AdaptiveBackupPoolScaler,
+        Autoscaler,
+        BackupPoolScaler,
+        ReactiveScaler,
+        RobustScaler,
+        RobustScalerObjective,
+        SequentialHPScaler,
+    )
+    from .simulation import ScalingPerQuerySimulator, replay
+    from .traces import (
+        generate_alibaba_like_trace,
+        generate_crs_like_trace,
+        generate_google_like_trace,
+        generate_trace_from_intensity,
+    )
+    from .runtime import (
+        EvalTask,
+        PrepSpec,
+        ScalerSpec,
+        WorkloadCache,
+        WorkloadSpec,
+        run_task_rows,
+        run_tasks,
+    )
+    from .workloads import (
+        Scenario,
+        ScenarioRegistry,
+        get_scenario,
+        list_scenarios,
+        register_scenario,
+        scenario_names,
+    )
+    from .api import Session, list_experiments, run_experiment

@@ -27,7 +27,11 @@ Quickstart::
     ).run(scale=0.1)
 """
 
-from ..simulation.runner import DEFAULT_ENGINE, resolve_engine
+from __future__ import annotations
+
+from typing import TYPE_CHECKING
+
+from .._lazy import lazy_exports
 from .registry import (
     ExperimentSpec,
     ParamSpec,
@@ -36,15 +40,20 @@ from .registry import (
     list_experiments,
     register_experiment,
 )
-from .session import (
-    ExperimentHandle,
-    ProgressHook,
-    Provenance,
-    ResultSet,
-    RunContext,
-    Session,
-    run_experiment,
-)
+
+#: Names imported on first access: the session pulls in the runtime, the
+#: store and telemetry, which the registry and the CLI parser do not need.
+_LAZY = {
+    "DEFAULT_ENGINE": "..simulation.runner",
+    "resolve_engine": "..simulation.runner",
+    "ExperimentHandle": ".session",
+    "ProgressHook": ".session",
+    "Provenance": ".session",
+    "ResultSet": ".session",
+    "RunContext": ".session",
+    "Session": ".session",
+    "run_experiment": ".session",
+}
 
 __all__ = [
     "DEFAULT_ENGINE",
@@ -63,3 +72,17 @@ __all__ = [
     "resolve_engine",
     "run_experiment",
 ]
+
+__getattr__, __dir__ = lazy_exports(__name__, _LAZY)
+
+if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
+    from ..simulation.runner import DEFAULT_ENGINE, resolve_engine
+    from .session import (
+        ExperimentHandle,
+        ProgressHook,
+        Provenance,
+        ResultSet,
+        RunContext,
+        Session,
+        run_experiment,
+    )

@@ -52,22 +52,6 @@ import sys
 import time
 from typing import Sequence
 
-from .analysis.runner import add_lint_parser, run_lint
-from .api import Session, get_experiment, list_experiments
-from .api.cligen import (
-    add_param_arguments,
-    add_session_arguments,
-    collect_params,
-    collect_session_kwargs,
-)
-from .telemetry import (
-    Console,
-    diff_snapshots,
-    gc_orphan_snapshots,
-    load_snapshot,
-    span_rows,
-    summarize_snapshot,
-)
 from .exceptions import (
     ConfigurationError,
     ExperimentError,
@@ -75,16 +59,17 @@ from .exceptions import (
     ValidationError,
     WorkloadError,
 )
-from .metrics.report import format_table, summarize_result
-from .runtime import SCALER_KINDS, PrepSpec, ScalerSpec, WorkloadCache, WorkloadSpec
-from .simulation.runner import resolve_engine
-from .store import STORE_DIR_ENV_VAR, list_runs, resolve_store
-from .workloads import get_scenario, list_scenarios
+
+# Every other import is deferred to the parser or the command that uses it,
+# so ``import repro.cli`` stays cheap and each command loads only its own
+# dependencies (README "Start-up").
 
 __all__ = ["main", "build_parser"]
 
 
 def _add_store_dir_flag(parser: argparse.ArgumentParser) -> None:
+    from .store import STORE_DIR_ENV_VAR
+
     parser.add_argument(
         "--store-dir",
         default=None,
@@ -110,6 +95,12 @@ def _store_summary(store) -> str:
 
 def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser (experiment options come from the registry)."""
+    from .analysis.runner import add_lint_parser
+    from .api import list_experiments
+    from .api.cligen import add_param_arguments, add_session_arguments
+    from .runtime.spec import SCALER_KINDS
+    from .store import STORE_DIR_ENV_VAR
+
     parser = argparse.ArgumentParser(
         prog="robustscaler",
         description="Reproduction of RobustScaler (ICDE 2022): QoS-aware autoscaling",
@@ -279,6 +270,9 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def _command_traces() -> int:
+    from .metrics.report import format_table
+    from .workloads import list_scenarios
+
     rows = [
         {
             "name": scenario.name,
@@ -294,6 +288,13 @@ def _command_traces() -> int:
 
 
 def _command_simulate(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table, summarize_result
+    from .runtime import PrepSpec, ScalerSpec, WorkloadCache, WorkloadSpec
+    from .simulation.runner import resolve_engine
+    from .store import resolve_store
+    from .telemetry import Console
+    from .workloads import get_scenario
+
     store = resolve_store(args.store_dir, enabled=not args.no_store)
     cache = WorkloadCache(store=store)
     try:
@@ -331,6 +332,9 @@ def _command_simulate(args: argparse.Namespace) -> int:
 
 
 def _command_workloads_list() -> int:
+    from .metrics.report import format_table
+    from .workloads import list_scenarios
+
     rows = [
         {
             "name": scenario.name,
@@ -350,7 +354,9 @@ def _command_workloads_list() -> int:
 
 
 def _command_workloads_generate(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
     from .traces.io import save_trace_csv
+    from .workloads import get_scenario
 
     scenario = get_scenario(args.scenario)
     trace = scenario.build_trace(scale=args.scale, seed=args.seed)
@@ -376,6 +382,13 @@ def _command_workloads_generate(args: argparse.Namespace) -> int:
 
 
 def _command_experiment(args: argparse.Namespace) -> int:
+    from .api import get_experiment
+    from .api.cligen import collect_params, collect_session_kwargs
+    from .api.session import Session
+    from .metrics.report import format_table
+    from .store import resolve_store
+    from .telemetry import Console
+
     spec = get_experiment(args.name)
     session_kwargs = collect_session_kwargs(args, spec)
     # Quiet suppresses both the progress line and the [store] summary.
@@ -417,6 +430,9 @@ def _command_workloads(args: argparse.Namespace) -> int:
 
 
 def _command_store_ls_runs(store, args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
+    from .store import list_runs
+
     if args.namespace is not None:
         print(
             "note: --namespace is ignored with --runs (the run index lives "
@@ -440,6 +456,10 @@ def _command_store_ls_runs(store, args: argparse.Namespace) -> int:
 
 
 def _command_store(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
+    from .store import resolve_store
+    from .telemetry import gc_orphan_snapshots
+
     store = resolve_store(args.store_dir)
     if args.store_command == "info":
         info = store.info()
@@ -513,6 +533,10 @@ def _command_store(args: argparse.Namespace) -> int:
 
 
 def _command_telemetry(args: argparse.Namespace) -> int:
+    from .metrics.report import format_table
+    from .store import resolve_store
+    from .telemetry import diff_snapshots, load_snapshot, span_rows, summarize_snapshot
+
     store = resolve_store(args.store_dir)
     if args.telemetry_command == "show":
         snapshot = load_snapshot(store, args.run_id)
@@ -585,6 +609,8 @@ def main(argv: Sequence[str] | None = None) -> int:
     if args.command == "telemetry":
         return _command_telemetry(args)
     if args.command == "lint":
+        from .analysis.runner import run_lint
+
         return run_lint(args)
     parser.error(f"unknown command {args.command!r}")
     return 2  # pragma: no cover - parser.error raises

@@ -45,7 +45,6 @@ from __future__ import annotations
 
 import os
 import time
-from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
 from contextlib import nullcontext
 from typing import TYPE_CHECKING, Callable, Iterable, Sequence
 
@@ -378,6 +377,10 @@ def run_tasks(
                     recorder.observe("runtime.task_seconds", result.wall_seconds)
                 finish(task, result)
     else:
+        # Deferred: the pool's import chain (multiprocessing, sockets,
+        # subprocess) is start-up cost a serial run never needs.
+        from concurrent.futures import FIRST_COMPLETED, ProcessPoolExecutor, wait
+
         chunks = _schedule_chunks(pending, n_workers)
         telemetry = recorder is not None
         submitted_at = time.time() if telemetry else None

@@ -17,6 +17,7 @@ from typing import Protocol
 from ..exceptions import ValidationError, WorkloadError
 from ..nhpp.intensity import PiecewiseConstantIntensity
 from ..rng import ensure_rng
+from ..telemetry import get_recorder
 from ..traces.synthetic import generate_trace_from_intensity
 from ..types import ArrivalTrace
 from .primitives import IntensityPrimitive
@@ -168,29 +169,33 @@ class Scenario:
         return self._compile_intensity(horizon, ensure_rng(self.resolve_seed(seed)))
 
     def build_trace(self, *, scale: float = 1.0, seed: int | None = None) -> ArrivalTrace:
-        """Generate the scenario's trace, deterministically for a given seed."""
+        """Generate the scenario's trace, deterministically for a given seed.
+
+        The build runs in a ``trace.generate`` telemetry span.
+        """
         seed = self.resolve_seed(seed)
-        if self.generator is not None:
-            scale = float(scale)
-            if not scale > 0:
-                raise ValidationError(f"scale must be positive, got {scale}")
-            return self.generator(seed=seed, scale=scale)
-        horizon = self.scaled_horizon(scale)
-        rng = ensure_rng(seed)
-        intensity = self._compile_intensity(horizon, rng)
-        # The bulk arrival sampler draws from the same distribution as the
-        # per-bin loop but consumes the random stream in a different order,
-        # so the seeded realizations below are pinned as golden fixtures in
-        # ``tests/golden/`` (see README: re-baselining golden fixtures).
-        return generate_trace_from_intensity(
-            intensity,
-            horizon,
-            processing_time_mean=self.processing_time_mean,
-            processing_time_distribution=self.processing_time_distribution,
-            name=self.name,
-            random_state=rng,
-            vectorized=True,
-        )
+        with get_recorder().span("trace.generate"):
+            if self.generator is not None:
+                scale = float(scale)
+                if not scale > 0:
+                    raise ValidationError(f"scale must be positive, got {scale}")
+                return self.generator(seed=seed, scale=scale)
+            horizon = self.scaled_horizon(scale)
+            rng = ensure_rng(seed)
+            intensity = self._compile_intensity(horizon, rng)
+            # The bulk arrival sampler draws from the same distribution as the
+            # per-bin loop but consumes the random stream in a different order,
+            # so the seeded realizations below are pinned as golden fixtures in
+            # ``tests/golden/`` (see README: re-baselining golden fixtures).
+            return generate_trace_from_intensity(
+                intensity,
+                horizon,
+                processing_time_mean=self.processing_time_mean,
+                processing_time_distribution=self.processing_time_distribution,
+                name=self.name,
+                random_state=rng,
+                vectorized=True,
+            )
 
     def build_split(
         self, *, scale: float = 1.0, seed: int | None = None

@@ -146,8 +146,37 @@ assert "scipy.sparse.linalg" in scipy_modules(), scipy_modules()
 """
 
 
-def test_cold_start_loads_scipy_only_for_a_fit():
-    """scipy is slow to import; only fitting a model may pull it in."""
+#: Run in a fresh interpreter: ``import repro.cli`` loads only the CLI
+#: module (each command imports its own dependencies), and every public
+#: name of the lazily resolved ``repro`` package still resolves.
+_LAZY_IMPORT_SCRIPT = """
+import sys
+
+import repro.cli
+
+deferred = (
+    "multiprocessing",
+    "concurrent.futures",
+    "csv",
+    "repro.api.session",
+    "repro.analysis",
+    "repro.store",
+    "repro.runtime.executor",
+)
+loaded = [name for name in deferred if name in sys.modules]
+assert not loaded, loaded
+
+import repro
+
+listed = set(dir(repro))
+missing = [name for name in repro.__all__ if name not in listed]
+assert not missing, missing
+for name in repro.__all__:
+    assert getattr(repro, name) is not None, name
+"""
+
+
+def _run_fresh(script: str) -> None:
     import os
     import subprocess
     import sys
@@ -156,7 +185,26 @@ def test_cold_start_loads_scipy_only_for_a_fit():
     src = Path(__file__).resolve().parent.parent / "src"
     env = dict(os.environ)
     env["PYTHONPATH"] = str(src) + os.pathsep + env.get("PYTHONPATH", "")
-    child = subprocess.run(
-        [sys.executable, "-c", _COLD_START_SCRIPT], env=env, capture_output=True, text=True
-    )
+    child = subprocess.run([sys.executable, "-c", script], env=env, capture_output=True, text=True)
     assert child.returncode == 0, child.stderr
+
+
+def test_cold_start_loads_scipy_only_for_a_fit():
+    """scipy is slow to import; only fitting a model may pull it in."""
+    _run_fresh(_COLD_START_SCRIPT)
+
+
+def test_import_cli_defers_every_command_dependency():
+    """No process pool, CSV, session, linter, store or executor at import."""
+    _run_fresh(_LAZY_IMPORT_SCRIPT)
+
+
+def test_unknown_package_name_raises_attribute_error():
+    """``__getattr__`` must raise AttributeError, so ``from repro import
+    <submodule>`` falls back to importing the submodule."""
+    import repro
+    from repro import telemetry
+
+    assert telemetry.__name__ == "repro.telemetry"
+    with pytest.raises(AttributeError):
+        repro.no_such_name  # noqa: B018

@@ -11,7 +11,13 @@ from repro.exceptions import ValidationError
 from repro.metrics.cost import relative_cost, total_cost
 from repro.metrics.errors import mean_absolute_error, mean_squared_error
 from repro.metrics.pareto import ParetoPoint, dominates, pareto_frontier
-from repro.metrics.qos import hit_rate, mean_response_time, response_time_quantiles
+from repro.metrics.qos import (
+    TABLE2_LEVELS,
+    hit_rate,
+    mean_response_time,
+    quantiles_of,
+    response_time_quantiles,
+)
 from repro.metrics.report import format_table, summarize_result
 from repro.metrics.variance import windowed_mean_variance
 from repro.types import SimulationResult
@@ -67,6 +73,64 @@ class TestQoSMetrics:
         result = _result([1], [1.0])
         with pytest.raises(ValidationError):
             response_time_quantiles(result, levels=(1.5,))
+
+
+#: Response-time-like columns: wide floats, heavy ties, and the odd NaN.
+_COLUMNS = st.lists(
+    st.one_of(
+        st.floats(-1e9, 1e9),
+        st.integers(0, 100_000).map(lambda ms: ms / 1000.0),
+        st.sampled_from([0.0, 2.5, 13.0]),
+        st.just(float("nan")),
+    ),
+    min_size=1,
+    max_size=60,
+).map(np.array)
+
+_LEVELS = st.lists(
+    st.one_of(st.just(0.0), st.just(1.0), st.floats(0.0, 1.0)),
+    min_size=1,
+    max_size=6,
+    unique=True,
+).map(np.array)
+
+
+class TestQuantilesOf:
+    """``quantiles_of`` writes out ``np.quantile``'s linear method."""
+
+    @given(_COLUMNS, _LEVELS)
+    @settings(max_examples=300, deadline=None)
+    def test_bit_identical_to_numpy(self, times, levels):
+        got = np.array(list(quantiles_of(times, levels).values()))
+        want = np.quantile(times, levels)
+        np.testing.assert_array_equal(got, want)
+        assert np.array_equal(np.signbit(got), np.signbit(want))
+
+    @pytest.mark.parametrize("n", [1, 2, 3, 10, 1001])
+    def test_table2_levels_on_ties(self, n):
+        times = np.resize(np.array([13.0, 13.0, 14.5, 13.0, 20.0]), n)
+        got = np.array(list(quantiles_of(times, np.array(TABLE2_LEVELS)).values()))
+        np.testing.assert_array_equal(got, np.quantile(times, TABLE2_LEVELS))
+
+    def test_upper_half_interpolates_down_from_the_ceiling(self):
+        """At gamma >= 0.5 numpy computes ``b - (b - a) * (1 - gamma)``,
+        which here differs from ``a + (b - a) * gamma`` in the last bit."""
+        times = np.array([9.781, 6.807, 22.331])
+        assert quantiles_of(times, np.array([0.9]))[0.9] == 19.821 == np.quantile(times, 0.9)
+
+    def test_nan_column_reads_nan_at_every_level(self):
+        times = np.array([1.0, np.nan, 3.0, 4.0])
+        values = quantiles_of(times, np.array([0.0, 0.5, 1.0]))
+        assert all(np.isnan(value) for value in values.values())
+
+    def test_empty_column_reads_nan(self):
+        values = quantiles_of(np.empty(0), np.array([0.5]))
+        assert np.isnan(values[0.5])
+
+    def test_input_column_is_left_unsorted(self):
+        times = np.array([3.0, 1.0, 2.0])
+        quantiles_of(times, np.array([0.5]))
+        np.testing.assert_array_equal(times, [3.0, 1.0, 2.0])
 
 
 class TestCostMetrics:

@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 from scipy import stats
 
+import repro.traces.synthetic as synthetic
 from repro.exceptions import ValidationError
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import (
@@ -14,6 +15,7 @@ from repro.nhpp.sampling import (
     sample_homogeneous_arrivals,
     sample_next_arrivals,
 )
+from repro.workloads import get_scenario
 
 
 class TestSampleCounts:
@@ -64,6 +66,67 @@ class TestSampleArrivalTimes:
         early = np.count_nonzero(arrivals < 100.0)
         late = arrivals.size - early
         assert late > 5 * early
+
+
+def _per_bin_reference(intensity, horizon_seconds, rng):
+    """The scalar per-bin loop whose draws every paper trace is pinned to."""
+    bin_seconds = intensity.bin_seconds
+    n_bins = int(np.ceil(horizon_seconds / bin_seconds))
+    arrivals = []
+    for b in range(n_bins):
+        start = b * bin_seconds
+        end = min((b + 1) * bin_seconds, horizon_seconds)
+        width = end - start
+        if width <= 0:
+            continue
+        rate = float(intensity.value(start + 0.5 * width)) * width
+        count = int(rng.poisson(max(rate, 0.0)))
+        if count:
+            arrivals.append(start + rng.uniform(0.0, width, size=count))
+    if not arrivals:
+        return np.empty(0)
+    out = np.concatenate(arrivals)
+    out.sort()
+    return out
+
+
+class TestLoopPathMatchesPerBinReference:
+    """The default path computes bin rates as arrays but draws bin by bin:
+    the same seed must give the reference loop's arrivals exactly."""
+
+    @pytest.mark.parametrize(
+        "values, bin_seconds, extrapolation, horizon",
+        [
+            ([0.8, 2.5, 0.3], 50.0, "hold", 431.7),
+            ([0.0, 4.0, 0.0, 1.5, 0.0], 60.0, "periodic", 1234.5),
+            ([2.0, 0.0, 3.0], 30.0, "zero", 200.25),
+            ([0.0, 0.0], 10.0, "hold", 95.0),
+            ([1e-3, 7.5], 0.7, "periodic", 100.0),
+        ],
+    )
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_identical_draws(self, values, bin_seconds, extrapolation, horizon, seed):
+        intensity = PiecewiseConstantIntensity(
+            np.array(values), bin_seconds, extrapolation=extrapolation
+        )
+        expected = _per_bin_reference(intensity, horizon, np.random.default_rng(seed))
+        actual = sample_arrival_times(intensity, horizon, seed)
+        assert actual.tobytes() == expected.tobytes()
+
+    @pytest.mark.parametrize("name", ["google", "alibaba", "crs"])
+    @pytest.mark.parametrize("seed", [3, 7])
+    def test_paper_traces_identical(self, monkeypatch, name, seed):
+        trace = get_scenario(name).build_trace(scale=0.05, seed=seed)
+
+        def reference(intensity, horizon_seconds, rng, *, vectorized=False):
+            assert not vectorized
+            return _per_bin_reference(intensity, horizon_seconds, rng)
+
+        monkeypatch.setattr(synthetic, "sample_arrival_times", reference)
+        pinned = get_scenario(name).build_trace(scale=0.05, seed=seed)
+        assert trace.n_queries > 0
+        assert trace.arrival_times.tobytes() == pinned.arrival_times.tobytes()
+        assert trace.processing_times.tobytes() == pinned.processing_times.tobytes()
 
 
 class TestVectorizedArrivalTimes:

@@ -137,6 +137,22 @@ class TestFitTelemetry:
         assert state["histograms"]["fit.cg_steps"]["count"] == 1
 
 
+class TestTraceGenerateSpan:
+    """Trace synthesis is attributed to one ``trace.generate`` span per build."""
+
+    @pytest.mark.parametrize("name", ["crs", "flash-crowd"])
+    def test_one_build_emits_one_span(self, name):
+        from repro.workloads import get_scenario
+
+        recorder = Recorder()
+        with use(recorder):
+            trace = get_scenario(name).build_trace(scale=0.02, seed=3)
+        assert [span["name"] for span in recorder.spans] == ["trace.generate"]
+        assert recorder.spans[0]["duration_seconds"] > 0
+        untraced = get_scenario(name).build_trace(scale=0.02, seed=3)
+        assert trace.arrival_times.tobytes() == untraced.arrival_times.tobytes()
+
+
 class _CountingNull(NullRecorder):
     """A disabled recorder that counts every method call it receives."""
 
