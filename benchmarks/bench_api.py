@@ -4,9 +4,8 @@ Two end-to-end assertions, matching the API-redesign acceptance criteria:
 
 1. **Session on a cold store** — one registry experiment runs end-to-end
    through :class:`repro.api.Session` against a freshly created artifact
-   store, resolves the batched engine by default, journals under a
-   ``run_id``, and a second (warm) session run resumes every task from the
-   journal with bit-identical rows.
+   store, journals under a ``run_id``, and a second (warm) session run
+   resumes every task from the journal with bit-identical rows.
 2. **Registry-generated CLI** — every ``repro experiment <name>`` subparser
    carries no orphaned argparse flags: each option is derived from the
    experiment's parameter schema or the uniform session knobs, and
@@ -73,7 +72,6 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
         cold = cold_session.experiment("pareto").run(**params)
         cold_seconds = time.perf_counter() - started
         assert cold.rows, "cold Session run produced no rows"
-        assert cold.provenance.engine == "batched"
         assert cold.provenance.n_tasks > 0 and cold.provenance.n_resumed == 0
         assert cold.provenance.scenario_digest
 
@@ -86,17 +84,9 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
         )
         assert warm.rows == cold.rows
 
-        # The reference-engine escape hatch agrees bit-for-bit.
-        reference = (
-            Session(store=store_dir, engine="reference")
-            .experiment("pareto")
-            .run(**params)
-        )
-        assert reference.rows == cold.rows
-
     return [
         {
-            "check": "cold Session run (batched default)",
+            "check": "cold Session run",
             "tasks": cold.provenance.n_tasks,
             "seconds": round(cold_seconds, 2),
         },
@@ -104,11 +94,6 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
             "check": "warm resume (journal recovery)",
             "tasks": warm.provenance.n_resumed,
             "seconds": round(warm_seconds, 2),
-        },
-        {
-            "check": "engine='reference' escape hatch row parity",
-            "tasks": reference.provenance.n_tasks,
-            "seconds": None,
         },
     ]
 

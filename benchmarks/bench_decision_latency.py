@@ -4,7 +4,7 @@ The paper reports that generating scaling decisions takes under 5 ms on the
 real-world traces (QPS below ~6) and stays in the seconds even at thousands
 of QPS.  These micro-benchmarks time one HP / RT / cost decision for a single
 query at the Monte Carlo sample size used in the experiments, and one
-planning round's column-wise solve (``solve_columns``) of ``K = 30`` queries
+planning round's column-wise solve (``ColumnSolver``) of ``K = 30`` queries
 at ``R = 400`` samples, the shape RobustScaler solves every 10 s, one
 round's scenario draw of ``K = 28`` queries with none or 24 already covered,
 and the two pieces of a typical round on the 24 h google trace: inverting
@@ -19,8 +19,8 @@ import pytest
 
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.optimization.formulations import (
+    ColumnSolver,
     DecisionObjective,
-    solve_columns,
     solve_cost_constrained,
     solve_hp_constrained,
     solve_rt_constrained,
@@ -73,9 +73,8 @@ def test_round_column_solve_latency(benchmark, objective, target):
     scenarios = generate_scenarios(
         intensity, DeterministicPendingTime(13.0), 30, 400, random_state=0
     )
-    creation = benchmark(
-        solve_columns, scenarios.arrival_times, scenarios.pending_times, objective, target
-    )
+    solve = ColumnSolver(objective, target)
+    creation = benchmark(solve, scenarios.arrival_times, scenarios.pending_times)
     assert creation.shape == (30,)
 
 
@@ -110,11 +109,6 @@ def test_round_rt_one_column_latency(benchmark):
     scenarios = generate_scenarios(
         intensity, DeterministicPendingTime(13.0), 20, 400, random_state=0, first=19
     )
-    creation = benchmark(
-        solve_columns,
-        scenarios.arrival_times,
-        scenarios.pending_times,
-        DecisionObjective.RESPONSE_TIME,
-        5.0,
-    )
+    solve = ColumnSolver(DecisionObjective.RESPONSE_TIME, 5.0)
+    creation = benchmark(solve, scenarios.arrival_times, scenarios.pending_times)
     assert creation.shape == (1,)

@@ -44,7 +44,6 @@ from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.scaling.base import Autoscaler, ScalingResponse
 from repro.simulation import create_simulator
-from repro.simulation.kernels import NUMBA_AVAILABLE, scalar_backend
 from repro.types import ArrivalTrace, ScalingAction
 
 from conftest import print_artifact
@@ -177,8 +176,6 @@ def write_results(rows: list[dict], path: Path) -> None:
     payload = {
         "benchmark": "engine-comparison",
         "engines": list(_ENGINE_NAMES),
-        "scalar_backend": scalar_backend(),
-        "numba_available": NUMBA_AVAILABLE,
         "rows": rows,
     }
     path.write_text(json.dumps(payload, indent=2) + "\n")
@@ -235,7 +232,6 @@ def main(argv=None) -> int:
     if output is not None:
         write_results(rows, output)
         print(f"\n[bench] results written to {output}")
-    print(f"[bench] scalar top-up backend: {scalar_backend()}")
 
     divergent = [row for row in rows if row["divergent_rows"]]
     if divergent:

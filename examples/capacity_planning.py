@@ -59,7 +59,7 @@ def main() -> None:
     #    RobustScaler-HP at several targets and compare against reactive
     #    scaling.
     pending = DeterministicPendingTime(13.0)
-    sim_config = SimulationConfig(pending_time=13.0, engine="batched")
+    sim_config = SimulationConfig(pending_time=13.0)
     reference = replay(test, ReactiveScaler(), sim_config)
 
     rows = []

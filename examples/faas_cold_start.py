@@ -81,7 +81,7 @@ def main() -> None:
         factory,
         train_trace,
         nominal_levels=(0.5, 0.7, 0.9, 0.97),
-        simulation_config=SimulationConfig(pending_time=13.0, engine="batched"),
+        simulation_config=SimulationConfig(pending_time=13.0),
     )
     print()
     print("Calibration curve (nominal -> achieved hit probability):")

@@ -58,9 +58,8 @@ def main() -> None:
         random_state=0,
     )
 
-    # 5. Replay the test window with both policies and compare (the batched
-    #    engine is the API default and bit-identical to the reference loop).
-    sim_config = SimulationConfig(pending_time=13.0, engine="batched")
+    # 5. Replay the test window with both policies and compare.
+    sim_config = SimulationConfig(pending_time=13.0)
     reactive_result = replay(test, ReactiveScaler(), sim_config)
     robust_result = replay(test, scaler, sim_config)
 

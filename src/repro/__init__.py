@@ -31,10 +31,9 @@ Autoscaling for Complex Workloads* (Qian et al., ICDE 2022).  It provides:
   experiment registered once as an ``ExperimentSpec`` (typed parameter
   schema, task-batch builder, result schema), driven by the fluent
   :class:`~repro.api.Session` facade — ``Session(workers=4)
-  .experiment("pareto").scenario("google").run()`` — with the batched
-  replay engine as the default, a typed ``ResultSet`` (columnar rows +
-  provenance), and ``repro experiment`` CLI subcommands generated from
-  the registry.
+  .experiment("pareto").scenario("google").run()`` — with a typed
+  ``ResultSet`` (columnar rows + provenance), and ``repro experiment`` CLI
+  subcommands generated from the registry.
 
 Quickstart
 ----------

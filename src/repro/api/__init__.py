@@ -8,15 +8,12 @@ One registry, one facade, one execution contract:
   a result schema — via :func:`~repro.api.registry.register_experiment`;
 * the fluent :class:`~repro.api.session.Session` facade is the one
   documented way to drive the reproduction programmatically, threading
-  ``store`` / ``run_id`` / ``workers`` / ``engine`` / ``seed`` uniformly
+  ``store`` / ``run_id`` / ``workers`` / ``seed`` uniformly
   through :func:`repro.runtime.run_tasks` and returning a typed
   :class:`~repro.api.session.ResultSet` (columnar rows + provenance);
 * the ``repro experiment`` CLI subcommands are generated from the
   registry (:mod:`repro.api.cligen`), so adding an experiment never
-  touches :mod:`repro.cli`;
-* the batched replay engine is the default at this layer
-  (``engine="reference"`` is the escape hatch; both engines produce
-  bit-identical rows).
+  touches :mod:`repro.cli`.
 
 Quickstart::
 
@@ -44,8 +41,6 @@ from .registry import (
 #: Names imported on first access: the session pulls in the runtime, the
 #: store and telemetry, which the registry and the CLI parser do not need.
 _LAZY = {
-    "DEFAULT_ENGINE": "..simulation.runner",
-    "resolve_engine": "..simulation.runner",
     "ExperimentHandle": ".session",
     "ProgressHook": ".session",
     "Provenance": ".session",
@@ -56,7 +51,6 @@ _LAZY = {
 }
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ExperimentHandle",
     "ExperimentSpec",
     "ParamSpec",
@@ -69,14 +63,12 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "register_experiment",
-    "resolve_engine",
     "run_experiment",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
-    from ..simulation.runner import DEFAULT_ENGINE, resolve_engine
     from .session import (
         ExperimentHandle,
         ProgressHook,

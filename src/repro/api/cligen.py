@@ -3,7 +3,7 @@
 The ``repro experiment`` subcommands are *generated* from the registry:
 every option flag is derived either from a
 :class:`~repro.api.registry.ParamSpec` or from the uniform session knobs
-(``--workers`` / ``--engine`` / ``--run-id`` / store flags / ``--quiet``).
+(``--workers`` / ``--run-id`` / store flags / ``--quiet``).
 Adding an experiment therefore never touches :mod:`repro.cli`; and
 :func:`audit_parser` verifies the property the other way around — that a
 generated subparser carries **no** orphaned hand-written flags.
@@ -82,17 +82,6 @@ def add_session_arguments(
     store_env_var: str,
 ) -> None:
     """Install the uniform session knobs the experiment supports."""
-    if spec.engine_aware:
-        parser.add_argument(
-            "--engine",
-            choices=["reference", "batched"],
-            default=None,
-            help=(
-                "replay engine (default: batched; both engines produce "
-                "bit-identical rows, 'reference' is the per-query event "
-                "loop)"
-            ),
-        )
     if spec.runtime:
         parser.add_argument(
             "--workers",
@@ -153,8 +142,6 @@ def collect_params(args: argparse.Namespace, spec: ExperimentSpec) -> dict:
 def collect_session_kwargs(args: argparse.Namespace, spec: ExperimentSpec) -> dict:
     """The uniform session knobs actually given on the command line."""
     kwargs: dict = {}
-    if spec.engine_aware:
-        kwargs["engine"] = getattr(args, "engine", None)
     if spec.runtime:
         kwargs["workers"] = getattr(args, "workers", None)
         kwargs["run_id"] = getattr(args, "run_id", None)
@@ -165,13 +152,11 @@ def collect_session_kwargs(args: argparse.Namespace, spec: ExperimentSpec) -> di
 def _session_flags(spec: ExperimentSpec) -> set[str]:
     """The uniform option strings :func:`add_session_arguments` installs.
 
-    Mirrors its ``runtime`` / ``engine_aware`` conditions exactly, so the
+    Mirrors its ``runtime`` condition exactly, so the
     audit flags a session knob hand-added to an experiment that does not
     support it (e.g. ``--workers`` on a non-runtime study).
     """
     flags = {"-h", "--help"}
-    if spec.engine_aware:
-        flags.add("--engine")
     if spec.runtime:
         flags.update(
             {

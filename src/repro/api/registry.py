@@ -10,13 +10,12 @@ dataclasses that each needed bespoke CLI plumbing.  A spec carries:
   options (:mod:`repro.api.cligen`) are derived;
 * its **runner** — a plain function ``run(params, ctx)`` that builds the
   task batch and executes it through the :class:`~repro.api.session.RunContext`
-  (which threads ``store`` / ``run_id`` / ``workers`` / ``engine`` / progress
-  streaming uniformly through :func:`repro.runtime.run_tasks`);
+  (which threads ``store`` / ``run_id`` / ``workers`` / progress streaming
+  uniformly through :func:`repro.runtime.run_tasks`);
 * its **result schema** — the primary row columns the experiment reports;
 * presentation metadata: which parameter the fluent
   ``Session.experiment(...).scenario(...)`` call maps onto, and whether the
-  experiment participates in the parallel runtime (``workers``/``store``) or
-  the replay-engine selection at all.
+  experiment participates in the parallel runtime (``workers``/``store``).
 
 Experiments self-register at import time via :func:`register_experiment`
 (each driver module in :mod:`repro.experiments` registers its own spec), so
@@ -166,10 +165,6 @@ class ExperimentSpec:
         ``True`` when the experiment executes through
         :func:`repro.runtime.run_tasks` and therefore honors ``workers`` /
         ``store`` / ``run_id`` / progress streaming.
-    engine_aware:
-        ``True`` when the experiment replays traces and honors the engine
-        selection (every ``runtime`` experiment is engine-aware unless its
-        grid never replays).
     scenario_param:
         Name of the parameter the fluent ``.scenario(...)`` call sets, or
         ``None`` when the experiment has no scenario notion.
@@ -184,7 +179,6 @@ class ExperimentSpec:
     result_columns: tuple[str, ...] = ()
     artifact: str = ""
     runtime: bool = True
-    engine_aware: bool = True
     scenario_param: str | None = None
     description: str = ""
 

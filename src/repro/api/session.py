@@ -4,7 +4,7 @@ This module is the one documented way to drive the reproduction from Python::
 
     from repro.api import Session
 
-    session = Session(workers=4)                    # store on, engine="batched"
+    session = Session(workers=4)                    # store on
     result = (
         session.experiment("pareto")
         .scenario("cold-start-services")
@@ -12,16 +12,16 @@ This module is the one documented way to drive the reproduction from Python::
     )
     result.rows                  # list[dict], as the drivers always returned
     result.column("hit_rate")    # columnar access
-    result.provenance.engine     # "batched"
+    result.provenance.n_tasks    # how many tasks the run evaluated
 
 A :class:`Session` holds the cross-cutting execution knobs — artifact
-``store``, ``workers``, replay ``engine`` (default: the batched engine),
-``seed`` override, ``run_id`` journaling, progress streaming — and threads
-them uniformly through every experiment via a :class:`RunContext`.  The
-experiment itself is addressed by registry name
+``store``, ``workers``, ``seed`` override, ``run_id`` journaling, progress
+streaming — and threads them uniformly through every experiment via a
+:class:`RunContext`.  The experiment itself is addressed by registry name
 (:mod:`repro.api.registry`) and parameterized by its declared schema, so
-the combination of any scenario, any scaler grid and either engine is
-reachable without touching driver code.
+the combination of any scenario and any scaler grid is reachable without
+touching driver code.  Every replay runs on the batched engine; the
+per-query reference engine is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -36,7 +36,6 @@ from typing import Any, Callable, Iterator, Mapping, Sequence
 
 from ..exceptions import ValidationError
 from ..runtime.executor import run_task_rows
-from ..simulation.runner import resolve_engine
 from ..telemetry import Recorder, build_snapshot, persist_snapshot
 from ..telemetry import use as telemetry_use
 from .registry import ExperimentSpec, get_experiment, list_experiments
@@ -77,13 +76,10 @@ class RunContext:
     The registry runners receive one of these as their second argument and
     route all task execution through :meth:`run_rows`, which applies the
     session's ``workers`` / ``store`` / ``run_id`` uniformly and streams
-    per-task completions to the progress hook.  ``engine`` is always a
-    concrete engine name (the session resolves ``None`` to the default,
-    ``"batched"``).
+    per-task completions to the progress hook.
     """
 
     workers: int | None = None
-    engine: str = "batched"
     store: Any = None
     run_id: str | None = None
     progress: ProgressHook | None = None
@@ -142,7 +138,6 @@ class Provenance:
     experiment: str
     params: dict
     seed: int | None
-    engine: str
     workers: int | None
     run_id: str | None
     package_version: str
@@ -182,10 +177,7 @@ class ResultSet:
         return self.rows[index]
 
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
-        return (
-            f"ResultSet({self.provenance.experiment!r}, n_rows={len(self.rows)}, "
-            f"engine={self.provenance.engine!r})"
-        )
+        return f"ResultSet({self.provenance.experiment!r}, n_rows={len(self.rows)})"
 
     # ------------------------------------------------------------ columnar
 
@@ -305,7 +297,6 @@ def _execute(
         experiment=spec.name,
         params=resolved,
         seed=resolved.get("seed"),
-        engine=ctx.engine,
         workers=ctx.workers,
         run_id=ctx.run_id,
         package_version=__version__,
@@ -322,7 +313,6 @@ def _execute(
             provenance={
                 "experiment": provenance.experiment,
                 "seed": provenance.seed,
-                "engine": provenance.engine,
                 "workers": provenance.workers,
                 "run_id": provenance.run_id,
                 "package_version": provenance.package_version,
@@ -383,7 +373,7 @@ class ExperimentHandle:
 
 
 class Session:
-    """The facade threading store / workers / engine / seed through every run.
+    """The facade threading store / workers / seed through every run.
 
     Parameters
     ----------
@@ -395,10 +385,6 @@ class Session:
     workers:
         Process count for the runtime-backed experiments (``None`` consults
         ``REPRO_WORKERS``, defaulting to serial).
-    engine:
-        Replay engine for every simulation: ``None`` resolves to the
-        default, ``"batched"``; pass ``"reference"`` as the escape hatch to
-        the per-query event loop.  Both produce bit-identical rows.
     seed:
         When set, overrides each experiment's own ``seed`` default.
     run_id:
@@ -420,7 +406,6 @@ class Session:
         *,
         store: Any = "auto",
         workers: int | None = None,
-        engine: str | None = None,
         seed: int | None = None,
         run_id: str | None = None,
         progress: ProgressHook | None = None,
@@ -428,7 +413,6 @@ class Session:
     ) -> None:
         self.store = _resolve_store(store)
         self.workers = workers
-        self.engine = resolve_engine(engine)
         self.seed = seed
         self.run_id = run_id
         self.progress = progress
@@ -437,7 +421,7 @@ class Session:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         root = getattr(self.store, "root", None)
         return (
-            f"Session(engine={self.engine!r}, workers={self.workers!r}, "
+            f"Session(workers={self.workers!r}, "
             f"store={str(root) if root else None!r})"
         )
 
@@ -453,7 +437,6 @@ class Session:
         """A fresh :class:`RunContext` carrying this session's knobs."""
         return RunContext(
             workers=self.workers,
-            engine=self.engine,
             store=self.store,
             run_id=self.run_id,
             progress=self.progress,
@@ -474,7 +457,6 @@ def run_experiment(
     params: Mapping[str, Any] | None = None,
     *,
     workers: int | None = None,
-    engine: str | None = None,
     store: Any = None,
     run_id: str | None = None,
     seed: int | None = None,
@@ -493,7 +475,6 @@ def run_experiment(
     store = _resolve_store(store)
     ctx = RunContext(
         workers=workers,
-        engine=resolve_engine(engine),
         store=store if spec.runtime else None,
         run_id=run_id if spec.runtime else None,
         progress=progress,

@@ -20,12 +20,10 @@ Usage examples::
 The ``experiment`` subcommands are **generated from the experiment
 registry** (:mod:`repro.api`): each experiment's options come
 from its declared parameter schema plus the uniform session knobs
-(``--workers`` / ``--engine`` / ``--run-id`` / store flags / ``--quiet``),
-so adding an experiment never touches this module.  Execution routes
-through :class:`repro.api.Session` — the same facade documented for
-programmatic use — with the batched replay engine as the default
-(``--engine reference`` is the escape hatch; both engines produce
-bit-identical rows).
+(``--workers`` / ``--run-id`` / store flags / ``--quiet``), so adding an
+experiment never touches this module.  Execution routes through
+:class:`repro.api.Session` — the same facade documented for programmatic
+use.  Every replay runs on the batched engine.
 
 Persistence: ``simulate`` and ``experiment`` use the disk artifact store
 of :mod:`repro.store` by default, so repeated
@@ -132,15 +130,6 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--planning-interval", type=float, default=2.0)
     simulate.add_argument("--mc-samples", type=int, default=400)
     simulate.add_argument("--seed", type=int, default=7)
-    simulate.add_argument(
-        "--engine",
-        choices=["reference", "batched"],
-        default=None,
-        help=(
-            "replay engine (default: batched; identical results, 'reference' "
-            "is the per-query event loop)"
-        ),
-    )
     _add_store_dir_flag(simulate)
     simulate.add_argument(
         "--no-store",
@@ -289,8 +278,7 @@ def _command_traces() -> int:
 
 def _command_simulate(args: argparse.Namespace) -> int:
     from .metrics.report import format_table, summarize_result
-    from .runtime import PrepSpec, ScalerSpec, WorkloadCache, WorkloadSpec
-    from .simulation.runner import resolve_engine
+    from .runtime import ScalerSpec, WorkloadCache, WorkloadSpec
     from .store import resolve_store
     from .telemetry import Console
     from .workloads import get_scenario
@@ -308,7 +296,6 @@ def _command_simulate(args: argparse.Namespace) -> int:
             scenario=get_scenario(args.trace).name,
             scale=args.scale,
             seed=args.seed,
-            prep=PrepSpec(engine=resolve_engine(args.engine)),
         )
         # Preparation validates the seed/scale and building validates the
         # target, so both belong inside the clean-error envelope.
@@ -402,7 +389,6 @@ def _command_experiment(args: argparse.Namespace) -> int:
         session = Session(
             store=store,
             workers=session_kwargs.get("workers"),
-            engine=session_kwargs.get("engine"),
             run_id=session_kwargs.get("run_id"),
             progress=progress,
             telemetry=session_kwargs.get("telemetry", False),

@@ -10,7 +10,6 @@ internals are named constants next to the code that reads them.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Optional
 
 from ._validation import check_integer, check_non_negative, check_positive
 from .exceptions import ConfigurationError
@@ -113,16 +112,13 @@ class SimulationConfig:
     seed:
         Seed of the simulator's own random stream (pending-time jitter).
     engine:
-        Which replay engine executes Algorithm 1: ``"reference"`` is the
-        per-query event loop whose semantics define the model,
-        ``"batched"`` is the vectorized engine of
-        :mod:`repro.simulation.fastengine` that produces identical results
-        (same RNG draw order, same tiebreaks) at a fraction of the cost,
-        policies with a positive arrival target (BP, AdapBP) included.
-        ``None`` (the default) leaves the choice to the consuming layer,
-        and every layer — :mod:`repro.api`, the CLI and
-        :func:`repro.simulation.create_simulator` — resolves it to
-        :data:`repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``).
+        Which replay engine executes Algorithm 1, a key of
+        :data:`repro.simulation.runner.ENGINES`.  Every product replay runs
+        on ``"batched"``, the vectorized engine of
+        :mod:`repro.simulation.fastengine`.  ``"reference"`` is the
+        per-query event loop whose semantics define the model; only tests
+        and benchmarks select it, as the oracle the batched engine must
+        match bit for bit (same RNG draw order, same tiebreaks).
     """
 
     pending_time: float = 13.0
@@ -130,15 +126,15 @@ class SimulationConfig:
     charge_decision_latency: bool = False
     scheduling_latency: float = 0.0
     seed: int = 0
-    engine: Optional[str] = None
-
-    #: Recognized values of :attr:`engine` (besides ``None`` = unspecified).
-    ENGINES = ("reference", "batched")
+    engine: str = "batched"
 
     def __post_init__(self) -> None:
-        if self.engine is not None and self.engine not in self.ENGINES:
+        # Deferred: the simulators this table names import this module.
+        from .simulation.runner import ENGINES
+
+        if self.engine not in ENGINES:
             raise ConfigurationError(
-                f"engine must be one of {self.ENGINES}, got {self.engine!r}"
+                f"engine must be one of {tuple(ENGINES)}, got {self.engine!r}"
             )
         check_non_negative(self.pending_time, "pending_time")
         check_non_negative(self.pending_time_jitter, "pending_time_jitter")

@@ -45,7 +45,7 @@ from ..optimization.montecarlo import generate_scenarios
 from ..pending import DeterministicPendingTime
 from ..runtime import FunctionTask
 from ..scaling.sequential import SequentialHPScaler
-from ..simulation.runner import create_simulator
+from ..simulation.runner import replay
 from ..types import ArrivalTrace
 from .regularization import regularized_fit_errors
 
@@ -70,7 +70,6 @@ def kappa_ablation_point(
     planning_every: int,
     monte_carlo_samples: int,
     seed: int,
-    engine: str = "reference",
 ) -> dict:
     """One kappa-ablation variant on a known-rate homogeneous workload."""
     arrivals = sample_homogeneous_arrivals(arrival_rate, horizon_seconds, seed)
@@ -87,10 +86,7 @@ def kappa_ablation_point(
         planner=PlannerConfig(monte_carlo_samples=monte_carlo_samples),
         random_state=seed,
     )
-    simulator = create_simulator(
-        SimulationConfig(pending_time=pending_time, engine=engine)
-    )
-    result = simulator.replay(trace, scaler)
+    result = replay(trace, scaler, SimulationConfig(pending_time=pending_time))
     return {
         "variant": variant,
         "kappa": scaler.kappa,
@@ -116,7 +112,6 @@ def _run_kappa_ablation(params: dict, ctx: RunContext) -> list[dict]:
                 ("planning_every", int(params["planning_every"])),
                 ("monte_carlo_samples", int(params["monte_carlo_samples"])),
                 ("seed", int(params["seed"])),
-                ("engine", ctx.engine),
             ),
         )
         for variant, upper_bound in (
@@ -260,7 +255,6 @@ register_experiment(
             "mean_abs_error",
             "solve_time_ms",
         ),
-        engine_aware=False,
     )
 )
 
@@ -358,7 +352,6 @@ register_experiment(
         ),
         run=_run_regularization_sensitivity,
         result_columns=("beta_smooth", "beta_period", "mse", "mae"),
-        engine_aware=False,
     )
 )
 

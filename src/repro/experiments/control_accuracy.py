@@ -23,7 +23,7 @@ from ..api import (
     register_experiment,
 )
 from ..api.session import RunContext
-from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
+from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
 from .base import robustscaler_spec
 
 __all__: list[str] = []
@@ -41,7 +41,6 @@ def _workload_spec(params: dict, ctx: RunContext) -> WorkloadSpec:
         scenario=params["trace_name"],
         scale=params["scale"],
         seed=params["seed"],
-        prep=PrepSpec(engine=ctx.engine),
     )
 
 

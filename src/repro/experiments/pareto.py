@@ -18,7 +18,7 @@ from __future__ import annotations
 
 from ..api import ExperimentSpec, ParamSpec, register_experiment
 from ..api.session import RunContext
-from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
+from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
 from ..store.traces import get_or_build_trace
 from ..workloads import get_scenario
 from .base import robustscaler_spec, trace_defaults
@@ -89,7 +89,6 @@ def _run_pareto(params: dict, ctx: RunContext) -> list[dict]:
             scenario=name,
             scale=params["scale"],
             seed=params["seed"],
-            prep=PrepSpec(engine=ctx.engine),
         )
         tasks += [
             EvalTask(workload, spec, extra=(("trace", name),))

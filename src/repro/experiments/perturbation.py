@@ -42,7 +42,6 @@ def _run_perturbation(params: dict, ctx: RunContext) -> list[dict]:
     prep = PrepSpec(
         train_fraction=scenario.train_fraction,
         bin_seconds=scenario.bin_seconds,
-        engine=ctx.engine,
     )
 
     tasks: list[EvalTask] = []

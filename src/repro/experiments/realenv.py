@@ -83,7 +83,6 @@ def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
         train_fraction=scenario.train_fraction,
         bin_seconds=scenario.bin_seconds,
         pending_time=13.0,
-        engine=ctx.engine,
     )
     real_config = real_environment_config(
         simulated.simulation,
@@ -164,7 +163,6 @@ register_experiment(
             "mean_planning_ms",
         ),
         runtime=False,
-        engine_aware=True,
         scenario_param="trace_name",
     )
 )

@@ -8,7 +8,7 @@ the one sample-fit-score step, shared with the ``regularization-sensitivity``
 ablation grid.
 
 Registered as ``"table3"`` in :mod:`repro.api` (a pure fitting study — no
-replay, no engine, no runtime executor).
+replay, no runtime executor).
 """
 
 from __future__ import annotations
@@ -138,7 +138,6 @@ register_experiment(
         run=_run_regularization,
         result_columns=("model", "mse", "mae", "admm_iterations"),
         runtime=False,
-        engine_aware=False,
     )
 )
 

@@ -88,7 +88,6 @@ def _comparison_tasks(
     prep = PrepSpec(
         train_fraction=scenario.train_fraction,
         bin_seconds=scenario.bin_seconds,
-        engine=ctx.engine,
     )
     tasks: list[EvalTask] = []
     for label, trace in (("original", original), (modification, modified)):

@@ -15,8 +15,8 @@ intensities with all three RobustScaler variants and compares the achieved
 QoS/cost level against the target that was requested.
 
 Registered as ``"scalability"`` and ``"table1"`` in :mod:`repro.api`; the
-former is a pure solver-timing grid (no replay, so no engine selection),
-the latter replays through whichever engine the session resolves.
+former is a pure solver-timing grid (no replay), the latter replays the
+trace.
 """
 
 from __future__ import annotations
@@ -137,7 +137,6 @@ register_experiment(
             "runtime_per_decision_ms",
         ),
         runtime=False,
-        engine_aware=False,
     )
 )
 
@@ -181,9 +180,7 @@ def _run_mc_accuracy(params: dict, ctx: RunContext) -> list[dict]:
         planning_interval=params["planning_interval"],
         monte_carlo_samples=params["monte_carlo_samples"],
     )
-    sim_config = SimulationConfig(
-        pending_time=params["pending_time"], engine=ctx.engine
-    )
+    sim_config = SimulationConfig(pending_time=params["pending_time"])
     simulator = create_simulator(sim_config)
 
     rows: list[dict] = []
@@ -278,7 +275,6 @@ register_experiment(
             "n_queries",
         ),
         runtime=False,
-        engine_aware=True,
     )
 )
 

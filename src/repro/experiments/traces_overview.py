@@ -7,7 +7,7 @@ numbers: per-trace query counts, mean/peak QPS, detected periodicity, and the
 burstiness of the series.
 
 Registered as ``"traces"`` in :mod:`repro.api` (pure trace statistics — no
-replay, no engine, no runtime executor); thanks to the registry-derived
+replay, no runtime executor); thanks to the registry-derived
 defaults it summarizes any registered workload scenario, not just the
 paper's three traces.
 """
@@ -86,7 +86,6 @@ register_experiment(
             "max_robust_z",
         ),
         runtime=False,
-        engine_aware=False,
         scenario_param="trace_names",
     )
 )

@@ -21,7 +21,7 @@ from ..api import (
     register_experiment,
 )
 from ..api.session import RunContext
-from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
+from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
 from ..store.traces import get_or_build_trace
 from ..workloads import get_scenario
 from .base import robustscaler_spec
@@ -42,7 +42,6 @@ def _run_variance(params: dict, ctx: RunContext) -> list[dict]:
         scenario=params["trace_name"],
         scale=params["scale"],
         seed=params["seed"],
-        prep=PrepSpec(engine=ctx.engine),
     )
 
     def rs_spec(kind: str, target: float) -> ScalerSpec:

@@ -18,11 +18,11 @@ information.  Negative optima mean the instance "should" already exist — the
 sequential scheme avoids this by planning ``kappa`` queries ahead.
 
 A planning round needs the decisions of many queries at once, so
-:func:`solve_columns` solves every column of an ``(R, K)`` sample matrix in a
-handful of array operations.  It returns exactly the raw optima the per-query
+:class:`ColumnSolver` solves every column of an ``(R, K)`` sample matrix in
+a handful of array operations.  It returns exactly the raw optima the per-query
 solvers return (bit for bit), which remain the public per-query API and the
-reference it is tested against.  A planner builds one :class:`ColumnSolver`
-per scaler, which checks the formulation's target once, not every round;
+reference it is tested against.  A planner builds one solver per scaler,
+which checks the formulation's target once, not every round;
 Fig. 8 and the Monte Carlo sample-size ablation time the same solver.
 """
 
@@ -55,7 +55,6 @@ __all__ = [
     "solve_hp_constrained",
     "solve_rt_constrained",
     "solve_cost_constrained",
-    "solve_columns",
     "ColumnSolver",
 ]
 
@@ -187,45 +186,29 @@ def solve_cost_constrained(
     return _finalize(raw_x, xi, tau, DecisionObjective.COST)
 
 
-#: Samples (queries x R) that :func:`solve_columns` solves per block.
+#: Samples (queries x R) that :class:`ColumnSolver` solves per block.
 _BLOCK_SAMPLES = 1 << 16
 
 
-def solve_columns(
-    arrival_samples: np.ndarray,
-    pending_samples: np.ndarray,
-    objective: DecisionObjective,
-    target: float,
-) -> np.ndarray:
+class ColumnSolver:
     """Raw optimal creation time of every query column of ``(R, K)`` samples.
 
-    Column ``i`` of the result equals the ``raw_creation_time`` that
-    :func:`solve_hp_constrained`, :func:`solve_rt_constrained` or
-    :func:`solve_cost_constrained` returns for ``(arrival_samples[:, i],
-    pending_samples[:, i])`` — the same floating-point operations in the same
-    order, so the values match bit for bit.  Reductions run over the rows of
-    the transposed, C-contiguous ``(K, R)`` arrays, which keeps numpy's
-    pairwise summation order identical to the 1-D per-query calls.
+    Built for one formulation (``objective``) and its constraint level
+    (``target``: the target hitting probability, the waiting-time budget or
+    the idle-cost budget), whose target is validated once.  A planner builds
+    one per scaler and calls it every round; only the round's samples are
+    checked then.
 
-    Parameters
-    ----------
-    arrival_samples, pending_samples:
-        Arrays of shape ``(R, K)``: ``R`` Monte Carlo samples of ``xi_i`` and
-        ``tau_i`` for each of ``K`` queries.
-    objective:
-        Which formulation to apply.
-    target:
-        The formulation's constraint level: the target hitting probability,
-        the waiting-time budget, or the idle-cost budget respectively.
-    """
-    return ColumnSolver(objective, target)(arrival_samples, pending_samples)
-
-
-class ColumnSolver:
-    """:func:`solve_columns` for one formulation, its target validated once.
-
-    A planner builds one per scaler and calls it every round; only the
-    round's samples are checked then.
+    Calling it on ``arrival_samples`` and ``pending_samples`` of shape
+    ``(R, K)`` — ``R`` Monte Carlo samples of ``xi_i`` and ``tau_i`` for each
+    of ``K`` queries — returns ``K`` values.  Column ``i`` equals the
+    ``raw_creation_time`` that :func:`solve_hp_constrained`,
+    :func:`solve_rt_constrained` or :func:`solve_cost_constrained` returns
+    for ``(arrival_samples[:, i], pending_samples[:, i])`` — the same
+    floating-point operations in the same order, so the values match bit
+    for bit.  Reductions run over the rows of the transposed, C-contiguous
+    ``(K, R)`` arrays, which keeps numpy's pairwise summation order
+    identical to the 1-D per-query calls.
     """
 
     def __init__(self, objective: DecisionObjective, target: float) -> None:
@@ -242,7 +225,7 @@ class ColumnSolver:
             raise ValidationError(f"unknown objective {objective!r}")
 
     def __call__(self, arrival_samples: np.ndarray, pending_samples: np.ndarray) -> np.ndarray:
-        """:func:`solve_columns` of ``(R, K)`` samples."""
+        """The raw optima of the ``(R, K)`` samples, one per query column."""
         return self.rows(*_columns(arrival_samples, pending_samples))
 
     def rows(self, xi: np.ndarray, tau: np.ndarray) -> np.ndarray:

@@ -28,7 +28,6 @@ from .executor import (
     resolve_workers,
     run_task_rows,
     run_tasks,
-    strip_timing,
 )
 from .spec import (
     SCALER_KINDS,
@@ -60,5 +59,4 @@ __all__ = [
     "resolve_workers",
     "run_task_rows",
     "run_tasks",
-    "strip_timing",
 ]

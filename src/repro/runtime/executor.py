@@ -6,9 +6,8 @@
 (``workers=N``; when the caller passes ``workers=None`` the
 ``REPRO_WORKERS`` environment variable is consulted, defaulting to serial).
 Both paths call the same :func:`execute_task` with the same per-task seed,
-so the result rows are bit-identical — only the wall-clock timing columns,
-which measure real time, differ between runs.  Use :func:`strip_timing`
-before comparing rows.
+so the result rows are bit-identical.  The ablations' ``solve_time_ms``
+columns measure real time and are the one exception.
 
 Scheduling is workload-aware: tasks are grouped by their
 :meth:`~repro.runtime.spec.EvalTask.group_key` and each group is shipped to
@@ -46,7 +45,7 @@ from __future__ import annotations
 import os
 import time
 from contextlib import nullcontext
-from typing import TYPE_CHECKING, Callable, Iterable, Sequence
+from typing import TYPE_CHECKING, Callable, Sequence
 
 import numpy as np
 
@@ -65,14 +64,10 @@ __all__ = [
     "resolve_workers",
     "run_task_rows",
     "run_tasks",
-    "strip_timing",
 ]
 
 #: Environment variable consulted when no explicit worker count is given.
 WORKERS_ENV_VAR = "REPRO_WORKERS"
-
-#: Row columns measuring wall-clock time (excluded from determinism checks).
-_TIMING_SUFFIXES = ("_time_ms",)
 
 
 def resolve_workers(workers: int | None = None) -> int:
@@ -91,24 +86,6 @@ def resolve_workers(workers: int | None = None) -> int:
     if workers < 1:
         raise ValidationError(f"workers must be >= 1, got {workers}")
     return workers
-
-
-def strip_timing(rows: Iterable[dict]) -> list[dict]:
-    """Copies of ``rows`` without the wall-clock timing columns.
-
-    Solver timings (the ablations' ``*_time_ms``) are real time
-    measurements and therefore the only row entries that may differ between
-    two executions of the same task list; compare stripped rows when
-    asserting determinism.
-    """
-    return [
-        {
-            key: value
-            for key, value in row.items()
-            if not any(key.endswith(suffix) for suffix in _TIMING_SUFFIXES)
-        }
-        for row in rows
-    ]
 
 
 def execute_task(

@@ -29,7 +29,6 @@ from ..scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from ..scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from ..scaling.base import Autoscaler
 from ..scaling.robustscaler import RobustScaler, RobustScalerObjective
-from ..simulation.runner import DEFAULT_ENGINE
 from ..types import ArrivalTrace
 from .workload import PreparedWorkload, prepare_workload
 
@@ -75,10 +74,6 @@ class PrepSpec:
     train_fraction: float | None = None
     bin_seconds: float | None = None
     pending_time: float | None = None
-    #: Replay engine (``"reference"`` / ``"batched"``); tasks carry it as
-    #: plain data so pool workers build the right simulator.  ``None``
-    #: selects the default, batched.
-    engine: str | None = None
 
     def resolve(self, scenario=None) -> dict:
         """Concrete ``prepare_workload`` keyword arguments."""
@@ -94,20 +89,10 @@ class PrepSpec:
             "train_fraction": float(pick(self.train_fraction, "train_fraction", 0.75)),
             "bin_seconds": float(pick(self.bin_seconds, "bin_seconds", 60.0)),
             "pending_time": float(pick(self.pending_time, "pending_time", 13.0)),
-            "engine": self.engine,
         }
 
     def _key(self, scenario=None) -> tuple:
-        resolved = self.resolve(scenario)
-        # Key by the *effective* engine, not the raw override, so an
-        # explicit "batched" and the default None address the same
-        # prepared-workload artifact.
-        return (
-            resolved["train_fraction"],
-            resolved["bin_seconds"],
-            resolved["pending_time"],
-            resolved["engine"] or DEFAULT_ENGINE,
-        )
+        return tuple(self.resolve(scenario).values())
 
 
 def _trace_digest(trace: ArrivalTrace) -> str:

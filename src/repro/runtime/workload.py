@@ -93,7 +93,7 @@ def prepare_workload(
     train_fraction: float = 0.75,
     bin_seconds: float = 60.0,
     pending_time: float = 13.0,
-    engine: str | None = None,
+    engine: str = DEFAULT_ENGINE,
 ) -> PreparedWorkload:
     """Split, fit, and package a trace for evaluation.
 
@@ -110,10 +110,8 @@ def prepare_workload(
         Deterministic instance startup latency (seconds), the one value
         both the planner and the replays use.
     engine:
-        Replay engine (``"reference"`` / ``"batched"``); ``None`` selects
-        :data:`~repro.simulation.runner.DEFAULT_ENGINE` (``"batched"``).
-        All engines produce identical results, so this only changes replay
-        speed.
+        Replay engine of :attr:`repro.config.SimulationConfig.engine`; only
+        the performance benchmark passes it.
     """
     recorder = get_recorder()
     train, test = trace.split(train_fraction)
@@ -128,9 +126,7 @@ def prepare_workload(
         model.fit(train)
     forecast = model.forecast()
     pending_model = DeterministicPendingTime(pending_time)
-    sim_config = SimulationConfig(
-        pending_time=pending_time, engine=engine or DEFAULT_ENGINE
-    )
+    sim_config = SimulationConfig(pending_time=pending_time, engine=engine)
     with recorder.span("prepare.reference_replay"):
         reference = replay(test, ReactiveScaler(), sim_config)
     return PreparedWorkload(

@@ -2,18 +2,11 @@
 
 from .engine import ScalingPerQuerySimulator
 from .fastengine import BatchedEventSimulator
-from .runner import (
-    DEFAULT_ENGINE,
-    create_simulator,
-    replay,
-    resolve_engine,
-)
+from .runner import create_simulator, replay
 
 __all__ = [
-    "DEFAULT_ENGINE",
     "ScalingPerQuerySimulator",
     "BatchedEventSimulator",
     "create_simulator",
     "replay",
-    "resolve_engine",
 ]

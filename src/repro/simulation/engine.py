@@ -69,10 +69,9 @@ class ScalingPerQuerySimulator:
         Optional explicit pending-time model; overrides the one derived from
         ``config.pending_time`` / ``config.pending_time_jitter``.
 
-    Prefer :func:`repro.simulation.create_simulator` (or
-    :class:`repro.api.Session`), where the engine choice is explicit: the
-    default is the bit-identical batched engine, and
-    ``engine="reference"`` selects this per-query event loop.
+    This per-query event loop defines the semantics; the product replays on
+    the bit-identical batched engine, and tests and benchmarks select this
+    one as its oracle with ``SimulationConfig(engine="reference")``.
     """
 
     def __init__(

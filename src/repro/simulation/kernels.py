@@ -26,11 +26,8 @@ and pool tiebreaks).  Two facts make this tractable:
    so pop-min equals pop-head and the whole chunk collapses to pure numpy
    slicing (:func:`serve_topup_fifo`).  With jittered/exponential pending
    models the pool order is data-dependent and a scalar flat-array core
-   (:func:`serve_topup_sorted`) maintains the sorted pool explicitly — the
-   same source is compiled with ``numba.njit`` when the optional ``jit``
-   extra is installed (``pip install robustscaler-repro[jit]``) and runs as
-   plain Python otherwise; both backends produce identical results (the JIT
-   compiles the very same function).
+   (:func:`serve_topup_sorted`) maintains the sorted pool explicitly in
+   plain Python.
 
 Both servers share one signature: ``(arrivals, draws, target, latency,
 pool, out, begin)``, where ``pool`` is the ``(ready, creation, pending)``
@@ -52,30 +49,20 @@ from ..exceptions import SimulationError
 
 __all__ = [
     "NUMBA_AVAILABLE",
-    "JIT_BACKEND",
     "plan_pool_topup",
     "scalar_backend",
     "serve_topup_fifo",
     "serve_topup_sorted",
 ]
 
-try:
-    import numba as _numba
-# repro: allow[RPR005] numba is an optional extra — any import/ABI
-# failure means "no JIT backend", not an error
-except Exception:  # pragma: no cover - exercised only without the extra
-    _numba = None
-
-#: True when the optional numba JIT backend is importable.
-NUMBA_AVAILABLE = _numba is not None
-
-#: Human-readable name of the scalar-core backend in use.
-JIT_BACKEND = "numba" if NUMBA_AVAILABLE else "numpy"
+#: The scalar core has no JIT backend; only perfbench's run fingerprint
+#: still reads this flag (it was ``True`` when numba compiled the core).
+NUMBA_AVAILABLE = False
 
 
 def scalar_backend() -> str:
-    """The backend executing scalar (non-FIFO) top-up chunks."""
-    return JIT_BACKEND
+    """Always ``"numpy"``; only perfbench's run fingerprint still reads it."""
+    return "numpy"
 
 
 def plan_pool_topup(pool_size: int, n_arrivals: int, target: int) -> tuple[int, int]:
@@ -190,7 +177,7 @@ def _serve_topup_chunk(
     proactive,
     begin,
 ):
-    """Scalar top-up chunk over a sorted flat-array pool (numba-compilable).
+    """Scalar top-up chunk over a sorted flat-array pool.
 
     The pool lives in ``q_*[head:tail]`` sorted by ready time (ties in
     insertion order, which matches the reference tiebreak because fresh
@@ -253,13 +240,6 @@ def _serve_topup_chunk(
     return head, tail, created, cursor
 
 
-if NUMBA_AVAILABLE:
-    #: The scalar core, JIT-compiled; same source, same results.
-    _serve_topup_chunk_impl = _numba.njit(cache=False)(_serve_topup_chunk)
-else:
-    _serve_topup_chunk_impl = _serve_topup_chunk
-
-
 def serve_topup_sorted(a, draws, target, latency, pool, out, begin):
     """Top-up chunk over an explicitly sorted pool, for jittered pending models."""
     pool_ready, pool_creation, pool_pending = pool
@@ -273,7 +253,7 @@ def serve_topup_sorted(a, draws, target, latency, pool, out, begin):
     q_creation[:s0] = pool_creation
     q_pending[:s0] = pool_pending
     q_order[:s0] = np.arange(s0, dtype=np.int64)
-    head, tail, _, consumed = _serve_topup_chunk_impl(
+    head, tail, _, consumed = _serve_topup_chunk(
         a,
         latency,
         target,

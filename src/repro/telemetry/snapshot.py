@@ -2,8 +2,8 @@
 
 A snapshot is the plain-dict summary of one run's :class:`~repro.telemetry.Recorder`
 — merged metrics from every process that worked on the run, the top-N
-slowest spans, and enough provenance (experiment, engine, workers, package
-version) to interpret the numbers later.  When a run executes with both a
+slowest spans, and enough provenance (experiment, workers, package version)
+to interpret the numbers later.  When a run executes with both a
 store and a ``run_id``, the snapshot is persisted in the store's
 ``telemetry/`` namespace keyed by the run id, which is what the
 
@@ -11,7 +11,7 @@ store and a ``run_id``, the snapshot is persisted in the store's
     repro telemetry diff <run-a> <run-b>
 
 CLI subcommands read.  ``diff`` turns perf regressions between two runs
-(reference vs batched engine, cold vs warm store) into a one-command
+(cold vs warm store, before vs after a change) into a one-command
 comparison of counters and latency distributions.
 
 Snapshots are advisory observability artifacts: losing one never affects

@@ -151,9 +151,17 @@ class TestSessionFluent:
         with pytest.raises(ValidationError, match="does not take a scenario"):
             Session(store=None).experiment("table3").scenario("crs")
 
-    def test_engine_resolution_defaults_to_batched(self):
-        assert Session(store=None).engine == "batched"
-        assert Session(store=None, engine="reference").engine == "reference"
+    def test_session_and_run_experiment_take_no_engine(self):
+        """Every replay runs on the batched engine; no caller picks one."""
+        from dataclasses import fields
+
+        from repro.api import Provenance
+
+        with pytest.raises(TypeError):
+            Session(store=None, engine="reference")
+        with pytest.raises(TypeError):
+            run_experiment("regularization-sensitivity", engine="reference")
+        assert "engine" not in {field.name for field in fields(Provenance)}
 
     def test_generic_scenario_defaults_make_registry_reachable(self):
         defaults = trace_defaults("cold-start-services")
@@ -175,7 +183,6 @@ class TestSessionFluent:
         assert "mse" in result.table()
         prov = result.provenance
         assert prov.experiment == "regularization-sensitivity"
-        assert prov.engine == "batched"
         assert prov.n_tasks == 2
         assert prov.params["max_iterations"] == 50
         import repro
@@ -288,7 +295,27 @@ class TestGeneratedCLI:
         )
         assert args.trace == ["crs", "google"]
         assert args.mc_samples == 60
-        assert args.engine is None  # resolved to batched by the Session
+
+    def test_no_subcommand_offers_an_engine_flag(self):
+        top = _subparser_map(build_parser())
+        parsers = {"simulate": top["simulate"]}
+        parsers.update(
+            (f"experiment {name}", sub)
+            for name, sub in _subparser_map(top["experiment"]).items()
+        )
+        for name, sub in parsers.items():
+            flags = {flag for action in sub._actions for flag in action.option_strings}
+            assert "--engine" not in flags, name
+
+    def test_engine_flag_is_a_usage_error(self, capsys):
+        for argv in (
+            ["simulate", "--trace", "crs", "--engine", "reference"],
+            ["experiment", "regularization-sensitivity", "--engine", "batched"],
+        ):
+            with pytest.raises(SystemExit) as excinfo:
+                main(argv)
+            assert excinfo.value.code == 2
+            assert "--engine" in capsys.readouterr().err
 
     def test_cli_rows_match_session_rows(self, capsys):
         argv = ["experiment", "regularization-sensitivity", "--quiet"]

@@ -1,20 +1,20 @@
-"""Differential tests: the fast engines must be bit-compatible with the reference.
+"""Differential tests: the batched engine must be bit-compatible with the reference.
 
 Every assertion here compares full :class:`~repro.types.SimulationResult`
 rows — hit flags, waiting times, instance lifecycles, pending draws, unused
 cost and planning-call counts — between
-:class:`~repro.simulation.engine.ScalingPerQuerySimulator` (the semantics)
-and each fast engine:
-:class:`~repro.simulation.fastengine.BatchedEventSimulator`, with its
-passive-chunk, top-up-chunk and per-query hook paths.  Any future engine
-(async backend, compiled whole-trace kernel) is expected to pass this suite
-unchanged.
+:class:`~repro.simulation.engine.ScalingPerQuerySimulator` (the semantics,
+kept as the oracle) and
+:class:`~repro.simulation.fastengine.BatchedEventSimulator` (the engine every
+product replay runs on), with its passive-chunk, top-up-chunk and per-query
+hook paths.
 """
 
 from __future__ import annotations
 
 import itertools
 import time
+from dataclasses import replace
 
 import numpy as np
 import pytest
@@ -23,15 +23,7 @@ from repro.config import PlannerConfig, SimulationConfig
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_homogeneous_arrivals
 from repro.pending import DeterministicPendingTime, ExponentialPendingTime
-from repro.runtime import (
-    EvalTask,
-    PrepSpec,
-    ScalerSpec,
-    WorkloadSpec,
-    prepare_workload,
-    run_task_rows,
-    strip_timing,
-)
+from repro.runtime import ScalerSpec, evaluate_prepared, prepare_workload
 from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
 from repro.scaling.backup_pool import BackupPoolScaler, ReactiveScaler
 from repro.scaling.base import Autoscaler, ScalingResponse
@@ -61,33 +53,26 @@ _COLUMNS = (
 )
 
 
-#: The fast engines differentially tested against the reference; every
-#: scenario/config cell in this suite runs through all of them.
-_FAST_ENGINES = (BatchedEventSimulator,)
-
-
 def assert_engine_parity(trace, scaler_factory, config, *, pending_model=None):
-    """Replay under every engine and assert bit-identical results."""
+    """Replay under the reference and the batched engine; assert bit-identical results."""
     reference = ScalingPerQuerySimulator(config, pending_model=pending_model).replay(
         trace, scaler_factory()
     )
-    fast = None
-    for engine_cls in _FAST_ENGINES:
-        fast = engine_cls(config, pending_model=pending_model).replay(
-            trace, scaler_factory()
+    fast = BatchedEventSimulator(config, pending_model=pending_model).replay(
+        trace, scaler_factory()
+    )
+    for column in _COLUMNS:
+        np.testing.assert_array_equal(
+            getattr(reference, column),
+            getattr(fast, column),
+            err_msg=f"column {column!r} diverged",
         )
-        for column in _COLUMNS:
-            np.testing.assert_array_equal(
-                getattr(reference, column),
-                getattr(fast, column),
-                err_msg=f"column {column!r} diverged on {engine_cls.__name__}",
-            )
-        assert reference.unused_instance_cost == fast.unused_instance_cost
-        assert reference.n_unused_instances == fast.n_unused_instances
-        assert len(reference.planning_times) == len(fast.planning_times)
-        assert reference.planning_times.dtype == fast.planning_times.dtype == np.float64
-        assert reference.n_queries == fast.n_queries
-        assert reference.total_cost == fast.total_cost
+    assert reference.unused_instance_cost == fast.unused_instance_cost
+    assert reference.n_unused_instances == fast.n_unused_instances
+    assert len(reference.planning_times) == len(fast.planning_times)
+    assert reference.planning_times.dtype == fast.planning_times.dtype == np.float64
+    assert reference.n_queries == fast.n_queries
+    assert reference.total_cost == fast.total_cost
     return reference, fast
 
 
@@ -591,13 +576,14 @@ class TestKernelDispatch:
 
 
 class TestEngineSelection:
-    """Engine plumbing: config, factory, runtime specs, executors."""
+    """The one engine selector: config validation and the factory mapping."""
 
     def test_config_rejects_unknown_engine(self):
         from repro.exceptions import ConfigurationError
 
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(engine="warp-drive")
+        for name in ("warp-drive", "kernel", None):
+            with pytest.raises(ConfigurationError):
+                SimulationConfig(engine=name)
 
     def test_factory_maps_names_to_engines(self):
         assert isinstance(
@@ -607,51 +593,38 @@ class TestEngineSelection:
         assert isinstance(
             create_simulator(SimulationConfig(engine="batched")), BatchedEventSimulator
         )
-        # No engine specified -> the batched default, everywhere.
+        # No engine specified -> the batched default.
         assert isinstance(create_simulator(), BatchedEventSimulator)
 
-    def test_kernel_engine_name_is_rejected(self):
-        from repro.exceptions import ConfigurationError
-        from repro.simulation import resolve_engine
+    def test_config_defaults_to_the_batched_engine(self):
+        from repro.simulation.runner import DEFAULT_ENGINE, ENGINES
 
-        with pytest.raises(ConfigurationError):
-            resolve_engine("kernel")
-        with pytest.raises(ConfigurationError):
-            SimulationConfig(engine="kernel")
+        assert set(ENGINES) == {"reference", "batched"}
+        assert SimulationConfig().engine == DEFAULT_ENGINE == "batched"
 
     def test_prepare_workload_engine_override(self):
         trace = _poisson_trace(rate=0.2, horizon=1200.0)
-        workload = prepare_workload(trace, engine="batched")
-        assert workload.simulation.engine == "batched"
-
-    def test_prepspec_key_carries_engine(self):
-        # Engine None normalizes to the batched default in the cache key;
-        # only an explicit "reference" addresses a different artifact.
-        deferred = WorkloadSpec(scenario="steady-state", prep=PrepSpec())
-        batched = WorkloadSpec(
-            scenario="steady-state", prep=PrepSpec(engine="batched")
-        )
-        reference = WorkloadSpec(
-            scenario="steady-state", prep=PrepSpec(engine="reference")
-        )
-        assert deferred.cache_key() == batched.cache_key()
-        assert reference.cache_key() != batched.cache_key()
-        assert batched.prep.resolve(None)["engine"] == "batched"
+        assert prepare_workload(trace).simulation.engine == "batched"
+        workload = prepare_workload(trace, engine="reference")
+        assert workload.simulation.engine == "reference"
 
     def test_runtime_rows_identical_across_engines(self):
-        """EvalTask batches produce the same rows whichever engine replays."""
+        """Evaluation rows are the same whichever engine replays."""
+        scenario = get_scenario("steady-state")
+        trace = scenario.build_trace(scale=0.02, seed=3)
+        workload = prepare_workload(trace, **scenario.simulator_defaults)
+        specs = (
+            ScalerSpec("reactive"),
+            ScalerSpec("bp", 2),
+            ScalerSpec("rs-hp", 0.9, planning_interval=10.0, monte_carlo_samples=60),
+        )
 
-        def rows_for(engine):
-            workload = WorkloadSpec(
-                scenario="steady-state",
-                scale=0.02,
-                seed=3,
-                prep=PrepSpec(engine=engine),
-            )
-            tasks = [
-                EvalTask(workload, ScalerSpec("reactive")),
-                EvalTask(workload, ScalerSpec("bp", 2)),
+        def rows_for(simulation):
+            replayed = replace(workload, simulation=simulation)
+            return [
+                evaluate_prepared(replayed, spec.build(replayed, random_state=3))
+                for spec in specs
             ]
-            return strip_timing(run_task_rows(tasks, base_seed=3))
 
-        assert rows_for("reference") == rows_for("batched")
+        reference = replace(workload.simulation, engine="reference")
+        assert rows_for(workload.simulation) == rows_for(reference)

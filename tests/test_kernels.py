@@ -2,9 +2,9 @@
 
 The differential suites (``test_engine_parity.py`` /
 ``test_engine_properties.py``) prove the top-up chunks end to end; these
-tests pin the module's internals directly — the closed-form draw plan, the
-equivalence of the vectorized FIFO server and the scalar sorted-pool core,
-and the backend gating.
+tests pin the module's internals directly — the closed-form draw plan and
+the equivalence of the vectorized FIFO server and the scalar sorted-pool
+core.
 """
 
 from __future__ import annotations
@@ -14,7 +14,6 @@ import pytest
 
 from repro.exceptions import SimulationError
 from repro.simulation.kernels import (
-    JIT_BACKEND,
     NUMBA_AVAILABLE,
     plan_pool_topup,
     scalar_backend,
@@ -142,17 +141,8 @@ class TestFifoScalarEquivalence:
         assert np.all(waiting >= 0.0)
 
 
-class TestBackendGating:
-    def test_backend_matches_availability(self):
-        assert JIT_BACKEND in ("numba", "numpy")
-        assert scalar_backend() == JIT_BACKEND
-        assert (JIT_BACKEND == "numba") == NUMBA_AVAILABLE
-
-    def test_numba_used_whenever_importable(self):
-        try:
-            import numba  # noqa: F401
-        except Exception:
-            importable = False
-        else:
-            importable = True
-        assert NUMBA_AVAILABLE == importable
+class TestFingerprintConstants:
+    def test_scalar_core_is_plain_numpy(self):
+        """The top-up core has one backend; the benchmark fingerprint reads it."""
+        assert NUMBA_AVAILABLE is False
+        assert scalar_backend() == "numpy"

@@ -13,7 +13,6 @@ from repro.nhpp.sampling import sample_next_arrivals
 from repro.optimization.formulations import (
     ColumnSolver,
     DecisionObjective,
-    solve_columns,
     solve_cost_constrained,
     solve_hp_constrained,
     solve_rt_constrained,
@@ -140,7 +139,7 @@ class TestSolveColumnsOnScenarios:
 
     def _solve(self, objective, target) -> np.ndarray:
         scenarios = self._scenarios()
-        return solve_columns(scenarios.arrival_times, scenarios.pending_times, objective, target)
+        return ColumnSolver(objective, target)(scenarios.arrival_times, scenarios.pending_times)
 
     def test_one_decision_per_query(self):
         assert self._solve(DecisionObjective.HIT_PROBABILITY, 0.8).shape == (5,)
@@ -177,7 +176,7 @@ class TestHPClosedFormOnNonHomogeneousIntensity:
         n_queries, n_samples, pending = 6, 2000, 13.0
         xi = sample_next_arrivals(intensity, n_queries, n_samples, seed)
         tau = np.full(xi.shape, pending)
-        raw = solve_columns(xi, tau, DecisionObjective.HIT_PROBABILITY, target)
+        raw = ColumnSolver(DecisionObjective.HIT_PROBABILITY, target)(xi, tau)
         k = np.arange(1, n_queries + 1)
         half_width = 5.0 * np.sqrt(target * (1.0 - target) / n_samples)
         low = intensity.inverse_cumulative(gammaincinv(k, 1.0 - target - half_width))
@@ -224,7 +223,7 @@ class TestSolveColumns:
         xi, tau = _corpus_case(n_samples, tied, jittered, seed=n_samples + 2 * tied + jittered)
         for target in _targets(objective, xi, tau):
             expected = [d.raw_creation_time for d in _per_query(xi, tau, objective, target)]
-            assert solve_columns(xi, tau, objective, target).tolist() == expected
+            assert ColumnSolver(objective, target)(xi, tau).tolist() == expected
 
     @pytest.mark.parametrize("objective", list(DecisionObjective))
     def test_equals_scalar_solvers_on_heavy_ties(self, objective):
@@ -241,16 +240,16 @@ class TestSolveColumns:
             tau = np.full(xi.shape, 3.0)
             for target in targets:
                 expected = [d.raw_creation_time for d in _per_query(xi, tau, objective, target)]
-                assert solve_columns(xi, tau, objective, target).tolist() == expected
+                assert ColumnSolver(objective, target)(xi, tau).tolist() == expected
 
     def test_degenerate_budgets_hit_the_shortcuts(self):
         xi, tau = _corpus_case(400, tied=False, jittered=True, seed=1)
         generous_rt = float(tau.max())
-        assert solve_columns(xi, tau, DecisionObjective.RESPONSE_TIME, generous_rt).tolist() == (
+        assert ColumnSolver(DecisionObjective.RESPONSE_TIME, generous_rt)(xi, tau).tolist() == (
             xi.max(axis=0).tolist()
         )
         generous_cost = float((xi - tau).max())
-        assert not solve_columns(xi, tau, DecisionObjective.COST, generous_cost).any()
+        assert not ColumnSolver(DecisionObjective.COST, generous_cost)(xi, tau).any()
 
     def test_many_columns_span_several_blocks(self):
         rng = np.random.default_rng(9)
@@ -260,26 +259,26 @@ class TestSolveColumns:
                                   (DecisionObjective.RESPONSE_TIME, 1.0),
                                   (DecisionObjective.COST, 2.0)):
             expected = [d.raw_creation_time for d in _per_query(xi, tau, objective, target)]
-            assert solve_columns(xi, tau, objective, target).tolist() == expected
+            assert ColumnSolver(objective, target)(xi, tau).tolist() == expected
 
     def test_invalid_inputs_rejected(self):
         xi, tau = _corpus_case(10, tied=False, jittered=False, seed=0)
         with pytest.raises(ValidationError):
-            solve_columns(xi[:, 0], tau[:, 0], DecisionObjective.HIT_PROBABILITY, 0.9)
+            ColumnSolver(DecisionObjective.HIT_PROBABILITY, 0.9)(xi[:, 0], tau[:, 0])
         with pytest.raises(ValidationError):
-            solve_columns(xi, tau[:, :3], DecisionObjective.HIT_PROBABILITY, 0.9)
+            ColumnSolver(DecisionObjective.HIT_PROBABILITY, 0.9)(xi, tau[:, :3])
         with pytest.raises(ValidationError):
-            solve_columns(xi[:0], tau[:0], DecisionObjective.HIT_PROBABILITY, 0.9)
+            ColumnSolver(DecisionObjective.HIT_PROBABILITY, 0.9)(xi[:0], tau[:0])
         with pytest.raises(ValidationError):
-            solve_columns(xi, tau, DecisionObjective.HIT_PROBABILITY, 1.5)
+            ColumnSolver(DecisionObjective.HIT_PROBABILITY, 1.5)(xi, tau)
         with pytest.raises(ValidationError):
-            solve_columns(xi, tau, DecisionObjective.RESPONSE_TIME, -1.0)
+            ColumnSolver(DecisionObjective.RESPONSE_TIME, -1.0)(xi, tau)
         with pytest.raises(ValidationError):
-            solve_columns(xi, tau, DecisionObjective.COST, -1.0)
+            ColumnSolver(DecisionObjective.COST, -1.0)(xi, tau)
         bad = xi.copy()
         bad[0, 0] = np.inf
         with pytest.raises(ValidationError):
-            solve_columns(bad, tau, DecisionObjective.COST, 1.0)
+            ColumnSolver(DecisionObjective.COST, 1.0)(bad, tau)
 
 
 def _tied_rows(seed: int, n_samples: int, n_queries: int, taus: tuple[float, ...]):
@@ -297,7 +296,7 @@ def _tied_rows(seed: int, n_samples: int, n_queries: int, taus: tuple[float, ...
 
 def _assert_columns_equal_scalar(xi, tau, objective, target) -> list[float]:
     expected = [d.raw_creation_time for d in _per_query(xi, tau, objective, target)]
-    assert solve_columns(xi, tau, objective, target).tolist() == expected
+    assert ColumnSolver(objective, target)(xi, tau).tolist() == expected
     return expected
 
 
@@ -353,7 +352,7 @@ class TestColumnSolversAgainstScalarWalks:
         for objective, target in ((DecisionObjective.HIT_PROBABILITY, 0.9),
                                   (DecisionObjective.RESPONSE_TIME, 1.0),
                                   (DecisionObjective.COST, 1.0)):
-            assert solve_columns(xi, xi, objective, target).shape == (0,)
+            assert ColumnSolver(objective, target)(xi, xi).shape == (0,)
 
     def test_column_solver_validates_its_target_once(self):
         with pytest.raises(ValidationError):
@@ -362,8 +361,11 @@ class TestColumnSolversAgainstScalarWalks:
             ColumnSolver(DecisionObjective.COST, -1.0)
         xi, tau = _corpus_case(50, tied=True, jittered=True, seed=8)
         solve = ColumnSolver(DecisionObjective.RESPONSE_TIME, 0.5)
-        expected = solve_columns(xi, tau, DecisionObjective.RESPONSE_TIME, 0.5)
-        assert solve(xi, tau).tolist() == expected.tolist()
+        expected = [
+            d.raw_creation_time
+            for d in _per_query(xi, tau, DecisionObjective.RESPONSE_TIME, 0.5)
+        ]
+        assert solve(xi, tau).tolist() == solve(xi, tau).tolist() == expected
         with pytest.raises(ValidationError):
             solve(xi[:, 0], tau[:, 0])
 

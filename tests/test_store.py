@@ -359,31 +359,23 @@ class TestTwoTierWorkloadCache:
         assert cache.stats().misses == 1
         assert workload.test.n_queries >= 0  # fully usable object
 
-    def test_engine_default_and_explicit_batched_share_one_entry(self, store):
-        """Callers that pass engine=None (deferring to the default) and
-        callers that pass engine="batched" explicitly must address the same
-        prepared-workload artifact; only "reference" is a separate entry."""
+    def test_cache_key_carries_no_engine(self, store):
+        """One prepared-workload entry, whatever engine later replays it."""
+        from dataclasses import fields
+
         from repro.runtime import PrepSpec
 
-        explicit = WorkloadSpec(
-            scenario="steady-state",
-            scale=0.05,
-            seed=3,
-            prep=PrepSpec(engine="batched"),
-        )
-        deferred = WorkloadSpec(scenario="steady-state", scale=0.05, seed=3)
-        reference = WorkloadSpec(
-            scenario="steady-state",
-            scale=0.05,
-            seed=3,
-            prep=PrepSpec(engine="reference"),
-        )
-        assert explicit.cache_key() == deferred.cache_key()
-        assert explicit.cache_key() != reference.cache_key()
-        WorkloadCache(store=store).get_or_prepare(explicit)
+        assert "engine" not in {field.name for field in fields(PrepSpec)}
+        with pytest.raises(TypeError):
+            PrepSpec(engine="reference")
+        spec = WorkloadSpec(scenario="steady-state", scale=0.05, seed=3)
+        key = spec.cache_key()
+        assert not {"batched", "reference"} & set(map(str, key))
+        WorkloadCache(store=store).get_or_prepare(spec)
         warm = WorkloadCache(store=store)
-        _, hit = warm.get_or_prepare(deferred)
+        workload, hit = warm.get_or_prepare(spec)
         assert hit and warm.stats().disk_hits == 1
+        assert workload.simulation.engine == "batched"
 
     def test_storeless_cache_unchanged(self):
         spec = WorkloadSpec(scenario="steady-state", scale=0.05, seed=3)

@@ -20,7 +20,6 @@ from repro.runtime import (
     WorkloadSpec,
     run_task_rows,
     run_tasks,
-    strip_timing,
 )
 from repro.store import ArtifactStore, RunJournal, list_runs
 
@@ -90,16 +89,14 @@ class TestResume:
         assert n_recovered == journaled
         [run] = list_runs(store)
         assert run["completed"] == run["total"] == len(tasks)
-        assert [r.row for r in resumed] and strip_timing(
-            [r.row for r in resumed]
-        ) == strip_timing(baseline)
+        assert baseline and [r.row for r in resumed] == baseline
 
     def test_completed_run_resumes_everything_verbatim(self, store):
         tasks = small_tasks()[:3]
         first = run_tasks(tasks, base_seed=7, store=store, run_id="done")
         second = run_tasks(tasks, base_seed=7, store=store, run_id="done")
         assert all(result.resumed for result in second)
-        # Verbatim recovery: even the timing columns match the first run.
+        # Verbatim recovery: every column matches the first run.
         assert [r.row for r in second] == [r.row for r in first]
 
     def test_journal_ignored_when_tasks_change(self, store):
@@ -129,7 +126,7 @@ class TestResume:
         resumed = run_task_rows(
             tasks, base_seed=7, workers=2, store=store, run_id="r4"
         )
-        assert strip_timing(resumed) == strip_timing(baseline)
+        assert resumed == baseline
 
 
 class TestRunJournal:

@@ -233,6 +233,7 @@ class TestSessionTelemetry:
         assert "fit.admm" in span_names
         assert "task.execute" in span_names
         assert snapshot["provenance"]["experiment"] == "pareto"
+        assert "engine" not in snapshot["provenance"]
         # And the same payload is addressable by run id in the store.
         loaded = load_snapshot(session.store, "itg-run")
         assert loaded is not None
