@@ -15,7 +15,6 @@ import numpy as np
 
 from repro.config import ADMMConfig, NHPPConfig
 from repro.nhpp.model import NHPPModel
-from repro.experiments.base import make_trace
 from repro.workloads import get_scenario
 
 from conftest import print_artifact
@@ -27,7 +26,7 @@ def _fit(trace, bin_seconds: float) -> NHPPModel:
 
 
 def test_nhpp_training_time_crs(benchmark):
-    trace = make_trace("crs", scale=0.5, seed=7)
+    trace = get_scenario("crs").build_trace(scale=0.5, seed=7)
     bin_seconds = get_scenario("crs").bin_seconds
     start = time.perf_counter()
     model = benchmark.pedantic(
@@ -51,7 +50,7 @@ def test_nhpp_training_time_crs(benchmark):
 
 
 def test_nhpp_training_time_google(benchmark):
-    trace = make_trace("google", scale=0.25, seed=7)
+    trace = get_scenario("google").build_trace(scale=0.25, seed=7)
     bin_seconds = get_scenario("google").bin_seconds
     model = benchmark.pedantic(
         _fit, args=(trace, bin_seconds), rounds=1, iterations=1

@@ -4,9 +4,8 @@ Every driver names its sweep points as :class:`~repro.runtime.EvalTask`
 batches: a :class:`~repro.runtime.WorkloadSpec` whose split, bin width and
 pending time come from the scenario registry, and a
 :class:`~repro.runtime.ScalerSpec` that builds the autoscaler.  This module
-holds the few pieces the drivers share on top of that: generating a named
-trace, the per-trace sweep grids, and the RobustScaler spec bound to a
-driver's planner parameters.
+holds the few pieces the drivers share on top of that: the per-trace sweep
+grids and the RobustScaler spec bound to a driver's planner parameters.
 """
 
 from __future__ import annotations
@@ -14,11 +13,9 @@ from __future__ import annotations
 from typing import Mapping
 
 from ..runtime.spec import ScalerSpec
-from ..types import ArrivalTrace
 from ..workloads import get_scenario
 
 __all__ = [
-    "make_trace",
     "trace_defaults",
     "robustscaler_spec",
 ]
@@ -84,20 +81,3 @@ def trace_defaults(name: str) -> dict:
         "hp_targets": [0.3, 0.7, 0.9] if hard_to_forecast else [0.5, 0.9],
     }
 
-
-def make_trace(name: str, *, scale: float = 0.25, seed: int = 7) -> ArrivalTrace:
-    """Generate any registered workload scenario at a configurable size.
-
-    ``scale = 1.0`` approximates the paper's trace sizes (weeks of data,
-    hundreds of thousands of queries for Alibaba); the default ``scale =
-    0.25`` generates traces that keep the same structure — periodicity,
-    spikes, noise, the Alibaba burst — but replay in seconds rather than
-    minutes, which is what the test suite and the benchmark defaults use.
-
-    Lookup goes through the scenario registry (:mod:`repro.workloads`), so
-    besides the paper's ``crs``/``google``/``alibaba`` any library scenario
-    name (``flash-crowd``, ``black-friday``, ...) works too.  An unknown
-    name raises :class:`~repro.exceptions.WorkloadError` and a non-positive
-    ``scale`` raises :class:`~repro.exceptions.ValidationError`.
-    """
-    return get_scenario(name).build_trace(scale=scale, seed=seed)

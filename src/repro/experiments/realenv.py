@@ -33,7 +33,7 @@ from ..runtime import prepare_workload
 from ..scaling.backup_pool import ReactiveScaler
 from ..simulation.runner import replay
 from ..workloads import get_scenario
-from .base import make_trace, robustscaler_spec
+from .base import robustscaler_spec
 
 __all__ = ["real_environment_config"]
 
@@ -71,9 +71,7 @@ def real_environment_config(
 def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
     """Replay RobustScaler-HP in the simulated and the real environment."""
     scenario = get_scenario(params["trace_name"])
-    trace = make_trace(
-        params["trace_name"], scale=params["scale"], seed=params["seed"]
-    )
+    trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     scaler_spec = robustscaler_spec(params, "rs-hp", params["target_hp"])
 
     # One fit serves both environments; only the reactive reference replay,

@@ -34,7 +34,7 @@ from ..traces.perturbation import inject_missing_window, remove_anomalous_bursts
 from ..types import ArrivalTrace
 from ..workloads import get_scenario
 from ..workloads.scenarios import Scenario
-from .base import make_trace, robustscaler_spec
+from .base import robustscaler_spec
 
 __all__: list[str] = []
 
@@ -54,7 +54,7 @@ def _run_robustness(params: dict, ctx: RunContext) -> list[dict]:
 def _missing_data_tasks(params: dict, ctx: RunContext) -> list[EvalTask]:
     """CRS trace with one full training day of queries removed."""
     scenario = get_scenario("crs")
-    trace = make_trace("crs", scale=params["scale"], seed=params["seed"])
+    trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     # Remove the last full day of the training window; the training window is
     # the first `train_fraction` of the horizon.
     train_end = trace.horizon * scenario.train_fraction
@@ -66,7 +66,7 @@ def _missing_data_tasks(params: dict, ctx: RunContext) -> list[EvalTask]:
 def _anomaly_removal_tasks(params: dict, ctx: RunContext) -> list[EvalTask]:
     """Alibaba trace with the unexpected burst thinned away."""
     scenario = get_scenario("alibaba")
-    trace = make_trace("alibaba", scale=params["scale"], seed=params["seed"])
+    trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     modified = remove_anomalous_bursts(trace, random_state=params["seed"])
     return _comparison_tasks(
         scenario, trace, modified, "anomaly_removed", params, ctx

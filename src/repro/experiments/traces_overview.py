@@ -21,7 +21,6 @@ from ..api.session import RunContext
 from ..periodicity.detector import PeriodicityDetector
 from ..timeseries.robust import robust_zscore
 from ..workloads import get_scenario
-from .base import make_trace
 
 __all__ = ["run_traces_overview"]
 
@@ -35,8 +34,9 @@ def _run_traces_overview(params: dict, ctx: RunContext) -> list[dict]:
     """
     rows: list[dict] = []
     for name in params["trace_names"]:
-        trace = make_trace(name, scale=params["scale"], seed=params["seed"])
-        series = trace.to_qps_series(get_scenario(name).bin_seconds)
+        scenario = get_scenario(name)
+        trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
+        series = trace.to_qps_series(scenario.bin_seconds)
         detector = PeriodicityDetector()
         detection = detector.detect(series)
         z_scores = robust_zscore(np.asarray(series.counts, dtype=float))

@@ -1,16 +1,14 @@
-"""Cost metrics: total instance lifecycle cost and cost relative to reactive scaling."""
+"""Cost metrics: cost relative to reactive scaling.
+
+The total instance lifecycle cost is :attr:`repro.types.SimulationResult.total_cost`.
+"""
 
 from __future__ import annotations
 
 from ..exceptions import ValidationError
 from ..types import SimulationResult
 
-__all__ = ["total_cost", "relative_cost"]
-
-
-def total_cost(result: SimulationResult) -> float:
-    """Total cost: sum of instance lifecycle lengths plus unused-instance time (seconds)."""
-    return result.total_cost
+__all__ = ["relative_cost"]
 
 
 def relative_cost(result: SimulationResult, reference_cost: float) -> float:

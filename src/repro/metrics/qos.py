@@ -1,4 +1,8 @@
-"""QoS metrics: hit rate, response times, and response-time quantiles."""
+"""QoS metrics: response-time quantiles.
+
+The hit rate and the mean response time are
+:class:`~repro.types.SimulationResult` properties.
+"""
 
 from __future__ import annotations
 
@@ -10,17 +14,7 @@ from .._validation import as_1d_float_array
 from ..exceptions import ValidationError
 from ..types import SimulationResult
 
-__all__ = ["hit_rate", "mean_response_time", "response_time_quantiles"]
-
-
-def hit_rate(result: SimulationResult) -> float:
-    """Fraction of queries served by an instance that was ready on arrival."""
-    return result.hit_rate
-
-
-def mean_response_time(result: SimulationResult) -> float:
-    """Average response time (waiting + processing) across all queries, seconds."""
-    return result.mean_response_time
+__all__ = ["response_time_quantiles"]
 
 
 #: Table II's response-time quantile levels.

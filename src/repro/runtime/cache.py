@@ -3,8 +3,8 @@
 Preparing a workload — generating the trace, fitting the NHPP model with
 ADMM, replaying the reactive reference — dwarfs the cost of adding one more
 sweep point on top of it.  The cache keys prepared workloads by
-``WorkloadSpec.cache_key()`` (scenario/trace identity, scale, seed and the
-resolved prep configuration) so every sweep point over the same workload
+``WorkloadSpec.cache_key()`` (scenario/trace identity, scale, seed, a CSV
+scenario's file digest and the resolved prep configuration) so every sweep point over the same workload
 shares one preparation.
 
 The cache is two-tier.  The memory tier is per process: the serial executor

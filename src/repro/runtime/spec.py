@@ -138,6 +138,10 @@ class WorkloadSpec:
                 self.seed,
             )
             scenario = self._get_scenario()
+            # A CSV scenario's file digest: an edited file is a new workload.
+            token = scenario.cache_token
+            if token is not None:
+                identity += (token,)
         else:
             identity = (
                 "trace",

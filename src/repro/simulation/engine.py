@@ -253,7 +253,7 @@ class ScalingPerQuerySimulator:
         # Instances created but never consumed cost until the end of the trace.
         # The sweep iterates the pool in (ready_time, tiebreak) order so the
         # floating-point accumulation order is well-defined and matches the
-        # batched engine's flat sorted pool exactly.
+        # batched engine's sorted pool list exactly.
         horizon = max(trace.horizon, arrivals[-1] if n else 0.0)
         for _, _, instance in sorted(available):
             unused_cost += max(0.0, horizon - instance.creation_time)

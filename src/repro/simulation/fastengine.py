@@ -14,12 +14,14 @@ restructuring the work so million-query traces are feasible:
   hit/miss classification, waiting times and instance lifecycles come from
   vectorized array expressions instead of a Python loop.  A positive
   target (BP, AdapBP) is served by the top-up functions of
-  :mod:`repro.simulation.kernels`; pending-time draws are bulk-sampled
-  with the exact count the reference engine would consume, so rows stay
-  bit-identical.  Arrivals a top-up chunk cannot take (scheduled creations
-  in flight, charged decision latency, a chunk of a single arrival) and
-  every arrival of a policy that overrides the hook go through the
-  per-query hook path;
+  :mod:`repro.simulation.kernels`, which update the engine's pool list in
+  place (numpy slicing when pending times are deterministic, a per-arrival
+  loop otherwise); pending-time draws are bulk-sampled with the exact
+  count the reference engine would consume, so rows stay bit-identical.
+  Arrivals a top-up chunk cannot take (scheduled creations in flight,
+  charged decision latency, a chunk of a single arrival) and every
+  arrival of a policy that overrides the hook go through the per-query
+  hook path;
 * **flat sorted pools** — the unassigned-instance pool and the scheduled
   creations are flat lists kept sorted by ``(ready_time, tiebreak)`` /
   ``(creation_time, tiebreak)``, so pop-min is a head slice, scale-in is a
@@ -61,7 +63,7 @@ from ..rng import ensure_rng
 from ..scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from ..telemetry import get_recorder
 from ..types import ArrivalTrace, SimulationResult
-from .kernels import plan_pool_topup, serve_topup_fifo, serve_topup_sorted
+from .kernels import plan_pool_topup, serve_topup_fifo, serve_topup_loop
 
 __all__ = ["BatchedEventSimulator"]
 
@@ -73,8 +75,8 @@ _CHUNK_BUCKETS = (1.0, 10.0, 100.0, 1_000.0, 10_000.0, 100_000.0, 1_000_000.0)
 #: Shared zero-length draw array for top-up chunks that sample nothing.
 _EMPTY_DRAWS = np.empty(0, dtype=float)
 
-#: Smallest top-up chunk: copying the pool into flat arrays and back costs
-#: more than one hook call.
+#: Smallest top-up chunk: setting one up (draw plan, bulk sample, column
+#: writes) costs more than one hook call.
 _MIN_TOPUP_CHUNK = 2
 
 
@@ -340,41 +342,19 @@ class BatchedEventSimulator:
             The chunk's exact pending-draw count follows from the pool
             *size* alone, the draws are bulk-sampled (stream-prefix
             stability keeps them bitwise equal to the reference engine's
-            one-at-a-time draws), and the tiebreak counter advances by the
-            exact creation count, so the surviving pool is indistinguishable
-            from one produced by per-query hook dispatch.
+            one-at-a-time draws), and the server advances the tiebreak
+            counter by the exact creation count, so the surviving pool is
+            indistinguishable from one produced by per-query hook dispatch.
             """
             nonlocal tiebreak
-            s0 = len(pool)
-            n_draws, n_created = plan_pool_topup(s0, end - begin, target)
+            n_draws, _ = plan_pool_topup(len(pool), end - begin, target)
             if n_draws:
                 draws = np.asarray(sample(n_draws, rng), dtype=float)
             else:
                 draws = _EMPTY_DRAWS
-            flat_pool = (
-                np.array([e[0] for e in pool], dtype=float),
-                np.array([e[2] for e in pool], dtype=float),
-                np.array([e[3] for e in pool], dtype=float),
+            tiebreak = serve_topup(
+                arrivals[begin:end], draws, target, latency_const, pool, tiebreak, columns, begin
             )
-            surv_ready, surv_creation, surv_pending, surv_order = serve_topup(
-                arrivals[begin:end], draws, target, latency_const, flat_pool, columns, begin
-            )
-            tie_base = tiebreak
-            tiebreak += n_created
-            # Survivors with order < s0 are pre-chunk pool entries (keep the
-            # original tuple, preserving its tiebreak); the rest were created
-            # during the chunk and take fresh ids in creation order.
-            pool[:] = [
-                pool[o]
-                if o < s0
-                else (r, tie_base + (o - s0), c, p)
-                for r, c, p, o in zip(
-                    surv_ready.tolist(),
-                    surv_creation.tolist(),
-                    surv_pending.tolist(),
-                    surv_order.tolist(),
-                )
-            ]
 
         # -------------------------------------------------------- main loop
 
@@ -391,7 +371,7 @@ class BatchedEventSimulator:
         if isinstance(self.pending_model, DeterministicPendingTime):
             serve_topup = serve_topup_fifo
         else:
-            serve_topup = serve_topup_sorted
+            serve_topup = serve_topup_loop
         columns = (
             hit_col,
             waiting_col,

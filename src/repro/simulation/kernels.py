@@ -1,4 +1,4 @@
-"""Pool top-up chunks over flat arrays: the batched engine's arrival rule.
+"""Pool top-up chunks: the batched engine's arrival rule.
 
 Every policy states its per-arrival behaviour as one number,
 :attr:`~repro.scaling.base.Autoscaler.arrival_target`: after each query the
@@ -25,23 +25,22 @@ and pool tiebreaks).  Two facts make this tractable:
    ready time ``creation + latency + pending`` is >= every existing one's,
    so pop-min equals pop-head and the whole chunk collapses to pure numpy
    slicing (:func:`serve_topup_fifo`).  With jittered/exponential pending
-   models the pool order is data-dependent and a scalar flat-array core
-   (:func:`serve_topup_sorted`) maintains the sorted pool explicitly in
-   plain Python.
+   models the pool order is data-dependent, and :func:`serve_topup_loop`
+   replays the chunk one arrival at a time on the sorted pool itself.
 
 Both servers share one signature: ``(arrivals, draws, target, latency,
-pool, out, begin)``, where ``pool`` is the ``(ready, creation, pending)``
-columns of the pre-chunk pool sorted by ``(ready, tiebreak)``, ``out`` is
-the engine's ``(hit, waiting, creation, ready, start, pending, proactive)``
-outcome columns (the chunk writes ``[begin, begin + len(arrivals))`` and
-nothing else), and the return value is the surviving pool as ``(ready,
-creation, pending, order)`` sorted by ``(ready, tiebreak)``.  ``order``
-keys each survivor: values ``< len(pool[0])`` index the pre-chunk pool,
-larger values are ``len(pool[0]) + creation_index`` for instances created
-during the chunk.
+pool, tiebreak, out, begin) -> tiebreak``.  ``pool`` is the engine's own
+pool, a list of ``(ready, tiebreak, creation, pending)`` tuples sorted
+ascending, which the chunk updates in place; instances created during the
+chunk take the ids ``tiebreak, tiebreak + 1, ...`` in creation order, and
+the next free id is returned.  ``out`` is the engine's ``(hit, waiting,
+creation, ready, start, pending, proactive)`` outcome columns; the chunk
+writes ``[begin, begin + len(arrivals))`` and nothing else.
 """
 
 from __future__ import annotations
+
+from bisect import insort
 
 import numpy as np
 
@@ -52,11 +51,11 @@ __all__ = [
     "plan_pool_topup",
     "scalar_backend",
     "serve_topup_fifo",
-    "serve_topup_sorted",
+    "serve_topup_loop",
 ]
 
-#: The scalar core has no JIT backend; only perfbench's run fingerprint
-#: still reads this flag (it was ``True`` when numba compiled the core).
+#: The top-up servers have no JIT backend; only perfbench's run fingerprint
+#: still reads this flag (it was ``True`` when numba compiled the old core).
 NUMBA_AVAILABLE = False
 
 
@@ -93,7 +92,7 @@ def plan_pool_topup(pool_size: int, n_arrivals: int, target: int) -> tuple[int, 
     return cold + n_created, n_created
 
 
-def serve_topup_fifo(a, draws, target, latency, pool, out, begin):
+def serve_topup_fifo(a, draws, target, latency, pool, tiebreak, out, begin):
     """Pure-numpy top-up chunk when the pool order is provably FIFO.
 
     Every query is matched to a *queue position*: the initial pool entries
@@ -101,11 +100,11 @@ def serve_topup_fifo(a, draws, target, latency, pool, out, begin):
     leading cold start) consumes queue position ``j``, so hits, waits and
     lifecycles come from array expressions over the concatenated queue.
     """
-    pool_ready, pool_creation, pool_pending = pool
     hit, waiting, creation, ready, start, pending, proactive = out
     b = begin
     m = a.size
-    s0 = pool_ready.size
+    s0 = len(pool)
+    _, n_created = plan_pool_topup(s0, m, target)
 
     cold = 1 if s0 == 0 else 0
     if cold:
@@ -119,19 +118,19 @@ def serve_topup_fifo(a, draws, target, latency, pool, out, begin):
         waiting[b] = ready0 - a[0]
         pending[b] = draw0
 
-    first = target if s0 == 0 else max(0, target - (s0 - 1))
-    jstart = min(max(s0 - target, 1), m)
-    n_created = first + (m - jstart)
+    # The last ``tail`` arrivals create one instance each; the first
+    # arrival creates the rest of the plan's count.
+    tail = min(n_created, m - 1)
     created_creation = np.empty(n_created, dtype=float)
-    created_creation[:first] = a[0]
-    created_creation[first:] = a[jstart:]
+    created_creation[: n_created - tail] = a[0]
+    created_creation[n_created - tail :] = a[m - tail :]
     created_pending = draws[cold:]
     created_ready = (created_creation + latency) + created_pending
 
     if s0:
-        queue_ready = np.concatenate((pool_ready, created_ready))
-        queue_creation = np.concatenate((pool_creation, created_creation))
-        queue_pending = np.concatenate((pool_pending, created_pending))
+        queue_ready = np.concatenate(([e[0] for e in pool], created_ready))
+        queue_creation = np.concatenate(([e[2] for e in pool], created_creation))
+        queue_pending = np.concatenate(([e[3] for e in pool], created_pending))
     else:
         queue_ready = created_ready
         queue_creation = created_creation
@@ -149,131 +148,63 @@ def serve_topup_fifo(a, draws, target, latency, pool, out, begin):
     pending[b + cold : b + m] = queue_pending[:n_served]
     proactive[b + cold : b + m] = True
 
-    order = np.arange(n_served, s0 + n_created, dtype=np.int64)
-    return (
-        queue_ready[n_served:],
-        queue_creation[n_served:],
-        queue_pending[n_served:],
-        order,
+    # Survivors: the unserved tail of the old pool keeps its tuples, then
+    # the unserved created instances follow with fresh ids.
+    kept = max(0, n_served - s0)
+    del pool[:n_served]
+    pool.extend(
+        zip(
+            created_ready[kept:].tolist(),
+            range(tiebreak + kept, tiebreak + n_created),
+            created_creation[kept:].tolist(),
+            created_pending[kept:].tolist(),
+        )
     )
+    return tiebreak + n_created
 
 
-def _serve_topup_chunk(
-    arrivals,
-    latency,
-    target,
-    draws,
-    q_ready,
-    q_creation,
-    q_pending,
-    q_order,
-    size0,
-    hit,
-    waiting,
-    creation,
-    ready,
-    start,
-    pending,
-    proactive,
-    begin,
-):
-    """Scalar top-up chunk over a sorted flat-array pool.
+def serve_topup_loop(a, draws, target, latency, pool, tiebreak, out, begin):
+    """Top-up chunk for any pending model: one arrival at a time on the pool.
 
-    The pool lives in ``q_*[head:tail]`` sorted by ready time (ties in
-    insertion order, which matches the reference tiebreak because fresh
-    tiebreaks always exceed existing ones).  Pop-min is a head increment;
-    creations insert at their ``bisect_right`` position with an explicit
-    shift.  Returns ``(head, tail, n_created, n_draws_consumed)``.
+    Each arrival pops the pool head (or cold-starts on the next draw), then
+    ``insort``s new instances until ``target`` are outstanding.  Fresh ids
+    exceed every id in the pool, so ``insort`` breaks ready-time ties
+    exactly like the reference engine's heap.
     """
-    head = 0
-    tail = size0
+    draws = draws.tolist()
     cursor = 0
-    created = 0
-    m = arrivals.shape[0]
-    for j in range(m):
-        arrival = arrivals[j]
-        out = begin + j
-        if tail > head:
-            r = q_ready[head]
-            c = q_creation[head]
-            p = q_pending[head]
-            head += 1
-            s = r if r > arrival else arrival
-            hit[out] = r <= arrival
-            creation[out] = c
-            ready[out] = r
-            start[out] = s
-            waiting[out] = s - arrival
-            pending[out] = p
-            proactive[out] = True
+    # One (ready, tiebreak, creation, pending) row per arrival; a cold
+    # start is marked by the tiebreak -1.
+    rows = []
+    for arrival in a.tolist():
+        if pool:
+            rows.append(pool.pop(0))
         else:
             p = draws[cursor]
             cursor += 1
-            r = (arrival + latency) + p
-            creation[out] = arrival
-            ready[out] = r
-            start[out] = r
-            waiting[out] = r - arrival
-            pending[out] = p
-            # hit / proactive stay False (cold start).
-        deficit = target - (tail - head)
-        for _ in range(deficit):
+            rows.append(((arrival + latency) + p, -1, arrival, p))
+        for _ in range(target - len(pool)):
             p = draws[cursor]
             cursor += 1
-            r = (arrival + latency) + p
-            pos = tail
-            while pos > head and q_ready[pos - 1] > r:
-                pos -= 1
-            i = tail
-            while i > pos:
-                q_ready[i] = q_ready[i - 1]
-                q_creation[i] = q_creation[i - 1]
-                q_pending[i] = q_pending[i - 1]
-                q_order[i] = q_order[i - 1]
-                i -= 1
-            q_ready[pos] = r
-            q_creation[pos] = arrival
-            q_pending[pos] = p
-            q_order[pos] = size0 + created
-            created += 1
-            tail += 1
-    return head, tail, created, cursor
-
-
-def serve_topup_sorted(a, draws, target, latency, pool, out, begin):
-    """Top-up chunk over an explicitly sorted pool, for jittered pending models."""
-    pool_ready, pool_creation, pool_pending = pool
-    s0 = pool_ready.size
-    capacity = s0 + draws.size + 1
-    q_ready = np.empty(capacity, dtype=float)
-    q_creation = np.empty(capacity, dtype=float)
-    q_pending = np.empty(capacity, dtype=float)
-    q_order = np.empty(capacity, dtype=np.int64)
-    q_ready[:s0] = pool_ready
-    q_creation[:s0] = pool_creation
-    q_pending[:s0] = pool_pending
-    q_order[:s0] = np.arange(s0, dtype=np.int64)
-    head, tail, _, consumed = _serve_topup_chunk(
-        a,
-        latency,
-        target,
-        draws,
-        q_ready,
-        q_creation,
-        q_pending,
-        q_order,
-        s0,
-        *out,
-        begin,
-    )
-    if consumed != draws.size:  # pragma: no cover - plan/serve invariant
+            insort(pool, ((arrival + latency) + p, tiebreak, arrival, p))
+            tiebreak += 1
+    if cursor != len(draws):  # pragma: no cover - plan/serve invariant
         raise SimulationError(
-            f"top-up chunk consumed {consumed} pending draws but the chunk plan "
-            f"sampled {draws.size}; the RNG stream would diverge"
+            f"top-up chunk consumed {cursor} pending draws but the chunk plan "
+            f"sampled {len(draws)}; the RNG stream would diverge"
         )
-    return (
-        q_ready[head:tail].copy(),
-        q_creation[head:tail].copy(),
-        q_pending[head:tail].copy(),
-        q_order[head:tail].copy(),
-    )
+
+    rows = np.array(rows, dtype=float)
+    r = rows[:, 0]
+    warm = rows[:, 1] >= 0
+    s = np.where(warm, np.maximum(r, a), r)
+    end = begin + a.size
+    hit, waiting, creation, ready, start, pending, proactive = out
+    hit[begin:end] = warm & (r <= a)
+    waiting[begin:end] = s - a
+    creation[begin:end] = rows[:, 2]
+    ready[begin:end] = r
+    start[begin:end] = s
+    pending[begin:end] = rows[:, 3]
+    proactive[begin:end] = warm
+    return tiebreak

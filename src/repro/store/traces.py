@@ -21,10 +21,10 @@ __all__ = ["get_or_build_trace", "trace_cache_key"]
 def trace_cache_key(scenario: Scenario, *, scale: float, seed: int | None) -> tuple:
     """The store key of one scenario realization.
 
-    Generators that expose a ``cache_token`` (e.g. CSV-backed scenarios,
-    whose token is a content digest of the file) get it appended to the
-    key, so editing the underlying file invalidates the cached realization
-    instead of silently serving the old trace.
+    The scenario's :attr:`~repro.workloads.scenarios.Scenario.cache_token`
+    (a content digest of the file for CSV-backed scenarios) is appended, so
+    editing the underlying file invalidates the cached realization instead
+    of silently serving the old trace.
     """
     key = (
         "scenario-trace",
@@ -32,9 +32,9 @@ def trace_cache_key(scenario: Scenario, *, scale: float, seed: int | None) -> tu
         float(scale),
         scenario.resolve_seed(seed),
     )
-    token = getattr(scenario.generator, "cache_token", None)
+    token = scenario.cache_token
     if token is not None:
-        key += (str(token),)
+        key += (token,)
     return key
 
 

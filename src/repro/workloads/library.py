@@ -177,13 +177,15 @@ def _weekly_seasonal(horizon: float) -> IntensityPrimitive:
 
 
 # --------------------------------------------------------------------------
-# Paper-trace aliases.  The scale semantics mirror
-# :func:`repro.experiments.base.make_trace`, which delegates here.
+# Paper-trace aliases.  ``scale = 1.0`` approximates the paper's trace sizes
+# (weeks of data, hundreds of thousands of queries for Alibaba); smaller
+# scales keep the same structure (periodicity, spikes, noise, the Alibaba
+# burst) but replay in seconds rather than minutes.
 
 
 def _paper_crs(*, seed: int, scale: float = 1.0) -> ArrivalTrace:
     # At least two weeks so the weekday/weekend alternation reaches the
-    # training window (see make_trace for the original rationale).
+    # training window.
     n_weeks = max(2, int(round(4 * scale)))
     return generate_crs_like_trace(n_weeks=n_weeks, seed=seed)
 
@@ -340,7 +342,7 @@ def register_builtin_scenarios(registry=DEFAULT_REGISTRY, *, overwrite: bool = F
         "google": {
             "description": "Google-cluster-like trace: 24 hours with recurrent spikes",
             "generator": _paper_google,
-            # make_trace's historical scale rule is 24 * scale * 2 hours, so
+            # _paper_google's scale rule is 24 * scale * 2 hours, so
             # the trace actually generated at scale 1.0 spans two days (the
             # paper's own trace is the scale-0.5 output).
             "horizon_seconds": 2 * _DAY,

@@ -130,6 +130,17 @@ class Scenario:
             "pending_time": self.pending_time,
         }
 
+    @property
+    def cache_token(self) -> str | None:
+        """The generator's content token, or ``None`` when it has none.
+
+        CSV-backed generators expose a digest of their file; every cache
+        key of a scenario realization (the store's trace cache, the
+        workload cache) appends it, so editing the file invalidates them.
+        """
+        token = getattr(self.generator, "cache_token", None)
+        return None if token is None else str(token)
+
     def resolve_seed(self, seed: int | None) -> int:
         """The seed actually used: ``default_seed`` when ``seed`` is None."""
         seed = self.default_seed if seed is None else int(seed)

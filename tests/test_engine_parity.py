@@ -493,6 +493,30 @@ class TestKernelDispatch:
         assert counters["engine.kernel.chunks"] == 0
         assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
 
+    @pytest.mark.parametrize(
+        "jitter, pending_model",
+        [(3.0, None), (0.0, ExponentialPendingTime(6.0))],
+        ids=["jitter", "exponential"],
+    )
+    @pytest.mark.parametrize(
+        "factory",
+        [lambda: BackupPoolScaler(4), lambda: AdaptiveBackupPoolScaler(2.0)],
+        ids=["bp", "adapbp"],
+    )
+    def test_non_fifo_pending_replays_through_top_up_chunks(
+        self, jitter, pending_model, factory
+    ):
+        """Non-deterministic pending models run the per-arrival top-up loop,
+        not the hook path, and still match the reference bit for bit."""
+        trace = _poisson_trace(rate=0.8, horizon=3600.0, seed=17)
+        config = SimulationConfig(pending_time=6.0, pending_time_jitter=jitter, seed=17)
+        reference, _ = assert_engine_parity(
+            trace, factory, config, pending_model=pending_model
+        )
+        assert reference.hit_rate > 0.0
+        counters = _dispatch_counters(trace, factory(), config, pending_model)
+        assert counters["engine.kernel.arrivals"] > 0
+
     def test_passive_tier_outranks_the_kernel(self):
         """Reactive is BP(0): an arrival target of 0 is served as passive
         chunks, never as top-up chunks."""

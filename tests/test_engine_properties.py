@@ -5,7 +5,7 @@ defines the semantics, the batched engine because it must uphold them
 under every input hypothesis can dream up — not just the seeded
 configurations of the differential suite.  The BP/AdapBP properties run the
 batched engine's top-up chunks through both servers (the jittered configs
-exercise the scalar sorted-pool core, the deterministic ones the vectorized
+exercise the per-arrival top-up loop, the deterministic ones the vectorized
 FIFO server).
 """
 
@@ -191,13 +191,13 @@ def _assert_bit_identical(reference, batched):
     assert reference.n_unused_instances == batched.n_unused_instances
 
 
-@pytest.mark.parametrize("jitter", [0.0, 2.5], ids=["fifo", "sorted-pool"])
+@pytest.mark.parametrize("jitter", [0.0, 2.5], ids=["fifo", "topup-loop"])
 class TestKernelTierParity:
     """The batched engine serves BP/AdapBP as top-up chunks (with
     one-arrival tick intervals on the hook and target-0 intervals passive);
     on arbitrary traces the result must match the reference engine bit for
     bit.  Zero jitter drives the vectorized FIFO server, positive jitter the
-    sorted-pool core."""
+    per-arrival top-up loop."""
 
     @given(raw=arrival_lists, pool=st.integers(min_value=0, max_value=5))
     @settings(max_examples=25, deadline=None)

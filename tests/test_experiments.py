@@ -15,7 +15,7 @@ import pytest
 
 from repro.api import run_experiment
 from repro.exceptions import ValidationError, WorkloadError
-from repro.experiments.base import make_trace, trace_defaults
+from repro.experiments.base import trace_defaults
 from repro.nhpp.model import NHPPModel
 from repro.runtime import PrepSpec, WorkloadSpec, prepare_workload
 from repro.types import ArrivalTrace
@@ -24,18 +24,18 @@ from repro.experiments.traces_overview import run_traces_overview
 
 
 class TestBaseHelpers:
-    def test_make_trace_known_names(self):
+    def test_build_trace_known_names(self):
         for name in ("crs", "google", "alibaba"):
-            trace = make_trace(name, scale=0.2, seed=1)
+            trace = get_scenario(name).build_trace(scale=0.2, seed=1)
             assert trace.n_queries > 0
 
-    def test_make_trace_unknown_name(self):
+    def test_build_trace_unknown_name(self):
         with pytest.raises(WorkloadError, match="unknown scenario"):
-            make_trace("azure")
+            get_scenario("azure")
 
-    def test_make_trace_rejects_non_positive_scale(self):
+    def test_build_trace_rejects_non_positive_scale(self):
         with pytest.raises(ValidationError, match="scale must be positive"):
-            make_trace("crs", scale=0.0)
+            get_scenario("crs").build_trace(scale=0.0)
 
     def test_trace_defaults_unknown_name(self):
         with pytest.raises(WorkloadError, match="unknown scenario"):
@@ -78,7 +78,7 @@ class TestBaseHelpers:
         assert resolved["pending_time"] == scenario.pending_time
 
     def test_prepare_workload(self):
-        trace = make_trace("google", scale=0.15, seed=2)
+        trace = get_scenario("google").build_trace(scale=0.15, seed=2)
         workload = prepare_workload(trace, train_fraction=0.75, bin_seconds=60.0)
         assert workload.reference_cost > 0
         assert workload.test.n_queries > 0

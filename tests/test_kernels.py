@@ -2,9 +2,9 @@
 
 The differential suites (``test_engine_parity.py`` /
 ``test_engine_properties.py``) prove the top-up chunks end to end; these
-tests pin the module's internals directly — the closed-form draw plan and
-the equivalence of the vectorized FIFO server and the scalar sorted-pool
-core.
+tests pin the module's internals directly — the closed-form draw plan, the
+equivalence of the vectorized FIFO server and the per-arrival loop, and the
+loop's pool invariants under jittered draws.
 """
 
 from __future__ import annotations
@@ -18,7 +18,7 @@ from repro.simulation.kernels import (
     plan_pool_topup,
     scalar_backend,
     serve_topup_fifo,
-    serve_topup_sorted,
+    serve_topup_loop,
 )
 
 
@@ -59,10 +59,12 @@ class TestPlanPoolTopUp:
 
 
 def _make_chunk(pool_creation, latency, pending_value, m):
-    """A deterministic-pending pool plus blank outcome columns."""
-    pool_creation = np.asarray(pool_creation, dtype=float)
-    pool_pending = np.full(pool_creation.size, float(pending_value))
-    pool_ready = pool_creation + latency + pool_pending
+    """A deterministic-pending pool (tiebreaks ``0, 1, ...``) plus blank
+    outcome columns."""
+    pool = [
+        ((c + latency) + pending_value, k, c, pending_value)
+        for k, c in enumerate(float(c) for c in pool_creation)
+    ]
     out = (
         np.zeros(m, dtype=bool),
         np.zeros(m, dtype=float),
@@ -72,15 +74,16 @@ def _make_chunk(pool_creation, latency, pending_value, m):
         np.zeros(m, dtype=float),
         np.zeros(m, dtype=bool),
     )
-    return (pool_ready, pool_creation, pool_pending), out
+    return pool, out
 
 
 _OUTPUT_FIELDS = ("hit", "waiting", "creation", "ready", "start", "pending", "proactive")
 
 
 class TestFifoScalarEquivalence:
-    """With deterministic pending the FIFO server and the scalar core must
-    produce identical outputs and identical surviving pools."""
+    """With deterministic pending the FIFO server and the per-arrival loop
+    must produce identical outputs, identical surviving pools and the same
+    next tiebreak."""
 
     @pytest.mark.parametrize("s0", [0, 1, 3, 6])
     @pytest.mark.parametrize("target", [1, 2, 5])
@@ -90,59 +93,78 @@ class TestFifoScalarEquivalence:
         latency, pending_value = 0.25, 2.0
         arrivals = np.cumsum(rng.exponential(1.0, m)) + 5.0
         pool_creation = np.sort(rng.uniform(0.0, 4.0, s0))
-        n_draws, _ = plan_pool_topup(s0, m, target)
+        n_draws, n_created = plan_pool_topup(s0, m, target)
         draws = np.full(n_draws, pending_value)
 
-        pool, fifo_out = _make_chunk(pool_creation, latency, pending_value, m)
-        fifo = serve_topup_fifo(arrivals, draws, target, latency, pool, fifo_out, 0)
-        pool, sorted_out = _make_chunk(pool_creation, latency, pending_value, m)
-        scalar = serve_topup_sorted(arrivals, draws, target, latency, pool, sorted_out, 0)
+        fifo_pool, fifo_out = _make_chunk(pool_creation, latency, pending_value, m)
+        fifo_next = serve_topup_fifo(
+            arrivals, draws, target, latency, fifo_pool, s0, fifo_out, 0
+        )
+        loop_pool, loop_out = _make_chunk(pool_creation, latency, pending_value, m)
+        loop_next = serve_topup_loop(
+            arrivals, draws, target, latency, loop_pool, s0, loop_out, 0
+        )
 
-        for field, fifo_col, sorted_col in zip(_OUTPUT_FIELDS, fifo_out, sorted_out):
+        for field, fifo_col, loop_col in zip(_OUTPUT_FIELDS, fifo_out, loop_out):
             np.testing.assert_array_equal(
-                fifo_col, sorted_col, err_msg=f"output column {field!r} diverged"
+                fifo_col, loop_col, err_msg=f"output column {field!r} diverged"
             )
-        for fifo_arr, scalar_arr, label in zip(
-            fifo, scalar, ("ready", "creation", "pending", "order")
-        ):
-            np.testing.assert_array_equal(
-                fifo_arr, scalar_arr, err_msg=f"survivor column {label!r} diverged"
-            )
+        assert fifo_pool == loop_pool
+        assert fifo_next == loop_next == s0 + n_created
 
     def test_servers_write_only_their_slice(self):
         """A chunk starting at ``begin`` leaves the other rows untouched."""
         arrivals = np.array([10.0, 11.0, 12.5])
         n_draws, _ = plan_pool_topup(1, 3, 2)
         draws = np.full(n_draws, 2.0)
-        for serve in (serve_topup_fifo, serve_topup_sorted):
+        for serve in (serve_topup_fifo, serve_topup_loop):
             pool, out = _make_chunk([0.5], 0.0, 2.0, 8)
-            serve(arrivals, draws, 2, 0.0, pool, out, 4)
+            serve(arrivals, draws, 2, 0.0, pool, 1, out, 4)
             for column in out:
                 assert not np.any(column[:4]) and not np.any(column[7:])
             assert np.all(out[3][4:7] > 0.0)
 
-    def test_scalar_core_handles_jittered_draws(self):
-        """The scalar core must keep the pool sorted under non-FIFO draws."""
+
+class TestTopUpLoop:
+    def test_jittered_draws_keep_the_pool_consistent(self):
+        """Under non-FIFO draws the loop keeps the pool sorted with unique ids."""
         rng = np.random.default_rng(9)
         m, target, s0 = 25, 3, 2
         arrivals = np.cumsum(rng.exponential(1.0, m))
-        n_draws, _ = plan_pool_topup(s0, m, target)
+        n_draws, n_created = plan_pool_topup(s0, m, target)
         draws = rng.uniform(0.5, 6.0, n_draws)  # jitter breaks FIFO ordering
         pool, out = _make_chunk([0.1, 0.2], 0.0, 1.0, m)
-        surv_ready, _, _, surv_order = serve_topup_sorted(
-            arrivals, draws, target, 0.0, pool, out, 0
-        )
-        _, waiting, _, ready, start, _, _ = out
-        assert np.all(np.diff(surv_ready) >= 0.0)
-        assert surv_ready.size == target
-        assert len(set(surv_order.tolist())) == surv_order.size
+        next_id = serve_topup_loop(arrivals, draws, target, 0.0, pool, s0, out, 0)
+        assert next_id == s0 + n_created
+        assert len(pool) == target
+        assert pool == sorted(pool)
+        ids = [entry[1] for entry in pool]
+        assert len(set(ids)) == len(ids) and all(0 <= i < next_id for i in ids)
         # Every served query got a consistent lifecycle.
-        assert np.all(start >= ready - 1e-12)
-        assert np.all(waiting >= 0.0)
+        hit, waiting, creation, ready, start, pending, proactive = out
+        assert np.all(start >= ready) and np.all(start >= arrivals)
+        np.testing.assert_array_equal(waiting, start - arrivals)
+        np.testing.assert_array_equal(hit, proactive & (ready <= arrivals))
+        assert np.all(creation <= arrivals)
+
+    def test_cold_start_takes_the_first_draw(self):
+        """An empty pool cold-starts the first arrival on the first draw."""
+        arrivals = np.array([3.0, 4.0])
+        n_draws, _ = plan_pool_topup(0, 2, 1)
+        draws = np.array([5.0, 0.25, 0.5])[:n_draws]
+        pool, out = _make_chunk([], 0.5, 0.0, 2)
+        next_id = serve_topup_loop(arrivals, draws, 1, 0.5, pool, 0, out, 0)
+        hit, waiting, creation, ready, start, pending, proactive = out
+        assert not proactive[0] and not hit[0]
+        assert (creation[0], ready[0], pending[0]) == (3.0, 8.5, 5.0)
+        assert waiting[0] == 5.5
+        # The second arrival takes the instance the first one created.
+        assert proactive[1] and hit[1] and ready[1] == 3.75
+        assert next_id == 2 and pool == [(5.0, 1, 4.0, 0.5)]
 
 
 class TestFingerprintConstants:
-    def test_scalar_core_is_plain_numpy(self):
-        """The top-up core has one backend; the benchmark fingerprint reads it."""
+    def test_servers_are_plain_numpy(self):
+        """The top-up servers have one backend; the benchmark fingerprint reads it."""
         assert NUMBA_AVAILABLE is False
         assert scalar_backend() == "numpy"

@@ -8,13 +8,11 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from repro.exceptions import ValidationError
-from repro.metrics.cost import relative_cost, total_cost
+from repro.metrics.cost import relative_cost
 from repro.metrics.errors import mean_absolute_error, mean_squared_error
 from repro.metrics.pareto import ParetoPoint, dominates, pareto_frontier
 from repro.metrics.qos import (
     TABLE2_LEVELS,
-    hit_rate,
-    mean_response_time,
     quantiles_of,
     response_time_quantiles,
 )
@@ -56,11 +54,11 @@ _POINTS = st.lists(
 class TestQoSMetrics:
     def test_hit_rate(self):
         result = _result([1, 0, 1, 1], [1, 2, 1, 1])
-        assert hit_rate(result) == pytest.approx(0.75)
+        assert result.hit_rate == pytest.approx(0.75)
 
     def test_mean_response_time(self):
         result = _result([1, 1], [2.0, 4.0])
-        assert mean_response_time(result) == pytest.approx(3.0)
+        assert result.mean_response_time == pytest.approx(3.0)
 
     def test_quantiles(self):
         rts = list(np.arange(1.0, 101.0))
@@ -137,7 +135,7 @@ class TestCostMetrics:
     def test_total_cost_includes_unused(self):
         result = _result([1, 1], [2.0, 2.0])
         result.unused_instance_cost = 5.0
-        assert total_cost(result) == pytest.approx(sum(result.lifecycle_costs) + 5.0)
+        assert result.total_cost == pytest.approx(sum(result.lifecycle_costs) + 5.0)
 
     def test_relative_cost(self):
         result = _result([1], [2.0])

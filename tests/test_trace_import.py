@@ -19,7 +19,7 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceFormatError, WorkloadError
-from repro.runtime import prepare_workload
+from repro.runtime import WorkloadCache, WorkloadSpec, prepare_workload
 from repro.store import ArtifactStore
 from repro.store.traces import get_or_build_trace, trace_cache_key
 from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
@@ -27,9 +27,11 @@ from repro.types import ArrivalTrace, QPSSeries
 from repro.workloads import (
     CSVTraceGenerator,
     ScenarioRegistry,
+    get_scenario,
     register_trace_csv,
     scenario_from_trace_csv,
 )
+from repro.workloads import registry as registry_module
 
 
 def _write_trace_csv(tmp_path, body: str, name: str = "bad.csv"):
@@ -278,3 +280,31 @@ class TestStoreCachedTraces:
         # the stale realization.
         assert fresh.n_queries == trace.n_queries // 2
         assert stale.n_queries == trace.n_queries
+
+    def test_edited_file_misses_the_old_prepared_workload(
+        self, tmp_path, monkeypatch
+    ):
+        """The workload cache keys a CSV scenario by the file's content too:
+        a fresh cache over the same store must prepare the edited file, not
+        serve the preparation of the old one."""
+        trace = get_scenario("google").build_trace(scale=0.125, seed=3)
+        path = save_trace_csv(trace, tmp_path / "recorded-google.csv")
+        monkeypatch.setattr(registry_module, "DEFAULT_REGISTRY", ScenarioRegistry())
+        register_trace_csv(path, name="recorded-google", bin_seconds=60.0)
+        store = ArtifactStore(tmp_path / "store")
+        spec = WorkloadSpec(scenario="recorded-google")
+        stale, _ = WorkloadCache(store).get_or_prepare(spec)
+
+        save_trace_csv(
+            ArrivalTrace(
+                trace.arrival_times[::2],
+                trace.processing_times[::2],
+                name=trace.name,
+                horizon=trace.horizon,
+            ),
+            path,
+        )
+        served, hit = WorkloadCache(store).get_or_prepare(spec)
+        fresh = spec.prepare()
+        assert not hit
+        assert served.test.n_queries == fresh.test.n_queries < stale.test.n_queries
