@@ -8,17 +8,18 @@
 
 from __future__ import annotations
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
 
 def test_ablation_kappa_lookahead(run_once):
     rows = run_once(
-        run_experiment,
+        Session(store=None).run,
         "kappa-ablation",
-        {"horizon_seconds": 2 * 3600.0, "monte_carlo_samples": 800},
-    )
+        horizon_seconds=2 * 3600.0,
+        monte_carlo_samples=800,
+    ).rows
     print_artifact("Ablation — kappa look-ahead (Algorithm 4, eq. 8)", rows)
     with_kappa = next(r for r in rows if "with kappa" in r["variant"])
     without = next(r for r in rows if "no look-ahead" in r["variant"])
@@ -29,10 +30,11 @@ def test_ablation_kappa_lookahead(run_once):
 
 def test_ablation_monte_carlo_samples(run_once):
     rows = run_once(
-        run_experiment,
+        Session(store=None).run,
         "mc-sample-ablation",
-        {"sample_sizes": (50, 200, 1000, 5000), "n_trials": 20},
-    )
+        sample_sizes=(50, 200, 1000, 5000),
+        n_trials=20,
+    ).rows
     print_artifact("Ablation — Monte Carlo sample size", rows)
     by_n = {row["n_samples"]: row for row in rows}
     assert by_n[5000]["mean_abs_error"] < by_n[50]["mean_abs_error"]
@@ -48,7 +50,9 @@ def test_ablation_regularization_sensitivity(run_once):
         "beta_period_values": (0.0, 10.0),
         "max_iterations": 150,
     }
-    rows = run_once(run_experiment, "regularization-sensitivity", params)
+    rows = run_once(
+        Session(store=None).run, "regularization-sensitivity", **params
+    ).rows
     print_artifact("Ablation — beta_1 / beta_2 sensitivity", rows)
     unregularized = next(
         r for r in rows if r["beta_smooth"] == 0.0 and r["beta_period"] == 0.0

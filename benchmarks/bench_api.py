@@ -3,7 +3,7 @@
 Two end-to-end assertions, matching the API-redesign acceptance criteria:
 
 1. **Session on a cold store** — one registry experiment runs end-to-end
-   through :class:`repro.api.Session` against a freshly created artifact
+   through :meth:`repro.api.Session.run` against a freshly created artifact
    store, journals under a ``run_id``, and a second (warm) session run
    resumes every task from the journal with bit-identical rows.
 2. **Registry-generated CLI** — every ``repro experiment <name>`` subparser
@@ -69,7 +69,7 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
 
         started = time.perf_counter()
         cold_session = Session(store=store_dir, run_id="api-smoke")
-        cold = cold_session.experiment("pareto").run(**params)
+        cold = cold_session.run("pareto", **params)
         cold_seconds = time.perf_counter() - started
         assert cold.rows, "cold Session run produced no rows"
         assert cold.provenance.n_tasks > 0 and cold.provenance.n_resumed == 0
@@ -77,7 +77,7 @@ def check_cold_store_session(scale: float = 0.05) -> list[dict]:
 
         started = time.perf_counter()
         warm_session = Session(store=store_dir, run_id="api-smoke")
-        warm = warm_session.experiment("pareto").run(**params)
+        warm = warm_session.run("pareto", **params)
         warm_seconds = time.perf_counter() - started
         assert warm.provenance.n_resumed == warm.provenance.n_tasks, (
             "warm run should recover every task from the journal"

@@ -11,7 +11,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -26,7 +26,7 @@ def test_fig10abc_nominal_vs_actual(run_once):
         "planning_interval": 10.0,
         "monte_carlo_samples": 200,
     }
-    rows = run_once(run_experiment, "control", params)
+    rows = run_once(Session(store=None).run, "control", **params).rows
     print_artifact(
         "Figure 10(a-c) — nominal vs actual HP / waiting time / idle cost", rows
     )
@@ -58,7 +58,7 @@ def test_fig10d_planning_frequency(run_once):
         "waiting_budget": 3.0,
         "monte_carlo_samples": 200,
     }
-    rows = run_once(run_experiment, "planning-frequency", params)
+    rows = run_once(Session(store=None).run, "planning-frequency", **params).rows
     print_artifact("Figure 10(d) — cost versus planning interval", rows)
     rows = sorted(rows, key=lambda r: r["planning_interval"])
     costs = np.array([row["relative_cost"] for row in rows])

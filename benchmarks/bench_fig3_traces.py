@@ -8,13 +8,13 @@ trace generation plus periodicity detection.
 
 from __future__ import annotations
 
-from repro.experiments.traces_overview import run_traces_overview
+from repro.api import Session
 
 from conftest import print_artifact
 
 
 def test_fig3_traces_overview(run_once):
-    rows = run_once(run_traces_overview, scale=0.25, seed=7)
+    rows = run_once(Session(store=None).run, "traces", scale=0.25, seed=7).rows
     print_artifact("Figure 3 — evaluation traces overview", rows)
     assert len(rows) == 3
     # Every trace stand-in must exhibit a detectable periodic pattern, as the

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -58,7 +58,7 @@ def _check_common_shape(rows: list[dict]) -> None:
 
 @pytest.mark.parametrize("trace", ["crs", "google", "alibaba"])
 def test_fig4_pareto(run_once, trace):
-    rows = run_once(run_experiment, "pareto", _params(trace))
+    rows = run_once(Session(store=None).run, "pareto", **_params(trace)).rows
     print_artifact(f"Figure 4 — Pareto sweep on the {trace} trace", rows, _COLUMNS)
     _check_common_shape(rows)
     if trace in ("google", "alibaba"):

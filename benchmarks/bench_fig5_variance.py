@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -36,7 +36,7 @@ def test_fig5_qos_variance(run_once):
         "pool_sizes": (1, 2),
         "adaptive_factors": (25.0, 50.0),
     }
-    rows = run_once(run_experiment, "variance", params)
+    rows = run_once(Session(store=None).run, "variance", **params).rows
     print_artifact("Figure 5 — windowed QoS variance on the CRS trace", rows, _COLUMNS)
 
     def mean_variance(family: str, key: str) -> float:

@@ -10,7 +10,7 @@ ends up dominating at large c.
 from __future__ import annotations
 
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -33,7 +33,7 @@ def test_fig6_fig7_perturbation(run_once):
         "planning_interval": 10.0,
         "monte_carlo_samples": 200,
     }
-    rows = run_once(run_experiment, "perturbation", params)
+    rows = run_once(Session(store=None).run, "perturbation", **params).rows
     print_artifact(
         "Figures 6-7 — QoS vs cost under perturbed CRS data", rows, _COLUMNS
     )

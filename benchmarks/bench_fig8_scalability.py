@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -30,7 +30,7 @@ def test_fig8_decision_runtime_vs_qps(run_once):
         "monte_carlo_samples": 1000,
         "repeats": 1,
     }
-    rows = run_once(run_experiment, "scalability", params)
+    rows = run_once(Session(store=None).run, "scalability", **params).rows
     print_artifact("Figure 8 — decision-update runtime versus QPS", rows, _COLUMNS)
 
     hp_rows = sorted(

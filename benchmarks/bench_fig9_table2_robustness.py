@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -36,7 +36,7 @@ def test_fig9_table2_robustness(run_once):
         "planning_interval": 10.0,
         "monte_carlo_samples": 200,
     }
-    rows = run_once(run_experiment, "robustness", params)
+    rows = run_once(Session(store=None).run, "robustness", **params).rows
     print_artifact(
         "Figure 9 / Table II — robustness to missing data and anomaly removal",
         rows,

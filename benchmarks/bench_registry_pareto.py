@@ -13,7 +13,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 from repro.workloads import scenario_names
 
 from conftest import print_artifact
@@ -42,7 +42,7 @@ def test_pareto_full_registry(run_once):
         "include_rt_variant": False,
         "include_cost_variant": False,
     }
-    rows = run_once(run_experiment, "pareto", params)
+    rows = run_once(Session(store=None).run, "pareto", **params).rows
     print_artifact("Pareto sweep (full registry)", rows, columns=_COLUMNS)
 
     assert {row["trace"] for row in rows} == set(scenario_names())

@@ -6,9 +6,9 @@ Two measurements:
   the same multi-scenario ``repro experiment pareto`` run twice through
   the real CLI against one store directory.  The first invocation pays
   trace generation, NHPP/ADMM fits, reference replays, sweep replays; the
-  second finds the prepared workloads, the generated traces *and* (via
-  ``--run-id``) every journaled result row on disk, so it performs zero
-  model fits and zero replays.  The script reports both the store-only
+  second finds the prepared workloads *and* (via ``--run-id``) every
+  journaled result row on disk, so it performs zero model fits and zero
+  replays.  The script reports both the store-only
   effect (an in-process re-run with a fresh memory cache must count zero
   fits, ``cache.misses`` in its telemetry) and the end-to-end wall-clock
   speedup.
@@ -34,7 +34,7 @@ import tempfile
 import time
 from pathlib import Path
 
-from repro.api import Session, run_experiment
+from repro.api import Session
 from repro.store import ArtifactStore
 
 #: Representative multi-scenario sweep: steady + adversarial + spiky + paper.
@@ -103,10 +103,8 @@ def bench_cold_warm(scale: float, smoke: bool) -> None:
         # Store-only effect, independent of the result journal: a fresh
         # memory cache against the warm store must perform zero model fits.
         started = time.perf_counter()
-        result = (
-            Session(store=store_dir, telemetry=True)
-            .experiment("pareto")
-            .run(**sweep_params(scale))
+        result = Session(store=store_dir, telemetry=True).run(
+            "pareto", **sweep_params(scale)
         )
         replay_only = time.perf_counter() - started
         counters = result.telemetry["counters"]
@@ -127,8 +125,7 @@ def bench_cold_warm(scale: float, smoke: bool) -> None:
 
 def _run_child(scale: float, store_dir: str, run_id: str) -> int:
     """Child entry point: run the journaled sweep until killed."""
-    store = ArtifactStore(store_dir)
-    run_experiment("pareto", sweep_params(scale), store=store, run_id=run_id)
+    Session(store=store_dir, run_id=run_id).run("pareto", **sweep_params(scale))
     return 0
 
 
@@ -136,7 +133,7 @@ def bench_resume(scale: float, kill_after: int, timeout: float) -> None:
     """Kill a journaled sweep mid-run, resume it, compare with uninterrupted."""
     params = sweep_params(scale)
     # Uninterrupted and store-less: the reference rows, one per task.
-    baseline = run_experiment("pareto", params)
+    baseline = Session(store=None).run("pareto", **params).rows
     n_tasks = len(baseline)
     print(f"sweep: {n_tasks} tasks; killing the child after ~{kill_after} journal")
 
@@ -179,7 +176,7 @@ def bench_resume(scale: float, kill_after: int, timeout: float) -> None:
             )
 
         started = time.perf_counter()
-        resumed = run_experiment("pareto", params, store=store, run_id=run_id)
+        resumed = Session(store=store, run_id=run_id).run("pareto", **params).rows
         print(f"resumed run           {time.perf_counter() - started:8.2f} s")
 
         if resumed != baseline:

@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -28,7 +28,7 @@ def test_table1_monte_carlo_accuracy(run_once):
         "planning_interval": 5.0,
         "monte_carlo_samples": 1000,
     }
-    rows = run_once(run_experiment, "table1", params)
+    rows = run_once(Session(store=None).run, "table1", **params).rows
     print_artifact("Table I — target vs achieved QoS/cost levels", rows, _COLUMNS)
 
     by_metric = {row["metric"]: row for row in rows}

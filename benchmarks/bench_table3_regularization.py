@@ -8,7 +8,7 @@ reports 56% MSE / 39% MAE improvements).
 
 from __future__ import annotations
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -22,7 +22,7 @@ def test_table3_periodicity_regularization(run_once):
         "base_qps": 0.1,
         "max_iterations": 300,
     }
-    rows = run_once(run_experiment, "table3", params)
+    rows = run_once(Session(store=None).run, "table3", **params).rows
     print_artifact("Table III — NHPP intensity error with/without periodicity reg.", rows)
 
     without = next(r for r in rows if "w/o" in r["model"])

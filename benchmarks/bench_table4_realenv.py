@@ -11,7 +11,7 @@ from __future__ import annotations
 
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 
 from conftest import print_artifact
 
@@ -35,7 +35,7 @@ def test_table4_simulated_vs_real_environment(run_once):
         "scheduling_latency": 1.0,
         "pending_time_jitter": 2.0,
     }
-    rows = run_once(run_experiment, "table4", params)
+    rows = run_once(Session(store=None).run, "table4", **params).rows
     print_artifact("Table IV — simulated vs real environment", rows, _COLUMNS)
 
     simulated = next(r for r in rows if r["environment"] == "simulated")

@@ -61,7 +61,7 @@ def check_snapshot_artifacts(scale: float) -> list[dict]:
         for label, run_id in (("cold", "telemetry-cold"), ("warm", "telemetry-warm")):
             started = time.perf_counter()
             session = Session(store=store_dir, run_id=run_id, telemetry=True)
-            result = session.experiment("pareto").run(**params)
+            result = session.run("pareto", **params)
             timings[label] = time.perf_counter() - started
             snapshot = load_snapshot(session.store, run_id)
             assert snapshot is not None, f"{label} run persisted no snapshot"
@@ -80,7 +80,7 @@ def check_snapshot_artifacts(scale: float) -> list[dict]:
         )
 
         # Telemetry observes, never perturbs: same rows with it off.
-        plain = Session(store=store_dir).experiment("pareto").run(**params)
+        plain = Session(store=store_dir).run("pareto", **params)
         assert plain.rows == rows[0].rows
 
         # CLI surface over the same store.

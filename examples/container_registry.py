@@ -17,7 +17,7 @@ Run with::
 from __future__ import annotations
 
 from repro import get_scenario
-from repro.api import run_experiment
+from repro.api import Session
 from repro.metrics import ParetoPoint, format_table, pareto_frontier
 
 
@@ -28,21 +28,19 @@ def main() -> None:
     trace = get_scenario("crs").build_trace(scale=0.5, seed=7)
     print(f"CRS-like workload: {trace.n_queries} queries, mean QPS {trace.mean_qps:.4f}")
 
-    rows = run_experiment(
+    rows = Session(store=None).run(
         "pareto",
-        {
-            "trace_names": ("crs",),
-            "scale": 0.5,
-            "seed": 7,
-            "planning_interval": 5.0,
-            "monte_carlo_samples": 300,
-            "hp_targets": (0.3, 0.6, 0.9),
-            "pool_sizes": (0, 1, 2, 4),
-            "adaptive_factors": (25.0, 50.0, 100.0),
-            "include_rt_variant": True,
-            "include_cost_variant": False,
-        },
-    )
+        trace_names=("crs",),
+        scale=0.5,
+        seed=7,
+        planning_interval=5.0,
+        monte_carlo_samples=300,
+        hp_targets=(0.3, 0.6, 0.9),
+        pool_sizes=(0, 1, 2, 4),
+        adaptive_factors=(25.0, 50.0, 100.0),
+        include_rt_variant=True,
+        include_cost_variant=False,
+    ).rows
 
     print()
     print(

@@ -20,7 +20,7 @@ Run with::
 
 from __future__ import annotations
 
-from repro.api import run_experiment
+from repro.api import Session
 from repro.metrics import format_table
 from repro.scaling.calibration import calibrate_hit_probability
 from repro.config import PlannerConfig, SimulationConfig
@@ -31,18 +31,16 @@ from repro.traces import generate_trace_from_intensity
 
 def main() -> None:
     # --- 1. Accuracy of each variant against its own target (Table I style).
-    rows = run_experiment(
+    rows = Session(store=None).run(
         "table1",
-        {
-            "peak_qps": 10.0,
-            "period_seconds": 1800.0,
-            "horizon_seconds": 4 * 1800.0,
-            "target_hp": 0.9,
-            "waiting_budget": 1.0,
-            "idle_budget": 2.0,
-            "seed": 0,
-        },
-    )
+        peak_qps=10.0,
+        period_seconds=1800.0,
+        horizon_seconds=4 * 1800.0,
+        target_hp=0.9,
+        waiting_budget=1.0,
+        idle_budget=2.0,
+        seed=0,
+    ).rows
     print(
         format_table(
             rows,

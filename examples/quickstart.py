@@ -85,8 +85,8 @@ def main() -> None:
     print(
         "\nTip: the paper's full experiments are one call away via the "
         "declarative API, e.g.\n"
-        '    repro.api.Session(workers=4).experiment("pareto")'
-        '.scenario("google").run(scale=0.25)'
+        '    repro.api.Session(workers=4).run("pareto", trace_names="google", '
+        "scale=0.25)"
     )
 
 

@@ -29,11 +29,11 @@ Autoscaling for Complex Workloads* (Qian et al., ICDE 2022).  It provides:
   that fits each workload model once per sweep;
 * a unified declarative experiment API (:mod:`repro.api`): every
   experiment registered once as an ``ExperimentSpec`` (typed parameter
-  schema, task-batch builder, result schema), driven by the fluent
-  :class:`~repro.api.Session` facade — ``Session(workers=4)
-  .experiment("pareto").scenario("google").run()`` — with a typed
-  ``ResultSet`` (columnar rows + provenance), and ``repro experiment`` CLI
-  subcommands generated from the registry.
+  schema, task-batch builder, result schema), run by name through
+  :class:`~repro.api.Session` — ``Session(workers=4).run("pareto",
+  trace_names="google")`` — into a typed ``ResultSet`` (columnar rows +
+  provenance), and ``repro experiment`` CLI subcommands generated from the
+  registry.
 
 Quickstart
 ----------
@@ -115,7 +115,6 @@ _EXPORTS = {
     "WorkloadCache": ".runtime",
     "WorkloadSpec": ".runtime",
     "run_tasks": ".runtime",
-    "run_task_rows": ".runtime",
     # workload scenarios
     "Scenario": ".workloads",
     "ScenarioRegistry": ".workloads",
@@ -126,7 +125,6 @@ _EXPORTS = {
     # declarative experiment API
     "Session": ".api",
     "list_experiments": ".api",
-    "run_experiment": ".api",
 }
 
 __all__ = ["__version__", *_EXPORTS]
@@ -179,7 +177,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         ScalerSpec,
         WorkloadCache,
         WorkloadSpec,
-        run_task_rows,
         run_tasks,
     )
     from .workloads import (
@@ -190,4 +187,4 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
         register_scenario,
         scenario_names,
     )
-    from .api import Session, list_experiments, run_experiment
+    from .api import Session, list_experiments

@@ -6,8 +6,8 @@ One registry, one facade, one execution contract:
   :class:`~repro.api.registry.ExperimentSpec` — a parameter schema (typed
   fields with defaults/choices/help), a runner building its task batch, and
   a result schema — via :func:`~repro.api.registry.register_experiment`;
-* the fluent :class:`~repro.api.session.Session` facade is the one
-  documented way to drive the reproduction programmatically, threading
+* :meth:`Session.run(name, **params) <repro.api.session.Session.run>` is
+  the one way to drive the reproduction programmatically, threading
   ``store`` / ``run_id`` / ``workers`` / ``seed`` uniformly
   through :func:`repro.runtime.run_tasks` and returning a typed
   :class:`~repro.api.session.ResultSet` (columnar rows + provenance);
@@ -19,9 +19,9 @@ Quickstart::
 
     from repro.api import Session
 
-    rows = Session(workers=4).experiment("pareto").scenario(
-        "cold-start-services"
-    ).run(scale=0.1)
+    result = Session(workers=4).run(
+        "pareto", trace_names="cold-start-services", scale=0.1
+    )
 """
 
 from __future__ import annotations
@@ -41,17 +41,14 @@ from .registry import (
 #: Names imported on first access: the session pulls in the runtime, the
 #: store and telemetry, which the registry and the CLI parser do not need.
 _LAZY = {
-    "ExperimentHandle": ".session",
     "ProgressHook": ".session",
     "Provenance": ".session",
     "ResultSet": ".session",
     "RunContext": ".session",
     "Session": ".session",
-    "run_experiment": ".session",
 }
 
 __all__ = [
-    "ExperimentHandle",
     "ExperimentSpec",
     "ParamSpec",
     "ProgressHook",
@@ -63,18 +60,15 @@ __all__ = [
     "get_experiment",
     "list_experiments",
     "register_experiment",
-    "run_experiment",
 ]
 
 __getattr__, __dir__ = lazy_exports(__name__, _LAZY)
 
 if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     from .session import (
-        ExperimentHandle,
         ProgressHook,
         Provenance,
         ResultSet,
         RunContext,
         Session,
-        run_experiment,
     )

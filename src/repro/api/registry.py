@@ -13,9 +13,11 @@ dataclasses that each needed bespoke CLI plumbing.  A spec carries:
   (which threads ``store`` / ``run_id`` / ``workers`` / progress streaming
   uniformly through :func:`repro.runtime.run_tasks`);
 * its **result schema** — the primary row columns the experiment reports;
-* presentation metadata: which parameter the fluent
-  ``Session.experiment(...).scenario(...)`` call maps onto, and whether the
-  experiment participates in the parallel runtime (``workers``/``store``).
+* whether the experiment participates in the parallel runtime
+  (``workers``/``store``).
+
+:meth:`Session.run(name, **params) <repro.api.session.Session.run>` looks a
+spec up by name and resolves ``params`` against its schema.
 
 Experiments self-register at import time via :func:`register_experiment`
 (each driver module in :mod:`repro.experiments` registers its own spec), so
@@ -126,6 +128,10 @@ class ParamSpec:
             coerced = tuple(
                 _coerce_scalar(self.kind, item, self.name) for item in value
             )
+        elif isinstance(value, (list, tuple)):
+            raise ValidationError(
+                f"parameter {self.name!r} takes a single {self.kind}, got {value!r}"
+            )
         else:
             coerced = _coerce_scalar(self.kind, value, self.name)
         if self.choices is not None:
@@ -165,9 +171,6 @@ class ExperimentSpec:
         ``True`` when the experiment executes through
         :func:`repro.runtime.run_tasks` and therefore honors ``workers`` /
         ``store`` / ``run_id`` / progress streaming.
-    scenario_param:
-        Name of the parameter the fluent ``.scenario(...)`` call sets, or
-        ``None`` when the experiment has no scenario notion.
     description:
         Longer description (defaults to the runner's docstring).
     """
@@ -179,7 +182,6 @@ class ExperimentSpec:
     result_columns: tuple[str, ...] = ()
     artifact: str = ""
     runtime: bool = True
-    scenario_param: str | None = None
     description: str = ""
 
     def __post_init__(self) -> None:
@@ -187,11 +189,6 @@ class ExperimentSpec:
         if len(set(names)) != len(names):
             raise ValidationError(
                 f"experiment {self.name!r} declares duplicate parameters"
-            )
-        if self.scenario_param is not None and self.scenario_param not in names:
-            raise ValidationError(
-                f"experiment {self.name!r}: scenario_param "
-                f"{self.scenario_param!r} is not a declared parameter"
             )
         if not self.description:
             object.__setattr__(self, "description", (self.run.__doc__ or "").strip())

@@ -1,14 +1,15 @@
-"""The fluent programmatic entry point: ``Session`` → experiment → ``run()``.
+"""The programmatic entry point: ``Session(...).run(name, **params)``.
 
 This module is the one documented way to drive the reproduction from Python::
 
     from repro.api import Session
 
     session = Session(workers=4)                    # store on
-    result = (
-        session.experiment("pareto")
-        .scenario("cold-start-services")
-        .run(scale=0.1, monte_carlo_samples=150)
+    result = session.run(
+        "pareto",
+        trace_names="cold-start-services",
+        scale=0.1,
+        monte_carlo_samples=150,
     )
     result.rows                  # list[dict], as the drivers always returned
     result.column("hit_rate")    # columnar access
@@ -20,8 +21,9 @@ streaming — and threads them uniformly through every experiment via a
 :class:`RunContext`.  The experiment itself is addressed by registry name
 (:mod:`repro.api.registry`) and parameterized by its declared schema, so
 the combination of any scenario and any scaler grid is reachable without
-touching driver code.  Every replay runs on the batched engine; the
-per-query reference engine is the oracle the tests compare it against.
+touching driver code.  Pass ``store=None`` for a run that writes nothing
+to disk.  Every replay runs on the batched engine; the per-query
+reference engine is the oracle the tests compare it against.
 """
 
 from __future__ import annotations
@@ -30,22 +32,21 @@ import csv
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from pathlib import Path
-from typing import Any, Callable, Iterator, Mapping, Sequence
+from typing import Any, Iterator, Sequence
 
 from ..exceptions import ValidationError
-from ..runtime.executor import run_task_rows
+from ..runtime.executor import run_tasks
 from ..telemetry import Recorder, build_snapshot, persist_snapshot
 from ..telemetry import use as telemetry_use
-from .registry import ExperimentSpec, get_experiment, list_experiments
+from .registry import get_experiment
 
 __all__ = [
     "Session",
     "RunContext",
     "ResultSet",
     "Provenance",
-    "run_experiment",
 ]
 
 
@@ -83,7 +84,6 @@ class RunContext:
     store: Any = None
     run_id: str | None = None
     progress: ProgressHook | None = None
-    on_result: Callable | None = None
     #: Run-level telemetry recorder (``None`` → telemetry disabled; the
     #: ambient no-op recorder applies everywhere).
     recorder: Recorder | None = None
@@ -111,10 +111,8 @@ class RunContext:
                 self.n_resumed += 1
             if self.progress is not None:
                 self.progress.update(result)
-            if self.on_result is not None:
-                self.on_result(result)
 
-        return run_task_rows(
+        results = run_tasks(
             tasks,
             base_seed=base_seed,
             workers=self.workers,
@@ -123,6 +121,7 @@ class RunContext:
             on_result=_on_result,
             recorder=self.recorder,
         )
+        return [result.row for result in results]
 
 
 @dataclass(frozen=True)
@@ -266,112 +265,6 @@ def _resolve_store(store: Any):
     )
 
 
-def _execute(
-    spec: ExperimentSpec,
-    params: Mapping[str, Any] | None,
-    ctx: RunContext,
-    *,
-    seed: int | None = None,
-) -> ResultSet:
-    """Resolve parameters, run the experiment, package rows + provenance."""
-    resolved = spec.resolve(params)
-    if seed is not None and any(p.name == "seed" for p in spec.params):
-        resolved["seed"] = spec.param("seed").coerce(seed)
-    started = time.perf_counter()
-    recorder = ctx.recorder
-    activation = telemetry_use(recorder) if recorder is not None else nullcontext()
-    outer_span = (
-        recorder.span(f"experiment.{spec.name}")
-        if recorder is not None
-        else nullcontext()
-    )
-    try:
-        with activation, outer_span:
-            rows = spec.run(resolved, ctx)
-    finally:
-        if ctx.progress is not None:
-            ctx.progress.finish()
-    from .. import __version__
-
-    provenance = Provenance(
-        experiment=spec.name,
-        params=resolved,
-        seed=resolved.get("seed"),
-        workers=ctx.workers,
-        run_id=ctx.run_id,
-        package_version=__version__,
-        scenario_digest=_scenario_digest(ctx.workload_keys),
-        n_tasks=ctx.n_tasks,
-        n_resumed=ctx.n_resumed,
-        duration_seconds=time.perf_counter() - started,
-    )
-    telemetry_snapshot = None
-    if recorder is not None:
-        telemetry_snapshot = build_snapshot(
-            recorder,
-            run_id=ctx.run_id,
-            provenance={
-                "experiment": provenance.experiment,
-                "seed": provenance.seed,
-                "workers": provenance.workers,
-                "run_id": provenance.run_id,
-                "package_version": provenance.package_version,
-                "scenario_digest": provenance.scenario_digest,
-                "n_tasks": provenance.n_tasks,
-                "n_resumed": provenance.n_resumed,
-                "duration_seconds": provenance.duration_seconds,
-            },
-        )
-        if ctx.store is not None and ctx.run_id is not None:
-            persist_snapshot(ctx.store, telemetry_snapshot)
-    return ResultSet(rows, provenance, telemetry=telemetry_snapshot)
-
-
-class ExperimentHandle:
-    """Fluent builder for one experiment run; create via :meth:`Session.experiment`."""
-
-    def __init__(self, session: "Session", spec: ExperimentSpec) -> None:
-        self._session = session
-        self._spec = spec
-        self._params: dict[str, Any] = {}
-
-    @property
-    def spec(self) -> ExperimentSpec:
-        """The underlying registry spec."""
-        return self._spec
-
-    def scenario(self, *names: str) -> "ExperimentHandle":
-        """Point the experiment at one or more registry scenarios.
-
-        Maps onto the spec's declared scenario parameter (e.g.
-        ``trace_names`` for ``pareto``, ``trace_name`` for ``table4``);
-        experiments without a scenario notion reject the call.
-        """
-        target = self._spec.scenario_param
-        if target is None:
-            raise ValidationError(
-                f"experiment {self._spec.name!r} does not take a scenario"
-            )
-        if not names:
-            raise ValidationError("scenario() requires at least one scenario name")
-        param = self._spec.param(target)
-        if param.sequence:
-            self._params[target] = tuple(names)
-        else:
-            if len(names) > 1:
-                raise ValidationError(
-                    f"experiment {self._spec.name!r} replays a single scenario; "
-                    f"got {len(names)}"
-                )
-            self._params[target] = names[0]
-        return self
-
-    def run(self, **params: Any) -> ResultSet:
-        """Execute with the staged plus given parameters; returns a ResultSet."""
-        merged = {**self._params, **params}
-        return self._session._run(self._spec, merged)
-
-
 class Session:
     """The facade threading store / workers / seed through every run.
 
@@ -425,60 +318,71 @@ class Session:
             f"store={str(root) if root else None!r})"
         )
 
-    def experiment(self, name: str) -> ExperimentHandle:
-        """A fluent handle on one registered experiment."""
-        return ExperimentHandle(self, get_experiment(name))
+    def run(self, name: str, /, **params: Any) -> ResultSet:
+        """Run the registered experiment ``name`` with ``params``.
 
-    def experiments(self) -> list[ExperimentSpec]:
-        """Every registered experiment spec."""
-        return list_experiments()
-
-    def context(self) -> RunContext:
-        """A fresh :class:`RunContext` carrying this session's knobs."""
-        return RunContext(
+        ``params`` are the experiment's declared schema parameters (unknown
+        names raise :class:`~repro.exceptions.ValidationError`); the rest
+        take their defaults.  Store and journaling apply only to
+        runtime-backed experiments, so the others run with neither and
+        report ``provenance.run_id`` as ``None``.
+        """
+        spec = get_experiment(name)
+        recorder = Recorder() if self.telemetry else None
+        ctx = RunContext(
             workers=self.workers,
-            store=self.store,
-            run_id=self.run_id,
+            store=self.store if spec.runtime else None,
+            run_id=self.run_id if spec.runtime else None,
             progress=self.progress,
-            recorder=Recorder() if self.telemetry else None,
+            recorder=recorder,
         )
+        resolved = spec.resolve(params)
+        if self.seed is not None and any(p.name == "seed" for p in spec.params):
+            resolved["seed"] = spec.param("seed").coerce(self.seed)
+        started = time.perf_counter()
+        activation = telemetry_use(recorder) if recorder is not None else nullcontext()
+        outer_span = (
+            recorder.span(f"experiment.{spec.name}")
+            if recorder is not None
+            else nullcontext()
+        )
+        try:
+            with activation, outer_span:
+                rows = spec.run(resolved, ctx)
+        finally:
+            if ctx.progress is not None:
+                ctx.progress.finish()
+        from .. import __version__
 
-    def _run(self, spec: ExperimentSpec, params: Mapping[str, Any]) -> ResultSet:
-        ctx = self.context()
-        if not spec.runtime:
-            # Store/journaling knobs only apply to runtime-backed
-            # experiments; keep the context honest for provenance.
-            ctx = replace(ctx, store=None, run_id=None)
-        return _execute(spec, params, ctx, seed=self.seed)
-
-
-def run_experiment(
-    name: str,
-    params: Mapping[str, Any] | None = None,
-    *,
-    workers: int | None = None,
-    store: Any = None,
-    run_id: str | None = None,
-    seed: int | None = None,
-    progress: ProgressHook | None = None,
-    on_result: Callable | None = None,
-    telemetry: bool = False,
-) -> list[dict]:
-    """Functional one-shot runner returning plain rows.
-
-    Unlike :class:`Session` (whose store defaults to ``"auto"``) the store
-    is disabled unless passed explicitly.  With ``telemetry=True`` plus a store and ``run_id``, the
-    run's snapshot is persisted for ``repro telemetry show`` even though
-    only the rows are returned here.
-    """
-    spec = get_experiment(name)
-    store = _resolve_store(store)
-    ctx = RunContext(
-        workers=workers,
-        store=store if spec.runtime else None,
-        run_id=run_id if spec.runtime else None,
-        progress=progress,
-        on_result=on_result,
-        recorder=Recorder() if telemetry else None,
-    )
-    return _execute(spec, params, ctx, seed=seed).rows
+        provenance = Provenance(
+            experiment=spec.name,
+            params=resolved,
+            seed=resolved.get("seed"),
+            workers=ctx.workers,
+            run_id=ctx.run_id,
+            package_version=__version__,
+            scenario_digest=_scenario_digest(ctx.workload_keys),
+            n_tasks=ctx.n_tasks,
+            n_resumed=ctx.n_resumed,
+            duration_seconds=time.perf_counter() - started,
+        )
+        telemetry_snapshot = None
+        if recorder is not None:
+            telemetry_snapshot = build_snapshot(
+                recorder,
+                run_id=ctx.run_id,
+                provenance={
+                    "experiment": provenance.experiment,
+                    "seed": provenance.seed,
+                    "workers": provenance.workers,
+                    "run_id": provenance.run_id,
+                    "package_version": provenance.package_version,
+                    "scenario_digest": provenance.scenario_digest,
+                    "n_tasks": provenance.n_tasks,
+                    "n_resumed": provenance.n_resumed,
+                    "duration_seconds": provenance.duration_seconds,
+                },
+            )
+            if ctx.store is not None and ctx.run_id is not None:
+                persist_snapshot(ctx.store, telemetry_snapshot)
+        return ResultSet(rows, provenance, telemetry=telemetry_snapshot)

@@ -26,11 +26,11 @@ experiment never touches this module.  Execution routes through
 use.  Every replay runs on the batched engine.
 
 Persistence: ``simulate`` and ``experiment`` use the disk artifact store
-of :mod:`repro.store` by default, so repeated
-invocations reuse model fits and generated traces instead of recomputing
-them.  ``--store-dir`` (or the ``REPRO_STORE_DIR`` environment variable)
-relocates it, ``--no-store`` disables it, ``--run-id`` journals per-task
-completions so an interrupted sweep resumes where it left off, and the
+of :mod:`repro.store` by default, so repeated invocations reuse model
+fits instead of recomputing them.  ``--store-dir`` (or the
+``REPRO_STORE_DIR`` environment variable) relocates it, ``--no-store``
+disables it, ``--run-id`` journals per-task completions so an
+interrupted sweep resumes where it left off, and the
 ``store`` command group (``info`` / ``ls`` / ``gc`` / ``clear``) manages
 the store's footprint.  Long runs print a live ``N/M tasks, ~Xs left``
 progress line on stderr; ``--quiet`` suppresses it together with every
@@ -188,7 +188,7 @@ def build_parser() -> argparse.ArgumentParser:
     store_ls.add_argument(
         "--namespace",
         default=None,
-        help="restrict to one namespace (workloads, traces, results, telemetry)",
+        help="restrict to one namespace (workloads, results, telemetry)",
     )
     store_ls.add_argument(
         "--limit", type=int, default=50, help="maximum entries to list (default: 50)"
@@ -393,7 +393,7 @@ def _command_experiment(args: argparse.Namespace) -> int:
             progress=progress,
             telemetry=session_kwargs.get("telemetry", False),
         )
-        result = session.experiment(args.name).run(**collect_params(args, spec))
+        result = session.run(args.name, **collect_params(args, spec))
     except (ExperimentError, ValidationError, WorkloadError, ConfigurationError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2

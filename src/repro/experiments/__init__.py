@@ -4,8 +4,9 @@ Every driver is registered in the declarative experiment registry of
 :mod:`repro.api` (importing this package populates it): one
 :class:`~repro.api.ExperimentSpec` per experiment, carrying its parameter
 schema, task-batch builder and result schema.  The one documented way to
-run them programmatically is the fluent :class:`repro.api.Session`; the
-``repro experiment`` CLI subcommands are generated from the same registry.
+run them programmatically is ``repro.api.Session().run(name, **params)``;
+the ``repro experiment`` CLI subcommands are generated from the same
+registry.
 
 The mapping from paper artifact to registry name is:
 
@@ -32,7 +33,7 @@ three ablations (``kappa-ablation`` / ``mc-sample-ablation`` /
 choices.
 """
 
-from .traces_overview import run_traces_overview
+from . import traces_overview as _traces_overview  # registers "traces"
 from . import pareto as _pareto  # registers "pareto"
 from . import variance as _variance  # registers "variance"
 from . import perturbation as _perturbation  # registers "perturbation"
@@ -43,4 +44,4 @@ from . import regularization as _regularization  # registers "table3"
 from . import realenv as _realenv  # registers "table4"
 from . import ablation as _ablation  # registers the three ablations
 
-__all__ = ["run_traces_overview"]
+__all__: list[str] = []

@@ -157,7 +157,6 @@ register_experiment(
         ),
         run=_run_control_accuracy,
         result_columns=("trace", "panel", "nominal", "actual", "relative_cost"),
-        scenario_param="trace_name",
     )
 )
 
@@ -192,7 +191,6 @@ register_experiment(
             "rt_avg",
             "relative_cost",
         ),
-        scenario_param="trace_name",
     )
 )
 

@@ -19,7 +19,6 @@ from __future__ import annotations
 from ..api import ExperimentSpec, ParamSpec, register_experiment
 from ..api.session import RunContext
 from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
-from ..store.traces import get_or_build_trace
 from ..workloads import get_scenario
 from .base import robustscaler_spec, trace_defaults
 
@@ -76,11 +75,8 @@ def _run_pareto(params: dict, ctx: RunContext) -> list[dict]:
         scenario = get_scenario(name)
         # The budget grids need the test window's mean QPS; generating the
         # trace here is cheap (no model fit) and bit-identical to what the
-        # executor regenerates from the same (scenario, scale, seed).  With
-        # a store the realization is cached on disk instead.
-        trace = get_or_build_trace(
-            scenario, scale=params["scale"], seed=params["seed"], store=ctx.store
-        )
+        # executor regenerates from the same (scenario, scale, seed).
+        trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
         _, test = trace.split(scenario.train_fraction)
         grids = _resolve_grids(
             name, params, mu_tau=scenario.pending_time, mean_test_qps=test.mean_qps
@@ -192,6 +188,5 @@ register_experiment(
             "rt_avg",
             "relative_cost",
         ),
-        scenario_param="trace_names",
     )
 )

@@ -23,7 +23,6 @@ from ..api import (
 )
 from ..api.session import RunContext
 from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
-from ..store.traces import get_or_build_trace
 from ..traces.perturbation import perturb_trace
 from ..workloads import get_scenario
 
@@ -33,9 +32,7 @@ __all__: list[str] = []
 def _run_perturbation(params: dict, ctx: RunContext) -> list[dict]:
     """Compare AdapBP and RobustScaler-HP on increasingly perturbed traces."""
     scenario = get_scenario(params["trace_name"])
-    base_trace = get_or_build_trace(
-        scenario, scale=params["scale"], seed=params["seed"], store=ctx.store
-    )
+    base_trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     # Perturbed copies are direct traces, so the scenario's split and bin
     # width are passed on explicitly; the pending time stays the library
     # default.
@@ -127,7 +124,6 @@ register_experiment(
             "rt_avg",
             "relative_cost",
         ),
-        scenario_param="trace_name",
     )
 )
 

@@ -161,7 +161,6 @@ register_experiment(
             "mean_planning_ms",
         ),
         runtime=False,
-        scenario_param="trace_name",
     )
 )
 

@@ -16,16 +16,16 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..api import ExperimentSpec, ParamSpec, register_experiment, run_experiment
+from ..api import ExperimentSpec, ParamSpec, register_experiment
 from ..api.session import RunContext
 from ..periodicity.detector import PeriodicityDetector
 from ..timeseries.robust import robust_zscore
 from ..workloads import get_scenario
 
-__all__ = ["run_traces_overview"]
+__all__: list[str] = []
 
 
-def _run_traces_overview(params: dict, ctx: RunContext) -> list[dict]:
+def _run_traces(params: dict, ctx: RunContext) -> list[dict]:
     """Summarize each evaluation trace (the numeric counterpart of Fig. 3).
 
     Returns one row per trace with query counts, QPS statistics, the detected
@@ -74,7 +74,7 @@ register_experiment(
             ParamSpec("scale", "float", 0.25, help="trace size factor"),
             ParamSpec("seed", "int", 7, help="trace-generation seed"),
         ),
-        run=_run_traces_overview,
+        run=_run_traces,
         result_columns=(
             "trace",
             "n_queries",
@@ -86,18 +86,6 @@ register_experiment(
             "max_robust_z",
         ),
         runtime=False,
-        scenario_param="trace_names",
     )
 )
 
-
-def run_traces_overview(
-    *,
-    trace_names: tuple[str, ...] = ("crs", "google", "alibaba"),
-    scale: float = 0.25,
-    seed: int = 7,
-) -> list[dict]:
-    """Fig. 3 trace overview (thin wrapper over the registry path)."""
-    return run_experiment(
-        "traces", {"trace_names": trace_names, "scale": scale, "seed": seed}
-    )

@@ -22,7 +22,6 @@ from ..api import (
 )
 from ..api.session import RunContext
 from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
-from ..store.traces import get_or_build_trace
 from ..workloads import get_scenario
 from .base import robustscaler_spec
 
@@ -32,9 +31,7 @@ __all__: list[str] = []
 def _run_variance(params: dict, ctx: RunContext) -> list[dict]:
     """Measure windowed QoS variance for each autoscaler sweep (Fig. 5)."""
     scenario = get_scenario(params["trace_name"])
-    trace = get_or_build_trace(
-        scenario, scale=params["scale"], seed=params["seed"], store=ctx.store
-    )
+    trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     _, test = trace.split(scenario.train_fraction)
     mean_gap = 1.0 / max(test.mean_qps, 1e-9)
 
@@ -145,7 +142,6 @@ register_experiment(
             "rt_mean",
             "rt_variance",
         ),
-        scenario_param="trace_name",
     )
 )
 

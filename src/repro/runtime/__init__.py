@@ -26,7 +26,6 @@ from .cache import CacheStats, WorkloadCache
 from .executor import (
     execute_task,
     resolve_workers,
-    run_task_rows,
     run_tasks,
 )
 from .spec import (
@@ -57,6 +56,5 @@ __all__ = [
     "execute_task",
     "prepare_workload",
     "resolve_workers",
-    "run_task_rows",
     "run_tasks",
 ]

@@ -96,7 +96,7 @@ class WorkloadCache:
                 self._entries[key] = stored
                 return stored, True
         started = time.perf_counter()
-        workload = spec.prepare(store=self.store)
+        workload = spec.prepare()
         self.misses += 1
         if recorder.enabled:
             recorder.inc("cache.misses")

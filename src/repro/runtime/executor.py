@@ -62,7 +62,6 @@ __all__ = [
     "WORKERS_ENV_VAR",
     "execute_task",
     "resolve_workers",
-    "run_task_rows",
     "run_tasks",
 ]
 
@@ -378,29 +377,3 @@ def run_tasks(
                         finish(tasks[result.index], result)
     return [results[index] for index in range(len(tasks))]
 
-
-def run_task_rows(
-    tasks: Sequence[EvalTask | FunctionTask],
-    *,
-    base_seed: int = 0,
-    workers: int | None = None,
-    cache: WorkloadCache | None = None,
-    store: "ArtifactStore | None" = None,
-    run_id: str | None = None,
-    on_result: Callable[[EvalResult], None] | None = None,
-    recorder: Recorder | None = None,
-) -> list[dict]:
-    """Like :func:`run_tasks` but return just the report rows, in task order."""
-    return [
-        result.row
-        for result in run_tasks(
-            tasks,
-            base_seed=base_seed,
-            workers=workers,
-            cache=cache,
-            store=store,
-            run_id=run_id,
-            on_result=on_result,
-            recorder=recorder,
-        )
-    ]

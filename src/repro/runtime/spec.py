@@ -131,13 +131,15 @@ class WorkloadSpec:
     def cache_key(self) -> tuple:
         """The (workload identity, prep-config) key used by the cache."""
         if self.scenario is not None:
+            scenario = self._get_scenario()
+            # Keyed by the seed actually used, so ``seed=None`` and the
+            # scenario's ``default_seed`` name one realization.
             identity: tuple = (
                 "scenario",
                 self.scenario.lower(),
                 float(self.scale),
-                self.seed,
+                scenario.resolve_seed(self.seed),
             )
-            scenario = self._get_scenario()
             # A CSV scenario's file digest: an edited file is a new workload.
             token = scenario.cache_token
             if token is not None:
@@ -164,23 +166,10 @@ class WorkloadSpec:
         scenario = self._get_scenario()
         return scenario.build_trace(scale=self.scale, seed=self.seed)
 
-    def prepare(self, store=None) -> PreparedWorkload:
-        """Generate the trace (if needed), fit the model, package everything.
-
-        With a ``store``, scenario-backed specs fetch (or publish) the
-        seeded trace realization through the store's ``traces`` namespace
-        instead of re-sampling it — so a workload-cache miss still reuses
-        the trace a driver already generated for grid derivation.
-        """
+    def prepare(self) -> PreparedWorkload:
+        """Generate the trace (if needed), fit the model, package everything."""
         scenario = self._get_scenario() if self.scenario is not None else None
-        if store is not None and scenario is not None:
-            from ..store.traces import get_or_build_trace
-
-            trace = get_or_build_trace(
-                scenario, scale=self.scale, seed=self.seed, store=store
-            )
-        else:
-            trace = self.build_trace()
+        trace = self.build_trace()
         return prepare_workload(trace, **self.prep.resolve(scenario))
 
 

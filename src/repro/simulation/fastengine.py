@@ -463,7 +463,6 @@ class BatchedEventSimulator:
             recorder.inc("engine.kernel.arrivals", sum(topup_sizes))
             recorder.inc("engine.kernel.chunks", len(topup_sizes))
             recorder.inc("engine.batched.hook_arrivals", n_hook)
-            recorder.inc("engine.kernel.fallback_arrivals", n_hook)
             _observe_chunk_sizes(recorder, "engine.batched.chunk_queries", passive_sizes)
             _observe_chunk_sizes(recorder, "engine.kernel.chunk_size", topup_sizes)
             recorder.observe(

@@ -8,9 +8,9 @@ per-process.  This package adds the disk tier underneath:
 * :class:`~repro.store.artifacts.ArtifactStore` — a content-addressed,
   schema-versioned store with atomic write-then-rename publication and
   integrity-hashed reads (corruption reads as a miss, never a crash);
-* typed namespaces for the four artifact kinds the repository produces:
-  prepared workloads (fitted model + reference replay), generated traces,
-  completed evaluation-task result rows, and per-run telemetry snapshots
+* typed namespaces for the three artifact kinds the repository produces:
+  prepared workloads (fitted model + reference replay), completed
+  evaluation-task result rows, and per-run telemetry snapshots
   (:mod:`repro.telemetry`);
 * :class:`~repro.store.runs.RunJournal` — per-task completion records that
   make ``run_tasks(..., run_id=...)`` resumable with bit-identical rows;
@@ -38,7 +38,6 @@ from .artifacts import (
     key_digest,
 )
 from .runs import RunJournal, list_runs
-from .traces import get_or_build_trace, trace_cache_key
 
 __all__ = [
     "ArtifactEntry",
@@ -49,11 +48,9 @@ __all__ = [
     "STORE_DIR_ENV_VAR",
     "StoreStats",
     "default_store_dir",
-    "get_or_build_trace",
     "key_digest",
     "list_runs",
     "resolve_store",
-    "trace_cache_key",
 ]
 
 #: Environment variable overriding the default store location.

@@ -52,7 +52,7 @@ __all__ = [
 ]
 
 #: The typed namespaces used by the repository (free-form names also work).
-NAMESPACES = ("workloads", "traces", "results", "telemetry")
+NAMESPACES = ("workloads", "results", "telemetry")
 
 #: File suffix of store entries.
 _SUFFIX = ".art"

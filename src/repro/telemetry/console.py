@@ -46,10 +46,11 @@ class Console:
 
 
 class ProgressLine:
-    """Live ``N/M tasks, ~Xs left`` line on a stream, driven by ``on_result``.
+    """Live ``N/M tasks, ~Xs left`` line on a stream.
 
     Implements the :class:`repro.api.ProgressHook` protocol
-    (``begin`` / ``update`` / ``finish``).  On a terminal the line redraws
+    (``begin`` / ``update`` / ``finish``); ``update`` runs once per
+    completed task.  On a terminal the line redraws
     in place; elsewhere (CI logs, pipes) it prints at most ~10
     newline-terminated snapshots so logs stay readable.  The ETA
     extrapolates from live completions only — journal-recovered tasks

@@ -8,8 +8,8 @@ scenarios (e.g. in user code or tests) with :func:`register_scenario`, and
 real recorded traces join the registry through :func:`register_trace_csv`:
 a trace CSV on disk becomes a generator-backed :class:`Scenario`
 (validated by the hardened :mod:`repro.traces.io` loaders) that every
-experiment, the CLI and the store-backed trace cache treat exactly like a
-built-in scenario.
+experiment, the CLI and the store-backed workload cache treat exactly like
+a built-in scenario.
 """
 
 from __future__ import annotations
@@ -141,9 +141,9 @@ class CSVTraceGenerator:
     compatibility and ignored — the data is a recording, not a sampler.
 
     Being a frozen dataclass of plain strings, the generator pickles into
-    pool workers, and :attr:`cache_token` gives the store-backed trace
-    cache a content digest so a changed file cannot serve stale cached
-    realizations.
+    pool workers, and :attr:`cache_token` gives the store-backed workload
+    cache a content digest so a changed file cannot serve a stale cached
+    preparation.
     """
 
     path: str

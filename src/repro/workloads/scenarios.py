@@ -134,9 +134,9 @@ class Scenario:
     def cache_token(self) -> str | None:
         """The generator's content token, or ``None`` when it has none.
 
-        CSV-backed generators expose a digest of their file; every cache
-        key of a scenario realization (the store's trace cache, the
-        workload cache) appends it, so editing the file invalidates them.
+        CSV-backed generators expose a digest of their file; the key of a
+        scenario realization (``WorkloadSpec.cache_key()``) appends it, so
+        editing the file invalidates the cached preparation.
         """
         token = getattr(self.generator, "cache_token", None)
         return None if token is None else str(token)

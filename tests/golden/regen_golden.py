@@ -312,7 +312,7 @@ def baseline_key(name: str, scale: float, seed: int, keep_seconds: float) -> str
 
 def driver_fingerprint(name: str) -> dict:
     """Digest of one driver's deterministic columns at the fixture's parameters."""
-    from repro.api import run_experiment
+    from repro.api import Session
 
     params, columns = DRIVER_CASES[name]
     runs = (params,) if isinstance(params, dict) else params
@@ -320,7 +320,7 @@ def driver_fingerprint(name: str) -> dict:
         # Sweep-parameter columns are set only on their own scaler's rows.
         {column: row.get(column) for column in columns}
         for run in runs
-        for row in run_experiment(name, run)
+        for row in Session(store=None).run(name, **run)
         # Table IV's "real" row charges measured planner latency.
         if row.get("environment") != "real"
     ]

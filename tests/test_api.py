@@ -1,10 +1,11 @@
 """Tests for the unified declarative experiment API (``repro.api``).
 
-Covers the registry (specs, parameter schemas, validation), the fluent
-``Session`` facade (scenario mapping, seed override, typed ``ResultSet``
-with provenance), journaled resume, the progress-streaming hook, and the
-property that the ``experiment`` CLI subcommands are fully generated from
-the registry (no orphaned argparse flags).
+Covers the registry (specs, parameter schemas, validation),
+``Session.run`` (seed override, store and journaling only for
+runtime-backed experiments, typed ``ResultSet`` with provenance),
+journaled resume, the progress-streaming hook, and the property that the
+``experiment`` CLI subcommands are fully generated from the registry (no
+orphaned argparse flags).
 """
 
 from __future__ import annotations
@@ -21,7 +22,6 @@ from repro.api import (
     experiment_names,
     get_experiment,
     list_experiments,
-    run_experiment,
 )
 from repro.api.cligen import (
     add_param_arguments,
@@ -123,6 +123,14 @@ class TestParamSpec:
         with pytest.raises(ValidationError, match="must be one of"):
             param.coerce("c")
 
+    def test_scalar_param_rejects_a_sequence(self):
+        # Without the check, str() and bool() would accept any tuple.
+        for kind in ("str", "bool", "int", "float"):
+            with pytest.raises(ValidationError, match=f"single {kind}"):
+                ParamSpec("x", kind, None).coerce(("1", "0"))
+            with pytest.raises(ValidationError, match=f"single {kind}"):
+                ParamSpec("x", kind, None).coerce(["1"])
+
     def test_resolve_rejects_unknown_parameters(self):
         spec = get_experiment("variance")
         with pytest.raises(ValidationError, match="unknown parameter"):
@@ -136,22 +144,25 @@ class TestParamSpec:
         assert params["hp_targets"] == (0.3, 0.6, 0.9)
 
 
-class TestSessionFluent:
-    def test_scenario_maps_to_sequence_param(self):
-        handle = Session(store=None).experiment("pareto").scenario("crs", "google")
-        assert handle._params["trace_names"] == ("crs", "google")
+class TestSessionRun:
+    def test_run_is_the_one_public_method(self):
+        assert [name for name in vars(Session) if not name.startswith("_")] == ["run"]
 
-    def test_scenario_maps_to_scalar_param(self):
-        handle = Session(store=None).experiment("variance").scenario("flash-crowd")
-        assert handle._params["trace_name"] == "flash-crowd"
-        with pytest.raises(ValidationError, match="single scenario"):
-            Session(store=None).experiment("variance").scenario("a", "b")
+    def test_bare_scenario_name_fills_a_sequence_param(self):
+        params = get_experiment("pareto").resolve({"trace_names": "flash-crowd"})
+        assert params["trace_names"] == ("flash-crowd",)
 
-    def test_scenario_rejected_without_scenario_param(self):
-        with pytest.raises(ValidationError, match="does not take a scenario"):
-            Session(store=None).experiment("table3").scenario("crs")
+    def test_scalar_scenario_param_takes_exactly_one_name(self):
+        spec = get_experiment("variance")
+        assert spec.resolve({"trace_name": "flash-crowd"})["trace_name"] == "flash-crowd"
+        with pytest.raises(ValidationError, match="single str"):
+            Session(store=None).run("variance", trace_name=("google", "crs"))
 
-    def test_session_and_run_experiment_take_no_engine(self):
+    def test_experiment_without_scenarios_rejects_a_scenario(self):
+        with pytest.raises(ValidationError, match="unknown parameter"):
+            Session(store=None).run("table3", trace_name="crs")
+
+    def test_session_takes_no_engine(self):
         """Every replay runs on the batched engine; no caller picks one."""
         from dataclasses import fields
 
@@ -159,9 +170,18 @@ class TestSessionFluent:
 
         with pytest.raises(TypeError):
             Session(store=None, engine="reference")
-        with pytest.raises(TypeError):
-            run_experiment("regularization-sensitivity", engine="reference")
+        with pytest.raises(ValidationError, match="unknown parameter"):
+            Session(store=None).run("regularization-sensitivity", engine="reference")
         assert "engine" not in {field.name for field in fields(Provenance)}
+
+    def test_non_runtime_experiment_ignores_store_and_run_id(self, tmp_path):
+        store = ArtifactStore(tmp_path / "store")
+        result = Session(store=store, run_id="r").run(
+            "table3", period_seconds=600.0, n_periods=2, max_iterations=20
+        )
+        assert len(result) == 3
+        assert store.entries() == []
+        assert result.provenance.run_id is None
 
     def test_generic_scenario_defaults_make_registry_reachable(self):
         defaults = trace_defaults("cold-start-services")
@@ -171,11 +191,7 @@ class TestSessionFluent:
             trace_defaults("azure")
 
     def test_run_returns_typed_resultset(self):
-        result = (
-            Session(store=None)
-            .experiment("regularization-sensitivity")
-            .run(**_TINY_REG_GRID)
-        )
+        result = Session(store=None).run("regularization-sensitivity", **_TINY_REG_GRID)
         assert len(result) == 2
         assert {"beta_smooth", "beta_period", "mse", "mae"} <= set(result.columns)
         assert result.column("beta_period") == [0.0, 10.0]
@@ -196,24 +212,18 @@ class TestSessionFluent:
             "traces": {"trace_names": ("crs",), "scale": 0.1},
         }
         for name, params in cases.items():
-            result = Session(store=None).experiment(name).run(**params)
+            result = Session(store=None).run(name, **params)
             declared = set(get_experiment(name).result_columns)
             assert declared <= set(result.columns), name
 
     def test_session_seed_overrides_experiment_default(self):
-        result = (
-            Session(store=None, seed=123)
-            .experiment("regularization-sensitivity")
-            .run(**_TINY_REG_GRID)
+        result = Session(store=None, seed=123).run(
+            "regularization-sensitivity", **_TINY_REG_GRID
         )
         assert result.provenance.seed == 123
 
     def test_to_dataframe_bridges_to_pandas_or_explains(self):
-        result = (
-            Session(store=None)
-            .experiment("regularization-sensitivity")
-            .run(**_TINY_REG_GRID)
-        )
+        result = Session(store=None).run("regularization-sensitivity", **_TINY_REG_GRID)
         try:
             import pandas  # noqa: F401
         except ImportError:
@@ -233,13 +243,13 @@ class TestSessionFluent:
             planning_interval=20.0,
         )
         session = Session(store=ArtifactStore(tmp_path / "store"), run_id="resume")
-        first = session.experiment("pareto").run(**params)
+        first = session.run("pareto", **params)
         assert first.provenance.n_resumed == 0
-        second = session.experiment("pareto").run(**params)
+        second = session.run("pareto", **params)
         assert second.provenance.n_resumed == first.provenance.n_tasks > 0
         assert second.rows == first.rows
         # And the journaled rows agree with the store-less run.
-        unjournaled = Session(store=None).experiment("pareto").run(**params)
+        unjournaled = Session(store=None).run("pareto", **params)
         assert first.rows == unjournaled.rows
 
     def test_progress_hook_streams_every_task(self):
@@ -259,10 +269,10 @@ class TestSessionFluent:
                 self.finished += 1
 
         recorder = Recorder()
-        rows = run_experiment(
-            "regularization-sensitivity", _TINY_REG_GRID, progress=recorder
+        result = Session(store=None, progress=recorder).run(
+            "regularization-sensitivity", **_TINY_REG_GRID
         )
-        assert len(rows) == 2
+        assert len(result) == 2
         assert recorder.begun == [2]
         assert recorder.updates == 2
         assert recorder.finished == 1
@@ -331,11 +341,7 @@ class TestGeneratedCLI:
                 argv += ["--" + key.replace("_", "-"), str(value)]
         assert main(argv) == 0
         cli_out = capsys.readouterr().out
-        result = (
-            Session(store=None)
-            .experiment("regularization-sensitivity")
-            .run(**_TINY_REG_GRID)
-        )
+        result = Session(store=None).run("regularization-sensitivity", **_TINY_REG_GRID)
         assert result.table("Experiment: regularization-sensitivity") in cli_out
 
     def test_cli_progress_line_and_quiet(self, capsys):

@@ -413,7 +413,6 @@ def _dispatch_counters(trace, scaler, config, pending_model=None) -> dict:
         + counters["engine.batched.hook_arrivals"]
         == trace.n_queries
     )
-    assert counters["engine.kernel.fallback_arrivals"] == counters["engine.batched.hook_arrivals"]
     return counters
 
 
@@ -450,7 +449,6 @@ class TestKernelDispatch:
             BatchedEventSimulator(config).replay(trace, BurstyHookScaler())
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] == 0
-        assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
         assert counters["engine.batched.hook_arrivals"] == trace.n_queries
 
     def test_scheduled_creations_interleave_with_kernel_chunks(self):
@@ -471,10 +469,10 @@ class TestKernelDispatch:
             BatchedEventSimulator(config).replay(trace, ScheduledTopUpScaler(2))
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] >= 1
-        assert counters["engine.kernel.fallback_arrivals"] >= 1
+        assert counters["engine.batched.hook_arrivals"] >= 1
         assert (
             counters["engine.kernel.arrivals"]
-            + counters["engine.kernel.fallback_arrivals"]
+            + counters["engine.batched.hook_arrivals"]
             == trace.n_queries
         )
 
@@ -491,7 +489,7 @@ class TestKernelDispatch:
             BatchedEventSimulator(config).replay(trace, BackupPoolScaler(2))
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] == 0
-        assert counters["engine.kernel.fallback_arrivals"] == trace.n_queries
+        assert counters["engine.batched.hook_arrivals"] == trace.n_queries
 
     @pytest.mark.parametrize(
         "jitter, pending_model",
@@ -548,7 +546,7 @@ class TestKernelDispatch:
         assert_engine_parity(trace, factory, config, pending_model=pending_model)
         counters = _dispatch_counters(trace, factory(), config, pending_model)
         assert counters["engine.kernel.chunks"] >= 1
-        assert counters["engine.kernel.fallback_arrivals"] > 0
+        assert counters["engine.batched.hook_arrivals"] > 0
         assert counters["engine.batched.passive_arrivals"] > 0
         # The target serving interval k was set by the tick at k * interval
         # from the arrivals in the trailing window (0 before the first tick).
@@ -566,7 +564,7 @@ class TestKernelDispatch:
         # two or more arrivals, one hook call per such interval holding a
         # single arrival, and everything else passive.
         assert counters["engine.kernel.chunks"] == int(np.sum(topped & (per_interval >= 2)))
-        assert counters["engine.kernel.fallback_arrivals"] == int(
+        assert counters["engine.batched.hook_arrivals"] == int(
             np.sum(topped & (per_interval == 1))
         )
         assert counters["engine.batched.passive_arrivals"] == int(
@@ -583,7 +581,7 @@ class TestKernelDispatch:
             BatchedEventSimulator(config).replay(trace, BackupPoolScaler(2))
         counters = recorder.snapshot()["counters"]
         assert counters["engine.kernel.chunks"] == 0
-        assert counters["engine.kernel.fallback_arrivals"] == 1
+        assert counters["engine.batched.hook_arrivals"] == 1
 
     def test_default_engine_serves_bp_through_the_kernel(self):
         """BP on the default engine never dispatches its arrival hook."""
@@ -594,7 +592,6 @@ class TestKernelDispatch:
         with use(Recorder()) as recorder:
             create_simulator(config).replay(trace, BackupPoolScaler(3))
         counters = recorder.snapshot()["counters"]
-        assert counters["engine.kernel.fallback_arrivals"] == 0
         assert counters["engine.batched.hook_arrivals"] == 0
         assert counters["engine.kernel.arrivals"] == trace.n_queries
 

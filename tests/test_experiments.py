@@ -3,9 +3,9 @@
 These tests run every driver on deliberately tiny configurations: the goal is
 to verify that each driver produces rows with the right schema and the
 qualitative relationships the paper reports (orderings, monotonicities), not
-to reproduce absolute numbers.  Every driver runs through the registry path
-(:func:`repro.api.run_experiment`) — the same code the CLI and the fluent
-Session invoke.
+to reproduce absolute numbers.  Every driver runs through
+``Session(store=None).run(name, **params)`` — the same call the CLI makes,
+with the artifact store off.
 """
 
 from __future__ import annotations
@@ -13,14 +13,13 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
-from repro.api import run_experiment
+from repro.api import Session
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import trace_defaults
 from repro.nhpp.model import NHPPModel
 from repro.runtime import PrepSpec, WorkloadSpec, prepare_workload
 from repro.types import ArrivalTrace
 from repro.workloads import get_scenario
-from repro.experiments.traces_overview import run_traces_overview
 
 
 class TestBaseHelpers:
@@ -113,28 +112,28 @@ class TestBaseHelpers:
 
 class TestTracesOverview:
     def test_rows_schema(self):
-        rows = run_traces_overview(scale=0.15, seed=3)
+        rows = Session(store=None).run("traces", scale=0.15, seed=3).rows
         assert len(rows) == 3
         for row in rows:
             assert set(row) >= {"trace", "n_queries", "mean_qps", "period_detected"}
 
     def test_alibaba_burst_flagged(self):
-        rows = run_traces_overview(trace_names=("alibaba",), scale=0.4, seed=3)
+        rows = Session(store=None).run(
+            "traces", trace_names="alibaba", scale=0.4, seed=3
+        ).rows
         assert rows[0]["max_robust_z"] > 4.0
 
 
 class TestRegularizationExperiment:
     def test_periodicity_regularization_improves_error(self):
         """Table III: the periodicity penalty must reduce MSE and MAE."""
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "table3",
-            {
-                "period_seconds": 3600.0,
-                "n_periods": 5,
-                "bin_seconds": 60.0,
-                "max_iterations": 150,
-            },
-        )
+            period_seconds=3600.0,
+            n_periods=5,
+            bin_seconds=60.0,
+            max_iterations=150,
+        ).rows
         without = next(r for r in rows if "w/o" in r["model"])
         with_reg = next(r for r in rows if "w/ " in r["model"])
         improvement = next(r for r in rows if r["model"] == "improvement")
@@ -147,26 +146,26 @@ class TestRegularizationExperiment:
 class TestScalabilityExperiment:
     def test_runtime_grows_with_qps(self):
         """Fig. 8: decision-update runtime grows roughly linearly in QPS."""
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "scalability",
-            {"qps_levels": (1.0, 50.0), "monte_carlo_samples": 300, "repeats": 1},
-        )
+            qps_levels=(1.0, 50.0),
+            monte_carlo_samples=300,
+            repeats=1,
+        ).rows
         hp_rows = [r for r in rows if r["variant"].endswith("HP")]
         assert hp_rows[0]["decisions_per_update"] < hp_rows[1]["decisions_per_update"]
         assert hp_rows[0]["runtime_seconds"] < hp_rows[1]["runtime_seconds"]
 
     def test_mc_accuracy_close_to_targets(self):
         """Table I: achieved levels land near the requested targets."""
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "table1",
-            {
-                "peak_qps": 5.0,
-                "period_seconds": 900.0,
-                "horizon_seconds": 4 * 900.0,
-                "planning_interval": 10.0,
-                "monte_carlo_samples": 400,
-            },
-        )
+            peak_qps=5.0,
+            period_seconds=900.0,
+            horizon_seconds=4 * 900.0,
+            planning_interval=10.0,
+            monte_carlo_samples=400,
+        ).rows
         by_metric = {row["metric"]: row for row in rows}
         hp = by_metric["hit probability"]
         assert hp["achieved_level"] == pytest.approx(hp["target_level"], abs=0.15)
@@ -178,20 +177,18 @@ class TestScalabilityExperiment:
 
 class TestParetoExperiment:
     def test_single_small_trace(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "pareto",
-            {
-                "trace_names": ("google",),
-                "scale": 0.13,
-                "planning_interval": 10.0,
-                "monte_carlo_samples": 150,
-                "hp_targets": (0.5, 0.9),
-                "pool_sizes": (0, 2),
-                "adaptive_factors": (10.0,),
-                "include_rt_variant": False,
-                "include_cost_variant": False,
-            },
-        )
+            trace_names=("google",),
+            scale=0.13,
+            planning_interval=10.0,
+            monte_carlo_samples=150,
+            hp_targets=(0.5, 0.9),
+            pool_sizes=(0, 2),
+            adaptive_factors=(10.0,),
+            include_rt_variant=False,
+            include_cost_variant=False,
+        ).rows
         assert all(row["trace"] == "google" for row in rows)
         scalers = {row["scaler"] for row in rows}
         assert any("BP" in s for s in scalers)
@@ -214,19 +211,17 @@ class TestParetoOnLibraryScenarios:
 
     @pytest.fixture(scope="class")
     def rows(self) -> list[dict]:
-        return run_experiment(
+        return Session(store=None).run(
             "pareto",
-            {
-                "trace_names": self.SCENARIOS,
-                "scale": 0.05,
-                "seed": 7,
-                "planning_interval": 20.0,
-                "monte_carlo_samples": 80,
-                "hp_targets": (0.7,),
-                "pool_sizes": (0, 1),
-                "adaptive_factors": (10.0,),
-            },
-        )
+            trace_names=self.SCENARIOS,
+            scale=0.05,
+            seed=7,
+            planning_interval=20.0,
+            monte_carlo_samples=80,
+            hp_targets=(0.7,),
+            pool_sizes=(0, 1),
+            adaptive_factors=(10.0,),
+        ).rows
 
     def test_rows_cover_requested_scenarios_and_scalers(self, rows):
         assert {row["trace"] for row in rows} == set(self.SCENARIOS)
@@ -269,18 +264,16 @@ class TestParetoOnLibraryScenarios:
 
 class TestVarianceExperiment:
     def test_rows_schema(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "variance",
-            {
-                "scale": 0.15,
-                "hp_targets": (0.7,),
-                "cost_budget_fractions": (0.05,),
-                "pool_sizes": (1,),
-                "adaptive_factors": (25.0,),
-                "monte_carlo_samples": 150,
-                "planning_interval": 10.0,
-            },
-        )
+            scale=0.15,
+            hp_targets=(0.7,),
+            cost_budget_fractions=(0.05,),
+            pool_sizes=(1,),
+            adaptive_factors=(25.0,),
+            monte_carlo_samples=150,
+            planning_interval=10.0,
+        ).rows
         families = {row["family"] for row in rows}
         assert families == {"BP", "AdapBP", "RobustScaler-HP", "RobustScaler-cost"}
         for row in rows:
@@ -290,17 +283,15 @@ class TestVarianceExperiment:
 
 class TestPerturbationExperiment:
     def test_rows_cover_all_sizes(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "perturbation",
-            {
-                "scale": 0.15,
-                "perturbation_sizes": (1.0, 4.0),
-                "hp_targets": (0.7,),
-                "adaptive_factors": (25.0,),
-                "monte_carlo_samples": 150,
-                "planning_interval": 10.0,
-            },
-        )
+            scale=0.15,
+            perturbation_sizes=(1.0, 4.0),
+            hp_targets=(0.7,),
+            adaptive_factors=(25.0,),
+            monte_carlo_samples=150,
+            planning_interval=10.0,
+        ).rows
         sizes = {row["perturbation_size"] for row in rows}
         assert sizes == {1.0, 4.0}
         assert any("AdapBP" in row["scaler"] for row in rows)
@@ -310,17 +301,15 @@ class TestPerturbationExperiment:
 class TestRobustnessExperiment:
     def test_metrics_stable_under_missing_data(self):
         """Fig. 9 / Table II: metrics barely move when training data goes missing."""
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "robustness",
-            {
-                "scale": 0.15,
-                "hp_targets": (0.9,),
-                "cost_budget_fractions": (0.1,),
-                "monte_carlo_samples": 150,
-                "planning_interval": 10.0,
-                "include_alibaba": False,
-            },
-        )
+            scale=0.15,
+            hp_targets=(0.9,),
+            cost_budget_fractions=(0.1,),
+            monte_carlo_samples=150,
+            planning_interval=10.0,
+            include_alibaba=False,
+        ).rows
         conditions = {row["condition"] for row in rows}
         assert conditions == {"original", "missing_data"}
         original = next(
@@ -334,17 +323,15 @@ class TestRobustnessExperiment:
 
 class TestControlAccuracyExperiment:
     def test_nominal_actual_rows(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "control",
-            {
-                "scale": 0.15,
-                "hp_targets": (0.5, 0.9),
-                "waiting_budgets": (5.0,),
-                "idle_budgets": (10.0,),
-                "monte_carlo_samples": 150,
-                "planning_interval": 10.0,
-            },
-        )
+            scale=0.15,
+            hp_targets=(0.5, 0.9),
+            waiting_budgets=(5.0,),
+            idle_budgets=(10.0,),
+            monte_carlo_samples=150,
+            planning_interval=10.0,
+        ).rows
         panels = {row["panel"] for row in rows}
         assert panels == {"hit_probability", "waiting_time", "idle_cost"}
         hp_rows = sorted(
@@ -356,15 +343,13 @@ class TestControlAccuracyExperiment:
 
     def test_planning_frequency_cost_monotone(self):
         """Fig. 10(d): longer planning intervals cost at least as much."""
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "planning-frequency",
-            {
-                "scale": 0.15,
-                "planning_intervals": (10.0, 60.0),
-                "waiting_budget": 3.0,
-                "monte_carlo_samples": 150,
-            },
-        )
+            scale=0.15,
+            planning_intervals=(10.0, 60.0),
+            waiting_budget=3.0,
+            monte_carlo_samples=150,
+        ).rows
         by_interval = {row["planning_interval"]: row for row in rows}
         assert (
             by_interval[60.0]["relative_cost"]
@@ -374,10 +359,12 @@ class TestControlAccuracyExperiment:
 
 class TestRealEnvExperiment:
     def test_real_and_simulated_close(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "table4",
-            {"scale": 0.15, "monte_carlo_samples": 150, "planning_interval": 10.0},
-        )
+            scale=0.15,
+            monte_carlo_samples=150,
+            planning_interval=10.0,
+        ).rows
         assert {row["environment"] for row in rows} == {"simulated", "real"}
         simulated = next(r for r in rows if r["environment"] == "simulated")
         real = next(r for r in rows if r["environment"] == "real")
@@ -393,43 +380,45 @@ class TestRealEnvExperiment:
             return original_fit(self, *args, **kwargs)
 
         monkeypatch.setattr(NHPPModel, "fit", counting_fit)
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "table4",
-            {"scale": 0.05, "monte_carlo_samples": 40, "planning_interval": 20.0},
-            store=None,
-        )
+            scale=0.05,
+            monte_carlo_samples=40,
+            planning_interval=20.0,
+        ).rows
         assert [row["environment"] for row in rows] == ["simulated", "real"]
         assert len(fits) == 1
 
 
 class TestAblations:
     def test_kappa_ablation_shows_gap(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "kappa-ablation",
-            {"horizon_seconds": 1800.0, "monte_carlo_samples": 400},
-        )
+            horizon_seconds=1800.0,
+            monte_carlo_samples=400,
+        ).rows
         with_kappa = next(r for r in rows if "with kappa" in r["variant"])
         without = next(r for r in rows if "no look-ahead" in r["variant"])
         assert with_kappa["hit_rate"] > without["hit_rate"]
 
     def test_mc_sample_ablation_error_shrinks(self):
-        rows = run_experiment(
-            "mc-sample-ablation", {"sample_sizes": (50, 2000), "n_trials": 10}
-        )
+        rows = Session(store=None).run(
+            "mc-sample-ablation",
+            sample_sizes=(50, 2000),
+            n_trials=10,
+        ).rows
         by_n = {row["n_samples"]: row for row in rows}
         assert by_n[2000]["mean_abs_error"] < by_n[50]["mean_abs_error"]
 
     def test_regularization_sensitivity_grid(self):
-        rows = run_experiment(
+        rows = Session(store=None).run(
             "regularization-sensitivity",
-            {
-                "period_seconds": 1800.0,
-                "n_periods": 4,
-                "beta_smooth_values": (0.0, 50.0),
-                "beta_period_values": (0.0, 10.0),
-                "max_iterations": 100,
-            },
-        )
+            period_seconds=1800.0,
+            n_periods=4,
+            beta_smooth_values=(0.0, 50.0),
+            beta_period_values=(0.0, 10.0),
+            max_iterations=100,
+        ).rows
         assert len(rows) == 4
         # The shared fit's iteration count stays out of the sensitivity rows.
         assert all(set(row) == {"beta_smooth", "beta_period", "mse", "mae"} for row in rows)
@@ -521,7 +510,7 @@ class TestSharedDriverCode:
         from repro.experiments.regularization import regularized_fit_errors
 
         params = {k: v for k, v in self.FIT.items() if k != "beta_period"}
-        rows = run_experiment("table3", {**params, "beta_period": 10.0})
+        rows = Session(store=None).run("table3", **params, beta_period=10.0).rows
         by_model = {row["model"]: row for row in rows}
         without = regularized_fit_errors(**{**params, "beta_period": 0.0})
         with_reg = regularized_fit_errors(**{**params, "beta_period": 10.0})

@@ -23,7 +23,6 @@ from repro.runtime import (
     derive_task_seeds,
     execute_task,
     resolve_workers,
-    run_task_rows,
     run_tasks,
 )
 from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
@@ -233,6 +232,18 @@ class TestWorkloadCache:
         assert cache.stats().misses == len(unique_keys)
         assert cache.stats().hits == len(tasks) - len(unique_keys)
 
+    def test_default_seed_and_explicit_seed_share_one_preparation(self):
+        """``seed=None`` means the scenario's ``default_seed``: one realization,
+        one key, one fit."""
+        default_seed = get_scenario("steady-state").default_seed
+        cache = WorkloadCache()
+        implicit, _ = cache.get_or_prepare(WorkloadSpec(scenario="steady-state", scale=0.05))
+        explicit, hit = cache.get_or_prepare(
+            WorkloadSpec(scenario="steady-state", scale=0.05, seed=default_seed)
+        )
+        assert hit and explicit is implicit
+        assert cache.stats().misses == 1
+
     def test_cache_shared_across_batches(self):
         tasks = small_tasks()
         cache = WorkloadCache()
@@ -253,19 +264,19 @@ class TestWorkloadCache:
 class TestDeterminism:
     @pytest.fixture(scope="class")
     def serial_rows(self) -> list[dict]:
-        return run_task_rows(small_tasks(), base_seed=7, workers=1)
+        return [r.row for r in run_tasks(small_tasks(), base_seed=7, workers=1)]
 
     def test_serial_and_parallel_rows_identical(self, serial_rows):
         """The acceptance guarantee: executors agree bit-for-bit."""
-        parallel_rows = run_task_rows(small_tasks(), base_seed=7, workers=2)
+        parallel_rows = [r.row for r in run_tasks(small_tasks(), base_seed=7, workers=2)]
         assert parallel_rows == serial_rows
 
     def test_same_base_seed_reproduces(self, serial_rows):
-        again = run_task_rows(small_tasks(), base_seed=7)
+        again = [r.row for r in run_tasks(small_tasks(), base_seed=7)]
         assert again == serial_rows
 
     def test_different_base_seed_changes_mc_rows(self, serial_rows):
-        other = run_task_rows(small_tasks(), base_seed=8)
+        other = [r.row for r in run_tasks(small_tasks(), base_seed=8)]
         # Deterministic scalers (reactive, BP) are seed-independent...
         for a, b in zip(serial_rows, other):
             if not a["scaler"].startswith("RobustScaler"):
@@ -290,7 +301,7 @@ class TestDeterminism:
             ScalerSpec("bp", 2),
             variance_window=25,
         )
-        row = run_task_rows([task], base_seed=7)[0]
+        row = run_tasks([task], base_seed=7)[0].row
         for column in ("hit_rate_mean", "hit_rate_variance", "rt_mean", "rt_variance"):
             assert column in row
         assert row["hit_rate_variance"] >= 0.0
@@ -313,6 +324,6 @@ class TestDeterminism:
             WorkloadSpec(trace=trace, prep=prep),
             ScalerSpec("rs-hp", 0.7, planning_interval=20.0, monte_carlo_samples=60),
         )
-        rows_name = run_task_rows([by_name], base_seed=3)
-        rows_trace = run_task_rows([by_trace], base_seed=3)
+        rows_name = [r.row for r in run_tasks([by_name], base_seed=3)]
+        rows_trace = [r.row for r in run_tasks([by_trace], base_seed=3)]
         assert rows_name == rows_trace

@@ -26,11 +26,9 @@ from repro.store import (
     ArtifactStore,
     STORE_DIR_ENV_VAR,
     default_store_dir,
-    get_or_build_trace,
     key_digest,
     resolve_store,
 )
-from repro.workloads import get_scenario
 
 
 @pytest.fixture
@@ -57,9 +55,9 @@ class TestArtifactStoreBasics:
         assert key_digest(key) != key_digest(("scenario", "crs", 0.25, 8))
 
     def test_contains(self, store):
-        assert not store.contains("traces", ("k",))
-        store.put("traces", ("k",), [1, 2])
-        assert store.contains("traces", ("k",))
+        assert not store.contains("telemetry", ("k",))
+        store.put("telemetry", ("k",), [1, 2])
+        assert store.contains("telemetry", ("k",))
 
     def test_invalid_namespace_rejected(self, store):
         for bad in ("", "a/b", "..", " padded"):
@@ -177,8 +175,8 @@ class TestGC:
 
     def test_age_bound(self, store):
         now = 1_000_000.0
-        old = self._put_aged(store, "traces", ("old",), "x" * 100, 7200, now)
-        young = self._put_aged(store, "traces", ("young",), "y" * 100, 60, now)
+        old = self._put_aged(store, "telemetry", ("old",), "x" * 100, 7200, now)
+        young = self._put_aged(store, "telemetry", ("young",), "y" * 100, 60, now)
         report = store.gc(max_age_seconds=3600, now=now)
         assert report.removed == 1
         assert not old.exists() and young.exists()
@@ -222,18 +220,32 @@ class TestGC:
         assert not orphan.exists()
 
     def test_clear_and_info(self, store):
-        store.put("traces", ("a",), 1)
+        store.put("telemetry", ("a",), 1)
         store.put("workloads", ("b",), 2)
         info = store.info()
         assert info["total_entries"] == 2
-        assert set(info["namespaces"]) == {"traces", "workloads"}
+        assert set(info["namespaces"]) == {"telemetry", "workloads"}
         assert store.clear() == 2
         assert store.info()["total_entries"] == 0
+
+    def test_retired_namespace_stays_listed_and_clearable(self, store):
+        """``traces/`` artifacts written before that namespace was retired
+        are still on disk, so ``ls``, ``gc`` and ``clear`` must still see
+        and remove them."""
+        from repro.store.artifacts import NAMESPACES
+
+        assert "traces" not in NAMESPACES
+        old = store.put("traces", ("steady-state", 0.05, 3), [1, 2])
+        store.put("workloads", ("b",), 2)
+        assert {entry.namespace for entry in store.entries()} == {"traces", "workloads"}
+        assert "traces" in store.info()["namespaces"]
+        assert store.clear() == 2
+        assert not old.exists()
 
     def test_pinned_namespace_survives_size_eviction(self, store):
         now = 1_000_000.0
         golden = self._put_aged(store, "workloads", ("golden",), "g" * 500, 900, now)
-        other = self._put_aged(store, "traces", ("t",), "x" * 500, 100, now)
+        other = self._put_aged(store, "telemetry", ("t",), "x" * 500, 100, now)
         report = store.gc(max_bytes=0, now=now, pins=("workloads/",))
         assert golden.exists() and not other.exists()
         assert report.pinned == 1
@@ -242,8 +254,8 @@ class TestGC:
 
     def test_pinned_digest_prefix_survives_age_eviction(self, store):
         now = 1_000_000.0
-        pinned_path = self._put_aged(store, "traces", ("keep",), "k" * 100, 7200, now)
-        doomed = self._put_aged(store, "traces", ("drop",), "d" * 100, 7200, now)
+        pinned_path = self._put_aged(store, "telemetry", ("keep",), "k" * 100, 7200, now)
+        doomed = self._put_aged(store, "telemetry", ("drop",), "d" * 100, 7200, now)
         digest = key_digest(("keep",))
         report = store.gc(max_age_seconds=3600, now=now, pins=(digest[:12],))
         assert pinned_path.exists() and not doomed.exists()
@@ -254,7 +266,7 @@ class TestGC:
 
         now = 1_000_000.0
         golden = self._put_aged(store, "workloads", ("golden",), "g" * 500, 900, now)
-        self._put_aged(store, "traces", ("t",), "x" * 500, 100, now)
+        self._put_aged(store, "telemetry", ("t",), "x" * 500, 100, now)
         code = main(
             [
                 "store",
@@ -384,25 +396,3 @@ class TestTwoTierWorkloadCache:
         _, hit = cache.get_or_prepare(spec)
         stats = cache.stats()
         assert hit and stats.disk_hits == 0 and stats.total == 2
-
-
-class TestTraceCache:
-    def test_get_or_build_trace_roundtrip(self, store):
-        scenario = get_scenario("steady-state")
-        first = get_or_build_trace(scenario, scale=0.05, seed=3, store=store)
-        assert len(store.entries("traces")) == 1
-        again = get_or_build_trace(scenario, scale=0.05, seed=3, store=store)
-        assert again.n_queries == first.n_queries
-        assert (again.arrival_times == first.arrival_times).all()
-        # Cache key distinguishes seeds.
-        other = get_or_build_trace(scenario, scale=0.05, seed=4, store=store)
-        assert len(store.entries("traces")) == 2
-        assert other.n_queries != first.n_queries or (
-            other.arrival_times != first.arrival_times
-        ).any()
-
-    def test_without_store_is_plain_generation(self):
-        scenario = get_scenario("steady-state")
-        direct = scenario.build_trace(scale=0.05, seed=3)
-        built = get_or_build_trace(scenario, scale=0.05, seed=3, store=None)
-        assert (built.arrival_times == direct.arrival_times).all()

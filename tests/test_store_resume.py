@@ -18,7 +18,6 @@ from repro.runtime import (
     FunctionTask,
     ScalerSpec,
     WorkloadSpec,
-    run_task_rows,
     run_tasks,
 )
 from repro.store import ArtifactStore, RunJournal, list_runs
@@ -69,7 +68,7 @@ class TestResume:
 
     def test_interrupted_run_resumes_bit_identical(self, store):
         tasks = small_tasks()
-        baseline = run_task_rows(tasks, base_seed=7)
+        baseline = [r.row for r in run_tasks(tasks, base_seed=7)]
 
         interrupt = _InterruptAfter(2)
         with pytest.raises(KeyboardInterrupt):
@@ -117,16 +116,14 @@ class TestResume:
 
     def test_parallel_resume_matches_serial(self, store):
         tasks = small_tasks()
-        baseline = run_task_rows(tasks, base_seed=7)
+        baseline = [r.row for r in run_tasks(tasks, base_seed=7)]
         interrupt = _InterruptAfter(1)
         with pytest.raises(KeyboardInterrupt):
             run_tasks(
                 tasks, base_seed=7, store=store, run_id="r4", on_result=interrupt
             )
-        resumed = run_task_rows(
-            tasks, base_seed=7, workers=2, store=store, run_id="r4"
-        )
-        assert resumed == baseline
+        resumed = run_tasks(tasks, base_seed=7, workers=2, store=store, run_id="r4")
+        assert [r.row for r in resumed] == baseline
 
 
 class TestRunJournal:
@@ -245,18 +242,18 @@ class TestFunctionTasks:
         ]
 
     def test_rows_and_annotations(self):
-        rows = run_task_rows(self._grid(), base_seed=0)
+        rows = [r.row for r in run_tasks(self._grid(), base_seed=0)]
         assert [row["product"] for row in rows] == [0.0, 3.0, 6.0, 9.0]
         assert all(row["grid"] == "demo" for row in rows)
 
     def test_parallel_matches_serial(self):
-        serial = run_task_rows(self._grid(), base_seed=0)
-        parallel = run_task_rows(self._grid(), base_seed=0, workers=2)
+        serial = [r.row for r in run_tasks(self._grid(), base_seed=0)]
+        parallel = [r.row for r in run_tasks(self._grid(), base_seed=0, workers=2)]
         assert serial == parallel
 
     def test_resumable(self, store):
         grid = self._grid()
-        first = run_task_rows(grid, base_seed=0, store=store, run_id="fn")
+        first = [r.row for r in run_tasks(grid, base_seed=0, store=store, run_id="fn")]
         rerun = run_tasks(grid, base_seed=0, store=store, run_id="fn")
         assert all(result.resumed for result in rerun)
         assert [result.row for result in rerun] == first

@@ -207,10 +207,13 @@ def _run_session(run_id: str, workers: int | None = None, **params):
     session = Session(
         store="auto", telemetry=True, run_id=run_id, workers=workers
     )
-    result = (
-        session.experiment("pareto")
-        .scenario("steady-state")
-        .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0, **params)
+    result = session.run(
+        "pareto",
+        trace_names="steady-state",
+        scale=0.05,
+        monte_carlo_samples=50,
+        planning_interval=20.0,
+        **params,
     )
     return session, result
 
@@ -241,10 +244,12 @@ class TestSessionTelemetry:
 
     def test_disabled_by_default(self):
         session = Session(store=None)
-        result = (
-            session.experiment("pareto")
-            .scenario("steady-state")
-            .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
+        result = session.run(
+            "pareto",
+            trace_names="steady-state",
+            scale=0.05,
+            monte_carlo_samples=50,
+            planning_interval=20.0,
         )
         assert result.telemetry is None
 
@@ -260,10 +265,12 @@ class TestSessionTelemetry:
     def test_telemetry_rows_match_untelemetered_rows(self):
         _, with_telemetry = _run_session("itg-parity")
         session = Session(store=None, telemetry=False)
-        without = (
-            session.experiment("pareto")
-            .scenario("steady-state")
-            .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
+        without = session.run(
+            "pareto",
+            trace_names="steady-state",
+            scale=0.05,
+            monte_carlo_samples=50,
+            planning_interval=20.0,
         )
         assert with_telemetry.rows == without.rows
 
@@ -271,10 +278,12 @@ class TestSessionTelemetry:
 class TestResultSetExport:
     def test_to_csv_round_trip(self, tmp_path):
         session = Session(store=None)
-        result = (
-            session.experiment("pareto")
-            .scenario("steady-state")
-            .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
+        result = session.run(
+            "pareto",
+            trace_names="steady-state",
+            scale=0.05,
+            monte_carlo_samples=50,
+            planning_interval=20.0,
         )
         path = result.to_csv(tmp_path / "rows.csv")
         with open(path, newline="") as handle:
@@ -287,10 +296,12 @@ class TestResultSetExport:
 
     def test_to_dicts_returns_copies(self):
         session = Session(store=None)
-        result = (
-            session.experiment("pareto")
-            .scenario("steady-state")
-            .run(scale=0.05, monte_carlo_samples=50, planning_interval=20.0)
+        result = session.run(
+            "pareto",
+            trace_names="steady-state",
+            scale=0.05,
+            monte_carlo_samples=50,
+            planning_interval=20.0,
         )
         copies = result.to_dicts()
         assert copies == result.rows

@@ -21,7 +21,6 @@ import pytest
 from repro.exceptions import TraceFormatError, WorkloadError
 from repro.runtime import WorkloadCache, WorkloadSpec, prepare_workload
 from repro.store import ArtifactStore
-from repro.store.traces import get_or_build_trace, trace_cache_key
 from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
 from repro.types import ArrivalTrace, QPSSeries
 from repro.workloads import (
@@ -237,15 +236,6 @@ class TestCsvTraceScenario:
 
 
 class TestStoreCachedTraces:
-    def test_realization_is_cached_and_reused(self, trace_csv, tmp_path):
-        scenario = scenario_from_trace_csv(trace_csv)
-        store = ArtifactStore(tmp_path / "store")
-        first = get_or_build_trace(scenario, scale=0.5, seed=7, store=store)
-        key = trace_cache_key(scenario, scale=0.5, seed=7)
-        assert isinstance(store.get("traces", key), ArrivalTrace)
-        second = get_or_build_trace(scenario, scale=0.5, seed=7, store=store)
-        np.testing.assert_array_equal(first.arrival_times, second.arrival_times)
-
     def test_cache_token_tracks_file_content(self, trace_csv):
         generator = CSVTraceGenerator(str(trace_csv))
         before = generator.cache_token
@@ -261,30 +251,30 @@ class TestStoreCachedTraces:
         )
         assert generator.cache_token != before
 
-    def test_edited_file_misses_the_old_cache_entry(self, trace_csv, tmp_path):
-        scenario = scenario_from_trace_csv(trace_csv)
+    def test_realization_is_prepared_once_and_reused(
+        self, trace_csv, tmp_path, monkeypatch
+    ):
+        """An unchanged CSV scenario is served from the store by a fresh
+        workload cache: one preparation, then a disk hit."""
+        monkeypatch.setattr(registry_module, "DEFAULT_REGISTRY", ScenarioRegistry())
+        register_trace_csv(trace_csv, bin_seconds=60.0)
         store = ArtifactStore(tmp_path / "store")
-        stale = get_or_build_trace(scenario, scale=1.0, seed=7, store=store)
-        trace = load_trace_csv(trace_csv)
-        save_trace_csv(
-            ArrivalTrace(
-                trace.arrival_times[: trace.n_queries // 2],
-                trace.processing_times[: trace.n_queries // 2],
-                name=trace.name,
-                horizon=trace.horizon,
-            ),
-            trace_csv,
+        spec = WorkloadSpec(scenario="recorded", scale=1.0, seed=7)
+        first, hit = WorkloadCache(store).get_or_prepare(spec)
+        assert not hit
+        assert len(store.entries("workloads")) == 1
+
+        warm = WorkloadCache(store)
+        second, hit = warm.get_or_prepare(spec)
+        assert hit and warm.stats().disk_hits == 1
+        np.testing.assert_array_equal(
+            first.test.arrival_times, second.test.arrival_times
         )
-        fresh = get_or_build_trace(scenario, scale=1.0, seed=7, store=store)
-        # The content digest is part of the key, so the edit cannot serve
-        # the stale realization.
-        assert fresh.n_queries == trace.n_queries // 2
-        assert stale.n_queries == trace.n_queries
 
     def test_edited_file_misses_the_old_prepared_workload(
         self, tmp_path, monkeypatch
     ):
-        """The workload cache keys a CSV scenario by the file's content too:
+        """The workload cache keys a CSV scenario by the file's content:
         a fresh cache over the same store must prepare the edited file, not
         serve the preparation of the old one."""
         trace = get_scenario("google").build_trace(scale=0.125, seed=3)
