@@ -13,8 +13,12 @@ The policy grid covers both dispatch regimes: policies with an arrival
 target of 0 (Reactive, TickFleet) served as whole numpy chunks, and the
 top-up policies (BP, AdapBP) served through the batched engine's top-up
 chunks — with deterministic pending times (the FIFO server) and, for one
-BP cell, jittered ones (the per-arrival top-up loop).  A full run also writes its results to ``BENCH_engine.json`` at the
-repo root so the perf trajectory is recorded alongside the code.
+BP cell, jittered ones (the per-arrival top-up loop).  The rate and pending
+time keep about three replacements in flight, so the top-up pools of about
+four instances hit on a fraction of arrivals well inside (0, 1) and the
+top-up paths serve both hits and misses; every run checks that band.  A full
+run also writes its results to ``BENCH_engine.json`` at the repo root so the
+perf trajectory is recorded alongside the code.
 
 Runs standalone for CI smoke jobs (10^4 queries only; writes JSON only
 when ``--output`` is given, so the committed record stays intact)::
@@ -61,12 +65,14 @@ _COLUMNS = (
 )
 
 #: Constant arrival rate (queries/second); the horizon scales with the size.
-_RATE = 100.0
+_RATE = 2.0
 
 #: Pending time of every cell (seconds), and the uniform jitter of the
-#: jittered cell, which breaks the pool's FIFO order.
-_PENDING_TIME = 0.2
-_JITTER = 0.1
+#: jittered cell, which breaks the pool's FIFO order.  ``_RATE *
+#: _PENDING_TIME`` = 3 replacements are in flight on average, against a pool
+#: of 4 (BP) or ``ceil(2 * _RATE)`` = 4 to 5 (AdapBP after its first update).
+_PENDING_TIME = 1.5
+_JITTER = 0.75
 
 #: Engines timed per cell, in reporting order.
 _ENGINE_NAMES = ("reference", "batched")
@@ -111,7 +117,9 @@ def _scaler_families() -> list[tuple[str, object, float]]:
         ("BP(B=4)", lambda: BackupPoolScaler(4), 0.0),
         ("BP(B=4) jittered", lambda: BackupPoolScaler(4), _JITTER),
         ("AdapBP(f=2)", lambda: AdaptiveBackupPoolScaler(2.0), 0.0),
-        ("TickFleet", lambda: TickFleetScaler(), 0.0),
+        # One tick per ~500 expected arrivals, so the cell times chunks
+        # between ticks rather than the planning hook itself.
+        ("TickFleet", lambda: TickFleetScaler(interval=500.0 / _RATE), 0.0),
     ]
 
 
@@ -119,6 +127,12 @@ def _scaler_families() -> list[tuple[str, object, float]]:
 #: server; these must clear the >=20x bar over the reference engine at
 #: 10^6 queries.  The jittered BP cell is held to bit-parity only.
 _HOOK_FAMILIES = ("BP(B=4)", "AdapBP(f=2)")
+
+#: Families that keep a backup pool, and the band their hit rate must land
+#: in at every size: a pool that always or never hits leaves the top-up
+#: paths half exercised.
+_POOL_FAMILIES = ("BP(B=4)", "BP(B=4) jittered", "AdapBP(f=2)")
+_HIT_RATE_BAND = (0.2, 0.95)
 
 
 def make_trace(n_queries: int, seed: int = 7) -> ArrivalTrace:
@@ -180,6 +194,16 @@ def run_engine_comparison(sizes: tuple[int, ...], seed: int = 7) -> list[dict]:
     return rows
 
 
+def hit_rate_outliers(rows: list[dict]) -> list[dict]:
+    """The pool-family rows whose hit rate falls outside ``_HIT_RATE_BAND``."""
+    low, high = _HIT_RATE_BAND
+    return [
+        row
+        for row in rows
+        if row["scaler"] in _POOL_FAMILIES and not low <= row["hit_rate"] <= high
+    ]
+
+
 def write_results(rows: list[dict], path: Path) -> None:
     """Persist the comparison as JSON so the perf trajectory is tracked."""
     payload = {
@@ -198,6 +222,7 @@ def test_engine_comparison_smoke(run_once):
     rows = run_once(run_engine_comparison, (10_000,))
     print_artifact("Engine comparison (smoke)", rows)
     assert all(row["divergent_rows"] == 0 for row in rows)
+    assert hit_rate_outliers(rows) == []
 
 
 # ----------------------------------------------------------- standalone mode
@@ -247,6 +272,14 @@ def main(argv=None) -> int:
         print(f"\nFAIL: {len(divergent)} cells produced divergent rows")
         return 1
     print("\nAll cells bit-identical across engines.")
+    outliers = hit_rate_outliers(rows)
+    for row in outliers:
+        print(
+            f"FAIL: {row['scaler']} hit rate {row['hit_rate']:.3f} at "
+            f"{row['n_queries']} queries is outside {_HIT_RATE_BAND}"
+        )
+    if outliers:
+        return 1
     if not args.smoke:
         headline = max(
             row["batched_speedup"] for row in rows if row["n_queries"] >= 500_000

@@ -7,7 +7,8 @@ is low-volume, noisy, and strongly periodic (working hours on weekdays).
 This example reproduces a miniature version of the paper's Fig. 4 Pareto
 study on that workload: it sweeps the trade-off parameter of each autoscaler
 (Backup Pool, Adaptive Backup Pool, and the three RobustScaler variants) and
-prints the resulting (relative cost, hit rate, response time) frontier.
+prints every configuration's (relative cost, hit rate, response time) row,
+cheapest first, so the cost/QoS trade-off reads top to bottom.
 
 Run with::
 
@@ -18,7 +19,7 @@ from __future__ import annotations
 
 from repro import get_scenario
 from repro.api import Session
-from repro.metrics import ParetoPoint, format_table, pareto_frontier
+from repro.metrics import format_table
 
 
 def main() -> None:
@@ -45,22 +46,11 @@ def main() -> None:
     print()
     print(
         format_table(
-            rows,
+            sorted(rows, key=lambda row: row["relative_cost"]),
             columns=["scaler", "relative_cost", "hit_rate", "rt_avg"],
-            title="Sweep of every autoscaler on the CRS-like test week",
+            title="Sweep of every autoscaler on the CRS-like test week, cheapest first",
         )
     )
-
-    # Which configurations are Pareto-efficient in (cost, hit-rate) space?
-    points = [
-        ParetoPoint(cost=row["relative_cost"], qos=row["hit_rate"], label=row["scaler"])
-        for row in rows
-    ]
-    frontier = pareto_frontier(points)
-    print()
-    print("Pareto-efficient configurations (low cost, high hit rate):")
-    for point in frontier:
-        print(f"  {point.label:<35} relative_cost={point.cost:.2f} hit_rate={point.qos:.2f}")
 
 
 if __name__ == "__main__":

@@ -9,9 +9,7 @@ of recent arrivals.  This example simulates that control loop:
    NHPP every 30 simulated minutes;
 3. at each refit the example prints the forecast for the next hour, and at
    the end a one-line sparkline of the recent traffic, which is what an
-   operator dashboard would show;
-4. at the end, the forecast quality is compared against the naive
-   constant-rate (homogeneous Poisson) baseline using AIC.
+   operator dashboard would show.
 
 Run with::
 
@@ -23,16 +21,10 @@ from __future__ import annotations
 import numpy as np
 
 from repro.config import ADMMConfig, NHPPConfig
-from repro.nhpp import (
-    HomogeneousPoissonModel,
-    RollingNHPPForecaster,
-    compare_aic,
-    NHPPModel,
-)
+from repro.nhpp import RollingNHPPForecaster
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.sampling import sample_arrival_times
 from repro.traces import periodic_bump_intensity
-from repro.types import QPSSeries
 
 
 def _workload_intensity() -> PiecewiseConstantIntensity:
@@ -85,28 +77,6 @@ def main() -> None:
         f"(peak {counts.max()}, mean {counts.mean():.1f}):"
     )
     print("".join(" .:-=+*#"[level] for level in levels))
-
-    # How much does the NHPP buy over a constant-rate model on this workload?
-    series = QPSSeries(
-        np.histogram(arrivals, bins=np.arange(0, horizon + 1, 60.0))[0], 60.0
-    )
-    nhpp = NHPPModel(NHPPConfig(admm=ADMMConfig(max_iterations=150)), bin_seconds=60.0).fit(
-        series
-    )
-    constant = HomogeneousPoissonModel().fit(series)
-    comparison = compare_aic(
-        np.asarray(series.counts),
-        60.0,
-        nhpp.fit_result.intensity,
-        np.full(series.n_bins, constant.rate),
-        dof_b=1,
-    )
-    print()
-    print("Model comparison on the full stream (lower AIC is better):")
-    print(f"  regularized NHPP : AIC = {comparison.aic_a:10.1f}")
-    print(f"  constant rate    : AIC = {comparison.aic_b:10.1f}")
-    winner = "regularized NHPP" if comparison.preferred == "a" else "constant rate"
-    print(f"  preferred model  : {winner}")
 
 
 if __name__ == "__main__":

@@ -76,12 +76,11 @@ def add_param_arguments(
 
 
 def add_session_arguments(
-    parser: argparse.ArgumentParser,
-    spec: ExperimentSpec,
-    *,
-    store_env_var: str,
+    parser: argparse.ArgumentParser, spec: ExperimentSpec
 ) -> None:
     """Install the uniform session knobs the experiment supports."""
+    from ..store import STORE_DIR_ENV_VAR
+
     if spec.runtime:
         parser.add_argument(
             "--workers",
@@ -105,7 +104,7 @@ def add_session_arguments(
             default=None,
             help=(
                 "artifact-store directory (default: the "
-                f"{store_env_var} environment variable, else ~/.cache/repro/store)"
+                f"{STORE_DIR_ENV_VAR} environment variable, else ~/.cache/repro/store)"
             ),
         )
         parser.add_argument(

@@ -323,14 +323,14 @@ class Session:
 
         ``params`` are the experiment's declared schema parameters (unknown
         names raise :class:`~repro.exceptions.ValidationError`); the rest
-        take their defaults.  Store and journaling apply only to
-        runtime-backed experiments, so the others run with neither and
-        report ``provenance.run_id`` as ``None``.
+        take their defaults.  Workers, store and journaling apply only to
+        runtime-backed experiments, so the others run with none of them and
+        report ``provenance.workers`` and ``provenance.run_id`` as ``None``.
         """
         spec = get_experiment(name)
         recorder = Recorder() if self.telemetry else None
         ctx = RunContext(
-            workers=self.workers,
+            workers=self.workers if spec.runtime else None,
             store=self.store if spec.runtime else None,
             run_id=self.run_id if spec.runtime else None,
             progress=self.progress,

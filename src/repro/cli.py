@@ -97,7 +97,6 @@ def build_parser() -> argparse.ArgumentParser:
     from .api import list_experiments
     from .api.cligen import add_param_arguments, add_session_arguments
     from .runtime.spec import SCALER_KINDS
-    from .store import STORE_DIR_ENV_VAR
 
     parser = argparse.ArgumentParser(
         prog="robustscaler",
@@ -156,7 +155,7 @@ def build_parser() -> argparse.ArgumentParser:
             epilog="result columns: " + ", ".join(spec.result_columns),
         )
         add_param_arguments(sub, spec)
-        add_session_arguments(sub, spec, store_env_var=STORE_DIR_ENV_VAR)
+        add_session_arguments(sub, spec)
 
     workloads = subparsers.add_parser(
         "workloads", help="workload-scenario registry: list, generate"

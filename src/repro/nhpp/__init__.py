@@ -3,8 +3,10 @@
 This subpackage implements the paper's regularized NHPP intensity model
 (eq. 1), the specialized linearized ADMM solver (Algorithm 2), periodic
 extrapolation of the fitted intensity into the future, exact samplers for
-piecewise-constant intensities, and goodness-of-fit diagnostics based on the
-time-rescaling theorem.
+piecewise-constant intensities, a rolling refit forecaster for online use,
+and goodness-of-fit diagnostics based on the time-rescaling theorem.  The
+constant-rate Poisson model the paper replaces has no model class here;
+:func:`sample_homogeneous_arrivals` draws from it for tests and ablations.
 """
 
 from .intensity import PiecewiseConstantIntensity
@@ -12,13 +14,6 @@ from .objective import RegularizedNHPPObjective, soft_threshold
 from .admm import ADMMResult, fit_log_intensity
 from .model import NHPPModel, NHPPFitResult
 from .extrapolation import extrapolate_intensity
-from .homogeneous import (
-    HomogeneousPoissonModel,
-    ModelComparison,
-    compare_aic,
-    effective_degrees_of_freedom,
-    poisson_log_likelihood,
-)
 from .online import RollingNHPPForecaster
 from .sampling import (
     sample_arrival_times,
@@ -37,11 +32,6 @@ __all__ = [
     "NHPPModel",
     "NHPPFitResult",
     "extrapolate_intensity",
-    "HomogeneousPoissonModel",
-    "ModelComparison",
-    "compare_aic",
-    "effective_degrees_of_freedom",
-    "poisson_log_likelihood",
     "RollingNHPPForecaster",
     "sample_arrival_times",
     "sample_counts",

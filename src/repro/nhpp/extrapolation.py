@@ -7,20 +7,27 @@ prediction module extends it beyond the end of the training window:
   intensity are repeated cyclically — the periodicity regularizer has already
   pulled each cycle towards the common pattern, so the last cycle is a robust
   template;
-* when no period was detected, the median intensity of a trailing window is
-  held constant, which is the natural prediction for a locally stationary
-  process.
+* when no period was detected, the median intensity of the trailing
+  :data:`TRAILING_WINDOW_BINS` bins is held constant, which is the natural
+  prediction for a locally stationary process.
+
+Either way the forecast is an unbounded function of time: the periodic
+template repeats forever and the held level never ends, so there is no
+horizon to choose.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from .._validation import check_integer, check_non_negative, check_positive
+from .._validation import check_positive
 from ..exceptions import ValidationError
 from .intensity import PiecewiseConstantIntensity
 
 __all__ = ["extrapolate_intensity"]
+
+#: Number of trailing fitted bins whose median is the aperiodic forecast.
+TRAILING_WINDOW_BINS = 30
 
 
 def extrapolate_intensity(
@@ -28,8 +35,6 @@ def extrapolate_intensity(
     bin_seconds: float,
     *,
     period_bins: int | None = None,
-    horizon_seconds: float | None = None,
-    trailing_window_bins: int = 30,
 ) -> PiecewiseConstantIntensity:
     """Build a forecast intensity starting at the end of the training window.
 
@@ -41,18 +46,13 @@ def extrapolate_intensity(
         Bin width of the fitted intensity.
     period_bins:
         Detected period in bins, or ``None`` when the workload is aperiodic.
-    horizon_seconds:
-        Length of the forecast to materialize explicitly.  Defaults to one
-        period (periodic case) or one bin (aperiodic case); the returned
-        intensity extrapolates itself beyond that horizon anyway.
-    trailing_window_bins:
-        Number of trailing bins whose median is held constant in the
-        aperiodic case.
 
     Returns
     -------
     PiecewiseConstantIntensity
-        Forecast intensity whose time origin is the end of the training data.
+        Forecast intensity whose time origin is the end of the training data:
+        one template cycle with ``extrapolation="periodic"``, or one held
+        level with ``extrapolation="hold"``.
     """
     values = np.asarray(fitted_values, dtype=float)
     if values.ndim != 1 or values.size == 0:
@@ -60,31 +60,15 @@ def extrapolate_intensity(
     if np.any(values < 0):
         raise ValidationError("fitted_values must be non-negative")
     bin_seconds = check_positive(bin_seconds, "bin_seconds")
-    check_integer(trailing_window_bins, "trailing_window_bins", minimum=1)
-    if horizon_seconds is not None:
-        check_non_negative(horizon_seconds, "horizon_seconds")
 
     if period_bins is not None and period_bins > 0 and values.size >= period_bins:
         template = _periodic_template(values, int(period_bins))
-        forecast = PiecewiseConstantIntensity(
+        return PiecewiseConstantIntensity(
             template, bin_seconds, extrapolation="periodic"
         )
-    else:
-        window = min(trailing_window_bins, values.size)
-        level = float(np.median(values[-window:]))
-        forecast = PiecewiseConstantIntensity(
-            np.array([level]), bin_seconds, extrapolation="hold"
-        )
-
-    if horizon_seconds is None or horizon_seconds <= forecast.duration:
-        return forecast
-    # Materialize the requested horizon explicitly so the caller can inspect
-    # the forecast as a plain array if it wants to.
-    n_bins = int(np.ceil(horizon_seconds / bin_seconds))
-    times = (np.arange(n_bins) + 0.5) * bin_seconds
-    materialized = np.asarray(forecast.value(times), dtype=float)
+    level = float(np.median(values[-TRAILING_WINDOW_BINS:]))
     return PiecewiseConstantIntensity(
-        materialized, bin_seconds, extrapolation=forecast.extrapolation
+        np.array([level]), bin_seconds, extrapolation="hold"
     )
 
 

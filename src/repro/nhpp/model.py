@@ -200,21 +200,19 @@ class NHPPModel:
         """Fitted historical intensity at training time(s) ``t`` (seconds)."""
         return self.fitted_intensity.value(t)
 
-    def forecast(self, horizon_seconds: float | None = None) -> PiecewiseConstantIntensity:
+    def forecast(self) -> PiecewiseConstantIntensity:
         """Forecast intensity whose origin is the end of the training window.
 
-        Parameters
-        ----------
-        horizon_seconds:
-            Optional explicit horizon to materialize; the returned intensity
-            extrapolates itself beyond its explicit window in either case.
+        The forecast is defined at every future time: the last cycle's
+        template repeats with the fitted period, or, for an aperiodic fit,
+        the trailing median level is held (see
+        :func:`~repro.nhpp.extrapolation.extrapolate_intensity`).
         """
         result = self.fit_result
         return extrapolate_intensity(
             result.intensity,
             result.bin_seconds,
             period_bins=result.period_bins or None,
-            horizon_seconds=horizon_seconds,
         )
 
     def expected_count(self, start: float, end: float) -> float:

@@ -5,7 +5,7 @@ Google cluster trace 2019 and the Alibaba cluster trace 2018.  None of those
 can be bundled offline, so this subpackage provides seeded synthetic
 generators that reproduce the structural features each experiment relies on
 (listed per generator in :mod:`repro.traces.synthetic`; README "Workload
-scenarios" covers their registry aliases), together with CSV/JSONL IO
+scenarios" covers their registry aliases), together with trace CSV IO
 for users who want to plug in their own traces, and the perturbation /
 missing-data / anomaly utilities used by the robustness experiments.
 """
@@ -18,7 +18,7 @@ from .synthetic import (
     generate_trace_from_intensity,
     periodic_bump_intensity,
 )
-from .io import load_trace_csv, save_trace_csv, load_qps_csv, save_qps_csv
+from .io import load_trace_csv, save_trace_csv
 from .perturbation import (
     inject_missing_window,
     perturb_trace,
@@ -34,8 +34,6 @@ __all__ = [
     "generate_trace_from_intensity",
     "load_trace_csv",
     "save_trace_csv",
-    "load_qps_csv",
-    "save_qps_csv",
     "perturb_trace",
     "inject_missing_window",
     "remove_anomalous_bursts",

@@ -1,20 +1,15 @@
-"""Reading and writing traces and QPS series as plain CSV files.
+"""Reading and writing traces as plain CSV files.
 
-The on-disk formats are intentionally simple so users can export traces from
-their own systems:
+The on-disk format is intentionally simple so users can export traces from
+their own systems: an optional ``# horizon,<seconds>,<name>`` comment, the
+header ``arrival_time,processing_time``, then one row per query with times
+in seconds (floats).
 
-* **trace CSV** — header ``arrival_time,processing_time`` followed by one row
-  per query, times in seconds (floats);
-* **QPS CSV** — header ``bin_start,count`` with the bin width recorded in a
-  ``# bin_seconds=<value>`` comment on the first line.
-
-Both loaders validate what the downstream consumers assume instead of
+The loader validates what the downstream consumers assume instead of
 trusting the file: the simulation engines require sorted, finite,
-non-negative arrival times, and the NHPP fitting path requires the QPS bins
-to form a uniform grid starting at zero.  A file that violates either
-contract raises :class:`~repro.exceptions.TraceFormatError` naming the
-offending row, rather than silently corrupting every QoS number computed
-from it.
+non-negative arrival times.  A file that violates that contract raises
+:class:`~repro.exceptions.TraceFormatError` naming the offending row, rather
+than silently corrupting every QoS number computed from it.
 """
 
 from __future__ import annotations
@@ -23,17 +18,10 @@ import csv
 import math
 from pathlib import Path
 
-import numpy as np
-
 from ..exceptions import TraceFormatError
-from ..types import ArrivalTrace, QPSSeries
+from ..types import ArrivalTrace
 
-__all__ = ["save_trace_csv", "load_trace_csv", "save_qps_csv", "load_qps_csv"]
-
-#: Relative tolerance when checking ``bin_start`` against the uniform grid
-#: (CSV round-trips write 6 decimal places, so exact equality is too strict).
-_BIN_START_RTOL = 1e-6
-
+__all__ = ["save_trace_csv", "load_trace_csv"]
 
 def save_trace_csv(trace: ArrivalTrace, path: str | Path) -> Path:
     """Write ``trace`` to ``path`` in the trace CSV format and return the path."""
@@ -116,85 +104,3 @@ def load_trace_csv(path: str | Path, *, name: str | None = None) -> ArrivalTrace
             f"last arrival ({arrivals[-1]!r})"
         )
     return ArrivalTrace(arrivals, processing, name=trace_name, horizon=horizon)
-
-
-def save_qps_csv(series: QPSSeries, path: str | Path) -> Path:
-    """Write ``series`` to ``path`` in the QPS CSV format and return the path."""
-    path = Path(path)
-    path.parent.mkdir(parents=True, exist_ok=True)
-    with path.open("w", newline="") as handle:
-        writer = csv.writer(handle)
-        writer.writerow([f"# bin_seconds={series.bin_seconds!r}", series.name])
-        writer.writerow(["bin_start", "count"])
-        for start, count in zip(series.times, series.counts):
-            writer.writerow([f"{start:.6f}", f"{count:.6f}"])
-    return path
-
-
-def load_qps_csv(path: str | Path, *, name: str | None = None) -> QPSSeries:
-    """Read a :class:`~repro.types.QPSSeries` from a QPS CSV file.
-
-    Raises
-    ------
-    TraceFormatError
-        If the ``# bin_seconds=`` header is missing, a row cannot be parsed,
-        or any ``bin_start`` deviates from the uniform grid ``i *
-        bin_seconds`` the series model assumes.  Offset or non-uniform bin
-        starts used to be silently discarded — misreading such a file as
-        uniform-from-zero shifts the whole fitted intensity in time.
-    """
-    path = Path(path)
-    if not path.exists():
-        raise TraceFormatError(f"QPS file not found: {path}")
-    counts: list[float] = []
-    bin_starts: list[float] = []
-    bin_seconds: float | None = None
-    series_name = name or path.stem
-    with path.open(newline="") as handle:
-        reader = csv.reader(handle)
-        for row in reader:
-            if not row:
-                continue
-            if row[0].startswith("#"):
-                token = row[0].lstrip("# ").strip()
-                if token.startswith("bin_seconds="):
-                    try:
-                        bin_seconds = float(token.split("=", 1)[1])
-                    except ValueError as exc:
-                        raise TraceFormatError(
-                            f"invalid bin_seconds in {path}: {token!r}"
-                        ) from exc
-                if name is None and len(row) >= 2 and row[1]:
-                    series_name = row[1]
-                continue
-            if row[0] == "bin_start":
-                continue
-            try:
-                bin_starts.append(float(row[0]))
-                counts.append(float(row[1]))
-            except (ValueError, IndexError) as exc:
-                raise TraceFormatError(f"malformed row in {path}: {row!r}") from exc
-    if bin_seconds is None:
-        raise TraceFormatError(f"missing '# bin_seconds=' header in {path}")
-    if not (math.isfinite(bin_seconds) and bin_seconds > 0):
-        raise TraceFormatError(
-            f"invalid bin_seconds in {path}: {bin_seconds!r} (must be finite "
-            "and positive)"
-        )
-    # QPSSeries models a uniform grid starting at zero; a file whose
-    # bin_start column disagrees (offset origin, shuffled rows, skipped
-    # bins) would be silently misread, shifting the fitted intensity.
-    expected = np.arange(len(bin_starts)) * bin_seconds
-    tolerance = max(_BIN_START_RTOL * bin_seconds, 1e-6)
-    mismatched = np.nonzero(
-        ~np.isclose(np.asarray(bin_starts), expected, rtol=0.0, atol=tolerance)
-    )[0]
-    if mismatched.size:
-        i = int(mismatched[0])
-        raise TraceFormatError(
-            f"non-uniform bin_start in {path}, row {i + 1}: got "
-            f"{bin_starts[i]!r}, expected {expected[i]!r} (bins must form "
-            f"the uniform grid i * bin_seconds starting at 0; offset or "
-            "shuffled bins would silently shift the fitted intensity)"
-        )
-    return QPSSeries(counts, bin_seconds, name=series_name)

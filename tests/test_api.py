@@ -183,6 +183,14 @@ class TestSessionRun:
         assert store.entries() == []
         assert result.provenance.run_id is None
 
+    def test_non_runtime_experiment_reports_no_workers(self):
+        result = Session(store=None, workers=4, telemetry=True).run(
+            "table3", period_seconds=600.0, n_periods=2, max_iterations=20
+        )
+        assert result.provenance.n_tasks == 0
+        assert result.provenance.workers is None
+        assert result.telemetry["provenance"]["workers"] is None
+
     def test_generic_scenario_defaults_make_registry_reachable(self):
         defaults = trace_defaults("cold-start-services")
         assert set(defaults) == {"pool_sizes", "adaptive_factors", "hp_targets"}
@@ -299,7 +307,7 @@ class TestGeneratedCLI:
         parser = argparse.ArgumentParser()
         spec = get_experiment("pareto")
         add_param_arguments(parser, spec)
-        add_session_arguments(parser, spec, store_env_var="REPRO_STORE_DIR")
+        add_session_arguments(parser, spec)
         args = parser.parse_args(
             ["--trace", "crs", "--trace", "google", "--mc-samples", "60"]
         )

@@ -2,7 +2,9 @@
 
 A ``--smoke`` run must leave the committed full-size ``BENCH_engine.json``
 alone unless ``--output`` names a file; a full run writes the record by
-default.  The comparison itself is stubbed, so these tests take no time.
+default.  Every run fails when a backup-pool cell's hit rate leaves the
+band in which the top-up paths serve both hits and misses.  The comparison
+itself is stubbed, so these tests take no time.
 """
 
 from __future__ import annotations
@@ -44,7 +46,7 @@ def bench(monkeypatch, tmp_path):
                 "batched_seconds": 0.01,
                 "batched_speedup": 100.0,
                 "divergent_rows": 0,
-                "hit_rate": 0.5,
+                "hit_rate": module.fake_hit_rate,
             }
             for n_queries in sizes
         ]
@@ -52,6 +54,7 @@ def bench(monkeypatch, tmp_path):
     monkeypatch.setattr(module, "run_engine_comparison", fake_comparison)
     monkeypatch.setattr(module, "_DEFAULT_OUTPUT", tmp_path / "BENCH_engine.json")
     module.calls = calls
+    module.fake_hit_rate = 0.5
     return module
 
 
@@ -75,3 +78,9 @@ def test_full_run_writes_the_default_record(bench):
     assert bench.calls == [(10_000, 100_000, 1_000_000)]
     payload = json.loads(bench._DEFAULT_OUTPUT.read_text())
     assert [row["n_queries"] for row in payload["rows"]] == [10_000, 100_000, 1_000_000]
+
+
+@pytest.mark.parametrize("hit_rate", [0.0, 1e-5, 1.0])
+def test_run_fails_when_a_pool_cell_barely_hits_or_always_hits(bench, hit_rate):
+    bench.fake_hit_rate = hit_rate
+    assert bench.main(["--smoke"]) == 1

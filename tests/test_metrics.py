@@ -10,7 +10,6 @@ from hypothesis import strategies as st
 from repro.exceptions import ValidationError
 from repro.metrics.cost import relative_cost
 from repro.metrics.errors import mean_absolute_error, mean_squared_error
-from repro.metrics.pareto import ParetoPoint, dominates, pareto_frontier
 from repro.metrics.qos import (
     TABLE2_LEVELS,
     quantiles_of,
@@ -38,17 +37,6 @@ def _result(hits, response_times, processing: float = 1.0) -> SimulationResult:
         pending_times=np.ones(len(hits)),
         proactive=np.asarray(hits, dtype=bool),
     )
-
-
-#: Small (cost, qos) clouds on a coarse grid, so ties and duplicates occur.
-_POINTS = st.lists(
-    st.builds(
-        ParetoPoint,
-        st.integers(0, 6).map(float),
-        st.integers(0, 6).map(lambda q: q / 6.0),
-    ),
-    max_size=12,
-)
 
 
 class TestQoSMetrics:
@@ -174,104 +162,6 @@ class TestWindowedVariance:
         _, block_variance = windowed_mean_variance(values, 10)
         # Averaging within blocks can only reduce variance.
         assert block_variance <= values.var() + 1e-9
-
-
-class TestPareto:
-    def test_dominates_higher_qos_better(self):
-        a = ParetoPoint(cost=1.0, qos=0.9)
-        b = ParetoPoint(cost=2.0, qos=0.8)
-        assert dominates(a, b)
-        assert not dominates(b, a)
-
-    def test_dominates_lower_qos_better(self):
-        a = ParetoPoint(cost=1.0, qos=10.0)
-        b = ParetoPoint(cost=2.0, qos=20.0)
-        assert dominates(a, b, qos_higher_is_better=False)
-
-    def test_frontier_removes_dominated(self):
-        points = [
-            ParetoPoint(cost=1.0, qos=0.5, label="a"),
-            ParetoPoint(cost=2.0, qos=0.9, label="b"),
-            ParetoPoint(cost=2.5, qos=0.7, label="dominated"),
-        ]
-        frontier = pareto_frontier(points)
-        labels = [p.label for p in frontier]
-        assert "dominated" not in labels
-        assert labels == ["a", "b"]
-
-    def test_frontier_sorted_by_cost(self):
-        rng = np.random.default_rng(0)
-        points = [
-            ParetoPoint(cost=float(c), qos=float(q))
-            for c, q in zip(rng.uniform(1, 5, 30), rng.uniform(0, 1, 30))
-        ]
-        frontier = pareto_frontier(points)
-        costs = [p.cost for p in frontier]
-        assert costs == sorted(costs)
-        qos = [p.qos for p in frontier]
-        assert qos == sorted(qos)
-
-    def test_empty_and_single_point(self):
-        assert pareto_frontier([]) == []
-        only = ParetoPoint(cost=3.0, qos=0.2, label="only")
-        assert pareto_frontier([only]) == [only]
-
-    def test_identical_points_are_all_kept(self):
-        # Equal points do not dominate each other (nothing is strictly better).
-        twins = [ParetoPoint(1.0, 0.5, label="x"), ParetoPoint(1.0, 0.5, label="y")]
-        assert not dominates(twins[0], twins[1])
-        assert [p.label for p in pareto_frontier(twins)] == ["x", "y"]
-
-    def test_label_is_not_part_of_equality(self):
-        assert ParetoPoint(1.0, 0.5, label="a") == ParetoPoint(1.0, 0.5, label="b")
-        assert ParetoPoint(1.0, 0.5) != ParetoPoint(1.0, 0.6)
-
-    @given(_POINTS)
-    @settings(max_examples=50, deadline=None)
-    def test_dominates_is_irreflexive_and_asymmetric(self, points):
-        for a in points:
-            assert not dominates(a, a)
-            for b in points:
-                assert not (dominates(a, b) and dominates(b, a))
-
-    @given(_POINTS, st.booleans())
-    @settings(max_examples=50, deadline=None)
-    def test_frontier_members_are_undominated(self, points, higher):
-        frontier = pareto_frontier(points, qos_higher_is_better=higher)
-        assert all(any(p is q for q in points) for p in frontier)
-        for member in frontier:
-            assert not any(
-                dominates(other, member, qos_higher_is_better=higher) for other in points
-            )
-
-    @given(_POINTS, st.booleans())
-    @settings(max_examples=50, deadline=None)
-    def test_every_excluded_point_is_dominated_by_the_frontier(self, points, higher):
-        frontier = pareto_frontier(points, qos_higher_is_better=higher)
-        excluded = [p for p in points if not any(p is q for q in frontier)]
-        assert len(frontier) + len(excluded) == len(points)
-        for point in excluded:
-            assert any(
-                dominates(member, point, qos_higher_is_better=higher)
-                for member in frontier
-            )
-
-    @given(_POINTS)
-    @settings(max_examples=50, deadline=None)
-    def test_lower_qos_better_equals_negated_qos(self, points):
-        lower = pareto_frontier(points, qos_higher_is_better=False)
-        negated = [ParetoPoint(p.cost, -p.qos, label=i) for i, p in enumerate(points)]
-        mirrored = pareto_frontier(negated)
-        assert sorted((p.cost, p.qos) for p in lower) == sorted(
-            (p.cost, -p.qos) for p in mirrored
-        )
-
-    @given(_POINTS)
-    @settings(max_examples=50, deadline=None)
-    def test_frontier_is_idempotent(self, points):
-        frontier = pareto_frontier(points)
-        again = pareto_frontier(frontier)
-        assert [(p.cost, p.qos) for p in again] == [(p.cost, p.qos) for p in frontier]
 
 
 class TestErrors:

@@ -112,12 +112,6 @@ class TestForecast:
         forecast = model.forecast()
         assert forecast.value(10_000.0) == pytest.approx(0.2, rel=0.3)
 
-    def test_forecast_horizon_materialized(self, fast_nhpp):
-        series, _ = _periodic_series(30, 4, seed=7)
-        model = NHPPModel(fast_nhpp).fit(series, period_bins=30)
-        forecast = model.forecast(horizon_seconds=7200.0)
-        assert forecast.duration >= 7200.0
-
 
 class TestExtrapolateIntensity:
     def test_periodic_template_uses_median_of_cycles(self):
@@ -137,6 +131,20 @@ class TestExtrapolateIntensity:
         # Next phase after the last training bin (pattern[1]) is pattern[2].
         assert forecast.value(0.0) == pytest.approx(3.0)
         assert forecast.value(10.0) == pytest.approx(4.0)
+
+    def test_forecast_repeats_with_its_period(self):
+        """Every later cycle of the forecast equals its first cycle, bin for bin."""
+        period, bin_seconds = 5, 10.0
+        pattern = np.array([1.0, 2.0, 3.0, 4.0, 5.0])
+        values = np.concatenate([np.tile(pattern, 3), pattern[:2]])
+        forecast = extrapolate_intensity(values, bin_seconds, period_bins=period)
+        t = (np.arange(period) + 0.5) * bin_seconds
+        first_cycle = forecast.value(t)
+        np.testing.assert_array_equal(first_cycle, [3.0, 4.0, 5.0, 1.0, 2.0])
+        for k in range(1, 4):
+            np.testing.assert_array_equal(
+                forecast.value(t + k * period * bin_seconds), first_cycle
+            )
 
     def test_aperiodic_uses_trailing_median(self):
         values = np.concatenate([np.full(50, 10.0), np.full(30, 2.0)])

@@ -4,7 +4,7 @@ Two halves, matching the two halves of the hardened import path:
 
 * the :mod:`repro.traces.io` loaders must reject every malformed file in
   the corpus below with :class:`~repro.exceptions.TraceFormatError` naming
-  the offending row, and must round-trip every well-formed trace/series
+  the offending row, and must round-trip every well-formed trace
   through save → load within the CSV format's 1e-6 precision;
 * :func:`repro.workloads.register_trace_csv` must make a trace CSV a
   first-class registry citizen — buildable, picklable, store-cacheable,
@@ -21,8 +21,8 @@ import pytest
 from repro.exceptions import TraceFormatError, WorkloadError
 from repro.runtime import WorkloadCache, WorkloadSpec, prepare_workload
 from repro.store import ArtifactStore
-from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
-from repro.types import ArrivalTrace, QPSSeries
+from repro.traces.io import load_trace_csv, save_trace_csv
+from repro.types import ArrivalTrace
 from repro.workloads import (
     CSVTraceGenerator,
     ScenarioRegistry,
@@ -53,15 +53,6 @@ class TestTraceCsvRoundTrip:
         np.testing.assert_allclose(loaded.processing_times, processing, atol=1e-6)
         assert loaded.horizon == pytest.approx(4000.0)
         assert loaded.name == "rt"
-
-    def test_qps_round_trips(self, tmp_path):
-        rng = np.random.default_rng(5)
-        counts = rng.integers(0, 50, 48).astype(float)
-        series = QPSSeries(counts, 300.0, name="qps-rt")
-        loaded = load_qps_csv(save_qps_csv(series, tmp_path / "qps.csv"))
-        np.testing.assert_allclose(loaded.counts, counts)
-        assert loaded.bin_seconds == pytest.approx(300.0)
-        assert loaded.name == "qps-rt"
 
     def test_load_after_double_round_trip_is_stable(self, tmp_path):
         trace = ArrivalTrace([0.25, 1.5, 9.0], [1.0, 2.0, 3.0], horizon=10.0)
@@ -106,56 +97,6 @@ class TestTraceCsvCorpus:
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError, match="not found"):
             load_trace_csv(tmp_path / "nope.csv")
-
-
-class TestQpsCsvCorpus:
-    """Every malformed QPS file is rejected instead of silently misread."""
-
-    def _qps(self, rows: str, header: str = "# bin_seconds=60.0,q\n") -> str:
-        return header + "bin_start,count\n" + rows
-
-    @pytest.mark.parametrize(
-        "body, fragment",
-        [
-            ("bin_start,count\n0.0,1\n", "missing '# bin_seconds='"),
-            ("# bin_seconds=banana,q\nbin_start,count\n", "invalid bin_seconds"),
-            ("# bin_seconds=0.0,q\nbin_start,count\n", "invalid bin_seconds"),
-            ("# bin_seconds=-60,q\nbin_start,count\n", "invalid bin_seconds"),
-            ("# bin_seconds=inf,q\nbin_start,count\n", "invalid bin_seconds"),
-        ],
-    )
-    def test_bad_header(self, tmp_path, body, fragment):
-        path = _write_trace_csv(tmp_path, body)
-        with pytest.raises(TraceFormatError, match=fragment):
-            load_qps_csv(path)
-
-    def test_offset_origin_rejected(self, tmp_path):
-        # Bins that start at 30 instead of 0 shift the fitted intensity.
-        path = _write_trace_csv(tmp_path, self._qps("30.0,1\n90.0,2\n150.0,3\n"))
-        with pytest.raises(TraceFormatError, match="non-uniform bin_start.*row 1"):
-            load_qps_csv(path)
-
-    def test_shuffled_rows_rejected(self, tmp_path):
-        path = _write_trace_csv(tmp_path, self._qps("0.0,1\n120.0,3\n60.0,2\n"))
-        with pytest.raises(TraceFormatError, match="non-uniform bin_start.*row 2"):
-            load_qps_csv(path)
-
-    def test_skipped_bin_rejected(self, tmp_path):
-        path = _write_trace_csv(tmp_path, self._qps("0.0,1\n60.0,2\n180.0,4\n"))
-        with pytest.raises(TraceFormatError, match="non-uniform bin_start.*row 3"):
-            load_qps_csv(path)
-
-    def test_malformed_count_rejected(self, tmp_path):
-        path = _write_trace_csv(tmp_path, self._qps("0.0,banana\n"))
-        with pytest.raises(TraceFormatError, match="malformed row"):
-            load_qps_csv(path)
-
-    def test_written_precision_passes_grid_check(self, tmp_path):
-        # The saver writes bin_start with 6 decimals; an awkward bin width
-        # must still round-trip through the uniform-grid validation.
-        series = QPSSeries([1.0, 2.0, 3.0, 4.0], 0.3333333, name="tight")
-        loaded = load_qps_csv(save_qps_csv(series, tmp_path / "tight.csv"))
-        np.testing.assert_allclose(loaded.counts, series.counts)
 
 
 @pytest.fixture

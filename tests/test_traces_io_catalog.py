@@ -6,8 +6,8 @@ import numpy as np
 import pytest
 
 from repro.exceptions import TraceFormatError, WorkloadError
-from repro.traces.io import load_qps_csv, load_trace_csv, save_qps_csv, save_trace_csv
-from repro.types import ArrivalTrace, QPSSeries
+from repro.traces.io import load_trace_csv, save_trace_csv
+from repro.types import ArrivalTrace
 from repro.workloads import get_scenario, list_scenarios
 
 
@@ -41,20 +41,6 @@ class TestTraceCsv:
         path = save_trace_csv(trace, tmp_path / "x.csv")
         loaded = load_trace_csv(path, name="override")
         assert loaded.name == "override"
-
-
-class TestQpsCsv:
-    def test_round_trip(self, tmp_path):
-        series = QPSSeries([1, 0, 5, 2], 300.0, name="qps-demo")
-        loaded = load_qps_csv(save_qps_csv(series, tmp_path / "qps.csv"))
-        np.testing.assert_allclose(loaded.counts, series.counts)
-        assert loaded.bin_seconds == 300.0
-
-    def test_missing_bin_seconds_raises(self, tmp_path):
-        path = tmp_path / "bad.csv"
-        path.write_text("bin_start,count\n0.0,1\n")
-        with pytest.raises(TraceFormatError):
-            load_qps_csv(path)
 
 
 class TestPaperTraceAliases:
