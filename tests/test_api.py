@@ -314,6 +314,17 @@ class TestGeneratedCLI:
         assert args.trace == ["crs", "google"]
         assert args.mc_samples == 60
 
+    def test_session_flags_only_on_runtime_experiments(self):
+        session_flags = {"--workers", "--run-id", "--store-dir", "--no-store"}
+        for spec in list_experiments():
+            parser = argparse.ArgumentParser()
+            add_session_arguments(parser, spec)
+            flags = {flag for action in parser._actions for flag in action.option_strings}
+            if spec.runtime:
+                assert session_flags <= flags, spec.name
+            else:
+                assert not session_flags & flags, spec.name
+
     def test_no_subcommand_offers_an_engine_flag(self):
         top = _subparser_map(build_parser())
         parsers = {"simulate": top["simulate"]}

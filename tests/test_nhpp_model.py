@@ -6,13 +6,17 @@ import numpy as np
 import pytest
 
 from repro.exceptions import ModelNotFittedError, ValidationError
-from repro.nhpp.extrapolation import extrapolate_intensity
+from repro.nhpp.extrapolation import TRAILING_WINDOW_BINS, extrapolate_intensity
 from repro.nhpp.intensity import PiecewiseConstantIntensity
 from repro.nhpp.model import MIN_INTENSITY, NHPPModel
-from repro.nhpp.sampling import sample_arrival_times, sample_counts
+from repro.nhpp.sampling import (
+    sample_arrival_times,
+    sample_counts,
+    sample_homogeneous_arrivals,
+)
 from repro.nhpp.validation import ks_statistic_time_rescaling, rescaled_interarrival_times
 from repro.traces.synthetic import periodic_bump_intensity
-from repro.types import QPSSeries
+from repro.types import ArrivalTrace, QPSSeries
 
 
 def _periodic_series(period_bins: int, n_periods: int, seed: int) -> tuple[QPSSeries, np.ndarray]:
@@ -151,11 +155,90 @@ class TestExtrapolateIntensity:
         forecast = extrapolate_intensity(values, 60.0, period_bins=None)
         assert forecast.value(0.0) == pytest.approx(2.0)
 
+    def test_aperiodic_level_reads_exactly_the_trailing_window(self):
+        values = np.arange(100.0)
+        forecast = extrapolate_intensity(values, 60.0)
+        assert TRAILING_WINDOW_BINS == 30
+        # The median of bins 70..99; one more bin would read 84.0.
+        assert forecast.value(0.0) == 84.5
+
+    def test_short_aperiodic_history_uses_every_bin(self):
+        forecast = extrapolate_intensity(np.array([1.0, 2.0, 100.0]), 60.0)
+        assert forecast.value(0.0) == 2.0
+
+    def test_period_longer_than_history_holds_a_level(self):
+        values = np.array([1.0, 5.0, 2.0, 4.0, 3.0])
+        forecast = extrapolate_intensity(values, 60.0, period_bins=8)
+        assert forecast.extrapolation == "hold"
+        assert forecast.value(0.0) == 3.0
+
+    def test_held_level_never_ends(self):
+        forecast = extrapolate_intensity(np.full(10, 0.25), 60.0)
+        t = np.array([0.0, 59.0, 60.0, 3600.0, 1e9])
+        np.testing.assert_array_equal(forecast.value(t), np.full(t.size, 0.25))
+
     def test_invalid_inputs(self):
         with pytest.raises(ValidationError):
             extrapolate_intensity(np.array([]), 60.0)
         with pytest.raises(ValidationError):
             extrapolate_intensity(np.array([-1.0]), 60.0)
+
+
+class TestConstantRateWorkload:
+    """On a homogeneous Poisson trace the NHPP reduces to one constant rate."""
+
+    HORIZON = 4 * 3600.0
+
+    def _trace(self, rate: float) -> ArrivalTrace:
+        arrivals = sample_homogeneous_arrivals(rate, self.HORIZON, 3)
+        return ArrivalTrace(arrivals, 1.0, name="hpp", horizon=self.HORIZON)
+
+    @pytest.mark.parametrize("rate", [0.05, 0.5])
+    def test_fit_recovers_the_rate(self, fast_nhpp, rate):
+        trace = self._trace(rate)
+        intensity = NHPPModel(fast_nhpp).fit(trace, period_bins=0).fit_result.intensity
+        observed_rate = trace.n_queries / self.HORIZON
+        assert np.median(intensity) == pytest.approx(observed_rate, rel=0.1)
+        # The smoothness penalty removes most of the per-bin Poisson noise.
+        raw = trace.to_qps_series(60.0).qps
+        assert intensity.std() < 0.5 * raw.std()
+
+    def test_detector_finds_no_period(self, fast_nhpp):
+        model = NHPPModel(fast_nhpp).fit(self._trace(0.5))
+        assert model.period_bins == 0
+        assert not model.fit_result.periodicity.detected
+
+    def test_fitted_intensity_integrates_to_the_observed_count(self, fast_nhpp):
+        # D2 and D_L annihilate constants, so the optimum matches total mass.
+        trace = self._trace(0.05)
+        model = NHPPModel(fast_nhpp).fit(trace, period_bins=0)
+        assert model.expected_count(0.0, self.HORIZON) == pytest.approx(
+            trace.n_queries, rel=1e-4
+        )
+
+    def test_forecast_is_one_level_within_the_fitted_range(self, fast_nhpp):
+        model = NHPPModel(fast_nhpp).fit(self._trace(0.5), period_bins=0)
+        intensity = model.fit_result.intensity
+        forecast = model.forecast()
+        level = forecast.value(0.0)
+        assert forecast.value(1e6) == level
+        assert intensity.min() <= level <= intensity.max()
+
+    def test_time_rescaling_accepts_the_fit(self, fast_nhpp):
+        trace = self._trace(0.05)
+        model = NHPPModel(fast_nhpp).fit(trace, period_bins=0)
+        _, p_value = ks_statistic_time_rescaling(
+            trace.arrival_times, model.fitted_intensity
+        )
+        assert p_value > 0.05
+
+    def test_fit_on_trace_equals_fit_on_its_series(self, fast_nhpp):
+        trace = self._trace(0.5)
+        from_trace = NHPPModel(fast_nhpp).fit(trace, period_bins=0)
+        from_series = NHPPModel(fast_nhpp).fit(trace.to_qps_series(60.0), period_bins=0)
+        np.testing.assert_array_equal(
+            from_trace.fit_result.intensity, from_series.fit_result.intensity
+        )
 
 
 class TestGoodnessOfFit:

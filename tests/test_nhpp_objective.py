@@ -115,3 +115,69 @@ class TestRegularizedNHPPObjective:
         assert obj.value(r) == pytest.approx(
             obj.negative_log_likelihood(r) + obj.penalty(r)
         )
+
+
+class TestLikelihoodAgainstScipy:
+    """The fitter's likelihood is the Poisson likelihood of the binned counts.
+
+    ``negative_log_likelihood`` drops the two terms that do not depend on
+    the intensity, ``sum(log Q_t!)`` and ``sum(Q_t) * log(delta_t)``; adding
+    them back gives scipy's Poisson negative log-pmf.
+    """
+
+    BIN = 60.0
+
+    def _objective(self, counts):
+        return RegularizedNHPPObjective(counts, self.BIN, 0.0, 0.0)
+
+    def _scipy_nll(self, counts, log_intensity):
+        from scipy import stats
+
+        means = self.BIN * np.exp(log_intensity)
+        return -float(stats.poisson.logpmf(counts, means).sum())
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_scipy_up_to_the_dropped_constant(self, seed):
+        from scipy.special import gammaln
+
+        rng = np.random.default_rng(seed)
+        counts = rng.poisson(4.0, size=40).astype(float)
+        r = rng.normal(np.log(4.0 / self.BIN), 0.5, size=40)
+        dropped = float(gammaln(counts + 1.0).sum() - counts.sum() * np.log(self.BIN))
+        nll = self._objective(counts).negative_log_likelihood(r)
+        assert nll + dropped == pytest.approx(self._scipy_nll(counts, r), rel=1e-10)
+
+    def test_differences_match_scipy_without_the_constant(self):
+        rng = np.random.default_rng(3)
+        counts = rng.poisson(2.0, size=25).astype(float)
+        obj = self._objective(counts)
+        r_a = np.full(25, np.log(2.0 / self.BIN))
+        r_b = r_a + rng.normal(scale=0.3, size=25)
+        ours = obj.negative_log_likelihood(r_b) - obj.negative_log_likelihood(r_a)
+        theirs = self._scipy_nll(counts, r_b) - self._scipy_nll(counts, r_a)
+        assert ours == pytest.approx(theirs, rel=1e-9)
+
+    def test_empty_bins_contribute_only_their_expected_count(self):
+        r = np.log(np.array([0.01, 0.05, 0.08, 0.2]))
+        nll = self._objective(np.zeros(4)).negative_log_likelihood(r)
+        assert nll == pytest.approx(self.BIN * np.exp(r).sum())
+        assert nll == pytest.approx(self._scipy_nll(np.zeros(4), r))
+
+    def test_is_convex_along_random_segments(self):
+        rng = np.random.default_rng(4)
+        obj = self._objective(rng.poisson(3.0, size=30).astype(float))
+        for _ in range(20):
+            r0, r1 = rng.normal(-3.0, 1.0, size=(2, 30))
+            w = rng.uniform()
+            mixed = obj.negative_log_likelihood(w * r0 + (1.0 - w) * r1)
+            chord = w * obj.negative_log_likelihood(r0) + (1.0 - w) * (
+                obj.negative_log_likelihood(r1)
+            )
+            assert mixed <= chord + 1e-9
+
+    def test_maximum_likelihood_estimate_is_each_bins_log_rate(self):
+        counts = np.array([3.0, 0.0, 7.0, 1.0])
+        mle = self._objective(counts).maximum_likelihood_log_intensity()
+        np.testing.assert_allclose(mle[[0, 2, 3]], np.log(counts[[0, 2, 3]] / self.BIN))
+        # An empty bin is floored so its log-rate stays finite.
+        assert mle[1] == pytest.approx(np.log(1e-3 / self.BIN))

@@ -80,6 +80,10 @@ class TestTraceCsvCorpus:
             ("# horizon,banana,x\n" + HEADER, "invalid horizon"),
             ("# horizon,inf,x\n" + HEADER, "invalid horizon"),
             ("# horizon,5.0,x\n" + HEADER + "9.0,1.0\n", "invalid horizon"),
+            ("# horizon,nan,x\n" + HEADER, "invalid horizon"),
+            (HEADER + "-inf,1.0\n", "invalid arrival_time"),
+            (HEADER + "1.0,inf\n", "invalid processing_time"),
+            (HEADER + "1.0,banana\n", "malformed row"),
         ],
     )
     def test_rejected_with_message(self, tmp_path, body, fragment):
@@ -93,6 +97,16 @@ class TestTraceCsvCorpus:
         )
         with pytest.raises(TraceFormatError, match="row 3"):
             load_trace_csv(path)
+
+    def test_tied_arrivals_are_accepted(self, tmp_path):
+        path = _write_trace_csv(tmp_path, self.HEADER + "1.0,1.0\n1.0,2.0\n3.0,0.5\n")
+        loaded = load_trace_csv(path)
+        np.testing.assert_array_equal(loaded.arrival_times, [1.0, 1.0, 3.0])
+
+    def test_missing_processing_column_reads_zero(self, tmp_path):
+        path = _write_trace_csv(tmp_path, self.HEADER + "1.0\n2.5,4.0\n")
+        loaded = load_trace_csv(path)
+        np.testing.assert_array_equal(loaded.processing_times, [0.0, 4.0])
 
     def test_missing_file(self, tmp_path):
         with pytest.raises(TraceFormatError, match="not found"):

@@ -142,6 +142,24 @@ class TestQPSSeries:
         with pytest.raises(ValidationError):
             QPSSeries([1, -1], 60.0)
 
+    @pytest.mark.parametrize("bin_seconds", [0.0, -60.0, float("inf"), float("nan")])
+    def test_rejects_bad_bin_seconds(self, bin_seconds):
+        with pytest.raises(ValidationError, match="bin_seconds"):
+            QPSSeries([1, 2], bin_seconds)
+
+    @pytest.mark.parametrize("bad", [float("nan"), float("inf")])
+    def test_rejects_non_finite_counts(self, bad):
+        with pytest.raises(ValidationError, match="finite"):
+            QPSSeries([1.0, bad, 3.0], 60.0)
+
+    def test_counts_are_read_only(self):
+        source = np.array([1.0, 2.0, 3.0])
+        series = QPSSeries(source, 60.0)
+        source[0] = 99.0  # the series holds its own copy
+        with pytest.raises(ValueError):
+            series.counts[0] = 5.0
+        np.testing.assert_array_equal(series.counts, [1.0, 2.0, 3.0])
+
     def test_aggregate_sums_counts(self):
         series = QPSSeries([1, 2, 3, 4, 5], 60.0)
         merged = series.aggregate(2)
