@@ -18,6 +18,7 @@ from .registry import ExperimentSpec, ParamSpec
 __all__ = [
     "add_param_arguments",
     "add_session_arguments",
+    "add_store_dir_argument",
     "collect_params",
     "collect_session_kwargs",
     "audit_parser",
@@ -75,12 +76,24 @@ def add_param_arguments(
             )
 
 
+def add_store_dir_argument(parser: argparse.ArgumentParser) -> None:
+    """Install ``--store-dir``; every command that opens the store uses this one."""
+    from ..store import STORE_DIR_ENV_VAR
+
+    parser.add_argument(
+        "--store-dir",
+        default=None,
+        help=(
+            "artifact-store directory (default: the "
+            f"{STORE_DIR_ENV_VAR} environment variable, else ~/.cache/repro/store)"
+        ),
+    )
+
+
 def add_session_arguments(
     parser: argparse.ArgumentParser, spec: ExperimentSpec
 ) -> None:
     """Install the uniform session knobs the experiment supports."""
-    from ..store import STORE_DIR_ENV_VAR
-
     if spec.runtime:
         parser.add_argument(
             "--workers",
@@ -99,14 +112,7 @@ def add_session_arguments(
                 "interrupted run resumes where it left off (requires the store)"
             ),
         )
-        parser.add_argument(
-            "--store-dir",
-            default=None,
-            help=(
-                "artifact-store directory (default: the "
-                f"{STORE_DIR_ENV_VAR} environment variable, else ~/.cache/repro/store)"
-            ),
-        )
+        add_store_dir_argument(parser)
         parser.add_argument(
             "--no-store",
             action="store_true",

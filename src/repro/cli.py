@@ -65,19 +65,6 @@ from .exceptions import (
 __all__ = ["main", "build_parser"]
 
 
-def _add_store_dir_flag(parser: argparse.ArgumentParser) -> None:
-    from .store import STORE_DIR_ENV_VAR
-
-    parser.add_argument(
-        "--store-dir",
-        default=None,
-        help=(
-            "artifact-store directory (default: the "
-            f"{STORE_DIR_ENV_VAR} environment variable, else ~/.cache/repro/store)"
-        ),
-    )
-
-
 def _store_summary(store) -> str:
     """One-line report of what the store did for this invocation.
 
@@ -95,7 +82,11 @@ def build_parser() -> argparse.ArgumentParser:
     """Build the CLI argument parser (experiment options come from the registry)."""
     from .analysis.runner import add_lint_parser
     from .api import list_experiments
-    from .api.cligen import add_param_arguments, add_session_arguments
+    from .api.cligen import (
+        add_param_arguments,
+        add_session_arguments,
+        add_store_dir_argument,
+    )
     from .runtime.spec import SCALER_KINDS
 
     parser = argparse.ArgumentParser(
@@ -129,7 +120,7 @@ def build_parser() -> argparse.ArgumentParser:
     simulate.add_argument("--planning-interval", type=float, default=2.0)
     simulate.add_argument("--mc-samples", type=int, default=400)
     simulate.add_argument("--seed", type=int, default=7)
-    _add_store_dir_flag(simulate)
+    add_store_dir_argument(simulate)
     simulate.add_argument(
         "--no-store",
         action="store_true",
@@ -227,7 +218,7 @@ def build_parser() -> argparse.ArgumentParser:
     )
     store_clear = store_sub.add_parser("clear", help="remove every artifact")
     for sub in (store_info, store_ls, store_gc, store_clear):
-        _add_store_dir_flag(sub)
+        add_store_dir_argument(sub)
 
     telemetry = subparsers.add_parser(
         "telemetry",
@@ -250,7 +241,7 @@ def build_parser() -> argparse.ArgumentParser:
     telemetry_diff.add_argument("run_a", help="baseline run id")
     telemetry_diff.add_argument("run_b", help="comparison run id")
     for sub in (telemetry_show, telemetry_diff):
-        _add_store_dir_flag(sub)
+        add_store_dir_argument(sub)
 
     add_lint_parser(subparsers)
 

@@ -115,9 +115,7 @@ class ScalingPerQuerySimulator:
         tiebreak = itertools.count()
         n = arrivals.size
         hit_col = np.zeros(n, dtype=bool)
-        waiting_col = np.zeros(n, dtype=float)
         creation_col = np.zeros(n, dtype=float)
-        ready_col = np.zeros(n, dtype=float)
         start_col = np.zeros(n, dtype=float)
         pending_col = np.zeros(n, dtype=float)
         proactive_col = np.zeros(n, dtype=bool)
@@ -233,11 +231,13 @@ class ScalingPerQuerySimulator:
 
             materialize_scheduled(arrival_time)
 
+            # The result derives ready and waiting times from the stored
+            # columns; the oracle still states them per query.
             (
                 hit_col[index],
-                waiting_col[index],
+                _waiting,
                 creation_col[index],
-                ready_col[index],
+                _ready,
                 start_col[index],
                 pending_col[index],
                 proactive_col[index],
@@ -277,12 +277,11 @@ class ScalingPerQuerySimulator:
             arrival_times=arrivals,
             processing_times=processing_times,
             hits=hit_col,
-            waiting_times=waiting_col,
             creation_times=creation_col,
-            ready_times=ready_col,
             start_times=start_col,
             pending_times=pending_col,
             proactive=proactive_col,
+            scheduling_latency=self.config.scheduling_latency,
             unused_instance_cost=unused_cost,
             planning_times=planning_times,
             n_unused_instances=len(available),
@@ -302,7 +301,10 @@ class ScalingPerQuerySimulator:
         """Match a freshly arrived query to an instance per Algorithm 1.
 
         Returns the query's ``(hit, waiting, creation, ready, start, pending,
-        proactive)`` values, in the order of the result columns.
+        proactive)`` values.  The result stores all but ``waiting`` and
+        ``ready`` and derives those as ``start - arrival`` and
+        ``(creation + latency) + pending``, the expressions this engine
+        computes them with.
         """
         if available:
             ready_time, _, instance = heapq.heappop(available)
@@ -328,4 +330,4 @@ class ScalingPerQuerySimulator:
         waiting = start - arrival
         if waiting < -1e-9:
             raise SimulationError(f"negative waiting time {waiting} for query {index}")
-        return hit, max(waiting, 0.0), creation, ready_time, start, pending, proactive
+        return hit, waiting, creation, ready_time, start, pending, proactive

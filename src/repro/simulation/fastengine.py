@@ -33,9 +33,11 @@ restructuring the work so million-query traces are feasible:
   sequentially from the bit stream, so ``sample(k)`` equals ``k`` calls of
   ``sample(1)`` element-wise and the draw order matches the reference
   engine exactly;
-* **columnar results** — per-query outcomes are accumulated in flat arrays
+* **columnar results** — the five per-query outcomes the replay decides
+  (hit, creation, start, pending, proactive) are accumulated in flat arrays
   and handed to :class:`~repro.types.SimulationResult` as its columns, the
-  one result shape both engines share.  Planning times are a column too:
+  one result shape both engines share; it derives ready and waiting times
+  from them.  Planning times are a column too:
   the replay counts entries, records ``(entry, seconds)`` only for the
   policy calls that run, and scatters those into a zero column once at the
   end, so an arrival served without a call costs no per-entry work.
@@ -160,9 +162,7 @@ class BatchedEventSimulator:
 
         # Columnar outcome accumulators.
         hit_col = np.zeros(n, dtype=bool)
-        waiting_col = np.zeros(n, dtype=float)
         creation_col = np.zeros(n, dtype=float)
-        ready_col = np.zeros(n, dtype=float)
         start_col = np.zeros(n, dtype=float)
         pending_col = np.zeros(n, dtype=float)
         proactive_col = np.zeros(n, dtype=bool)
@@ -245,14 +245,11 @@ class BatchedEventSimulator:
                 if sched:
                     sched.pop(0)
                 pending = float(sample(1, rng)[0])
-                ready = arrival + latency_const + pending
                 creation_time = arrival
-                start = ready
+                start = arrival + latency_const + pending
             creation_col[index] = creation_time
-            ready_col[index] = ready
             pending_col[index] = pending
             start_col[index] = start
-            waiting_col[index] = start - arrival
 
         def assign_pool_batch(pos: int, count: int) -> None:
             """Vectorized: the next ``count`` arrivals take the pool head in order."""
@@ -260,12 +257,9 @@ class BatchedEventSimulator:
             del pool[:count]
             ready = np.array([entry[0] for entry in taken], dtype=float)
             batch = arrivals[pos : pos + count]
-            start = np.maximum(ready, batch)
             hit_col[pos : pos + count] = ready <= batch
-            waiting_col[pos : pos + count] = start - batch
             creation_col[pos : pos + count] = [entry[2] for entry in taken]
-            ready_col[pos : pos + count] = ready
-            start_col[pos : pos + count] = start
+            start_col[pos : pos + count] = np.maximum(ready, batch)
             pending_col[pos : pos + count] = [entry[3] for entry in taken]
             proactive_col[pos : pos + count] = True
 
@@ -274,11 +268,8 @@ class BatchedEventSimulator:
             count = end - pos
             draws = np.asarray(sample(count, rng), dtype=float)
             batch = arrivals[pos:end]
-            ready = (batch + latency_const) + draws
-            waiting_col[pos:end] = ready - batch
             creation_col[pos:end] = batch
-            ready_col[pos:end] = ready
-            start_col[pos:end] = ready
+            start_col[pos:end] = (batch + latency_const) + draws
             pending_col[pos:end] = draws
             # hit_col / proactive_col stay False.
 
@@ -372,15 +363,7 @@ class BatchedEventSimulator:
             serve_topup = serve_topup_fifo
         else:
             serve_topup = serve_topup_loop
-        columns = (
-            hit_col,
-            waiting_col,
-            creation_col,
-            ready_col,
-            start_col,
-            pending_col,
-            proactive_col,
-        )
+        columns = (hit_col, creation_col, start_col, pending_col, proactive_col)
         n_hook = 0
 
         index = 0
@@ -477,12 +460,11 @@ class BatchedEventSimulator:
             arrival_times=arrivals,
             processing_times=processing,
             hits=hit_col,
-            waiting_times=waiting_col,
             creation_times=creation_col,
-            ready_times=ready_col,
             start_times=start_col,
             pending_times=pending_col,
             proactive=proactive_col,
+            scheduling_latency=latency_const,
             unused_instance_cost=unused_cost,
             planning_times=planning_col,
             n_unused_instances=len(pool),

@@ -33,9 +33,11 @@ pool, tiebreak, out, begin) -> tiebreak``.  ``pool`` is the engine's own
 pool, a list of ``(ready, tiebreak, creation, pending)`` tuples sorted
 ascending, which the chunk updates in place; instances created during the
 chunk take the ids ``tiebreak, tiebreak + 1, ...`` in creation order, and
-the next free id is returned.  ``out`` is the engine's ``(hit, waiting,
-creation, ready, start, pending, proactive)`` outcome columns; the chunk
-writes ``[begin, begin + len(arrivals))`` and nothing else.
+the next free id is returned.  ``out`` is the engine's five stored outcome
+columns ``(hit, creation, start, pending, proactive)``; the chunk writes
+``[begin, begin + len(arrivals))`` and nothing else.  A result derives
+ready times as ``(creation + latency) + pending`` and waiting times as
+``start - arrival``, the expressions the servers compute them with.
 """
 
 from __future__ import annotations
@@ -100,7 +102,7 @@ def serve_topup_fifo(a, draws, target, latency, pool, tiebreak, out, begin):
     leading cold start) consumes queue position ``j``, so hits, waits and
     lifecycles come from array expressions over the concatenated queue.
     """
-    hit, waiting, creation, ready, start, pending, proactive = out
+    hit, creation, start, pending, proactive = out
     b = begin
     m = a.size
     s0 = len(pool)
@@ -110,13 +112,9 @@ def serve_topup_fifo(a, draws, target, latency, pool, tiebreak, out, begin):
     if cold:
         # Only the first arrival of a chunk can cold-start when the target
         # is positive: the top-up refills the pool before the next arrival.
-        draw0 = draws[0]
-        ready0 = (a[0] + latency) + draw0
         creation[b] = a[0]
-        ready[b] = ready0
-        start[b] = ready0
-        waiting[b] = ready0 - a[0]
-        pending[b] = draw0
+        start[b] = (a[0] + latency) + draws[0]
+        pending[b] = draws[0]
 
     # The last ``tail`` arrivals create one instance each; the first
     # arrival creates the rest of the plan's count.
@@ -139,12 +137,9 @@ def serve_topup_fifo(a, draws, target, latency, pool, tiebreak, out, begin):
     n_served = m - cold
     arr = a[cold:]
     r = queue_ready[:n_served]
-    s = np.maximum(r, arr)
     hit[b + cold : b + m] = r <= arr
-    waiting[b + cold : b + m] = s - arr
     creation[b + cold : b + m] = queue_creation[:n_served]
-    ready[b + cold : b + m] = r
-    start[b + cold : b + m] = s
+    start[b + cold : b + m] = np.maximum(r, arr)
     pending[b + cold : b + m] = queue_pending[:n_served]
     proactive[b + cold : b + m] = True
 
@@ -197,14 +192,11 @@ def serve_topup_loop(a, draws, target, latency, pool, tiebreak, out, begin):
     rows = np.array(rows, dtype=float)
     r = rows[:, 0]
     warm = rows[:, 1] >= 0
-    s = np.where(warm, np.maximum(r, a), r)
     end = begin + a.size
-    hit, waiting, creation, ready, start, pending, proactive = out
+    hit, creation, start, pending, proactive = out
     hit[begin:end] = warm & (r <= a)
-    waiting[begin:end] = s - a
     creation[begin:end] = rows[:, 2]
-    ready[begin:end] = r
-    start[begin:end] = s
+    start[begin:end] = np.where(warm, np.maximum(r, a), r)
     pending[begin:end] = rows[:, 3]
     proactive[begin:end] = warm
     return tiebreak

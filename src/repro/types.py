@@ -310,14 +310,12 @@ class ScalingAction:
             raise ValidationError("planned_at must be finite")
 
 
-#: The per-query columns every result carries, compared by ``__eq__``.
+#: The per-query columns every result stores, compared by ``__eq__``.
 _COLUMNS = (
     "arrival_times",
     "processing_times",
     "hits",
-    "waiting_times",
     "creation_times",
-    "ready_times",
     "start_times",
     "pending_times",
     "proactive_flags",
@@ -333,6 +331,12 @@ class SimulationResult:
     differential-testing harness in ``tests/test_engine_parity.py`` holds
     them to bit-identical columns.
 
+    A result stores only what the replay decided.  ``ready_times`` is
+    ``(creation_times + scheduling_latency) + pending_times`` and
+    ``waiting_times`` is ``start_times - arrival_times``, both derived on
+    access in the engines' own operation order, so they are bit-identical
+    to what the engines computed.
+
     Parameters
     ----------
     arrival_times, processing_times:
@@ -340,14 +344,15 @@ class SimulationResult:
     hits:
         Whether an instance was ready at or before the arrival (the paper's
         hitting event ``xi_i >= x_i + tau_i``).
-    waiting_times:
-        Time each query waited for its instance to become ready (0 on a hit).
-    creation_times, ready_times, start_times, pending_times:
+    creation_times, start_times, pending_times:
         Lifecycle of the instance that served each query; the instance is
         deleted at ``start + processing``.
     proactive:
         ``True`` when the serving instance was created by the scaling plan,
         ``False`` for a reactive cold start.
+    scheduling_latency:
+        The replay's ``SimulationConfig.scheduling_latency``, recorded so
+        ``ready_times`` can be derived.
     unused_instance_cost, n_unused_instances:
         Cost and count of instances created but never assigned a query.
     planning_times:
@@ -364,12 +369,11 @@ class SimulationResult:
         arrival_times: np.ndarray,
         processing_times: np.ndarray,
         hits: np.ndarray,
-        waiting_times: np.ndarray,
         creation_times: np.ndarray,
-        ready_times: np.ndarray,
         start_times: np.ndarray,
         pending_times: np.ndarray,
         proactive: np.ndarray,
+        scheduling_latency: float = 0.0,
         unused_instance_cost: float = 0.0,
         planning_times: Sequence[float] | np.ndarray | None = None,
         n_unused_instances: int = 0,
@@ -379,15 +383,14 @@ class SimulationResult:
         self.arrival_times = np.asarray(arrival_times, dtype=float)
         self.processing_times = np.asarray(processing_times, dtype=float)
         self.hits = np.asarray(hits, dtype=bool)
-        self.waiting_times = np.asarray(waiting_times, dtype=float)
         self.creation_times = np.asarray(creation_times, dtype=float)
-        self.ready_times = np.asarray(ready_times, dtype=float)
         self.start_times = np.asarray(start_times, dtype=float)
         self.pending_times = np.asarray(pending_times, dtype=float)
         self.proactive_flags = np.asarray(proactive, dtype=bool)
         sizes = {column: getattr(self, column).shape[0] for column in _COLUMNS}
         if len(set(sizes.values())) > 1:
             raise ValidationError(f"column lengths disagree: {sizes}")
+        self.scheduling_latency = float(scheduling_latency)
         self.unused_instance_cost = unused_instance_cost
         self.planning_times = np.asarray(
             planning_times if planning_times is not None else (), dtype=float
@@ -398,6 +401,16 @@ class SimulationResult:
     def n_queries(self) -> int:
         """Number of queries that were replayed."""
         return int(self.arrival_times.shape[0])
+
+    @property
+    def ready_times(self) -> np.ndarray:
+        """Ready time of the instance that served each query (derived)."""
+        return (self.creation_times + self.scheduling_latency) + self.pending_times
+
+    @property
+    def waiting_times(self) -> np.ndarray:
+        """Time each query waited for its instance to become ready (derived)."""
+        return self.start_times - self.arrival_times
 
     @property
     def response_times(self) -> np.ndarray:
@@ -439,12 +452,13 @@ class SimulationResult:
         return float(self.response_times.mean())
 
     def __eq__(self, other: object) -> bool:
-        """Value equality over names, per-query columns, unused cost and planning times."""
+        """Value equality over names, stored columns, scalars and planning times."""
         if not isinstance(other, SimulationResult):
             return NotImplemented
         if (
             self.scaler_name != other.scaler_name
             or self.trace_name != other.trace_name
+            or self.scheduling_latency != other.scheduling_latency
             or self.unused_instance_cost != other.unused_instance_cost
             or self.n_unused_instances != other.n_unused_instances
             or self.n_queries != other.n_queries

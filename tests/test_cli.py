@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import argparse
+
 import pytest
 
 from repro.cli import build_parser, main
@@ -37,6 +39,29 @@ class TestParser:
         assert args.name == "table3"
         with pytest.raises(SystemExit):
             build_parser().parse_args(["experiment", "not-an-experiment"])
+
+
+def _subparser(parser, *names):
+    for name in names:
+        action = next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        parser = action.choices[name]
+    return parser
+
+
+def _store_dir_help(parser):
+    return next(a.help for a in parser._actions if "--store-dir" in a.option_strings)
+
+
+def test_store_dir_help_is_the_same_on_simulate_and_experiments():
+    from repro.api import list_experiments
+
+    parser = build_parser()
+    simulate_help = _store_dir_help(_subparser(parser, "simulate"))
+    assert "REPRO_STORE_DIR" in simulate_help
+    runtime = [spec.name for spec in list_experiments() if spec.runtime]
+    assert runtime
+    for name in runtime:
+        assert _store_dir_help(_subparser(parser, "experiment", name)) == simulate_help
 
 
 class TestMain:

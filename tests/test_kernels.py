@@ -70,11 +70,16 @@ def _make_chunk(pool_creation, latency, pending_value, m):
         np.zeros(m, dtype=float),
         np.zeros(m, dtype=float),
         np.zeros(m, dtype=float),
-        np.zeros(m, dtype=float),
-        np.zeros(m, dtype=float),
         np.zeros(m, dtype=bool),
     )
     return pool, out
+
+
+def _with_derived(out, arrivals, latency):
+    """The stored columns plus ``ready`` and ``waiting``, derived as a result does."""
+    hit, creation, start, pending, proactive = out
+    ready = (creation + latency) + pending
+    return hit, start - arrivals, creation, ready, start, pending, proactive
 
 
 _OUTPUT_FIELDS = ("hit", "waiting", "creation", "ready", "start", "pending", "proactive")
@@ -105,7 +110,11 @@ class TestFifoScalarEquivalence:
             arrivals, draws, target, latency, loop_pool, s0, loop_out, 0
         )
 
-        for field, fifo_col, loop_col in zip(_OUTPUT_FIELDS, fifo_out, loop_out):
+        for field, fifo_col, loop_col in zip(
+            _OUTPUT_FIELDS,
+            _with_derived(fifo_out, arrivals, latency),
+            _with_derived(loop_out, arrivals, latency),
+        ):
             np.testing.assert_array_equal(
                 fifo_col, loop_col, err_msg=f"output column {field!r} diverged"
             )
@@ -122,7 +131,9 @@ class TestFifoScalarEquivalence:
             serve(arrivals, draws, 2, 0.0, pool, 1, out, 4)
             for column in out:
                 assert not np.any(column[:4]) and not np.any(column[7:])
-            assert np.all(out[3][4:7] > 0.0)
+            hit, creation, start, pending, proactive = out
+            assert np.all(((creation + 0.0) + pending)[4:7] > 0.0)
+            assert np.all(start[4:7] > 0.0)
 
 
 class TestTopUpLoop:
@@ -141,7 +152,9 @@ class TestTopUpLoop:
         ids = [entry[1] for entry in pool]
         assert len(set(ids)) == len(ids) and all(0 <= i < next_id for i in ids)
         # Every served query got a consistent lifecycle.
-        hit, waiting, creation, ready, start, pending, proactive = out
+        hit, waiting, creation, ready, start, pending, proactive = _with_derived(
+            out, arrivals, 0.0
+        )
         assert np.all(start >= ready) and np.all(start >= arrivals)
         np.testing.assert_array_equal(waiting, start - arrivals)
         np.testing.assert_array_equal(hit, proactive & (ready <= arrivals))
@@ -154,13 +167,32 @@ class TestTopUpLoop:
         draws = np.array([5.0, 0.25, 0.5])[:n_draws]
         pool, out = _make_chunk([], 0.5, 0.0, 2)
         next_id = serve_topup_loop(arrivals, draws, 1, 0.5, pool, 0, out, 0)
-        hit, waiting, creation, ready, start, pending, proactive = out
+        hit, waiting, creation, ready, start, pending, proactive = _with_derived(
+            out, arrivals, 0.5
+        )
         assert not proactive[0] and not hit[0]
         assert (creation[0], ready[0], pending[0]) == (3.0, 8.5, 5.0)
         assert waiting[0] == 5.5
         # The second arrival takes the instance the first one created.
         assert proactive[1] and hit[1] and ready[1] == 3.75
         assert next_id == 2 and pool == [(5.0, 1, 4.0, 0.5)]
+
+
+@pytest.mark.parametrize("serve", [serve_topup_fifo, serve_topup_loop])
+def test_cold_start_starts_at_its_derived_ready_time(serve):
+    """A result derives ready as ``(creation + latency) + pending``; a cold
+    start must start at exactly that sum, whose rounding here differs from
+    ``creation + (latency + pending)``."""
+    arrivals = np.array([0.1, 5.0])
+    n_draws, _ = plan_pool_topup(0, 2, 1)
+    pool, out = _make_chunk([], 0.2, 0.3, 2)
+    serve(arrivals, np.full(n_draws, 0.3), 1, 0.2, pool, 0, out, 0)
+    hit, waiting, creation, ready, start, pending, proactive = _with_derived(
+        out, arrivals, 0.2
+    )
+    assert not proactive[0] and (creation[0], pending[0]) == (0.1, 0.3)
+    assert start[0] == ready[0] == (0.1 + 0.2) + 0.3 != 0.1 + (0.2 + 0.3)
+    assert waiting[0] == start[0] - 0.1
 
 
 class TestFingerprintConstants:

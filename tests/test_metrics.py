@@ -21,19 +21,17 @@ from repro.types import SimulationResult
 
 
 def _result(hits, response_times, processing: float = 1.0) -> SimulationResult:
+    """Queries at 0, 1, ... served by instances created at their arrival."""
     arrivals = np.arange(len(hits), dtype=float)
     response = np.asarray(response_times, dtype=float)
-    starts = arrivals + response - processing
     return SimulationResult(
         "test",
         "trace",
         arrival_times=arrivals,
         processing_times=np.full(len(hits), processing),
         hits=np.asarray(hits, dtype=bool),
-        waiting_times=response - processing,
         creation_times=arrivals,
-        ready_times=arrivals + 1.0,
-        start_times=starts,
+        start_times=arrivals + (response - processing),
         pending_times=np.ones(len(hits)),
         proactive=np.asarray(hits, dtype=bool),
     )
@@ -254,17 +252,14 @@ def _random_result(n: int, seed: int) -> SimulationResult:
     processing = rng.exponential(3.0, n)
     waiting = np.where(hits, 0.0, rng.exponential(2.0, n))
     creation = arrivals - rng.uniform(0.0, 20.0, n)
-    starts = arrivals + waiting
     return SimulationResult(
         "random",
         "trace",
         arrival_times=arrivals,
         processing_times=processing,
         hits=hits,
-        waiting_times=waiting,
         creation_times=creation,
-        ready_times=np.minimum(starts, creation + 5.0),
-        start_times=starts,
+        start_times=arrivals + waiting,
         pending_times=np.full(n, 5.0),
         proactive=hits,
         unused_instance_cost=float(rng.uniform(0.0, 50.0)),

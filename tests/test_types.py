@@ -16,7 +16,7 @@ from repro.types import (
 )
 
 
-def _lifecycle_result(creation, ready, start, processing) -> SimulationResult:
+def _lifecycle_result(creation, pending, start, processing) -> SimulationResult:
     """A result whose queries arrive when their instance is created."""
     creation = np.asarray(creation, dtype=float)
     return SimulationResult(
@@ -25,18 +25,17 @@ def _lifecycle_result(creation, ready, start, processing) -> SimulationResult:
         arrival_times=creation,
         processing_times=np.asarray(processing, dtype=float),
         hits=np.zeros(creation.size, dtype=bool),
-        waiting_times=np.asarray(start, dtype=float) - creation,
         creation_times=creation,
-        ready_times=np.asarray(ready, dtype=float),
         start_times=np.asarray(start, dtype=float),
-        pending_times=np.asarray(ready, dtype=float) - creation,
+        pending_times=np.asarray(pending, dtype=float),
         proactive=np.zeros(creation.size, dtype=bool),
     )
 
 
 class TestInstanceLifecycle:
     def test_lifecycle_and_idle(self):
-        result = _lifecycle_result([10.0], [23.0], [30.0], [20.0])
+        result = _lifecycle_result([10.0], [13.0], [30.0], [20.0])
+        assert result.ready_times[0] == 23.0
         assert result.deletion_times[0] == pytest.approx(50.0)
         assert result.lifecycle_costs[0] == pytest.approx(40.0)
         assert result.idle_times[0] == pytest.approx(7.0)
@@ -179,18 +178,16 @@ class TestScalingAction:
 
 
 def _result(hits, waiting, processing: float, **kwargs) -> SimulationResult:
+    """Queries at 0, 1, ... that start ``waiting`` after they arrive."""
     arrivals = np.arange(len(hits), dtype=float)
-    waiting = np.asarray(waiting, dtype=float)
     return SimulationResult(
         "x",
         "t",
         arrival_times=arrivals,
         processing_times=np.full(len(hits), processing),
         hits=hits,
-        waiting_times=waiting,
         creation_times=np.zeros(len(hits)),
-        ready_times=np.ones(len(hits)),
-        start_times=arrivals + waiting,
+        start_times=arrivals + np.asarray(waiting, dtype=float),
         pending_times=np.ones(len(hits)),
         proactive=hits,
         **kwargs,
@@ -225,13 +222,19 @@ class TestSimulationResult:
                 arrival_times=[0.0, 1.0],
                 processing_times=[1.0, 1.0],
                 hits=[True],
-                waiting_times=[0.0, 0.0],
                 creation_times=[0.0, 0.0],
-                ready_times=[0.0, 0.0],
                 start_times=[0.0, 1.0],
                 pending_times=[0.0, 0.0],
                 proactive=[True, True],
             )
+
+    def test_ready_times_follow_the_recorded_scheduling_latency(self):
+        base = _result([True, False], [0.0, 5.0], 1.0)
+        delayed = _result([True, False], [0.0, 5.0], 1.0, scheduling_latency=0.5)
+        assert base.ready_times.tolist() == [1.0, 1.0]
+        assert delayed.ready_times.tolist() == [1.5, 1.5]
+        assert delayed.waiting_times.tolist() == base.waiting_times.tolist() == [0.0, 5.0]
+        assert base != delayed
 
     def test_planning_times_default_to_an_empty_float_column(self):
         result = _result([True], [0.0], 1.0)
