@@ -17,10 +17,10 @@ from conftest import print_artifact
 _COLUMNS = [
     "family",
     "parameter",
-    "hit_rate_mean",
-    "hit_rate_variance",
-    "rt_mean",
-    "rt_variance",
+    "hit_rate",
+    "hit_rate_window_variance",
+    "rt_avg",
+    "rt_window_variance",
     "relative_cost",
 ]
 
@@ -45,7 +45,7 @@ def test_fig5_qos_variance(run_once):
 
     # RobustScaler-HP should not be wildly less stable than AdapBP; the paper
     # reports it as the stabler of the two.
-    rs_var = mean_variance("RobustScaler-HP", "rt_variance")
-    adap_var = mean_variance("AdapBP", "rt_variance")
+    rs_var = mean_variance("RobustScaler-HP", "rt_window_variance")
+    adap_var = mean_variance("AdapBP", "rt_window_variance")
     assert np.isfinite(rs_var) and np.isfinite(adap_var)
     assert rs_var <= adap_var * 3.0

@@ -110,7 +110,6 @@ _EXPORTS = {
     "generate_trace_from_intensity": ".traces",
     # evaluation runtime
     "EvalTask": ".runtime",
-    "PrepSpec": ".runtime",
     "ScalerSpec": ".runtime",
     "WorkloadCache": ".runtime",
     "WorkloadSpec": ".runtime",
@@ -173,7 +172,6 @@ if TYPE_CHECKING:  # pragma: no cover - static view of the lazy names
     )
     from .runtime import (
         EvalTask,
-        PrepSpec,
         ScalerSpec,
         WorkloadCache,
         WorkloadSpec,

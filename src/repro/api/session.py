@@ -129,7 +129,7 @@ class Provenance:
     """Where a :class:`ResultSet` came from, for reports and caching audits.
 
     ``scenario_digest`` fingerprints the exact workload identities the run
-    evaluated (scenario names, scales, seeds and prep configuration — the
+    evaluated (scenario names, scales, seeds and preparation settings — the
     same keys the artifact store addresses preparations by); two runs with
     equal digests replayed the same prepared workloads.
     """

@@ -8,9 +8,10 @@ the perturbed test data.  The paper's observation is that AdapBP degrades as
 ``c`` grows while RobustScaler's frontier barely moves.
 
 Registered as ``"perturbation"`` in :mod:`repro.api`.  Each perturbed trace
-is shipped to the :mod:`repro.runtime` executor as a direct-trace workload
-spec, so the model re-fit happens once per perturbation size (workload
-cache) and the sweep points parallelize with ``workers`` /
+is shipped to the :mod:`repro.runtime` executor as the scenario's
+replacement trace (prepared with the scenario's own split, bin width and
+pending time), so the model re-fit happens once per perturbation size
+(workload cache) and the sweep points parallelize with ``workers`` /
 ``REPRO_WORKERS``.
 """
 
@@ -22,9 +23,10 @@ from ..api import (
     register_experiment,
 )
 from ..api.session import RunContext
-from ..runtime import EvalTask, PrepSpec, ScalerSpec, WorkloadSpec
+from ..runtime import EvalTask, ScalerSpec, WorkloadSpec
 from ..traces.perturbation import perturb_trace
 from ..workloads import get_scenario
+from .base import robustscaler_spec
 
 __all__: list[str] = []
 
@@ -33,32 +35,17 @@ def _run_perturbation(params: dict, ctx: RunContext) -> list[dict]:
     """Compare AdapBP and RobustScaler-HP on increasingly perturbed traces."""
     scenario = get_scenario(params["trace_name"])
     base_trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
-    # Perturbed copies are direct traces, so the scenario's split and bin
-    # width are passed on explicitly; the pending time stays the library
-    # default.
-    prep = PrepSpec(
-        train_fraction=scenario.train_fraction,
-        bin_seconds=scenario.bin_seconds,
-    )
 
     tasks: list[EvalTask] = []
     for c in params["perturbation_sizes"]:
         perturbed = perturb_trace(base_trace, float(c), random_state=params["seed"])
-        workload = WorkloadSpec(trace=perturbed, prep=prep)
+        workload = WorkloadSpec(scenario.name, trace=perturbed)
         extra = (
             ("trace", params["trace_name"]),
             ("perturbation_size", float(c)),
         )
         specs = [ScalerSpec("adapbp", float(f)) for f in params["adaptive_factors"]]
-        specs += [
-            ScalerSpec(
-                "rs-hp",
-                float(target),
-                planning_interval=params["planning_interval"],
-                monte_carlo_samples=params["monte_carlo_samples"],
-            )
-            for target in params["hp_targets"]
-        ]
+        specs += [robustscaler_spec(params, "rs-hp", t) for t in params["hp_targets"]]
         tasks += [EvalTask(workload, spec, extra=extra) for spec in specs]
     return ctx.run_rows(tasks, base_seed=params["seed"])
 

@@ -29,10 +29,9 @@ from ..api import (
 )
 from ..api.session import RunContext
 from ..config import SimulationConfig
-from ..runtime import prepare_workload
+from ..runtime import WorkloadSpec
 from ..scaling.backup_pool import ReactiveScaler
 from ..simulation.runner import replay
-from ..workloads import get_scenario
 from .base import robustscaler_spec
 
 __all__ = ["real_environment_config"]
@@ -70,18 +69,13 @@ def real_environment_config(
 
 def _run_realenv(params: dict, ctx: RunContext) -> list[dict]:
     """Replay RobustScaler-HP in the simulated and the real environment."""
-    scenario = get_scenario(params["trace_name"])
-    trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     scaler_spec = robustscaler_spec(params, "rs-hp", params["target_hp"])
 
     # One fit serves both environments; only the reactive reference replay,
     # the relative-cost denominator, depends on the simulator configuration.
-    simulated = prepare_workload(
-        trace,
-        train_fraction=scenario.train_fraction,
-        bin_seconds=scenario.bin_seconds,
-        pending_time=13.0,
-    )
+    simulated = WorkloadSpec(
+        params["trace_name"], scale=params["scale"], seed=params["seed"]
+    ).prepare()
     real_config = real_environment_config(
         simulated.simulation,
         scheduling_latency=params["scheduling_latency"],

@@ -15,7 +15,8 @@ with and without the modification.
 
 Registered as ``"robustness"`` in :mod:`repro.api`: the comparison is one
 :mod:`repro.runtime` task batch where each (condition, trace) pair ships as
-a direct-trace :class:`~repro.runtime.WorkloadSpec`, so every workload is
+a :class:`~repro.runtime.WorkloadSpec` replacing the scenario's generated
+trace (prepared with the scenario's own settings), so every workload is
 fitted once (and, with a store attached, persisted across CLI invocations),
 the candidate evaluations parallelize with ``workers`` / ``REPRO_WORKERS``,
 and ``run_id`` journaling makes interrupted runs resumable.
@@ -29,7 +30,7 @@ from ..api import (
     register_experiment,
 )
 from ..api.session import RunContext
-from ..runtime import EvalTask, PrepSpec, WorkloadSpec
+from ..runtime import EvalTask, WorkloadSpec
 from ..traces.perturbation import inject_missing_window, remove_anomalous_bursts
 from ..types import ArrivalTrace
 from ..workloads import get_scenario
@@ -82,16 +83,9 @@ def _comparison_tasks(
     ctx: RunContext,
 ) -> list[EvalTask]:
     """The RobustScaler-HP / RobustScaler-cost candidates on both conditions."""
-    # Both conditions are direct traces, so the scenario's split and bin
-    # width are passed on explicitly; the pending time stays the library
-    # default.
-    prep = PrepSpec(
-        train_fraction=scenario.train_fraction,
-        bin_seconds=scenario.bin_seconds,
-    )
     tasks: list[EvalTask] = []
     for label, trace in (("original", original), (modification, modified)):
-        workload = WorkloadSpec(trace=trace, prep=prep)
+        workload = WorkloadSpec(scenario.name, trace=trace)
         _, test = trace.split(scenario.train_fraction)
         mean_gap = 1.0 / max(test.mean_qps, 1e-9)
         extra = (("trace", scenario.name), ("condition", label))

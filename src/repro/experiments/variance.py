@@ -6,8 +6,12 @@ are ordered by arrival time, their per-query QoS is averaged over blocks of
 against the overall mean — the construction of Fig. 5(a) (hit rate) and
 Fig. 5(b) (response time).
 
+The overall means are the summary's ``hit_rate`` and ``rt_avg`` columns and
+the variances its ``hit_rate_window_variance`` and ``rt_window_variance``
+columns, computed over blocks of ``window`` queries.
+
 Registered as ``"variance"`` in :mod:`repro.api`; the sweep is a
-:mod:`repro.runtime` task batch whose tasks request the windowed statistics
+:mod:`repro.runtime` task batch whose tasks set the block length
 (``variance_window``), so the single prepared workload is shared across
 every candidate and the replays parallelize with ``workers`` /
 ``REPRO_WORKERS``.
@@ -137,10 +141,10 @@ register_experiment(
             "scaler",
             "family",
             "parameter",
-            "hit_rate_mean",
-            "hit_rate_variance",
-            "rt_mean",
-            "rt_variance",
+            "hit_rate",
+            "hit_rate_window_variance",
+            "rt_avg",
+            "rt_window_variance",
         ),
     )
 )

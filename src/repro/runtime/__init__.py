@@ -12,8 +12,8 @@ batches of tasks behind a single interface:
   bit-identical result rows either way;
 * :class:`~repro.runtime.cache.WorkloadCache` — a workload-preparation
   cache so a trace is generated and its NHPP model fitted once per
-  (scenario, scale, seed, prep-config) key and shared across all sweep
-  points;
+  (scenario, scale, seed, preparation settings) key and shared across all
+  sweep points;
 * deterministic per-task seeding via ``numpy.random.SeedSequence.spawn``,
   so results depend only on the task list and the base seed, never on
   execution order or worker count.
@@ -33,7 +33,6 @@ from .spec import (
     EvalResult,
     EvalTask,
     FunctionTask,
-    PrepSpec,
     ScalerSpec,
     WorkloadSpec,
     derive_task_seeds,
@@ -46,7 +45,6 @@ __all__ = [
     "EvalResult",
     "EvalTask",
     "FunctionTask",
-    "PrepSpec",
     "PreparedWorkload",
     "ScalerSpec",
     "WorkloadCache",

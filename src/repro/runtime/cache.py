@@ -3,9 +3,9 @@
 Preparing a workload — generating the trace, fitting the NHPP model with
 ADMM, replaying the reactive reference — dwarfs the cost of adding one more
 sweep point on top of it.  The cache keys prepared workloads by
-``WorkloadSpec.cache_key()`` (scenario/trace identity, scale, seed, a CSV
-scenario's file digest and the resolved prep configuration) so every sweep point over the same workload
-shares one preparation.
+``WorkloadSpec.cache_key()`` (scenario or replacement-trace identity, scale,
+seed, a CSV scenario's file digest and the scenario's preparation settings)
+so every sweep point over the same workload shares one preparation.
 
 The cache is two-tier.  The memory tier is per process: the serial executor
 threads a single cache through the whole batch, while each pool worker

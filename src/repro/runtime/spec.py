@@ -2,9 +2,11 @@
 
 An :class:`EvalTask` names one point of an experiment sweep — which workload
 (:class:`WorkloadSpec`), which autoscaler (:class:`ScalerSpec`), and any row
-annotations — as plain picklable data.  Because tasks carry no live objects
-(no fitted models, no lambdas), the same task list can execute in-process or
-on a process pool and produce identical rows.
+annotations — as plain picklable data.  A workload is always a realization
+of a registry scenario, and the scenario alone supplies its train/test
+split, fitting bin width and pending time.  Because tasks carry no live
+objects (no fitted models, no lambdas), the same task list can execute
+in-process or on a process pool and produce identical rows.
 
 Seeding: :func:`derive_task_seeds` spawns one child
 :class:`numpy.random.SeedSequence` per task from the batch's base seed, so
@@ -17,7 +19,7 @@ from __future__ import annotations
 
 import hashlib
 import importlib
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import Any
 
 import numpy as np
@@ -33,7 +35,6 @@ from ..types import ArrivalTrace
 from .workload import PreparedWorkload, prepare_workload
 
 __all__ = [
-    "PrepSpec",
     "WorkloadSpec",
     "ScalerSpec",
     "EvalTask",
@@ -61,42 +62,8 @@ _RS_OBJECTIVES = {
 }
 
 
-@dataclass(frozen=True)
-class PrepSpec:
-    """Workload-preparation parameters; ``None`` fields fall back to defaults.
-
-    For scenario-backed workloads the fallback is the scenario's own
-    evaluation defaults (its train/test split, fitting bin width and pending
-    time); for direct traces the fallback is the library defaults of
-    :func:`repro.runtime.workload.prepare_workload`.
-    """
-
-    train_fraction: float | None = None
-    bin_seconds: float | None = None
-    pending_time: float | None = None
-
-    def resolve(self, scenario=None) -> dict:
-        """Concrete ``prepare_workload`` keyword arguments."""
-
-        def pick(value, scenario_attr, default):
-            if value is not None:
-                return value
-            if scenario is not None:
-                return getattr(scenario, scenario_attr)
-            return default
-
-        return {
-            "train_fraction": float(pick(self.train_fraction, "train_fraction", 0.75)),
-            "bin_seconds": float(pick(self.bin_seconds, "bin_seconds", 60.0)),
-            "pending_time": float(pick(self.pending_time, "pending_time", 13.0)),
-        }
-
-    def _key(self, scenario=None) -> tuple:
-        return tuple(self.resolve(scenario).values())
-
-
 def _trace_digest(trace: ArrivalTrace) -> str:
-    """Content fingerprint so direct traces get stable cache keys."""
+    """Content fingerprint so replacement traces get stable cache keys."""
     digest = hashlib.blake2b(digest_size=16)
     digest.update(np.ascontiguousarray(trace.arrival_times).tobytes())
     digest.update(np.ascontiguousarray(trace.processing_times).tobytes())
@@ -106,31 +73,29 @@ def _trace_digest(trace: ArrivalTrace) -> str:
 
 @dataclass(frozen=True)
 class WorkloadSpec:
-    """How to obtain and prepare one workload.
+    """One scenario realization: how to obtain and prepare a workload.
 
-    Exactly one of ``scenario`` (a name in the default scenario registry,
-    regenerated deterministically wherever the task runs) and ``trace`` (a
-    concrete :class:`~repro.types.ArrivalTrace`, e.g. a perturbed copy that
-    exists nowhere in the registry) must be set.
+    ``scenario`` names an entry of the default scenario registry; the
+    realization is regenerated deterministically from ``scale`` and ``seed``
+    wherever the task runs.  ``trace`` optionally replaces that realization
+    with a concrete :class:`~repro.types.ArrivalTrace` (e.g. a perturbed or
+    modified copy that exists nowhere in the registry); ``scale`` and
+    ``seed`` are then ignored.  Either way the train/test split, fitting bin
+    width and pending time are the scenario's own.
     """
 
-    scenario: str | None = None
-    trace: ArrivalTrace | None = None
+    scenario: str
     scale: float = 1.0
     seed: int | None = None
-    prep: PrepSpec = field(default_factory=PrepSpec)
+    trace: ArrivalTrace | None = None
 
     def __post_init__(self) -> None:
-        if (self.scenario is None) == (self.trace is None):
-            raise ValidationError(
-                "WorkloadSpec requires exactly one of 'scenario' and 'trace'"
-            )
         if not float(self.scale) > 0:
             raise ValidationError(f"scale must be positive, got {self.scale}")
 
     def cache_key(self) -> tuple:
-        """The (workload identity, prep-config) key used by the cache."""
-        if self.scenario is not None:
+        """The (workload identity, preparation settings) key used by the cache."""
+        if self.trace is None:
             scenario = self._get_scenario()
             # Keyed by the seed actually used, so ``seed=None`` and the
             # scenario's ``default_seed`` name one realization.
@@ -151,26 +116,27 @@ class WorkloadSpec:
                 self.trace.n_queries,
                 _trace_digest(self.trace),
             )
-            scenario = None
-        return identity + self.prep._key(scenario)
+        return identity + tuple(self._settings().values())
 
     def _get_scenario(self):
         from ..workloads import get_scenario
 
         return get_scenario(self.scenario)
 
+    def _settings(self) -> dict:
+        """The scenario's ``prepare_workload`` settings, as the key holds them."""
+        defaults = self._get_scenario().simulator_defaults
+        return {name: float(value) for name, value in defaults.items()}
+
     def build_trace(self) -> ArrivalTrace:
-        """The raw trace this spec denotes (generated for scenario specs)."""
+        """The raw trace this spec denotes (generated unless replaced)."""
         if self.trace is not None:
             return self.trace
-        scenario = self._get_scenario()
-        return scenario.build_trace(scale=self.scale, seed=self.seed)
+        return self._get_scenario().build_trace(scale=self.scale, seed=self.seed)
 
     def prepare(self) -> PreparedWorkload:
         """Generate the trace (if needed), fit the model, package everything."""
-        scenario = self._get_scenario() if self.scenario is not None else None
-        trace = self.build_trace()
-        return prepare_workload(trace, **self.prep.resolve(scenario))
+        return prepare_workload(self.build_trace(), **self._settings())
 
 
 @dataclass(frozen=True)
@@ -256,8 +222,9 @@ class EvalTask:
 
     ``extra`` is an ordered tuple of ``(column, value)`` pairs merged into
     the result row (scenario labels, perturbation sizes, sweep families).
-    ``variance_window`` additionally requests the windowed QoS statistics of
-    Fig. 5 in the row; ``metrics`` requests named extra metric columns (see
+    ``variance_window`` sets the block length of the row's windowed QoS
+    variances of Fig. 5 (``None``: the summary's default of 50 queries);
+    ``metrics`` requests named extra metric columns (see
     :func:`repro.runtime.workload.evaluate_prepared`).
     """
 
@@ -283,9 +250,10 @@ class EvalTask:
         """Content fingerprint used by the resumable-run journal.
 
         Any change to the task — its workload identity (trace contents
-        included, via the cache key's content hash), prep config, scaler,
-        annotations or requested statistics — changes the digest, so stale
-        journal records can never be replayed against a different task.
+        included, via the cache key's content hash), preparation settings,
+        scaler, annotations or requested statistics — changes the digest, so
+        stale journal records can never be replayed against a different
+        task.
         """
         scaler = self.scaler
         return _task_digest(

@@ -18,7 +18,6 @@ from typing import Any, Mapping, Sequence
 from ..config import SimulationConfig
 from ..exceptions import ValidationError, WorkloadError
 from ..metrics.report import summarize_result
-from ..metrics.variance import windowed_mean_variance
 from ..nhpp.intensity import PiecewiseConstantIntensity
 from ..nhpp.model import NHPPModel
 from ..pending import DeterministicPendingTime, PendingTimeModel
@@ -153,19 +152,20 @@ def evaluate_prepared(
 
     The row carries the trace and scaler names, any ``extra`` annotations
     (sweep parameters, scenario labels, ...), and the summary metrics of
-    :func:`repro.metrics.report.summarize_result`.  When ``variance_window``
-    is set the windowed QoS statistics of Fig. 5 (block means of
-    ``variance_window`` consecutive queries) are appended as
-    ``hit_rate_mean`` / ``hit_rate_variance`` / ``rt_mean`` /
-    ``rt_variance``.  ``metrics`` names extra columns from
-    :data:`EXTRA_METRICS` (``waiting_avg``, ``idle_avg``) used by the
-    nominal-vs-actual drivers.
+    :func:`repro.metrics.report.summarize_result`.  ``variance_window`` sets
+    the block length of the summary's windowed QoS variances (Fig. 5);
+    ``None`` keeps the summary's own default.  ``metrics`` names extra
+    columns from :data:`EXTRA_METRICS` (``waiting_avg``, ``idle_avg``) used
+    by the nominal-vs-actual drivers.
     """
     result = workload.replay(scaler)
     row: dict = {"trace": workload.name, "scaler": scaler.name}
     if extra:
         row.update(extra)
-    row.update(summarize_result(result, reference_cost=workload.reference_cost))
+    window = {} if variance_window is None else {"variance_window": variance_window}
+    row.update(
+        summarize_result(result, reference_cost=workload.reference_cost, **window)
+    )
     for name in metrics or ():
         try:
             compute = EXTRA_METRICS[name]
@@ -175,15 +175,4 @@ def evaluate_prepared(
                 f"{sorted(EXTRA_METRICS)}"
             ) from None
         row[name] = compute(result)
-    if variance_window is not None:
-        hit_mean, hit_var = windowed_mean_variance(
-            result.hits.astype(float), variance_window
-        )
-        rt_mean, rt_var = windowed_mean_variance(result.response_times, variance_window)
-        row.update(
-            hit_rate_mean=hit_mean,
-            hit_rate_variance=hit_var,
-            rt_mean=rt_mean,
-            rt_variance=rt_var,
-        )
     return row

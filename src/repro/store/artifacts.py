@@ -141,7 +141,7 @@ class ArtifactStore:
         """Schema- and package-versioned directory all artifacts live under.
 
         Keys fingerprint the artifact's *inputs* (scenario name, scale,
-        seed, prep config), not the generating code, so the tree is scoped
+        seed, preparation settings), not the generating code, so the tree is scoped
         to the package version: upgrading orphans the old artifacts instead
         of serving results computed by older code.  When editing scenario
         or model code in a development checkout (same version), run

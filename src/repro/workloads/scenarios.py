@@ -123,7 +123,13 @@ class Scenario:
 
     @property
     def simulator_defaults(self) -> dict:
-        """Defaults consumed by :func:`repro.runtime.prepare_workload`."""
+        """This scenario's :func:`repro.runtime.prepare_workload` settings.
+
+        The one source of a workload's train/test split, fitting bin width
+        and pending time: :class:`repro.runtime.WorkloadSpec` prepares and
+        keys every realization of the scenario with them, generated or
+        replaced by a modified trace.
+        """
         return {
             "train_fraction": self.train_fraction,
             "bin_seconds": self.bin_seconds,

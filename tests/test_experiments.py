@@ -17,9 +17,12 @@ from repro.api import Session
 from repro.exceptions import ValidationError, WorkloadError
 from repro.experiments.base import trace_defaults
 from repro.nhpp.model import NHPPModel
-from repro.runtime import PrepSpec, WorkloadSpec, prepare_workload
+from repro.runtime import WorkloadSpec, prepare_workload
+from repro.runtime import spec as spec_module
+from repro.traces.io import save_trace_csv
 from repro.types import ArrivalTrace
-from repro.workloads import get_scenario
+from repro.workloads import ScenarioRegistry, get_scenario, register_trace_csv
+from repro.workloads import registry as registry_module
 
 
 class TestBaseHelpers:
@@ -71,10 +74,8 @@ class TestBaseHelpers:
         scenario = get_scenario(name)
         assert scenario.train_fraction == train_fraction
         assert scenario.bin_seconds == bin_seconds
-        resolved = PrepSpec().resolve(scenario)
-        assert resolved["train_fraction"] == train_fraction
-        assert resolved["bin_seconds"] == bin_seconds
-        assert resolved["pending_time"] == scenario.pending_time
+        key = WorkloadSpec(name, scale=0.25, seed=7).cache_key()
+        assert key[-3:] == (train_fraction, bin_seconds, scenario.pending_time)
 
     def test_prepare_workload(self):
         trace = get_scenario("google").build_trace(scale=0.15, seed=2)
@@ -88,16 +89,9 @@ class TestBaseHelpers:
         self, small_poisson_trace, pending_time
     ):
         # RobustScaler must plan for the startup time its replay is scored on.
-        direct = prepare_workload(small_poisson_trace, pending_time=pending_time)
-        spec = WorkloadSpec(
-            scenario="steady-state",
-            scale=0.05,
-            seed=3,
-            prep=PrepSpec(pending_time=pending_time),
-        )
-        for workload in (direct, spec.prepare()):
-            assert workload.pending_model.mean == pending_time
-            assert workload.simulation.pending_time == pending_time
+        workload = prepare_workload(small_poisson_trace, pending_time=pending_time)
+        assert workload.pending_model.mean == pending_time
+        assert workload.simulation.pending_time == pending_time
 
     @pytest.mark.parametrize(
         "arrivals, empty_split",
@@ -108,6 +102,79 @@ class TestBaseHelpers:
         trace = ArrivalTrace(np.array(arrivals), np.full(2, 5.0), name="tiny", horizon=3600.0)
         with pytest.raises(WorkloadError, match=f"tiny-{empty_split}"):
             prepare_workload(trace)
+
+
+@pytest.fixture
+def tau5_scenario(tmp_path, monkeypatch) -> str:
+    """A CSV scenario with its own 5 s pending time, in a test-local registry."""
+    trace = get_scenario("steady-state").build_trace(scale=0.05, seed=7)
+    path = save_trace_csv(trace, tmp_path / "tau5.csv")
+    monkeypatch.setattr(registry_module, "DEFAULT_REGISTRY", ScenarioRegistry())
+    register_trace_csv(path, name="tau5", bin_seconds=60.0, pending_time=5.0)
+    return "tau5"
+
+
+@pytest.fixture
+def prepared_workloads(monkeypatch) -> list:
+    """Every workload a ``WorkloadSpec`` prepares from here on."""
+    prepared: list = []
+
+    def recording_prepare(trace, **settings):
+        workload = prepare_workload(trace, **settings)
+        prepared.append(workload)
+        return workload
+
+    monkeypatch.setattr(spec_module, "prepare_workload", recording_prepare)
+    return prepared
+
+
+class TestScenarioPendingTime:
+    """Every driver prepares a scenario's traces at the scenario's own pending
+    time, replacement traces (perturbed, modified) included."""
+
+    @staticmethod
+    def assert_all_at(prepared: list, pending_time: float) -> None:
+        assert prepared
+        for workload in prepared:
+            assert workload.simulation.pending_time == pending_time
+            assert workload.pending_model.mean == pending_time
+
+    def test_replacement_trace_prepares_at_scenario_pending_time(self, tau5_scenario):
+        trace = get_scenario(tau5_scenario).build_trace()
+        for spec in (
+            WorkloadSpec(tau5_scenario),
+            WorkloadSpec(tau5_scenario, trace=trace),
+        ):
+            self.assert_all_at([spec.prepare()], 5.0)
+
+    def test_perturbation_evaluates_at_scenario_pending_time(
+        self, tau5_scenario, prepared_workloads
+    ):
+        rows = Session(store=None).run(
+            "perturbation",
+            trace_name=tau5_scenario,
+            scale=1.0,
+            perturbation_sizes=(1.0,),
+            hp_targets=(0.7,),
+            adaptive_factors=(25.0,),
+            monte_carlo_samples=40,
+            planning_interval=20.0,
+        ).rows
+        assert rows
+        self.assert_all_at(prepared_workloads, 5.0)
+
+    def test_table4_evaluates_at_scenario_pending_time(
+        self, tau5_scenario, prepared_workloads
+    ):
+        rows = Session(store=None).run(
+            "table4",
+            trace_name=tau5_scenario,
+            scale=1.0,
+            monte_carlo_samples=40,
+            planning_interval=20.0,
+        ).rows
+        assert [row["environment"] for row in rows] == ["simulated", "real"]
+        self.assert_all_at(prepared_workloads, 5.0)
 
 
 class TestTracesOverview:
@@ -277,8 +344,8 @@ class TestVarianceExperiment:
         families = {row["family"] for row in rows}
         assert families == {"BP", "AdapBP", "RobustScaler-HP", "RobustScaler-cost"}
         for row in rows:
-            assert row["hit_rate_variance"] >= 0.0
-            assert row["rt_variance"] >= 0.0
+            assert row["hit_rate_window_variance"] >= 0.0
+            assert row["rt_window_variance"] >= 0.0
 
 
 class TestPerturbationExperiment:

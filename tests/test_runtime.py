@@ -3,7 +3,7 @@
 The load-bearing guarantees: (1) the serial and process-pool executors
 produce bit-identical result rows for the same task list and base seed;
 (2) the workload cache prepares — and therefore fits the NHPP model —
-exactly once per (workload identity, prep-config) key; (3) per-task seeds
+exactly once per (workload identity, preparation settings) key; (3) per-task seeds
 derive deterministically via ``SeedSequence.spawn``.
 """
 
@@ -16,7 +16,6 @@ from repro.exceptions import PlanningError, ValidationError
 from repro.nhpp.model import NHPPModel
 from repro.runtime import (
     EvalTask,
-    PrepSpec,
     ScalerSpec,
     WorkloadCache,
     WorkloadSpec,
@@ -54,12 +53,23 @@ def small_tasks() -> list[EvalTask]:
 
 
 class TestSpecs:
-    def test_workload_spec_requires_exactly_one_source(self):
-        with pytest.raises(ValidationError):
-            WorkloadSpec()
+    def test_workload_spec_always_names_a_scenario(self):
         trace = get_scenario("steady-state").build_trace(scale=0.03, seed=1)
-        with pytest.raises(ValidationError):
-            WorkloadSpec(scenario="steady-state", trace=trace)
+        with pytest.raises(TypeError):
+            WorkloadSpec()
+        with pytest.raises(TypeError):
+            WorkloadSpec(trace=trace)
+        assert WorkloadSpec("steady-state", trace=trace).build_trace() is trace
+
+    def test_workload_spec_fields(self):
+        """Four fields: no preparation config and no engine ride along."""
+        from dataclasses import fields
+
+        names = [f.name for f in fields(WorkloadSpec)]
+        assert names == ["scenario", "scale", "seed", "trace"]
+        assert "prep" not in names and "engine" not in names
+        with pytest.raises(TypeError):
+            WorkloadSpec("steady-state", prep=None)
 
     def test_scaler_spec_validation(self):
         with pytest.raises(ValidationError):
@@ -130,27 +140,35 @@ class TestSpecs:
         with pytest.raises(error):
             ScalerSpec(kind, parameter).build(tiny_workload)
 
-    def test_cache_key_distinguishes_prep_configs(self):
+    def test_cache_key_shape(self):
+        """Identity, then the scenario's (split, bin width, pending time)."""
+        key = WorkloadSpec("crs", scale=0.25, seed=7).cache_key()
+        assert key == ("scenario", "crs", 0.25, 7, 0.75, 300.0, 13.0)
+
+    def test_cache_key_distinguishes_seeds(self):
         base = WorkloadSpec(scenario="steady-state", scale=0.05, seed=7)
-        other_prep = WorkloadSpec(
-            scenario="steady-state",
-            scale=0.05,
-            seed=7,
-            prep=PrepSpec(bin_seconds=120.0),
-        )
         other_seed = WorkloadSpec(scenario="steady-state", scale=0.05, seed=8)
         assert base.cache_key() == base.cache_key()
-        assert base.cache_key() != other_prep.cache_key()
         assert base.cache_key() != other_seed.cache_key()
 
-    def test_prep_spec_resolves_to_prepare_workload_keywords(self):
-        """Every PrepSpec field is a prepare_workload keyword, and no more.
+    def test_cache_key_follows_scenario_bin_width(self):
+        """One replacement trace under two scenarios whose bin widths differ
+        (crs 300 s, google 60 s) is two preparations: two keys."""
+        trace = get_scenario("steady-state").build_trace(scale=0.03, seed=1)
+        crs, google = get_scenario("crs"), get_scenario("google")
+        assert crs.bin_seconds != google.bin_seconds
+        assert (
+            WorkloadSpec("crs", trace=trace).cache_key()
+            != WorkloadSpec("google", trace=trace).cache_key()
+        )
+
+    def test_scenario_settings_are_prepare_workload_keywords(self):
+        """A scenario's settings are prepare_workload keywords, and no more.
 
         The one exception is ``engine``, which tasks do not carry: every
         task replays on the batched engine.
         """
         import inspect
-        from dataclasses import fields
 
         from repro.runtime import prepare_workload
 
@@ -159,21 +177,20 @@ class TestSpecs:
             for name, param in inspect.signature(prepare_workload).parameters.items()
             if param.kind is inspect.Parameter.KEYWORD_ONLY and name != "engine"
         ]
-        assert [f.name for f in fields(PrepSpec)] == keywords
-        assert list(PrepSpec().resolve()) == keywords
+        assert list(get_scenario("steady-state").simulator_defaults) == keywords
 
-    def test_trace_backed_key_uses_content_fingerprint(self):
+    def test_replacement_trace_key_uses_content_fingerprint(self):
         scenario = get_scenario("steady-state")
         trace_a = scenario.build_trace(scale=0.03, seed=1)
         trace_a_again = scenario.build_trace(scale=0.03, seed=1)
         trace_b = scenario.build_trace(scale=0.03, seed=2)
         assert (
-            WorkloadSpec(trace=trace_a).cache_key()
-            == WorkloadSpec(trace=trace_a_again).cache_key()
+            WorkloadSpec("steady-state", trace=trace_a).cache_key()
+            == WorkloadSpec("steady-state", trace=trace_a_again).cache_key()
         )
         assert (
-            WorkloadSpec(trace=trace_a).cache_key()
-            != WorkloadSpec(trace=trace_b).cache_key()
+            WorkloadSpec("steady-state", trace=trace_a).cache_key()
+            != WorkloadSpec("steady-state", trace=trace_b).cache_key()
         )
 
     def test_derive_task_seeds_deterministic_and_independent(self):
@@ -295,33 +312,37 @@ class TestDeterminism:
         ]
         assert [(row["scenario"], row["scaler"]) for row in serial_rows] == expected
 
-    def test_variance_window_rows(self):
-        task = EvalTask(
-            WorkloadSpec(scenario="steady-state", scale=0.05, seed=7),
-            ScalerSpec("bp", 2),
-            variance_window=25,
-        )
-        row = run_tasks([task], base_seed=7)[0].row
+    def test_variance_window_sets_the_summary_window(self):
+        """``variance_window`` is the summary's block length, not extra columns."""
+        workload = WorkloadSpec(scenario="steady-state", scale=0.05, seed=7)
+        rows = {
+            window: run_tasks(
+                [EvalTask(workload, ScalerSpec("bp", 2), variance_window=window)],
+                base_seed=7,
+            )[0].row
+            for window in (None, 50, 25)
+        }
+        variances = ("hit_rate_window_variance", "rt_window_variance")
+        assert rows[None] == rows[50]
+        assert rows[25]["rt_window_variance"] != rows[50]["rt_window_variance"]
+        assert {k: v for k, v in rows[25].items() if k not in variances} == {
+            k: v for k, v in rows[50].items() if k not in variances
+        }
         for column in ("hit_rate_mean", "hit_rate_variance", "rt_mean", "rt_variance"):
-            assert column in row
-        assert row["hit_rate_variance"] >= 0.0
-        assert row["rt_variance"] >= 0.0
+            assert column not in rows[25]
+        assert rows[25]["hit_rate_window_variance"] >= 0.0
+        assert rows[25]["rt_window_variance"] >= 0.0
 
-    def test_direct_trace_tasks_match_scenario_tasks(self):
-        """A trace-backed spec evaluates exactly like its scenario spec."""
-        scenario = get_scenario("steady-state")
-        trace = scenario.build_trace(scale=0.05, seed=7)
-        prep = PrepSpec(
-            train_fraction=scenario.train_fraction,
-            bin_seconds=scenario.bin_seconds,
-            pending_time=scenario.pending_time,
-        )
+    def test_replacement_trace_tasks_match_scenario_tasks(self):
+        """A spec replacing the realization with an equal trace evaluates
+        exactly like the spec that generates it."""
+        trace = get_scenario("steady-state").build_trace(scale=0.05, seed=7)
         by_name = EvalTask(
-            WorkloadSpec(scenario="steady-state", scale=0.05, seed=7, prep=prep),
+            WorkloadSpec(scenario="steady-state", scale=0.05, seed=7),
             ScalerSpec("rs-hp", 0.7, planning_interval=20.0, monte_carlo_samples=60),
         )
         by_trace = EvalTask(
-            WorkloadSpec(trace=trace, prep=prep),
+            WorkloadSpec("steady-state", trace=trace),
             ScalerSpec("rs-hp", 0.7, planning_interval=20.0, monte_carlo_samples=60),
         )
         rows_name = [r.row for r in run_tasks([by_name], base_seed=3)]

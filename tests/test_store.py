@@ -375,11 +375,9 @@ class TestTwoTierWorkloadCache:
         """One prepared-workload entry, whatever engine later replays it."""
         from dataclasses import fields
 
-        from repro.runtime import PrepSpec
-
-        assert "engine" not in {field.name for field in fields(PrepSpec)}
+        assert "engine" not in {field.name for field in fields(WorkloadSpec)}
         with pytest.raises(TypeError):
-            PrepSpec(engine="reference")
+            WorkloadSpec("steady-state", engine="reference")
         spec = WorkloadSpec(scenario="steady-state", scale=0.05, seed=3)
         key = spec.cache_key()
         assert not {"batched", "reference"} & set(map(str, key))
