@@ -101,10 +101,7 @@ class TickFleetScaler(Autoscaler):
 
     def on_planning_tick(self, context) -> ScalingResponse:
         actions = [
-            ScalingAction(
-                creation_time=context.time + self._interval * (k + 1) / self._burst,
-                planned_at=context.time,
-            )
+            ScalingAction(creation_time=context.time + self._interval * (k + 1) / self._burst)
             for k in range(self._burst)
         ]
         return ScalingResponse(actions=actions)

@@ -4,7 +4,7 @@ One registry, one facade, one execution contract:
 
 * every experiment declares itself as an
   :class:`~repro.api.registry.ExperimentSpec` — a parameter schema (typed
-  fields with defaults/choices/help), a runner building its task batch, and
+  fields with defaults and help), a runner building its task batch, and
   a result schema — via :func:`~repro.api.registry.register_experiment`;
 * :meth:`Session.run(name, **params) <repro.api.session.Session.run>` is
   the one way to drive the reproduction programmatically, threading

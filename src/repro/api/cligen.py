@@ -61,7 +61,6 @@ def add_param_arguments(
                 dest=param.dest,
                 action="append",
                 type=_SCALAR_TYPES[param.kind],
-                choices=list(param.choices) if param.choices else None,
                 default=None,
                 help=f"{help_text} (repeatable)",
             )
@@ -70,7 +69,6 @@ def add_param_arguments(
                 param.flag,
                 dest=param.dest,
                 type=_SCALAR_TYPES[param.kind],
-                choices=list(param.choices) if param.choices else None,
                 default=None,
                 help=help_text,
             )

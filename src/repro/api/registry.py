@@ -5,7 +5,7 @@ declares itself as — replacing the per-driver ``*ExperimentConfig``
 dataclasses that each needed bespoke CLI plumbing.  A spec carries:
 
 * the experiment's **parameter schema**: a tuple of :class:`ParamSpec`
-  (typed fields with defaults, choices and help text), from which both
+  (typed fields with defaults and help text), from which both
   :meth:`resolve` (programmatic validation/coercion) and the CLI's argparse
   options (:mod:`repro.api.cligen`) are derived;
 * its **runner** — a plain function ``run(params, ctx)`` that builds the
@@ -83,8 +83,6 @@ class ParamSpec:
     sequence:
         When ``True`` the parameter is a tuple of ``kind`` values; the CLI
         renders it as a repeatable flag.
-    choices:
-        Optional closed set of legal scalar values.
     help:
         One-line help text (surfaces in the generated CLI and listings).
     cli_flag:
@@ -96,7 +94,6 @@ class ParamSpec:
     kind: str = "float"
     default: Any = None
     sequence: bool = False
-    choices: tuple | None = None
     help: str = ""
     cli_flag: str | None = None
 
@@ -125,24 +122,12 @@ class ParamSpec:
         if self.sequence:
             if isinstance(value, (str, bytes)) or not isinstance(value, Iterable):
                 value = (value,)
-            coerced = tuple(
-                _coerce_scalar(self.kind, item, self.name) for item in value
-            )
-        elif isinstance(value, (list, tuple)):
+            return tuple(_coerce_scalar(self.kind, item, self.name) for item in value)
+        if isinstance(value, (list, tuple)):
             raise ValidationError(
                 f"parameter {self.name!r} takes a single {self.kind}, got {value!r}"
             )
-        else:
-            coerced = _coerce_scalar(self.kind, value, self.name)
-        if self.choices is not None:
-            items = coerced if self.sequence else (coerced,)
-            for item in items:
-                if item not in self.choices:
-                    raise ValidationError(
-                        f"parameter {self.name!r} must be one of "
-                        f"{list(self.choices)}, got {item!r}"
-                    )
-        return coerced
+        return _coerce_scalar(self.kind, value, self.name)
 
 
 @dataclass(frozen=True)
@@ -182,7 +167,6 @@ class ExperimentSpec:
     result_columns: tuple[str, ...] = ()
     artifact: str = ""
     runtime: bool = True
-    description: str = ""
 
     def __post_init__(self) -> None:
         names = [param.name for param in self.params]
@@ -190,8 +174,6 @@ class ExperimentSpec:
             raise ValidationError(
                 f"experiment {self.name!r} declares duplicate parameters"
             )
-        if not self.description:
-            object.__setattr__(self, "description", (self.run.__doc__ or "").strip())
 
     def param(self, name: str) -> ParamSpec:
         """The schema entry called ``name``."""

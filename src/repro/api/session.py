@@ -32,7 +32,7 @@ import csv
 import os
 import time
 from contextlib import nullcontext
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, fields
 from pathlib import Path
 from typing import Any, Iterator, Sequence
 
@@ -372,15 +372,9 @@ class Session:
                 recorder,
                 run_id=ctx.run_id,
                 provenance={
-                    "experiment": provenance.experiment,
-                    "seed": provenance.seed,
-                    "workers": provenance.workers,
-                    "run_id": provenance.run_id,
-                    "package_version": provenance.package_version,
-                    "scenario_digest": provenance.scenario_digest,
-                    "n_tasks": provenance.n_tasks,
-                    "n_resumed": provenance.n_resumed,
-                    "duration_seconds": provenance.duration_seconds,
+                    item.name: getattr(provenance, item.name)
+                    for item in fields(provenance)
+                    if item.name != "params"
                 },
             )
             if ctx.store is not None and ctx.run_id is not None:

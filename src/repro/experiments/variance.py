@@ -19,6 +19,7 @@ every candidate and the replays parallelize with ``workers`` /
 
 from __future__ import annotations
 
+from .._validation import check_integer
 from ..api import (
     ExperimentSpec,
     ParamSpec,
@@ -34,6 +35,7 @@ __all__: list[str] = []
 
 def _run_variance(params: dict, ctx: RunContext) -> list[dict]:
     """Measure windowed QoS variance for each autoscaler sweep (Fig. 5)."""
+    window = check_integer(params["window"], "window", minimum=1)
     scenario = get_scenario(params["trace_name"])
     trace = scenario.build_trace(scale=params["scale"], seed=params["seed"])
     _, test = trace.split(scenario.train_fraction)
@@ -69,7 +71,7 @@ def _run_variance(params: dict, ctx: RunContext) -> list[dict]:
             workload,
             spec,
             extra=(("family", family),),
-            variance_window=params["window"],
+            variance_window=window,
         )
         for family, spec in candidates
     ]

@@ -32,9 +32,14 @@ class PiecewiseConstantIntensity:
     extrapolation:
         Behaviour for times beyond the last bin:
 
-        * ``"hold"`` — keep the last bin's value forever (default);
-        * ``"periodic"`` — repeat the whole profile cyclically;
-        * ``"zero"`` — intensity drops to zero.
+        * ``"hold"`` — keep the last bin's value forever (default), the
+          tail of a forecast with no detected period;
+        * ``"periodic"`` — repeat the whole profile cyclically, the template
+          of a periodic forecast and every generated scenario's profile.
+
+        Either way the integrated intensity keeps growing past the window
+        unless the held level (or the whole periodic profile) is zero, so
+        :meth:`inverse_cumulative` reaches any mass.
     """
 
     def __init__(
@@ -49,9 +54,9 @@ class PiecewiseConstantIntensity:
             raise ValidationError("intensity requires at least one bin")
         if np.any(values < 0):
             raise ValidationError("intensity values must be non-negative")
-        if extrapolation not in ("hold", "periodic", "zero"):
+        if extrapolation not in ("hold", "periodic"):
             raise ValidationError(
-                f"extrapolation must be 'hold', 'periodic' or 'zero', got {extrapolation!r}"
+                f"extrapolation must be 'hold' or 'periodic', got {extrapolation!r}"
             )
         self._values = values
         self.bin_seconds = check_positive(bin_seconds, "bin_seconds")
@@ -96,8 +101,6 @@ class PiecewiseConstantIntensity:
         return out if np.ndim(t) else float(out[0])
 
     def _extrapolated_value(self, t: np.ndarray) -> np.ndarray:
-        if self.extrapolation == "zero":
-            return np.zeros_like(t)
         if self.extrapolation == "hold":
             return np.full_like(t, self._values[-1])
         wrapped = np.mod(t, self.duration)
@@ -127,9 +130,7 @@ class PiecewiseConstantIntensity:
         if np.any(beyond):
             tb = t_clipped[beyond]
             extra = tb - duration
-            if self.extrapolation == "zero":
-                tail = np.zeros_like(extra)
-            elif self.extrapolation == "hold":
+            if self.extrapolation == "hold":
                 tail = self._values[-1] * extra
             else:  # periodic
                 full_cycles = np.floor(extra / duration)
@@ -144,8 +145,9 @@ class PiecewiseConstantIntensity:
         Raises
         ------
         ValidationError
-            If the requested mass can never be reached (e.g. zero
-            extrapolation and ``mass > total_mass``).
+            If the requested mass is negative, or lies beyond the window
+            and can never be reached (a zero held rate, a periodic profile
+            of zero mass).
         """
         m_arr = np.atleast_1d(np.asarray(mass, dtype=float))
         total = self.total_mass
@@ -167,11 +169,6 @@ class PiecewiseConstantIntensity:
         beyond = ~inside
         if np.any(beyond):
             mb = m_arr[beyond]
-            if self.extrapolation == "zero":
-                raise ValidationError(
-                    "requested cumulative mass exceeds the total mass of a "
-                    "zero-extrapolated intensity"
-                )
             # With a vanishingly small tail rate (or total mass) the division
             # below can overflow to inf, and two inf samples make downstream
             # diffs NaN; clamping at the largest finite float keeps the
@@ -244,18 +241,9 @@ class PiecewiseConstantIntensity:
         out += within
         return out
 
-    def upper_bound(self, window_seconds: float | None = None) -> float:
-        """Maximum intensity over ``[0, window_seconds]`` (or the whole profile)."""
-        if window_seconds is None:
-            return float(self._values.max())
-        check_non_negative(window_seconds, "window_seconds")
-        if window_seconds >= self.duration:
-            bound = float(self._values.max())
-            if self.extrapolation == "hold":
-                bound = max(bound, float(self._values[-1]))
-            return bound
-        n = max(1, int(np.ceil(window_seconds / self.bin_seconds)))
-        return float(self._values[:n].max())
+    def upper_bound(self) -> float:
+        """Maximum intensity at any time; both extrapolations repeat a window value."""
+        return float(self._values.max())
 
     def shift(self, offset_seconds: float) -> "PiecewiseConstantIntensity":
         """Return the intensity viewed from ``offset_seconds`` onwards.
@@ -271,14 +259,12 @@ class PiecewiseConstantIntensity:
         """The bins :meth:`shift` samples, one per bin of the shifted window.
 
         The shifted profile holds this intensity's value at the midpoint of
-        each of its bins.  Index ``n_bins`` stands for the zero a
-        zero-extrapolated intensity takes past its window; ``None`` stands
-        for the one-bin tail a hold or zero intensity becomes once the
-        offset passes its window.
+        each of its bins; ``None`` stands for the one-bin tail a hold
+        intensity becomes once the offset passes its window.
         """
         horizon = self.duration
         if offset_seconds >= horizon:
-            if self.extrapolation != "periodic":
+            if self.extrapolation == "hold":
                 return None
             offset_seconds = float(np.mod(offset_seconds, horizon))
         # Sample the shifted profile on the same grid width:
@@ -291,8 +277,6 @@ class PiecewiseConstantIntensity:
             np.mod(times, horizon, out=times)
         bins = (times / self.bin_seconds).astype(int)
         np.minimum(bins, n_bins - 1, out=bins)
-        if self.extrapolation == "zero":
-            bins[times >= horizon] = n_bins
         return bins
 
     @cached_property
@@ -302,16 +286,9 @@ class PiecewiseConstantIntensity:
 
     def _shifted(self, bins: np.ndarray | None) -> "PiecewiseConstantIntensity":
         """The shifted window holding the values of ``bins`` (see :meth:`_shift_bins`)."""
-        if bins is None:
-            tail = self._values[-1] if self.extrapolation == "hold" else 0.0
-            return PiecewiseConstantIntensity(
-                np.array([tail]), self.bin_seconds, extrapolation=self.extrapolation
-            )
-        values = self._values
-        if self.extrapolation == "zero":
-            values = np.append(values, 0.0)
+        values = self._values[-1:] if bins is None else self._values[bins]
         return PiecewiseConstantIntensity(
-            values[bins], self.bin_seconds, extrapolation=self.extrapolation
+            values, self.bin_seconds, extrapolation=self.extrapolation
         )
 
     def __repr__(self) -> str:  # pragma: no cover - debugging helper

@@ -3,7 +3,7 @@
 Every policy implements the :class:`~repro.scaling.base.Autoscaler` interface
 consumed by the simulator: it is consulted at time zero, at every query
 arrival, and (optionally) on a periodic planning tick, and responds with
-instance creations, cancellations of scheduled creations, and scale-ins.
+instance creations and scale-ins.
 """
 
 from .base import Autoscaler, PlanningContext, ScalingResponse

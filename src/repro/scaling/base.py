@@ -11,10 +11,11 @@ The simulator drives a policy through three hooks:
   when the policy declares one.
 
 Each hook receives a :class:`PlanningContext` snapshot of what the policy is
-allowed to observe (time, arrival history, pool occupancy — never the future
-of the trace) and returns a :class:`ScalingResponse` describing instance
-creations, cancellations of previously scheduled creations, and scale-ins of
-idle instances.
+allowed to observe (time, arrival history, how many instances are created
+and how many scheduled — never the future of the trace) and returns a
+:class:`ScalingResponse` of instance creations and scale-ins of idle
+instances.  A creation, once returned, is never revisited: the engine
+executes it at its time unless a reactive cold start consumes it first.
 
 A policy describes its per-arrival behaviour by overriding
 :attr:`~Autoscaler.arrival_target` (Backup Pool returns its pool size,
@@ -53,8 +54,6 @@ class PlanningContext:
     created_unassigned:
         Instances that exist (created, possibly still pending) and have not
         been assigned to a query yet.
-    ready_unassigned:
-        Subset of ``created_unassigned`` that has finished startup.
     scheduled_creations:
         Scaling actions accepted earlier whose creation time has not been
         reached yet.
@@ -64,7 +63,6 @@ class PlanningContext:
     n_arrivals: int
     arrival_history: np.ndarray
     created_unassigned: int
-    ready_unassigned: int
     scheduled_creations: int
 
     @property
@@ -96,16 +94,12 @@ class ScalingResponse:
     actions:
         New instance creations to schedule; creation times are absolute
         simulation times and may equal the current time ("create now").
-    cancel_scheduled:
-        Number of not-yet-executed scheduled creations to cancel, earliest
-        first.
     scale_in:
         Number of idle (created, unassigned) instances to delete immediately,
         latest-ready first.
     """
 
     actions: list[ScalingAction] = field(default_factory=list)
-    cancel_scheduled: int = 0
     scale_in: int = 0
 
     @classmethod
@@ -116,7 +110,7 @@ class ScalingResponse:
     @classmethod
     def create_now(cls, time: float, count: int = 1) -> "ScalingResponse":
         """A response that creates ``count`` instances immediately."""
-        actions = [ScalingAction(creation_time=time, planned_at=time) for _ in range(count)]
+        actions = [ScalingAction(creation_time=time) for _ in range(count)]
         return cls(actions=actions)
 
 

@@ -196,7 +196,7 @@ class RobustScaler(Autoscaler):
 
         actions: list[ScalingAction] = []
         committed_beyond_window = 0
-        for index, raw in enumerate(raw_creation.tolist(), start=outstanding):
+        for raw in raw_creation.tolist():
             relative_creation = max(raw, 0.0)
             within_window = relative_creation <= window
             if not within_window:
@@ -210,13 +210,7 @@ class RobustScaler(Autoscaler):
                 committed_beyond_window += 1
             if relative_creation > MAX_PLAN_HORIZON:
                 break
-            actions.append(
-                ScalingAction(
-                    creation_time=now + relative_creation,
-                    planned_at=now,
-                    target_query_index=context.n_arrivals + index,
-                )
-            )
+            actions.append(ScalingAction(creation_time=now + relative_creation))
         return ScalingResponse(actions=actions)
 
     def _queries_to_consider(

@@ -130,14 +130,5 @@ class SequentialHPScaler(Autoscaler):
         raw_creation = self._solve(scenarios.arrival_times, scenarios.pending_times)
         creation = context.time + np.maximum(raw_creation, 0.0)
         return ScalingResponse(
-            actions=[
-                ScalingAction(
-                    creation_time=created,
-                    planned_at=context.time,
-                    target_query_index=index,
-                )
-                for index, created in enumerate(
-                    creation.tolist(), start=context.n_arrivals + first_index
-                )
-            ]
+            actions=[ScalingAction(creation_time=created) for created in creation.tolist()]
         )

@@ -13,6 +13,11 @@ instance lived — exactly the dynamics of Algorithm 1 in the paper:
   query, is cancelled;
 * the instance is deleted as soon as it finishes processing its query.
 
+The pool of created, unassigned instances is a heap of ``(ready, tiebreak,
+creation, pending)`` tuples and the scheduled creations a heap of
+``(creation, tiebreak)`` tuples — the batched engine's pool shapes, kept
+there as sorted lists.  A policy sees only their sizes.
+
 The simulator optionally charges the wall-clock time the policy spends
 computing decisions ("real environment" mode, Table IV): actions then cannot
 take effect before the decision computation would have finished.
@@ -23,7 +28,6 @@ from __future__ import annotations
 import heapq
 import itertools
 import time as _time
-from bisect import bisect_right, insort
 from typing import Callable
 
 import numpy as np
@@ -34,29 +38,9 @@ from ..pending import PendingTimeModel, default_pending_model
 from ..rng import ensure_rng
 from ..scaling.base import Autoscaler, PlanningContext, ScalingResponse
 from ..telemetry import get_recorder
-from ..types import ArrivalTrace, ScalingAction, SimulationResult
+from ..types import ArrivalTrace, SimulationResult
 
 __all__ = ["ScalingPerQuerySimulator"]
-
-#: When True, every planning context additionally recomputes the ready count
-#: with a brute-force scan of the pool and asserts it matches the
-#: incrementally tracked value.  Enabled by the regression tests only.
-_AUDIT_READY_COUNT = False
-
-
-class _PendingInstance:
-    """A created-but-unassigned instance tracked by the simulator."""
-
-    __slots__ = ("creation_time", "ready_time", "pending_time", "proactive")
-
-    def __init__(
-        self, creation_time: float, ready_time: float, pending_time: float, proactive: bool
-    ) -> None:
-        self.creation_time = creation_time
-        self.ready_time = ready_time
-        self.pending_time = pending_time
-        self.proactive = proactive
-
 
 class ScalingPerQuerySimulator:
     """Replays traces against autoscaling policies.
@@ -106,12 +90,10 @@ class ScalingPerQuerySimulator:
         arrivals = np.asarray(trace.arrival_times, dtype=float)
         processing_times = np.asarray(trace.processing_times, dtype=float)
 
-        available: list[tuple[float, int, _PendingInstance]] = []  # heap by ready_time
-        scheduled: list[tuple[float, int, ScalingAction]] = []  # heap by creation_time
-        # Sorted mirror of the pool members' ready times, so planning contexts
-        # can count ready instances with one binary search instead of a full
-        # scan (the pool mutations below all map to O(log n) / tail edits).
-        ready_sorted: list[float] = []
+        # Heap of (ready, tiebreak, creation, pending) by ready time.
+        available: list[tuple[float, int, float, float]] = []
+        # Heap of (creation, tiebreak) by creation time.
+        scheduled: list[tuple[float, int]] = []
         tiebreak = itertools.count()
         n = arrivals.size
         hit_col = np.zeros(n, dtype=bool)
@@ -126,38 +108,24 @@ class ScalingPerQuerySimulator:
             return float(self.pending_model.sample(1, rng)[0])
 
         def make_context(now: float, n_arrivals: int) -> PlanningContext:
-            ready = bisect_right(ready_sorted, now)
-            if _AUDIT_READY_COUNT:
-                brute = sum(1 for ready_time, _, _ in available if ready_time <= now)
-                if ready != brute:
-                    raise SimulationError(
-                        f"incremental ready count {ready} diverged from "
-                        f"brute-force recount {brute} at t={now}"
-                    )
             return PlanningContext(
                 time=now,
                 n_arrivals=n_arrivals,
                 arrival_history=arrivals[:n_arrivals],
                 created_unassigned=len(available),
-                ready_unassigned=ready,
                 scheduled_creations=len(scheduled),
             )
+
+        def create(creation_time: float) -> None:
+            """Add an instance created at ``creation_time`` to the pool."""
+            pending = draw_pending()
+            ready = creation_time + self.config.scheduling_latency + pending
+            heapq.heappush(available, (ready, next(tiebreak), creation_time, pending))
 
         def materialize_scheduled(now: float) -> None:
             """Turn scheduled creations whose time has come into real instances."""
             while scheduled and scheduled[0][0] <= now:
-                creation_time, _, _action = heapq.heappop(scheduled)
-                pending = draw_pending()
-                ready = creation_time + self.config.scheduling_latency + pending
-                heapq.heappush(
-                    available,
-                    (
-                        ready,
-                        next(tiebreak),
-                        _PendingInstance(creation_time, ready, pending, proactive=True),
-                    ),
-                )
-                insort(ready_sorted, ready)
+                create(heapq.heappop(scheduled)[0])
 
         def call_policy(
             hook: Callable[[PlanningContext], ScalingResponse], context: PlanningContext
@@ -178,8 +146,6 @@ class ScalingPerQuerySimulator:
             effective_now = now
             if self.config.charge_decision_latency:
                 effective_now = now + latency
-            for _ in range(min(response.cancel_scheduled, len(scheduled))):
-                heapq.heappop(scheduled)
             if response.scale_in > 0 and available:
                 # Remove the instances that became (or will become) ready last:
                 # they are the "youngest" members of the pool.
@@ -188,25 +154,14 @@ class ScalingPerQuerySimulator:
                 del survivors[len(survivors) - len(to_remove):]
                 available[:] = survivors
                 heapq.heapify(available)
-                del ready_sorted[len(ready_sorted) - len(to_remove):]
-                for _, _, instance in to_remove:
-                    unused_cost += max(0.0, now - instance.creation_time)
+                for _, _, creation_time, _ in to_remove:
+                    unused_cost += max(0.0, now - creation_time)
             for action in response.actions:
                 creation_time = max(float(action.creation_time), effective_now)
                 if creation_time <= now:
-                    pending = draw_pending()
-                    ready = creation_time + self.config.scheduling_latency + pending
-                    heapq.heappush(
-                        available,
-                        (
-                            ready,
-                            next(tiebreak),
-                            _PendingInstance(creation_time, ready, pending, proactive=True),
-                        ),
-                    )
-                    insort(ready_sorted, ready)
+                    create(creation_time)
                 else:
-                    heapq.heappush(scheduled, (creation_time, next(tiebreak), action))
+                    heapq.heappush(scheduled, (creation_time, next(tiebreak)))
 
         # -------------------------------------------------------- main loop
         response, latency = call_policy(scaler.initialize, make_context(0.0, 0))
@@ -241,9 +196,7 @@ class ScalingPerQuerySimulator:
                 start_col[index],
                 pending_col[index],
                 proactive_col[index],
-            ) = self._serve_query(
-                index, arrival_time, available, scheduled, draw_pending, ready_sorted
-            )
+            ) = self._serve_query(index, arrival_time, available, scheduled, draw_pending)
 
             response, latency = call_policy(
                 scaler.on_query_arrival, make_context(arrival_time, index + 1)
@@ -255,8 +208,8 @@ class ScalingPerQuerySimulator:
         # floating-point accumulation order is well-defined and matches the
         # batched engine's sorted pool list exactly.
         horizon = max(trace.horizon, arrivals[-1] if n else 0.0)
-        for _, _, instance in sorted(available):
-            unused_cost += max(0.0, horizon - instance.creation_time)
+        for _, _, creation_time, _ in sorted(available):
+            unused_cost += max(0.0, horizon - creation_time)
 
         if recorder.enabled:
             recorder.inc("engine.reference.replays")
@@ -293,10 +246,9 @@ class ScalingPerQuerySimulator:
         self,
         index: int,
         arrival: float,
-        available: list[tuple[float, int, _PendingInstance]],
-        scheduled: list[tuple[float, int, ScalingAction]],
+        available: list[tuple[float, int, float, float]],
+        scheduled: list[tuple[float, int]],
         draw_pending: Callable[[], float],
-        ready_sorted: list[float],
     ) -> tuple[bool, float, float, float, float, float, bool]:
         """Match a freshly arrived query to an instance per Algorithm 1.
 
@@ -307,15 +259,10 @@ class ScalingPerQuerySimulator:
         computes them with.
         """
         if available:
-            ready_time, _, instance = heapq.heappop(available)
-            # The popped instance minimizes (ready_time, tiebreak), so its
-            # ready time is the smallest in the sorted mirror.
-            ready_sorted.pop(0)
+            ready_time, _, creation, pending = heapq.heappop(available)
             hit = ready_time <= arrival
             start = max(ready_time, arrival)
-            creation = instance.creation_time
-            pending = instance.pending_time
-            proactive = instance.proactive
+            proactive = True
         else:
             # Reactive cold start; the originally scheduled creation for this
             # query (the earliest outstanding one) is cancelled.

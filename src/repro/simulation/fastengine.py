@@ -25,8 +25,8 @@ restructuring the work so million-query traces are feasible:
 * **flat sorted pools** — the unassigned-instance pool and the scheduled
   creations are flat lists kept sorted by ``(ready_time, tiebreak)`` /
   ``(creation_time, tiebreak)``, so pop-min is a head slice, scale-in is a
-  tail slice, and the ready count in a planning context is one bisection —
-  no per-query heap churn;
+  tail slice and materializing the due creations is one bisection — no
+  per-query heap churn;
 * **bulk pending-time draws** — runs of consecutive startup-latency draws
   (chunked reactive creations, batch materializations) are sampled with one
   ``pending_model.sample(count, rng)`` call.  numpy generators fill arrays
@@ -175,7 +175,6 @@ class BatchedEventSimulator:
                 n_arrivals=n_arrivals,
                 arrival_history=arrivals[:n_arrivals],
                 created_unassigned=len(pool),
-                ready_unassigned=bisect_right(pool, (now, _INF)),
                 scheduled_creations=len(sched),
             )
 
@@ -215,9 +214,6 @@ class BatchedEventSimulator:
         def apply_response(response: ScalingResponse, now: float, latency: float) -> None:
             nonlocal unused_cost, tiebreak
             effective_now = now + latency if charge else now
-            cancels = min(response.cancel_scheduled, len(sched))
-            if cancels > 0:
-                del sched[:cancels]
             if response.scale_in > 0 and pool:
                 keep = len(pool) - min(response.scale_in, len(pool))
                 removed = pool[keep:]
@@ -323,7 +319,6 @@ class BatchedEventSimulator:
             _ctx_set(arrival_context, "n_arrivals", n_arrivals)
             _ctx_set(arrival_context, "arrival_history", arrivals[:n_arrivals])
             _ctx_set(arrival_context, "created_unassigned", len(pool))
-            _ctx_set(arrival_context, "ready_unassigned", bisect_right(pool, (now, _INF)))
             _ctx_set(arrival_context, "scheduled_creations", len(sched))
             return arrival_context
 

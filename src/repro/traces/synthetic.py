@@ -108,10 +108,9 @@ def generate_trace_from_intensity(
     processing_time_mean:
         Mean query processing time in seconds.
     processing_time_distribution:
-        ``"exponential"``, ``"lognormal"`` (sigma 0.5), ``"bimodal"``
+        ``"exponential"``, ``"lognormal"`` (sigma 0.5) or ``"bimodal"``
         (cold/warm lognormal mixture: 15% of queries pay an 8x cold-start
-        premium, mixture mean equal to ``processing_time_mean``) or
-        ``"constant"``.
+        premium, mixture mean equal to ``processing_time_mean``).
     name:
         Trace name; defaults to ``"synthetic"``.
     random_state:
@@ -157,40 +156,40 @@ def _sample_processing_times(
     distribution: str,
     rng: np.random.Generator,
 ) -> np.ndarray:
+    # Checked first, so an empty trace or a zero mean rejects an unknown
+    # family too.
+    if distribution not in ("exponential", "lognormal", "bimodal"):
+        raise ValidationError(
+            "processing_time_distribution must be 'exponential', 'lognormal' "
+            f"or 'bimodal', got {distribution!r}"
+        )
     if count == 0:
         return np.empty(0)
     if mean == 0:
         return np.zeros(count)
     if distribution == "exponential":
         return rng.exponential(mean, size=count)
-    if distribution == "constant":
-        return np.full(count, mean)
     if distribution == "lognormal":
         return _lognormal_with_mean(mean, 0.5, count, rng)
-    if distribution == "bimodal":
-        # Cold/warm mixture: most queries run on a warm instance, a minority
-        # pays the cold-start premium.  The warm-mode mean is chosen so the
-        # mixture's expectation equals ``mean``, keeping scenarios with this
-        # family comparable to unimodal ones at the same nominal mean.
-        warm_mean = mean / (
-            1.0 - _BIMODAL_COLD_FRACTION
-            + _BIMODAL_COLD_FRACTION * _BIMODAL_COLD_MULTIPLIER
-        )
-        cold = rng.random(count) < _BIMODAL_COLD_FRACTION
-        times = _lognormal_with_mean(warm_mean, _BIMODAL_WARM_SIGMA, count, rng)
-        n_cold = int(cold.sum())
-        if n_cold:
-            times[cold] = _lognormal_with_mean(
-                warm_mean * _BIMODAL_COLD_MULTIPLIER,
-                _BIMODAL_COLD_SIGMA,
-                n_cold,
-                rng,
-            )
-        return times
-    raise ValidationError(
-        "processing_time_distribution must be 'exponential', 'lognormal', "
-        f"'bimodal' or 'constant', got {distribution!r}"
+    # Cold/warm mixture: most queries run on a warm instance, a minority
+    # pays the cold-start premium.  The warm-mode mean is chosen so the
+    # mixture's expectation equals ``mean``, keeping scenarios with this
+    # family comparable to unimodal ones at the same nominal mean.
+    warm_mean = mean / (
+        1.0 - _BIMODAL_COLD_FRACTION
+        + _BIMODAL_COLD_FRACTION * _BIMODAL_COLD_MULTIPLIER
     )
+    cold = rng.random(count) < _BIMODAL_COLD_FRACTION
+    times = _lognormal_with_mean(warm_mean, _BIMODAL_WARM_SIGMA, count, rng)
+    n_cold = int(cold.sum())
+    if n_cold:
+        times[cold] = _lognormal_with_mean(
+            warm_mean * _BIMODAL_COLD_MULTIPLIER,
+            _BIMODAL_COLD_SIGMA,
+            n_cold,
+            rng,
+        )
+    return times
 
 
 def _noisy(

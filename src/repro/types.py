@@ -194,12 +194,6 @@ class ArrivalTrace:
         counts, _ = np.histogram(self._arrivals, bins=edges)
         return QPSSeries(counts=counts, bin_seconds=bin_seconds, name=self.name)
 
-    def with_processing_times(self, processing_times: Sequence[float] | float) -> "ArrivalTrace":
-        """Return a copy of the trace with different processing times."""
-        return ArrivalTrace(
-            self._arrivals, processing_times, name=self.name, horizon=self.horizon
-        )
-
 
 class QPSSeries:
     """Per-interval query counts, the input representation for NHPP fitting.
@@ -266,23 +260,6 @@ class QPSSeries:
             f"bin_seconds={self.bin_seconds}, total={self._counts.sum():.0f})"
         )
 
-    def aggregate(self, factor: int) -> "QPSSeries":
-        """Merge every ``factor`` consecutive bins (summing counts).
-
-        Used by the periodicity-detection module to average out randomness
-        before searching for cyclic patterns (Section IV of the paper).
-        """
-        if factor < 1:
-            raise ValidationError(f"factor must be >= 1, got {factor}")
-        factor = int(factor)
-        n_full = (self.n_bins // factor) * factor
-        if n_full == 0:
-            raise ValidationError(
-                f"series with {self.n_bins} bins is too short to aggregate by {factor}"
-            )
-        merged = self._counts[:n_full].reshape(-1, factor).sum(axis=1)
-        return QPSSeries(merged, self.bin_seconds * factor, name=f"{self.name}@x{factor}")
-
 
 @dataclass(frozen=True)
 class ScalingAction:
@@ -292,22 +269,15 @@ class ScalingAction:
     ----------
     creation_time:
         Absolute time (seconds) at which the instance should be created.
-    planned_at:
-        Time the decision was made; used by the real-environment simulator to
-        charge decision latency.
-    target_query_index:
-        Index of the upcoming query this instance is intended for, if known.
+        An engine that charges decision latency defers it to no earlier
+        than the hook's call time plus the measured decision time.
     """
 
     creation_time: float
-    planned_at: float = 0.0
-    target_query_index: Optional[int] = None
 
     def __post_init__(self) -> None:
         if not math.isfinite(self.creation_time):
             raise ValidationError("creation_time must be finite")
-        if not math.isfinite(self.planned_at):
-            raise ValidationError("planned_at must be finite")
 
 
 #: The per-query columns every result stores, compared by ``__eq__``.

@@ -87,15 +87,13 @@ class IntensityPrimitive:
         horizon_seconds: float,
         bin_seconds: float,
         *,
-        extrapolation: str = "periodic",
         random_state: RandomState = None,
     ) -> PiecewiseConstantIntensity:
         """Materialize the component as a piecewise-constant intensity.
 
         The component is evaluated at bin midpoints over ``[0, horizon)``,
         negative values are clipped to zero, and the result wraps into a
-        :class:`~repro.nhpp.intensity.PiecewiseConstantIntensity` with the
-        requested extrapolation behaviour.
+        periodic :class:`~repro.nhpp.intensity.PiecewiseConstantIntensity`.
         """
         check_positive(horizon_seconds, "horizon_seconds")
         check_positive(bin_seconds, "bin_seconds")
@@ -113,7 +111,7 @@ class IntensityPrimitive:
                 f"{type(self).__name__} produced non-finite intensity values"
             )
         return PiecewiseConstantIntensity(
-            np.maximum(values, 0.0), bin_seconds, extrapolation=extrapolation
+            np.maximum(values, 0.0), bin_seconds, extrapolation="periodic"
         )
 
     # ------------------------------------------------------------- algebra

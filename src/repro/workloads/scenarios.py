@@ -77,8 +77,6 @@ class Scenario:
         Fraction of the horizon used for training (rest is test).
     default_seed:
         Seed used when the caller does not pass one.
-    extrapolation:
-        Extrapolation mode of the compiled intensity.
     tags:
         Free-form labels (``"bursty"``, ``"seasonal"``, ``"paper"``, ...).
     """
@@ -94,7 +92,6 @@ class Scenario:
     pending_time: float = 13.0
     train_fraction: float = 0.75
     default_seed: int = 7
-    extrapolation: str = "periodic"
     tags: tuple[str, ...] = field(default=())
 
     def __post_init__(self) -> None:
@@ -171,12 +168,7 @@ class Scenario:
                 f"scenario {self.name!r} is generator-backed and has no "
                 "closed-form intensity"
             )
-        return self.intensity(horizon).compile(
-            horizon,
-            self.bin_seconds,
-            extrapolation=self.extrapolation,
-            random_state=rng,
-        )
+        return self.intensity(horizon).compile(horizon, self.bin_seconds, random_state=rng)
 
     def build_intensity(
         self, *, scale: float = 1.0, seed: int | None = None

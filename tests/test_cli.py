@@ -100,6 +100,13 @@ class TestMain:
         assert err.startswith("error: ") and "unknown scenario" in err
         assert len(err.strip().splitlines()) == 1
 
+    def test_experiment_variance_rejects_a_zero_window(self, capsys):
+        assert main(["experiment", "variance", "--window", "0"]) == 2
+        err = capsys.readouterr().err
+        # The message names the flag's parameter, not an internal keyword.
+        assert err.startswith("error: window must be >= 1, got 0")
+        assert len(err.strip().splitlines()) == 1
+
     def test_simulate_small_run(self, capsys):
         code = main(
             [

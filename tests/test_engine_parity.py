@@ -77,7 +77,7 @@ def assert_engine_parity(trace, scaler_factory, config, *, pending_model=None):
 
 
 class SchedulingScaler(Autoscaler):
-    """Tick policy exercising scheduled creations, cancels and scale-ins."""
+    """Tick policy exercising bursts of scheduled creations and scale-ins."""
 
     name = "SchedulingScaler"
 
@@ -92,16 +92,11 @@ class SchedulingScaler(Autoscaler):
 
     def on_planning_tick(self, context) -> ScalingResponse:
         actions = [
-            ScalingAction(
-                creation_time=context.time + self._lookahead * (k + 1) / self._burst,
-                planned_at=context.time,
-            )
+            ScalingAction(creation_time=context.time + self._lookahead * (k + 1) / self._burst)
             for k in range(self._burst)
         ]
         return ScalingResponse(
-            actions=actions,
-            cancel_scheduled=1 if context.scheduled_creations > 3 else 0,
-            scale_in=1 if context.created_unassigned > 2 else 0,
+            actions=actions, scale_in=1 if context.created_unassigned > 2 else 0
         )
 
 
@@ -114,9 +109,7 @@ class FixedPlanScaler(Autoscaler):
         self._creation_times = list(creation_times)
 
     def initialize(self, context) -> ScalingResponse:
-        actions = [
-            ScalingAction(creation_time=t, planned_at=0.0) for t in self._creation_times
-        ]
+        actions = [ScalingAction(creation_time=t) for t in self._creation_times]
         return ScalingResponse(actions=actions)
 
 
@@ -251,6 +244,117 @@ class TestEdgeCaseParity:
         )
 
 
+def _observed(context) -> tuple:
+    """Everything a policy can read from a planning context, as plain values."""
+    return (
+        context.time,
+        context.n_arrivals,
+        context.created_unassigned,
+        context.scheduled_creations,
+        context.arrival_history.size,
+    )
+
+
+class ContextRecordingScaler(Autoscaler):
+    """Logs every context it is shown while bursting, topping up and scaling in.
+
+    Overriding the arrival hook puts the batched engine on its per-query
+    path, which reuses one mutable context across arrivals; ticks and
+    ``initialize`` get fresh ones.
+    """
+
+    name = "ContextRecording"
+
+    def __init__(self) -> None:
+        self.log: list[tuple] = []
+
+    @property
+    def planning_interval(self) -> float:
+        return 25.0
+
+    def initialize(self, context) -> ScalingResponse:
+        self.log.append(("init",) + _observed(context))
+        return ScalingResponse(actions=[ScalingAction(creation_time=t) for t in (0.0, 15.0)])
+
+    def on_planning_tick(self, context) -> ScalingResponse:
+        self.log.append(("tick",) + _observed(context))
+        return ScalingResponse(
+            actions=[ScalingAction(creation_time=context.time + 10.0 * k) for k in (1, 2, 3)],
+            scale_in=1 if context.created_unassigned > 1 else 0,
+        )
+
+    def on_query_arrival(self, context) -> ScalingResponse:
+        self.log.append(("arrival",) + _observed(context))
+        if context.n_arrivals % 3 == 0:
+            return ScalingResponse.create_now(context.time, 2)
+        return ScalingResponse.empty()
+
+
+class TickRecordingPool(BackupPoolScaler):
+    """BP's arrival rule, served in chunks, with ticks that log and scale in."""
+
+    name = "TickRecordingPool"
+
+    def __init__(self) -> None:
+        super().__init__(3)
+        self.log: list[tuple] = []
+
+    @property
+    def planning_interval(self) -> float:
+        return 40.0
+
+    def on_planning_tick(self, context) -> ScalingResponse:
+        # Every other tick schedules a creation the next tick still sees;
+        # the chunks after it materializes are served as top-ups again.
+        self.log.append(("tick",) + _observed(context))
+        later = context.time + 45.0
+        return ScalingResponse(
+            actions=[ScalingAction(creation_time=later)] if len(self.log) % 2 else [],
+            scale_in=1 if context.created_unassigned > 1 else 0,
+        )
+
+
+class TickRecordingAdapBP(AdaptiveBackupPoolScaler):
+    """AdapBP, whose ticks retarget the pool and scale in, logging each context."""
+
+    name = "TickRecordingAdapBP"
+
+    def __init__(self) -> None:
+        super().__init__(40.0, update_interval=60.0)
+        self.log: list[tuple] = []
+
+    def on_planning_tick(self, context) -> ScalingResponse:
+        self.log.append(("tick",) + _observed(context))
+        return super().on_planning_tick(context)
+
+
+class TestObservedContextParity:
+    """Both engines show a policy the same contexts, call for call."""
+
+    @pytest.mark.parametrize("jitter", [0.0, 4.0], ids=["deterministic", "jitter"])
+    @pytest.mark.parametrize(
+        "policy", [ContextRecordingScaler, TickRecordingPool, TickRecordingAdapBP]
+    )
+    def test_contexts_match(self, jitter, policy):
+        # A busy first half, then a quiet one: pools grow, then scale in.
+        busy = sample_homogeneous_arrivals(0.8, 450.0, 12)
+        quiet = 450.0 + sample_homogeneous_arrivals(0.05, 450.0, 13)
+        trace = ArrivalTrace(np.concatenate([busy, quiet]), 9.0, horizon=900.0)
+        config = SimulationConfig(pending_time=8.0, pending_time_jitter=jitter, seed=12)
+        logs = []
+        for engine in ("reference", "batched"):
+            scaler = policy()
+            create_simulator(replace(config, engine=engine)).replay(trace, scaler)
+            logs.append(scaler.log)
+        reference, batched = logs
+        assert len(reference) > 10
+        assert reference == batched
+        # The pool churns: the ticks see it both grow and shrink.
+        pools = [entry[3] for entry in reference if entry[0] == "tick"]
+        steps = np.diff(pools)
+        assert steps.max() > 0 and steps.min() < 0
+
+
 def _spin_one_clock_tick() -> None:
     """Busy-wait until ``perf_counter`` moves, so a timed call reads > 0."""
     started = time.perf_counter()
@@ -379,13 +483,7 @@ class ScheduledTopUpScaler(BackupPoolScaler):
         return 120.0
 
     def on_planning_tick(self, context) -> ScalingResponse:
-        return ScalingResponse(
-            actions=[
-                ScalingAction(
-                    creation_time=context.time + 30.0, planned_at=context.time
-                )
-            ]
-        )
+        return ScalingResponse(actions=[ScalingAction(creation_time=context.time + 30.0)])
 
 
 class OverPoolScaler(BackupPoolScaler):

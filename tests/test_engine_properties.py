@@ -51,10 +51,7 @@ class FutureFleetScaler(Autoscaler):
 
     def initialize(self, context) -> ScalingResponse:
         actions = [
-            ScalingAction(
-                creation_time=self._window * (k + 1) / (self._count + 1),
-                planned_at=0.0,
-            )
+            ScalingAction(creation_time=self._window * (k + 1) / (self._count + 1))
             for k in range(self._count)
         ]
         return ScalingResponse(actions=actions)

@@ -347,6 +347,14 @@ class TestVarianceExperiment:
             assert row["hit_rate_window_variance"] >= 0.0
             assert row["rt_window_variance"] >= 0.0
 
+    def test_window_checked_before_any_preparation(self, monkeypatch):
+        def no_preparation(self):
+            raise AssertionError("the workload was prepared before the window was checked")
+
+        monkeypatch.setattr(WorkloadSpec, "prepare", no_preparation)
+        with pytest.raises(ValidationError, match="window must be >= 1"):
+            Session(store=None).run("variance", window=0)
+
 
 class TestPerturbationExperiment:
     def test_rows_cover_all_sizes(self):

@@ -26,9 +26,10 @@ class TestConstruction:
         with pytest.raises(ValidationError):
             PiecewiseConstantIntensity(np.array([]), 10.0)
 
-    def test_rejects_unknown_extrapolation(self):
-        with pytest.raises(ValidationError):
-            PiecewiseConstantIntensity(np.array([1.0]), 10.0, extrapolation="linear")
+    @pytest.mark.parametrize("extrapolation", ["linear", "zero"])
+    def test_rejects_unknown_extrapolation(self, extrapolation):
+        with pytest.raises(ValidationError, match="'hold' or 'periodic'"):
+            PiecewiseConstantIntensity(np.array([1.0]), 10.0, extrapolation=extrapolation)
 
 
 class TestValue:
@@ -44,10 +45,6 @@ class TestValue:
     def test_hold_extrapolation(self):
         intensity = PiecewiseConstantIntensity(np.array([1.0, 3.0]), 10.0, extrapolation="hold")
         assert intensity.value(100.0) == 3.0
-
-    def test_zero_extrapolation(self):
-        intensity = PiecewiseConstantIntensity(np.array([1.0]), 10.0, extrapolation="zero")
-        assert intensity.value(100.0) == 0.0
 
     def test_periodic_extrapolation(self):
         intensity = PiecewiseConstantIntensity(
@@ -84,10 +81,6 @@ class TestCumulative:
         assert intensity.cumulative(40.0) == pytest.approx(80.0)
         assert intensity.cumulative(45.0) == pytest.approx(85.0)
 
-    def test_zero_extrapolation_saturates(self):
-        intensity = PiecewiseConstantIntensity(np.array([2.0]), 10.0, extrapolation="zero")
-        assert intensity.cumulative(100.0) == pytest.approx(20.0)
-
 
 class TestInverseCumulative:
     def test_round_trip_within_window(self):
@@ -113,11 +106,6 @@ class TestInverseCumulative:
         mass = 100.0
         t = intensity.inverse_cumulative(mass)
         assert intensity.cumulative(t) == pytest.approx(mass, rel=1e-9)
-
-    def test_beyond_window_zero_raises(self):
-        intensity = PiecewiseConstantIntensity(np.array([1.0]), 10.0, extrapolation="zero")
-        with pytest.raises(ValidationError):
-            intensity.inverse_cumulative(11.0)
 
     def test_negative_mass_rejected(self):
         intensity = PiecewiseConstantIntensity(np.array([1.0]), 10.0)
@@ -161,10 +149,15 @@ class TestUpperBoundAndShift:
         intensity = PiecewiseConstantIntensity(np.array([1.0, 5.0, 2.0]), 10.0)
         assert intensity.upper_bound() == 5.0
 
-    def test_upper_bound_window(self):
-        intensity = PiecewiseConstantIntensity(np.array([1.0, 5.0, 2.0]), 10.0)
-        assert intensity.upper_bound(10.0) == 1.0
-        assert intensity.upper_bound(15.0) == 5.0
+    @pytest.mark.parametrize("extrapolation", ["hold", "periodic"])
+    def test_upper_bound_covers_the_extrapolated_tail(self, extrapolation):
+        intensity = PiecewiseConstantIntensity(
+            np.array([1.0, 5.0, 2.0]), 10.0, extrapolation=extrapolation
+        )
+        times = np.linspace(0.0, 10 * intensity.duration, 301)
+        values = intensity.value(times)
+        assert values.max() == intensity.upper_bound() == 5.0
+        assert intensity.value(1e6) <= intensity.upper_bound()
 
     def test_shift_preserves_values(self):
         intensity = PiecewiseConstantIntensity(

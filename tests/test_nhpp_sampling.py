@@ -99,7 +99,7 @@ class TestLoopPathMatchesPerBinReference:
         [
             ([0.8, 2.5, 0.3], 50.0, "hold", 431.7),
             ([0.0, 4.0, 0.0, 1.5, 0.0], 60.0, "periodic", 1234.5),
-            ([2.0, 0.0, 3.0], 30.0, "zero", 200.25),
+            ([2.0, 0.0, 3.0], 30.0, "hold", 200.25),
             ([0.0, 0.0], 10.0, "hold", 95.0),
             ([1e-3, 7.5], 0.7, "periodic", 100.0),
         ],

@@ -29,12 +29,15 @@ def _forecasts() -> dict[str, PiecewiseConstantIntensity]:
     profile[[2, 3, 40]] = 0.0  # empty bins inside the window
     return {
         "periodic": PiecewiseConstantIntensity(profile, BIN, extrapolation="periodic"),
+        # Nine bins: planning offsets wrap it many times over.
+        "periodic-short": PiecewiseConstantIntensity(
+            profile[:9], BIN, extrapolation="periodic"
+        ),
         "hold": PiecewiseConstantIntensity(profile[:7], BIN, extrapolation="hold"),
         "hold-1-bin": PiecewiseConstantIntensity(np.array([0.37]), BIN, extrapolation="hold"),
         "hold-long": PiecewiseConstantIntensity(
             rng.gamma(2.0, 0.3, size=2_000), BIN, extrapolation="hold"
         ),
-        "zero": PiecewiseConstantIntensity(profile[:9], BIN, extrapolation="zero"),
     }
 
 
@@ -58,10 +61,6 @@ def _value_shift(
         if extrapolation == "hold":
             tail = forecast.values[-1:]
             return PiecewiseConstantIntensity(tail, forecast.bin_seconds, extrapolation="hold")
-        if extrapolation == "zero":
-            return PiecewiseConstantIntensity(
-                np.array([0.0]), forecast.bin_seconds, extrapolation="zero"
-            )
         offset = float(np.mod(offset, horizon))
     times = offset + np.arange(forecast.n_bins) * forecast.bin_seconds + 0.5 * forecast.bin_seconds
     values = np.asarray(forecast.value(times), dtype=float)
@@ -198,8 +197,6 @@ def _masked_inverse(intensity: PiecewiseConstantIntensity, mass):
     beyond = ~inside
     if np.any(beyond):
         mb = m_arr[beyond]
-        if intensity.extrapolation == "zero":
-            raise ValidationError("beyond a zero-extrapolated intensity")
         finite_max = np.finfo(float).max
         if intensity.extrapolation == "hold":
             with np.errstate(over="ignore"):
@@ -250,14 +247,8 @@ class TestInverseFastPath:
         intensity = FORECASTS[name]
         total = intensity.total_mass
         masses = np.array([0.25 * total, total, total * 1.5, total * 7.25 + 0.5])
-        if intensity.extrapolation == "zero":
-            with pytest.raises(ValidationError):
-                intensity.inverse_cumulative(masses)
-            with pytest.raises(ValidationError):
-                intensity.inverse_cumulative(np.nextafter(total, np.inf))
-        else:
-            _assert_same_inverse(intensity, masses)
-            _assert_same_inverse(intensity, float(masses[-1]))
+        _assert_same_inverse(intensity, masses)
+        _assert_same_inverse(intensity, float(masses[-1]))
 
     def test_negative_masses_raise(self, name):
         intensity = FORECASTS[name]
@@ -279,10 +270,6 @@ class TestInverseFastPath:
 def test_inverse_matches_masked_path(name, fractions):
     intensity = FORECASTS[name]
     masses = np.array(fractions) * intensity.total_mass
-    if intensity.extrapolation == "zero" and np.any(masses > intensity.total_mass):
-        with pytest.raises(ValidationError):
-            intensity.inverse_cumulative(masses)
-        return
     _assert_same_inverse(intensity, masses)
 
 
@@ -378,17 +365,14 @@ def _uncached_shift_bins(forecast: PiecewiseConstantIntensity, offset: float):
     """``_shift_bins`` with its grid built from ``np.arange`` on every call."""
     horizon = forecast.duration
     if offset >= horizon:
-        if forecast.extrapolation != "periodic":
+        if forecast.extrapolation == "hold":
             return None
         offset = float(np.mod(offset, horizon))
     n_bins = forecast.n_bins
     times = offset + np.arange(n_bins) * forecast.bin_seconds + 0.5 * forecast.bin_seconds
     if forecast.extrapolation == "periodic":
         times = np.mod(times, horizon)
-    bins = np.minimum((times / forecast.bin_seconds).astype(int), n_bins - 1)
-    if forecast.extrapolation == "zero":
-        bins[times >= horizon] = n_bins
-    return bins
+    return np.minimum((times / forecast.bin_seconds).astype(int), n_bins - 1)
 
 
 def _wrap_offsets(forecast: PiecewiseConstantIntensity) -> list[float]:

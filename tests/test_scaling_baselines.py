@@ -19,7 +19,6 @@ def _context(time: float, arrivals: np.ndarray, created: int, scheduled: int = 0
         n_arrivals=arrivals.size,
         arrival_history=arrivals,
         created_unassigned=created,
-        ready_unassigned=created,
         scheduled_creations=scheduled,
     )
 
@@ -66,9 +65,7 @@ def _old_top_up_hook(target: int, context: PlanningContext) -> ScalingResponse:
 
 def _same_response(a: ScalingResponse, b: ScalingResponse) -> bool:
     return (
-        [(x.creation_time, x.planned_at) for x in a.actions]
-        == [(x.creation_time, x.planned_at) for x in b.actions]
-        and a.cancel_scheduled == b.cancel_scheduled
+        [x.creation_time for x in a.actions] == [x.creation_time for x in b.actions]
         and a.scale_in == b.scale_in
     )
 

@@ -38,7 +38,6 @@ def _context(time: float, n_arrivals: int, outstanding: int) -> PlanningContext:
         n_arrivals=n_arrivals,
         arrival_history=history,
         created_unassigned=outstanding,
-        ready_unassigned=outstanding,
         scheduled_creations=0,
     )
 
@@ -112,7 +111,6 @@ class TestPlanningBehaviour:
         now = 500.0
         response = scaler.on_planning_tick(_context(now, 3, outstanding=0))
         assert all(a.creation_time >= now for a in response.actions)
-        assert all(a.planned_at == now for a in response.actions)
 
     def test_higher_target_creates_earlier(self, fast_planner, pending_model):
         def first_creation(target: float) -> float:
@@ -256,13 +254,7 @@ class _PerQueryRobustScaler(RobustScaler):
                 committed_beyond_window += 1
             if relative_creation > MAX_PLAN_HORIZON:
                 break
-            actions.append(
-                ScalingAction(
-                    creation_time=now + relative_creation,
-                    planned_at=now,
-                    target_query_index=context.n_arrivals + index,
-                )
-            )
+            actions.append(ScalingAction(creation_time=now + relative_creation))
         return ScalingResponse(actions=actions)
 
 

@@ -47,13 +47,7 @@ class _PerQuerySequentialHPScaler(SequentialHPScaler):
         for index in range(first_index, first_index + count):
             samples = scenarios.for_query(index - first_index)
             decision = solve_hp_constrained(*samples, self.target)
-            actions.append(
-                ScalingAction(
-                    creation_time=context.time + decision.creation_time,
-                    planned_at=context.time,
-                    target_query_index=context.n_arrivals + index,
-                )
-            )
+            actions.append(ScalingAction(creation_time=context.time + decision.creation_time))
         return ScalingResponse(actions=actions)
 
 

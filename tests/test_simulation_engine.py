@@ -46,7 +46,7 @@ class FixedPlanScaler(Autoscaler):
             import time
 
             time.sleep(self._slow_seconds)
-        actions = [ScalingAction(creation_time=t, planned_at=0.0) for t in self._creation_times]
+        actions = [ScalingAction(creation_time=t) for t in self._creation_times]
         return ScalingResponse(actions=actions)
 
 
@@ -258,79 +258,35 @@ class TestRealEnvironment:
                 assert getattr(real, field.name) == getattr(base, field.name), field.name
 
 
-class TestReadyCountTracking:
-    """The incremental ready count must match a brute-force pool recount.
+def test_ready_count_observed_by_policy():
+    """The pool and schedule sizes a policy sees match a hand recount."""
+    observed: list[tuple[float, int, int]] = []
 
-    ``make_context`` tracks the number of ready unassigned instances with a
-    sorted mirror of the pool's ready times instead of scanning the pool on
-    every call; with the audit flag enabled, the engine recounts by brute
-    force at every planning context and raises on any divergence.
-    """
+    class Recorder(Autoscaler):
+        name = "Recorder"
 
-    @pytest.fixture(autouse=True)
-    def _enable_audit(self, monkeypatch):
-        from repro.simulation import engine as engine_module
-
-        monkeypatch.setattr(engine_module, "_AUDIT_READY_COUNT", True)
-
-    def test_audit_with_pool_churn(self, small_poisson_trace):
-        # Jittered pending times interleave ready times across creations;
-        # AdapBP adds scale-ins (tail removals) on its planning ticks.
-        config = SimulationConfig(pending_time=10.0, pending_time_jitter=4.0, seed=1)
-        from repro.scaling.adaptive_backup_pool import AdaptiveBackupPoolScaler
-
-        for scaler in (
-            BackupPoolScaler(3),
-            AdaptiveBackupPoolScaler(40.0, update_interval=120.0),
-        ):
-            result = ScalingPerQuerySimulator(config).replay(
-                small_poisson_trace, scaler
+        def initialize(self, context):
+            return ScalingResponse(
+                actions=[ScalingAction(creation_time=t) for t in (0.0, 0.0, 0.0, 30.0)]
             )
-            assert result.n_queries == small_poisson_trace.n_queries
 
-    def test_audit_with_scheduled_materializations(self, small_poisson_trace):
-        config = SimulationConfig(pending_time=5.0, pending_time_jitter=2.0, seed=2)
-        creation_times = [50.0 * k for k in range(20)]
-        result = ScalingPerQuerySimulator(config).replay(
-            small_poisson_trace, FixedPlanScaler(creation_times)
+        def on_query_arrival(self, context):
+            observed.append(
+                (context.time, context.created_unassigned, context.scheduled_creations)
+            )
+            return ScalingResponse.empty()
+
+    config = SimulationConfig(pending_time=10.0)
+    trace = ArrivalTrace([5.0, 15.0, 45.0, 100.0], 1.0, horizon=200.0)
+    for engine in ("reference", "batched"):
+        observed.clear()
+        create_simulator(dataclasses.replace(config, engine=engine)).replay(
+            trace, Recorder()
         )
-        assert result.n_queries == small_poisson_trace.n_queries
-
-    def test_ready_count_observed_by_policy(self):
-        """The count a policy sees equals an independent recount of the pool."""
-        observed: list[tuple[float, int, int]] = []
-
-        class Recorder(Autoscaler):
-            name = "Recorder"
-
-            def initialize(self, context):
-                return ScalingResponse(
-                    actions=[
-                        ScalingAction(creation_time=t, planned_at=0.0)
-                        for t in (0.0, 0.0, 0.0, 30.0)
-                    ]
-                )
-
-            def on_query_arrival(self, context):
-                observed.append(
-                    (context.time, context.ready_unassigned, context.created_unassigned)
-                )
-                return ScalingResponse.empty()
-
-        config = SimulationConfig(pending_time=10.0)
-        trace = ArrivalTrace([5.0, 15.0, 45.0, 100.0], 1.0, horizon=200.0)
-        ScalingPerQuerySimulator(config).replay(trace, Recorder())
-        # Hand-computed: three creations at t=0 become ready at 10, the one
-        # at t=30 becomes ready at 40; each arrival consumes the
-        # earliest-ready instance before its hook observes the pool.
-        assert [(t, ready) for t, ready, _ in observed] == [
-            (5.0, 0),
-            (15.0, 1),
-            (45.0, 1),
-            (100.0, 0),
-        ]
-        for _, ready, created in observed:
-            assert 0 <= ready <= created
+        # Hand-computed: three creations at t=0 join the pool at once, the
+        # one at t=30 stays scheduled until the arrival at 45 materializes
+        # it; each arrival consumes one instance before its hook observes.
+        assert observed == [(5.0, 2, 1), (15.0, 1, 1), (45.0, 1, 0), (100.0, 0, 0)]
 
 
 class TestRunnerHelpers:

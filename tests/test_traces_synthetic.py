@@ -161,7 +161,7 @@ class TestGenerateTraceFromIntensity:
         assert np.mean(counts) == pytest.approx(expected, rel=0.1)
 
     def test_processing_distributions(self, constant_intensity):
-        for dist in ("exponential", "lognormal", "constant"):
+        for dist in ("exponential", "lognormal", "bimodal"):
             trace = generate_trace_from_intensity(
                 constant_intensity,
                 1800.0,
@@ -172,12 +172,15 @@ class TestGenerateTraceFromIntensity:
             if trace.n_queries:
                 assert np.all(trace.processing_times >= 0)
 
-    def test_unknown_distribution_rejected(self, constant_intensity):
-        with pytest.raises(ValidationError):
+    @pytest.mark.parametrize("mean", [10.0, 0.0])
+    @pytest.mark.parametrize("distribution", ["weird", "constant"])
+    def test_unknown_distribution_rejected(self, constant_intensity, distribution, mean):
+        with pytest.raises(ValidationError, match="'bimodal'"):
             generate_trace_from_intensity(
                 constant_intensity,
                 100.0,
-                processing_time_distribution="weird",
+                processing_time_mean=mean,
+                processing_time_distribution=distribution,
                 random_state=0,
             )
 

@@ -107,12 +107,6 @@ class TestArrivalTrace:
         assert series.counts[0] == 3
         assert series.counts[1] == 1
 
-    def test_with_processing_times(self):
-        trace = ArrivalTrace([1.0, 2.0], 1.0, horizon=5.0)
-        new = trace.with_processing_times(9.0)
-        np.testing.assert_allclose(new.processing_times, [9.0, 9.0])
-        assert new.horizon == trace.horizon
-
     @given(
         st.lists(st.floats(min_value=0.0, max_value=1000.0), min_size=1, max_size=50),
         st.floats(min_value=1.0, max_value=120.0),
@@ -158,17 +152,6 @@ class TestQPSSeries:
         with pytest.raises(ValueError):
             series.counts[0] = 5.0
         np.testing.assert_array_equal(series.counts, [1.0, 2.0, 3.0])
-
-    def test_aggregate_sums_counts(self):
-        series = QPSSeries([1, 2, 3, 4, 5], 60.0)
-        merged = series.aggregate(2)
-        np.testing.assert_allclose(merged.counts, [3, 7])
-        assert merged.bin_seconds == 120.0
-
-    def test_aggregate_rejects_too_large_factor(self):
-        series = QPSSeries([1, 2], 60.0)
-        with pytest.raises(ValidationError):
-            series.aggregate(3)
 
 
 class TestScalingAction:
